@@ -376,12 +376,7 @@ bool ContentDeliveryService::run(std::size_t max_ticks) {
 bool ContentDeliveryService::run_until(std::uint64_t deadline) {
   while (ticks_ < deadline) {
     tick();
-    const bool all = std::all_of(
-        peers_.begin(), peers_.end(),
-        [](const PeerEntry& e) { return e.peer->has_content(); });
-    // "All done" is only final once no flash crowd is still scheduled to
-    // arrive — a pending join re-opens the swarm.
-    if (all && !faults_.pending_joins()) return true;
+    if (all_finished()) return true;
     if (!options_.jump_empty_ticks) continue;
     // All-untimed swarms can never open a span (untimed downloads are
     // due every tick), so skip the planning rebuild outright and keep
@@ -396,9 +391,16 @@ bool ContentDeliveryService::run_until(std::uint64_t deadline) {
       ticks_ = target;
     }
   }
-  return std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
-    return e.peer->has_content();
-  });
+  return all_finished();
+}
+
+bool ContentDeliveryService::all_finished() const {
+  // "All done" is only final once no flash crowd is still scheduled to
+  // arrive — a pending join re-opens the swarm.
+  return !faults_.pending_joins() &&
+         std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
+           return e.peer->has_content();
+         });
 }
 
 std::vector<std::uint8_t> ContentDeliveryService::peer_content(

@@ -163,7 +163,8 @@ class ContentDeliveryService {
   /// Event-loop driver: advances until every peer holds the content or
   /// the virtual clock reaches `deadline`, executing only ticks at which
   /// an event (refresh, origin feed, frame arrival, send credit,
-  /// handshake retry) can occur. Returns true when everyone finished.
+  /// handshake retry) can occur. Returns true when everyone finished:
+  /// every peer holds the content and no scheduled join is still to come.
   bool run_until(std::uint64_t deadline);
 
   std::size_t peer_count() const { return peers_.size(); }
@@ -226,6 +227,7 @@ class ContentDeliveryService {
       frames_refused += other.frames_refused;
       return *this;
     }
+    bool operator==(const LinkTotals&) const = default;
 
     /// Banks one transport's send-side counters. The single place the
     /// TransportStats -> LinkTotals field mapping lives: both delivery
@@ -250,19 +252,6 @@ class ContentDeliveryService {
   LinkTotals link_totals() const;
 
  private:
-  /// One admitted download: a lossy bidirectional link plus the endpoint
-  /// pair driving the protocol over it (sender side = link.a()).
-  struct DownloadLink {
-    DownloadLink(Peer& sender, Peer& receiver, const SessionOptions& options,
-                 wire::ChannelConfig config)
-        : link(config), sender(sender, options, link.a()),
-          receiver(receiver, options, link.b()) {}
-
-    wire::ChannelLink link;
-    SenderEndpoint sender;
-    ReceiverEndpoint receiver;
-  };
-
   struct PeerEntry {
     std::unique_ptr<Peer> peer;
     bool origin_fed = false;
@@ -299,6 +288,9 @@ class ContentDeliveryService {
                ? options_.suspect_ttl_ticks
                : std::max<std::size_t>(1, options_.refresh_interval);
   }
+  /// run_until's completion condition: every peer holds the content and
+  /// no scheduled join is still to come.
+  bool all_finished() const;
   /// The earliest virtual tick >= ticks_ at which a lockstep tick would
   /// not be a no-op: the next refresh, an origin feed (every tick while a
   /// fed peer is incomplete), or any active download's next frame

@@ -225,7 +225,7 @@ void ReceiverEndpoint::maybe_send_flow_update() {
 
 // --- SenderEndpoint --------------------------------------------------------
 
-SenderEndpoint::SenderEndpoint(Peer& peer, SessionOptions options,
+SenderEndpoint::SenderEndpoint(const Peer& peer, SessionOptions options,
                                wire::Transport& transport)
     : peer_(peer), options_(options), transport_(transport),
       rng_(options.seed),
@@ -390,7 +390,8 @@ bool SenderEndpoint::send_symbol() {
       if (domain_.empty()) {
         peer_.recode_into(recode_scratch_, degree, rng_);
       } else {
-        peer_.recode_from_into(recode_scratch_, domain_, degree, rng_);
+        peer_.recode_from_into(recode_scratch_, domain_, degree, rng_,
+                               held_scratch_);
       }
       sent = transport_.send(codec::RecodedSymbolView(recode_scratch_));
       break;

@@ -293,10 +293,14 @@ class ReceiverEndpoint {
 /// The uploading half. Waits for the receiver's bundle, digests sketch and
 /// summary into a containment estimate and a filtered domain, then serves
 /// symbols under the configured strategy, one per send_symbol() call.
+///
+/// A sender only reads its Peer, and every scratch buffer it serves from
+/// is its own: sender halves on different threads may share one Peer
+/// while nothing mutates it (the sharded engine's send phase).
 class SenderEndpoint {
  public:
   /// The peer and transport must outlive the endpoint.
-  SenderEndpoint(Peer& peer, SessionOptions options,
+  SenderEndpoint(const Peer& peer, SessionOptions options,
                  wire::Transport& transport);
 
   /// Drains the transport and advances the handshake; replies to (re)sent
@@ -325,7 +329,6 @@ class SenderEndpoint {
   /// uses the whole working set).
   const std::vector<std::uint64_t>& domain() const { return domain_; }
 
-  Peer& peer() { return peer_; }
   const Peer& peer() const { return peer_; }
   const wire::Transport& transport() const { return transport_; }
 
@@ -336,7 +339,8 @@ class SenderEndpoint {
     return (receiver_sketch_ ? receiver_sketch_->memory_bytes() : 0) +
            (receiver_bloom_ ? receiver_bloom_->memory_bytes() : 0) +
            (receiver_art_ ? receiver_art_->memory_bytes() : 0) +
-           domain_.capacity() * sizeof(std::uint64_t) +
+           (domain_.capacity() + held_scratch_.capacity()) *
+               sizeof(std::uint64_t) +
            recode_scratch_.constituents.capacity() * sizeof(std::uint64_t) +
            recode_scratch_.payload.capacity() +
            cached_message_bytes(sketch_scratch_);
@@ -356,7 +360,7 @@ class SenderEndpoint {
     receiver_art_.reset();
   }
 
-  Peer& peer_;
+  const Peer& peer_;
   SessionOptions options_;
   wire::Transport& transport_;
   util::Xoshiro256 rng_;
@@ -377,8 +381,25 @@ class SenderEndpoint {
   /// Reused by send_symbol so a warm transfer builds every recoded symbol
   /// in place (no per-symbol vectors); serialized from a view.
   codec::RecodedSymbol recode_scratch_;
+  /// The held subset of domain_ a Recode/BF symbol samples from
+  /// (Peer::recode_from_into's filter scratch).
+  std::vector<std::uint64_t> held_scratch_;
   /// Sketch message scratch for handshake replies (see ReceiverEndpoint).
   std::optional<wire::Message> sketch_scratch_;
+};
+
+/// One download as the delivery engines hold it: a ChannelLink whose `a()`
+/// end the sender endpoint drives and whose `b()` end the receiver's does.
+/// The endpoints reference the link, so a DownloadLink never moves.
+struct DownloadLink {
+  DownloadLink(const Peer& sender, Peer& receiver,
+               const SessionOptions& options, wire::ChannelConfig config)
+      : link(config), sender(sender, options, link.a()),
+        receiver(receiver, options, link.b()) {}
+
+  wire::ChannelLink link;
+  SenderEndpoint sender;
+  ReceiverEndpoint receiver;
 };
 
 }  // namespace icd::core

@@ -230,8 +230,7 @@ class PlanningQueue {
 };
 
 /// Link-derived inputs to the service decision, gathered by the engine
-/// from whichever link type carries the download (ChannelLink locally,
-/// ShardLink across shards).
+/// from the download's ChannelLink.
 struct LinkTimes {
   /// False = legacy event-clock link: service every tick.
   bool timed = false;

@@ -103,7 +103,8 @@ codec::RecodedSymbol Peer::recode_from(
     const std::vector<std::uint64_t>& domain_ids, std::size_t degree,
     util::Xoshiro256& rng) const {
   codec::RecodedSymbol symbol;
-  recode_from_into(symbol, domain_ids, degree, rng);
+  std::vector<std::uint64_t> held;
+  recode_from_into(symbol, domain_ids, degree, rng, held);
   return symbol;
 }
 
@@ -116,13 +117,14 @@ void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,
 
 void Peer::recode_from_into(codec::RecodedSymbol& out,
                             const std::vector<std::uint64_t>& domain_ids,
-                            std::size_t degree, util::Xoshiro256& rng) const {
-  recode_held_scratch_.clear();
-  recode_held_scratch_.reserve(domain_ids.size());
+                            std::size_t degree, util::Xoshiro256& rng,
+                            std::vector<std::uint64_t>& held_scratch) const {
+  held_scratch.clear();
+  held_scratch.reserve(domain_ids.size());
   for (const std::uint64_t id : domain_ids) {
-    if (recode_decoder_.has_symbol(id)) recode_held_scratch_.push_back(id);
+    if (recode_decoder_.has_symbol(id)) held_scratch.push_back(id);
   }
-  blend_recode(out, recode_held_scratch_, degree, rng);
+  blend_recode(out, held_scratch, degree, rng);
 }
 
 void Peer::blend_recode(codec::RecodedSymbol& out,
@@ -138,16 +140,15 @@ void Peer::blend_recode(codec::RecodedSymbol& out,
   // zero-allocation guarantee deterministic.
   const std::size_t hint = std::max(
       d, std::min(held.size(), codec::kDefaultRecodeDegreeLimit));
-  recode_pick_scratch_.reserve(hint);
-  util::sample_without_replacement_into(recode_pick_scratch_, held.size(), d,
-                                        rng);
-  out.constituents.clear();
   out.constituents.reserve(hint);
+  // Indices are sampled straight into the constituent list, then mapped to
+  // ids in place: no scratch, so a const Peer stays shareable.
+  util::sample_without_replacement_into(out.constituents, held.size(), d,
+                                        rng);
   out.payload.clear();
-  for (const std::uint64_t pick : recode_pick_scratch_) {
-    const std::uint64_t id = held[static_cast<std::size_t>(pick)];
-    out.constituents.push_back(id);
-    codec::xor_into(out.payload, recode_decoder_.payload(id));
+  for (std::uint64_t& pick : out.constituents) {
+    pick = held[static_cast<std::size_t>(pick)];
+    codec::xor_into(out.payload, recode_decoder_.payload(pick));
   }
   std::sort(out.constituents.begin(), out.constituents.end());
 }

@@ -124,12 +124,15 @@ class Peer {
   /// reused (cleared, capacity kept), and the whole-working-set overload
   /// samples symbol_ids() directly, so a warm sender allocates nothing per
   /// recoded symbol. Same symbol (same rng consumption) as the returning
-  /// overloads.
+  /// overloads. The held-id filter of the restricted variant goes to the
+  /// caller's `held_scratch`: a Peer keeps no mutable state, so sender
+  /// halves on different threads may recode from one const Peer at once.
   void recode_into(codec::RecodedSymbol& out, std::size_t degree,
                    util::Xoshiro256& rng) const;
   void recode_from_into(codec::RecodedSymbol& out,
                         const std::vector<std::uint64_t>& domain_ids,
-                        std::size_t degree, util::Xoshiro256& rng) const;
+                        std::size_t degree, util::Xoshiro256& rng,
+                        std::vector<std::uint64_t>& held_scratch) const;
 
   /// --- Scale audit --------------------------------------------------------
 
@@ -139,9 +142,7 @@ class Peer {
     std::size_t bytes = recode_decoder_.memory_bytes() +
                         block_decoder_.memory_bytes() +
                         sketch_.memory_bytes() +
-                        symbol_ids_.capacity() * sizeof(std::uint64_t) +
-                        recode_held_scratch_.capacity() * sizeof(std::uint64_t) +
-                        recode_pick_scratch_.capacity() * sizeof(std::uint64_t);
+                        symbol_ids_.capacity() * sizeof(std::uint64_t);
     if (decoded_blocks_) {
       for (const auto& block : *decoded_blocks_) bytes += block.capacity();
       bytes += decoded_blocks_->capacity() * sizeof(std::vector<std::uint8_t>);
@@ -190,10 +191,6 @@ class Peer {
   std::size_t log_offset_ = 0;
   std::uint64_t next_fresh_id_;
   std::optional<std::vector<std::vector<std::uint8_t>>> decoded_blocks_;
-  // recode_into scratch: held-id filter and sampled indices. Mutable so
-  // the logically-const recode paths can reuse capacity across calls.
-  mutable std::vector<std::uint64_t> recode_held_scratch_;
-  mutable std::vector<std::uint64_t> recode_pick_scratch_;
 };
 
 }  // namespace icd::core

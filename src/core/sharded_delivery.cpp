@@ -15,7 +15,7 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
       shards_(std::max<std::size_t>(1, shard_options.shards)),
       batch_budget_(shard_options.batch_budget),
       rebalance_epochs_(shard_options.rebalance_epochs),
-      shard_work_(shards_),
+      shard_peers_(shards_),
       next_session_seed_(util::mix64(options.session_seed ^ 0x5e551075ULL)),
       faults_(options.faults) {
   origins_.push_back(std::make_unique<OriginServer>(
@@ -24,8 +24,8 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
       options_.session_seed, /*stream_index=*/0));
   if (shards_ > 1) {
     pool_.emplace(shards_);
-    send_fn_ = [this](std::size_t shard) { phase_send_multi(shard); };
-    receive_fn_ = [this](std::size_t shard) { phase_receive_multi(shard); };
+    send_fn_ = [this](std::size_t shard) { phase_send(shard); };
+    receive_fn_ = [this](std::size_t shard) { phase_receive(shard); };
   }
 }
 
@@ -47,26 +47,26 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
   peers_.push_back(std::move(entry));
   const std::size_t id = peers_.size() - 1;
   shard_assignment_.push_back(id % shards_);
-  shard_work_[shard_of(id)].peers.push_back(id);
+  shard_peers_[shard_of(id)].push_back(id);
   planner_dirty_ = true;
   return id;
 }
 
-void ShardedDelivery::flush_batches(Download& download) {
+void ShardedDelivery::flush_batches(DownloadLink& download) {
   if (batch_budget_ == 0) return;
-  download.sender_transport().flush_batch();
-  download.receiver_transport().flush_batch();
+  download.link.a().flush_batch();
+  download.link.b().flush_batch();
 }
 
 void ShardedDelivery::release_pool_owners() {
   // The coordinator is about to stand in for the shard threads (teardown
   // ticks, handshake starts) or has just done so: unbind every link pool
-  // so the next user — worker or coordinator — rebinds. Workers are parked
-  // at a barrier, which orders the handoff.
+  // (one per link, shared by its two ends) so the next user — worker or
+  // coordinator — rebinds. Workers are parked at a barrier, which orders
+  // the handoff.
   for (PeerEntry& entry : peers_) {
     for (auto& [sender_id, download] : entry.downloads) {
-      download->sender_transport().pool_mutable().debug_release_owner();
-      download->receiver_transport().pool_mutable().debug_release_owner();
+      download->link.a().pool_mutable().debug_release_owner();
     }
   }
 }
@@ -75,8 +75,8 @@ void ShardedDelivery::refresh_sessions() {
   planner_dirty_ = true;
   release_pool_owners();
   // Cost rebalance rides the refresh boundary: every download is torn
-  // down below and recreated against the *new* placement, so no live link
-  // ever changes local/cross type, and the refresh is already a planning
+  // down below and recreated on its receiver's *new* shard, so no live
+  // link ever changes threads, and the refresh is already a planning
   // barrier for the jump driver.
   if (rebalance_epochs_ > 0 && refresh_count_ > 0 &&
       refresh_count_ % rebalance_epochs_ == 0) {
@@ -119,72 +119,43 @@ void ShardedDelivery::refresh_sessions() {
       },
       /*create=*/
       [this](std::size_t me, PlannedDownload& planned) {
-        auto download = std::make_unique<Download>();
-        download->sender_id = planned.sender_id;
-        download->receiver_id = me;
-        if (shard_of(planned.sender_id) == shard_of(me)) {
-          download->local = std::make_unique<wire::ChannelLink>(planned.link);
-        } else {
-          download->cross = std::make_unique<wire::ShardLink>(planned.link);
-        }
+        auto download = std::make_unique<DownloadLink>(
+            *peers_[planned.sender_id].peer, *peers_[me].peer,
+            planned.session, planned.link);
         if (batch_budget_ > 0) {
-          download->sender_transport().set_batch_budget(batch_budget_);
-          download->receiver_transport().set_batch_budget(batch_budget_);
+          download->link.a().set_batch_budget(batch_budget_);
+          download->link.b().set_batch_budget(batch_budget_);
         }
-        download->sender.emplace(*peers_[planned.sender_id].peer,
-                                 planned.session,
-                                 download->sender_transport());
-        download->receiver.emplace(*peers_[me].peer, planned.session,
-                                   download->receiver_transport());
         // The handshake itself flows over the link and completes across
         // subsequent ticks.
-        download->receiver->start();
-        if (batch_budget_ > 0) {
-          download->receiver_transport().flush_batch();
-        }
+        download->receiver.start();
+        if (batch_budget_ > 0) download->link.b().flush_batch();
         peers_[me].downloads.emplace(planned.sender_id,
                                      std::move(download));
       });
 
-  // Rebuild the cross-sender worklists and hand the pools back to
-  // whichever thread uses them next.
-  rebuild_cross_senders();
+  // Hand the pools back to whichever thread uses them next.
   release_pool_owners();
 }
 
-void ShardedDelivery::rebuild_cross_senders() {
-  // (receiver, sender) order, as the per-peer download maps iterate.
-  for (ShardWork& work : shard_work_) work.cross_senders.clear();
-  for (PeerEntry& entry : peers_) {
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (download->cross) {
-        shard_work_[shard_of(sender_id)].cross_senders.push_back(
-            download.get());
-      }
-    }
-  }
-}
-
-void ShardedDelivery::teardown_download(Download& download) {
+void ShardedDelivery::teardown_download(DownloadLink& download) {
   // Ship pending control trains first so their bytes are accounted, then
   // deliver frames still in flight and bank the link's costs. The
   // teardown tick may batch a retry bundle; ship that too so the retiring
   // link's accounting matches the unbatched engine.
   flush_batches(download);
-  download.flush_link();
-  download.receiver->tick();
+  download.link.flush();
+  download.receiver.tick();
   flush_batches(download);
   accumulate_link(download, retired_link_totals_);
 }
 
 void ShardedDelivery::apply_faults(std::uint64_t now) {
-  bool any_crash = false;
   faults_.apply_until(
       now,
       /*on_crash=*/
-      [this, &any_crash](std::size_t peer) {
+      [this](std::size_t peer) {
         if (peer >= peers_.size()) return;
-        any_crash = true;
         planner_dirty_ = true;
         // Coordinator stands in for the shard threads during the
         // teardown ticks; the workers are parked between pool runs.
@@ -204,16 +175,13 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
           add_peer("join" + std::to_string(peers_.size()), origin_fed);
         }
       });
-  // Crashed peers' downloads may have been cross-shard: drop the dangling
-  // worklist entries.
-  if (any_crash) rebuild_cross_senders();
 }
 
 void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
   bool any_erased = false;
   for (PeerEntry& entry : peers_) {
     for (auto it = entry.downloads.begin(); it != entry.downloads.end();) {
-      const ReceiverEndpoint& receiver = *it->second->receiver;
+      const ReceiverEndpoint& receiver = it->second->receiver;
       if (!receiver.failed() && !receiver.sender_suspect()) {
         ++it;
         continue;
@@ -230,83 +198,70 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
       it = entry.downloads.erase(it);
     }
   }
-  if (any_erased) {
-    rebuild_cross_senders();
-    release_pool_owners();
-  }
+  if (any_erased) release_pool_owners();
 }
 
-void ShardedDelivery::service_local_downloads(PeerEntry& entry,
-                                              EventLoop& scheduler) {
+void ShardedDelivery::service_downloads(PeerEntry& entry) {
   // Mirrors ContentDeliveryService::service_downloads (the shards=1
   // bit-for-bit contract): all-untimed peers keep the historical
   // lockstep loop with zero scheduling overhead; otherwise untimed links
   // are due every tick in sender order, timed links only when a frame
   // has arrived or the token bucket grants send credit.
-  bool any_timed = false;
-  for (auto& [sender_id, download] : entry.downloads) {
-    if (download->local && download->local->timed()) {
-      any_timed = true;
-      break;
-    }
-  }
+  const bool any_timed = std::any_of(
+      entry.downloads.begin(), entry.downloads.end(),
+      [](const auto& download) { return download.second->link.timed(); });
   if (!any_timed) {
     for (auto& [sender_id, download] : entry.downloads) {
       if (entry.peer->has_content()) break;
-      if (!download->local) continue;  // cross: receiver phase handles it
       // Down sender: frozen endpoint, but the receiver keeps ticking so
       // its liveness clock runs (mirrors the legacy loop).
       if (!peers_[sender_id].faulted_at_tick_start) {
-        download->sender->tick();
-        download->sender->send_symbol();
+        download->sender.tick();
+        download->sender.send_symbol();
       }
-      download->receiver->tick();
+      download->receiver.tick();
       flush_batches(*download);
-      entry.work_units += 2;  // both endpoint halves ran on this shard
+      entry.work_units += 2;  // both endpoint halves
     }
     return;
   }
 
   const std::uint64_t now = tick_now_;
   const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  scheduler.clear();
+  service_queue_.clear();
   for (auto& [sender_id, download] : entry.downloads) {
-    if (!download->local) continue;  // cross: receiver phase handles it
-    download->local->advance_to(now);
+    download->link.advance_to(now);
     LinkTimes times;
-    times.timed = download->local->timed();
+    times.timed = download->link.timed();
     times.sender_down = peers_[sender_id].faulted_at_tick_start;
     if (times.timed) {
-      times.next_arrival = download->local->next_arrival_at();
-      times.send_credit_at = download->local->a_send_ready_at(hint);
+      times.next_arrival = download->link.next_arrival_at();
+      times.send_credit_at = download->link.a_send_ready_at(hint);
     }
-    if (auto at = next_service_time(*download->sender, *download->receiver,
+    if (auto at = next_service_time(download->sender, download->receiver,
                                     times, now)) {
-      scheduler.schedule(*at, EventKind::kService, sender_id);
+      service_queue_.schedule(*at, EventKind::kService, sender_id);
     }
   }
-  while (auto event = scheduler.pop_due(now)) {
+  while (auto event = service_queue_.pop_due(now)) {
     if (entry.peer->has_content()) break;
-    Download& download = *entry.downloads.at(event->key);
+    DownloadLink& download = *entry.downloads.at(event->key);
     if (!peers_[event->key].faulted_at_tick_start) {
-      download.sender->tick();
-      if (!download.local->timed() ||
-          download.local->a_send_ready_at(hint) <= now) {
-        download.sender->send_symbol();
+      download.sender.tick();
+      if (!download.link.timed() ||
+          download.link.a_send_ready_at(hint) <= now) {
+        download.sender.send_symbol();
       }
     }
-    download.receiver->advance_to(now);
-    download.receiver->tick();
+    download.receiver.advance_to(now);
+    download.receiver.tick();
     flush_batches(download);
-    entry.work_units += 2;  // both endpoint halves ran on this shard
+    entry.work_units += 2;  // both endpoint halves
   }
 }
 
-void ShardedDelivery::phase_send(std::size_t shard) {
-  ShardWork& work = shard_work_[shard];
-  const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  for (const std::size_t id : work.peers) {
-    PeerEntry& entry = peers_[id];
+void ShardedDelivery::serve_inline() {
+  for (PeerEntry& entry : peers_) {
     if (entry.peer->has_content()) {
       entry.pending_origin_id.reset();
       continue;
@@ -314,132 +269,53 @@ void ShardedDelivery::phase_send(std::size_t shard) {
     // A down peer is frozen this tick: no origin apply, no servicing.
     if (entry.faulted_at_tick_start) continue;
     // Origin feed: the coordinator reserved the id (the deterministic
-    // stream order); the XOR-heavy encode runs here, in parallel across
-    // shards — Encoder::encode is a const pure function of the id.
+    // stream order); Encoder::encode is a const pure function of the id.
     if (entry.pending_origin_id) {
       entry.peer->receive_encoded(
           origins_[entry.origin_index]->encode(*entry.pending_origin_id));
       entry.pending_origin_id.reset();
       entry.work_units += 1;
     }
-    // Fully-local downloads run end to end, exactly the legacy loop.
-    service_local_downloads(entry, work.scheduler);
-  }
-  // Sender halves of outgoing cross-shard downloads: answer handshakes
-  // and, credit permitting, put this tick's symbol on the ring (the
-  // barrier after this phase is the cross-shard commit point; a timed
-  // link's advance pushes newly arrived frames onto it too).
-  for (Download* download : work.cross_senders) {
-    if (peers_[download->receiver_id].complete_at_tick_start ||
-        peers_[download->receiver_id].faulted_at_tick_start) {
-      continue;
-    }
-    download->cross->advance_a_to(tick_now_);
-    // A down sender goes silent: in-flight frames still cross (the
-    // advance above), but its endpoint is frozen — the receiver's
-    // liveness clock does the failure detection.
-    if (peers_[download->sender_id].faulted_at_tick_start) continue;
-    download->sender->tick();
-    if (!download->cross->timed() ||
-        (!download->sender->satisfied() &&
-         download->cross->a_send_ready_at(hint) <= tick_now_)) {
-      download->sender->send_symbol();
-    }
-    if (batch_budget_ > 0) download->sender_transport().flush_batch();
-    // Charged to the sender: this half runs on (and loads) its shard.
-    peers_[download->sender_id].work_units += 1;
+    service_downloads(entry);
   }
 }
 
-void ShardedDelivery::phase_receive(std::size_t shard) {
-  for (const std::size_t id : shard_work_[shard].peers) {
-    PeerEntry& entry = peers_[id];
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (!download->cross) continue;
-      if (entry.peer->has_content()) break;
-      download->cross->advance_b_to(tick_now_);
-      download->receiver->advance_to(tick_now_);
-      download->receiver->tick();
-      if (batch_budget_ > 0) download->receiver_transport().flush_batch();
-      entry.work_units += 1;
-    }
-  }
-}
-
-void ShardedDelivery::phase_send_multi(std::size_t shard) {
+void ShardedDelivery::phase_send(std::size_t shard) {
   // Read-only over swarm state: sender halves draw from working sets that
   // nothing mutates until the barrier (origin applies and receives both
-  // live in phase_receive_multi), so the iteration order — and therefore
-  // peer placement — cannot leak into results. Local downloads get the
-  // exact servicing the cross worklist below gives cross ones.
-  ShardWork& work = shard_work_[shard];
+  // live in phase_receive). Every scratch buffer a sender writes is its
+  // endpoint's own, so the sender halves of one Peer may run on several
+  // shards at once, and neither iteration order nor placement can leak
+  // into results.
   const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  for (const std::size_t id : work.peers) {
+  for (const std::size_t id : shard_peers_[shard]) {
     PeerEntry& entry = peers_[id];
     if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
     for (auto& [sender_id, download] : entry.downloads) {
-      if (!download->local) continue;  // cross: sender's shard handles it
-      download->local->advance_to(tick_now_);
+      download->link.advance_to(tick_now_);
       // A down sender goes silent: in-flight frames still arrive (the
       // advance above), but its endpoint is frozen — the receiver's
       // liveness clock does the failure detection.
       if (peers_[sender_id].faulted_at_tick_start) continue;
-      download->sender->tick();
-      if (!download->local->timed() ||
-          (!download->sender->satisfied() &&
-           download->local->a_send_ready_at(hint) <= tick_now_)) {
-        download->sender->send_symbol();
+      download->sender.tick();
+      if (!download->link.timed() ||
+          (!download->sender.satisfied() &&
+           download->link.a_send_ready_at(hint) <= tick_now_)) {
+        download->sender.send_symbol();
       }
-      if (batch_budget_ > 0) download->sender_transport().flush_batch();
-      // The local sender half runs on (and loads) the receiver's shard.
+      if (batch_budget_ > 0) download->link.a().flush_batch();
       entry.work_units += 1;
     }
   }
-  for (Download* download : work.cross_senders) {
-    if (peers_[download->receiver_id].complete_at_tick_start ||
-        peers_[download->receiver_id].faulted_at_tick_start) {
-      continue;
-    }
-    // Surface the reverse direction's due frames before this half drains:
-    // a local link's advance_to(now) does both in one call. Keyed off the
-    // current tick (never a look-ahead stashed by a previous tick), so a
-    // jumped run commits exactly what a lockstep run would have by now.
-    // Phase-safe: the b owner only produces onto this ring in the receive
-    // phase, behind the barrier.
-    download->cross->commit_b_through(tick_now_);
-    download->cross->advance_a_to(tick_now_);
-    if (peers_[download->sender_id].faulted_at_tick_start) continue;
-    download->sender->tick();
-    if (!download->cross->timed() ||
-        (!download->sender->satisfied() &&
-         download->cross->a_send_ready_at(hint) <= tick_now_)) {
-      download->sender->send_symbol();
-    }
-    if (batch_budget_ > 0) download->sender_transport().flush_batch();
-    peers_[download->sender_id].work_units += 1;
-  }
 }
 
-void ShardedDelivery::phase_receive_multi(std::size_t shard) {
+void ShardedDelivery::phase_receive(std::size_t shard) {
   // All working-set mutations happen here, and each touches only the
   // iterated peer's own state: the origin apply the coordinator reserved
   // the id for (stream order is fixed at reservation, so where the
   // XOR-heavy encode runs is immaterial), then the receiver halves in
-  // ascending sender order. Cross b-ends advance in a separate pass
-  // *before* any completion can land mid-loop, mirroring the local
-  // links' phase-send advance — so a peer's mid-tick completion leaves
-  // every link in exactly the state a local placement would. (Their
-  // timed reverse frames are committed by the consuming side at the top
-  // of the next send phase; see phase_send_multi.)
-  for (const std::size_t id : shard_work_[shard].peers) {
-    PeerEntry& entry = peers_[id];
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (download->cross) download->cross->advance_b_to(tick_now_);
-    }
-  }
-  for (const std::size_t id : shard_work_[shard].peers) {
+  // ascending sender order.
+  for (const std::size_t id : shard_peers_[shard]) {
     PeerEntry& entry = peers_[id];
     if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
     if (entry.pending_origin_id) {
@@ -450,9 +326,9 @@ void ShardedDelivery::phase_receive_multi(std::size_t shard) {
     }
     for (auto& [sender_id, download] : entry.downloads) {
       if (entry.peer->has_content()) break;
-      download->receiver->advance_to(tick_now_);
-      download->receiver->tick();
-      if (batch_budget_ > 0) download->receiver_transport().flush_batch();
+      download->receiver.advance_to(tick_now_);
+      download->receiver.tick();
+      if (batch_budget_ > 0) download->link.b().flush_batch();
       entry.work_units += 1;
     }
   }
@@ -483,27 +359,21 @@ std::size_t ShardedDelivery::tick() {
       continue;
     }
     if (entry.origin_fed) {
-      // Reserve the id only; the owning shard encodes it in the send
-      // phase. next() ≡ encode(take_next_id()), so the symbol each peer
+      // Reserve the id only; the owning shard encodes it when it applies
+      // it. next() ≡ encode(take_next_id()), so the symbol each peer
       // sees is exactly what the serial draw produced.
       entry.pending_origin_id =
           origins_[entry.origin_index]->take_next_id();
     }
     if (faults_.any_blackouts()) {
       for (auto& [sender_id, download] : entry.downloads) {
-        const bool dark = faults_.blackout(sender_id, i, tick_now_);
-        if (download->local) {
-          download->local->set_blackout(dark);
-        } else {
-          download->cross->set_blackout(dark);
-        }
+        download->link.set_blackout(faults_.blackout(sender_id, i, tick_now_));
       }
     }
   }
 
   if (!pool_) {
-    phase_send(0);
-    phase_receive(0);
+    serve_inline();
   } else {
     const auto start = std::chrono::steady_clock::now();
     pool_->run(send_fn_);
@@ -545,19 +415,14 @@ std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
   plan_scratch_.clear();
   for (auto& [sender_id, download] : entry.downloads) {
     LinkTimes times;
-    times.timed = download->local ? download->local->timed()
-                                  : download->cross->timed();
+    times.timed = download->link.timed();
     times.sender_down = faults_.active() && faults_.down(sender_id, now);
     if (times.timed) {
-      times.next_arrival = download->local
-                               ? download->local->next_event_time()
-                               : download->cross->next_event_time();
-      times.send_credit_at =
-          download->local ? download->local->a_send_ready_at(hint)
-                          : download->cross->a_send_ready_at(hint);
+      times.next_arrival = download->link.next_event_time();
+      times.send_credit_at = download->link.a_send_ready_at(hint);
     }
-    schedule_download_events(plan_scratch_, *download->sender,
-                             *download->receiver, times, now, sender_id);
+    schedule_download_events(plan_scratch_, download->sender,
+                             download->receiver, times, now, sender_id);
   }
   const auto first = plan_scratch_.peek();
   if (!first) return std::nullopt;
@@ -637,12 +502,7 @@ bool ShardedDelivery::run(std::size_t max_ticks) {
 bool ShardedDelivery::run_until(std::uint64_t deadline) {
   while (ticks_ < deadline) {
     tick();
-    const bool all = std::all_of(
-        peers_.begin(), peers_.end(),
-        [](const PeerEntry& e) { return e.peer->has_content(); });
-    // "All done" is only final once no flash crowd is still scheduled to
-    // arrive — a pending join re-opens the swarm.
-    if (all && !faults_.pending_joins()) return true;
+    if (all_finished()) return true;
     if (!options_.jump_empty_ticks) continue;
     // All-untimed swarms can never open a span (untimed downloads are
     // due every tick), so skip the planning rebuild outright and keep
@@ -658,17 +518,16 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
       ticks_ = target;
     }
   }
-  return std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
-    return e.peer->has_content();
-  });
+  return all_finished();
 }
 
-std::uint64_t ShardedDelivery::events_processed() const {
-  std::uint64_t total = 0;
-  for (const ShardWork& work : shard_work_) {
-    total += work.scheduler.events_processed();
-  }
-  return total;
+bool ShardedDelivery::all_finished() const {
+  // "All done" is only final once no flash crowd is still scheduled to
+  // arrive — a pending join re-opens the swarm.
+  return !faults_.pending_joins() &&
+         std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
+           return e.peer->has_content();
+         });
 }
 
 std::vector<std::uint8_t> ShardedDelivery::peer_content(
@@ -676,10 +535,10 @@ std::vector<std::uint8_t> ShardedDelivery::peer_content(
   return peers_.at(id).peer->content(content_.size());
 }
 
-void ShardedDelivery::accumulate_link(Download& download,
+void ShardedDelivery::accumulate_link(const DownloadLink& download,
                                       LinkTotals& totals) {
-  totals.add(download.sender_transport().stats())
-      .add(download.receiver_transport().stats());
+  totals.add(download.sender.transport().stats())
+      .add(download.receiver.transport().stats());
 }
 
 ShardedDelivery::LinkTotals ShardedDelivery::active_link_totals() const {
@@ -707,15 +566,15 @@ void ShardedDelivery::rebalance_shards() {
   // LPT over the deterministic work units (busy_ns is wall-machine noise;
   // the assignment must be identical across runs). Callers guarantee a
   // refresh boundary: every download is about to be torn down, so no live
-  // link changes local/cross type under the new placement.
+  // link changes shards under the new placement.
   std::vector<std::uint64_t> cost(peers_.size(), 0);
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     cost[i] = peers_[i].work_units;
   }
   shard_assignment_ = balance_by_cost(cost, shards_);
-  for (ShardWork& work : shard_work_) work.peers.clear();
+  for (auto& owned : shard_peers_) owned.clear();
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    shard_work_[shard_assignment_[i]].peers.push_back(i);  // ascending
+    shard_peers_[shard_assignment_[i]].push_back(i);  // ascending
   }
   // Decay: half-life of one epoch, so placement tracks current load
   // instead of being pinned by ancient history.
@@ -736,12 +595,11 @@ MemoryAudit ShardedDelivery::memory_audit() const {
   for (const PeerEntry& entry : peers_) {
     audit.decoder_bytes += entry.peer->memory_bytes();
     for (const auto& [sender_id, download] : entry.downloads) {
-      audit.endpoint_bytes += download->sender->memory_bytes() +
-                              download->receiver->memory_bytes();
-      // Each link counts its pool(s) exactly once; the transports exclude
-      // them (see Transport::memory_bytes).
-      audit.link_bytes += download->local ? download->local->memory_bytes()
-                                          : download->cross->memory_bytes();
+      audit.endpoint_bytes += download->sender.memory_bytes() +
+                              download->receiver.memory_bytes();
+      // Each link counts its shared pool exactly once; the transports
+      // exclude it (see Transport::memory_bytes).
+      audit.link_bytes += download->link.memory_bytes();
     }
   }
   return audit;

@@ -14,37 +14,37 @@
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "util/shard_pool.hpp"
-#include "wire/shard_link.hpp"
 #include "wire/transport.hpp"
 
 /// ShardedDelivery: ContentDeliveryService partitioned across worker
 /// shards.
 ///
 /// Peers are assigned to shards by id (round-robin); each shard owns its
-/// peers' decoders, endpoints and the links whose two peers it both owns,
-/// so the per-tick hot work — recoding, XOR-heavy decoding, frame
-/// encode/decode — runs on all shards concurrently. Downloads whose sender
-/// and receiver live on different shards ride a wire::ShardLink: the only
-/// state two shards ever share is SPSC rings of encoded frames (and
-/// recycled buffers), exactly the "shards only exchange frames" property
-/// the endpoint layering was built for.
+/// peers' decoders and, for every download a peer receives, the whole
+/// download — link and both endpoints — so the per-tick hot work
+/// (recoding, XOR-heavy decoding, frame encode/decode) runs on all shards
+/// concurrently. A download lives wholly on its receiver's shard; shards
+/// share no links, no buffers and no frames.
 ///
 /// A tick is two phases with barriers between them (see DESIGN.md,
 /// "Threading model"):
-///   send phase     — each shard feeds its peers' pending origin symbols,
-///                    runs fully-local downloads end to end, and ticks the
-///                    sender half of its outgoing cross-shard downloads;
-///   receive phase  — each shard ticks the receiver half of its incoming
-///                    cross-shard downloads.
+///   send phase     — each shard runs the sender half of every download
+///                    its peers receive. It only *reads* Peer state, so
+///                    sender halves of one Peer may run on several shards
+///                    at once;
+///   receive phase  — each shard applies its peers' origin symbols and
+///                    runs the receiver halves, mutating only its own
+///                    peers.
 /// Admission/refresh and origin symbol draws stay single-threaded on the
 /// coordinator between phases, where they may touch any shard's state.
 ///
-/// Determinism: every shard processes its own peers in ascending id order
-/// with no shared RNG, so a run is reproducible for a given shard count;
-/// and with shards = 1 (which runs inline, no worker threads) the engine
-/// executes the legacy ContentDeliveryService loop order exactly —
-/// per-peer results, completion ticks and wire byte accounting are
-/// bit-for-bit identical (enforced by sharded_test).
+/// Determinism: with shards >= 2 a run is a function of the plan alone —
+/// neither the shard count nor the placement of peers can change it. With
+/// shards = 1 (which runs inline, no worker threads) the engine executes
+/// the legacy ContentDeliveryService loop order exactly — per-peer
+/// results, completion ticks and wire byte accounting are bit-for-bit
+/// identical (enforced by sharded_test). The two schedules differ, so 1
+/// vs N shards differ.
 ///
 /// `batch_budget` > 0 turns on per-tick control-frame batching on every
 /// link (wire::Transport::set_batch_budget), with the engine flushing each
@@ -62,8 +62,8 @@ struct ShardOptions {
   /// coordinator reassigns peers to shards by measured per-peer work
   /// (longest-processing-time over deterministic work units) instead of
   /// the admission-time id % shards placement. 0 = off (historical).
-  /// Placement is semantics-free — a download behaves identically over a
-  /// local ChannelLink and a cross-shard ShardLink — and the rebalance
+  /// Placement is semantics-free — every download runs the same two-phase
+  /// schedule on whichever shard owns its receiver — and the rebalance
   /// runs at a refresh (itself a planning barrier, with every download
   /// torn down), so per-peer results are bit-for-bit unchanged; only
   /// which thread does the work moves.
@@ -88,8 +88,7 @@ class ShardedDelivery {
   bool run(std::size_t max_ticks);
   /// Event-loop driver: see ContentDeliveryService::run_until. Sharded
   /// ticks barrier only at event times — the jump happens on the
-  /// coordinator between pool runs, where it owns all state — and the
-  /// two-phase barrier stays the cross-shard commit point unchanged.
+  /// coordinator between pool runs, where it owns all state.
   bool run_until(std::uint64_t deadline);
 
   std::size_t peer_count() const { return peers_.size(); }
@@ -116,9 +115,12 @@ class ShardedDelivery {
   bool peer_down(std::size_t id) const { return faults_.down(id, ticks_); }
 
   std::size_t ticks() const { return ticks_; }
-  /// Scheduler-ordered link services executed across all shards (timed
-  /// service path pops). Coordinator-only, between ticks.
-  std::uint64_t events_processed() const;
+  /// Scheduler-ordered link services executed by the inline (shards = 1)
+  /// timed service path; the multi-shard phases service every download
+  /// each tick and count none. Coordinator-only, between ticks.
+  std::uint64_t events_processed() const {
+    return service_queue_.events_processed();
+  }
   /// Virtual ticks run_until() jumped over without executing.
   std::uint64_t ticks_skipped() const { return loop_.ticks_skipped(); }
   const codec::CodeParameters& parameters() const {
@@ -156,48 +158,22 @@ class ShardedDelivery {
   std::uint64_t parallel_wall_ns() const { return parallel_wall_ns_; }
 
  private:
-  /// One admitted download. Exactly one of `local` (both peers on the same
-  /// shard: a ChannelLink, identical to the legacy engine) and `cross` (a
-  /// thread-crossing ShardLink) is set; the sender endpoint always drives
-  /// the link's `a()` end.
-  struct Download {
-    std::size_t sender_id = 0;
-    std::size_t receiver_id = 0;
-    std::unique_ptr<wire::ChannelLink> local;
-    std::unique_ptr<wire::ShardLink> cross;
-    std::optional<SenderEndpoint> sender;
-    std::optional<ReceiverEndpoint> receiver;
-
-    wire::Transport& sender_transport() {
-      return local ? local->a() : cross->a();
-    }
-    wire::Transport& receiver_transport() {
-      return local ? local->b() : cross->b();
-    }
-    void flush_link() {
-      if (local) {
-        local->flush();
-      } else {
-        cross->flush();
-      }
-    }
-  };
-
   struct PeerEntry {
     std::unique_ptr<Peer> peer;
     bool origin_fed = false;
     std::size_t origin_index = 0;
-    /// Active downloads, keyed by the serving peer id.
-    std::map<std::size_t, std::unique_ptr<Download>> downloads;
+    /// Active downloads, keyed by the serving peer id. Both halves run on
+    /// this peer's shard.
+    std::map<std::size_t, std::unique_ptr<DownloadLink>> downloads;
     /// Origin symbol id reserved by the coordinator this tick; the owning
-    /// shard runs the (pure, const) encode in the send phase, so the
-    /// XOR-heavy origin encoding parallelizes across the pool while the
-    /// id sequence — and thus the symbol-to-peer assignment — stays the
-    /// coordinator's deterministic draw order.
+    /// shard runs the (pure, const) encode, so the XOR-heavy origin
+    /// encoding parallelizes across the pool while the id sequence — and
+    /// thus the symbol-to-peer assignment — stays the coordinator's
+    /// deterministic draw order.
     std::optional<std::uint64_t> pending_origin_id;
     /// Deterministic service-cost accumulator (rebalance input): bumped by
-    /// the owning shard only — local service 2, cross receive 1, cross
-    /// send 1 (charged to the sender), origin apply 1.
+    /// the owning shard only — 1 per endpoint half run for one of its
+    /// downloads, 1 per origin apply.
     std::uint64_t work_units = 0;
     /// Snapshot the phases read instead of cross-shard peer state.
     bool complete_at_tick_start = false;
@@ -211,29 +187,14 @@ class ShardedDelivery {
     std::vector<FailedPeer> failed_peers;
   };
 
-  struct ShardWork {
-    /// Owned peer ids, ascending.
-    std::vector<std::size_t> peers;
-    /// Cross-shard downloads whose *sender* this shard owns, in
-    /// (receiver_id, sender_id) order. Rebuilt each refresh.
-    std::vector<Download*> cross_senders;
-    /// Per-shard service ordering for local downloads (shard-local: each
-    /// worker thread touches only its own event queue).
-    EventLoop scheduler;
-  };
-
   void refresh_sessions();
   void release_pool_owners();
-  /// Rebuilds the per-shard cross-sender worklists from the live download
-  /// maps — required after any teardown that may have erased a cross
-  /// download (refresh, crash, failure sweep), or the lists dangle.
-  void rebuild_cross_senders();
   /// Coordinator-side fault application (see ContentDeliveryService).
   void apply_faults(std::uint64_t now);
   /// Coordinator-side end-of-tick failure sweep (see
   /// ContentDeliveryService); callers must have the workers parked.
   void sweep_failed_downloads(std::uint64_t now);
-  void teardown_download(Download& download);
+  void teardown_download(DownloadLink& download);
   bool failure_detection_enabled() const {
     return options_.liveness_timeout_ticks > 0 ||
            options_.max_handshake_retries > 0;
@@ -243,38 +204,39 @@ class ShardedDelivery {
                ? options_.suspect_ttl_ticks
                : std::max<std::size_t>(1, options_.refresh_interval);
   }
+  /// run_until's completion condition: every peer holds the content and
+  /// no scheduled join is still to come.
+  bool all_finished() const;
+  /// shards == 1: the legacy ContentDeliveryService tick body, inline —
+  /// origin feed, then each peer's downloads end to end (the bit-for-bit
+  /// contract).
+  void serve_inline();
+  /// Mirrors ContentDeliveryService::service_downloads for one peer.
+  void service_downloads(PeerEntry& entry);
+  /// Multi-shard (shards >= 2) phases: the send phase only *reads* swarm
+  /// state (sender halves draw symbols from working sets nothing mutates
+  /// until the barrier); the receive phase mutates only the iterated
+  /// peer's own state (its origin apply, its receiver halves). No
+  /// intra-tick ordering between peers can leak into results, so which
+  /// shard a peer lives on — and hence the shard count and the cost
+  /// rebalance — is a planning concern, not a semantics one.
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
-  /// Multi-shard (shards >= 2) phases: placement-independent two-phase
-  /// servicing. The send phase only *reads* swarm state (sender halves of
-  /// every download, local and cross alike, draw symbols from working
-  /// sets nothing mutates until the barrier); the receive phase mutates
-  /// only the iterated peer's own state (its origin apply, its receiver
-  /// halves). No intra-tick ordering between peers can leak into results,
-  /// so which shard a peer lives on — and hence the cost rebalance — is a
-  /// planning concern, not a semantics one. shards == 1 keeps the legacy
-  /// sequential phases above (the bit-for-bit contract with
-  /// ContentDeliveryService).
-  void phase_send_multi(std::size_t shard);
-  void phase_receive_multi(std::size_t shard);
-  /// Mirrors ContentDeliveryService::service_downloads for the fully-local
-  /// downloads of one peer (the shards=1 bit-for-bit contract).
-  void service_local_downloads(PeerEntry& entry, EventLoop& scheduler);
   /// Reassigns peers to shards by accumulated work units (LPT); called at
   /// a refresh boundary only, before the refresh loop rebuilds downloads.
   void rebalance_shards();
   /// One peer's earliest upcoming event, re-keyed to the peer id — the
   /// incremental planner's per-key value (see
-  /// ContentDeliveryService::plan_peer_events); additionally covers the
-  /// cross-shard ShardLinks (both directions' delay lines and rings).
+  /// ContentDeliveryService::plan_peer_events).
   std::optional<Event> plan_peer_events(std::size_t i, std::uint64_t now);
   void replan_peer(std::size_t i, std::uint64_t now);
   /// See ContentDeliveryService::next_event_time — same incremental
   /// planning queue, same rebuild triggers; inspected by the coordinator
   /// while the workers are parked.
   std::optional<std::uint64_t> next_event_time();
-  void flush_batches(Download& download);
-  static void accumulate_link(Download& download, LinkTotals& totals);
+  void flush_batches(DownloadLink& download);
+  static void accumulate_link(const DownloadLink& download,
+                              LinkTotals& totals);
 
   std::vector<std::uint8_t> content_;
   DeliveryOptions options_;
@@ -287,7 +249,8 @@ class ShardedDelivery {
   std::size_t refresh_count_ = 0;
   std::vector<std::unique_ptr<OriginServer>> origins_;
   std::vector<PeerEntry> peers_;
-  std::vector<ShardWork> shard_work_;
+  /// Per shard: owned peer ids, ascending.
+  std::vector<std::vector<std::size_t>> shard_peers_;
   std::size_t ticks_ = 0;
   /// Virtual time of the tick in progress (= its tick index), read by the
   /// phases on every shard; written only between pool runs.
@@ -297,9 +260,10 @@ class ShardedDelivery {
   /// Fault bookkeeping (inert when options_.faults is null). Mutated on
   /// the coordinator only; the phases read per-tick snapshots instead.
   FaultTracker faults_;
-  /// Coordinator event loop: global clock and jump accounting. The
-  /// per-shard service queues live in ShardWork (worker-thread-local).
+  /// Coordinator event loop: global clock and jump accounting.
   EventLoop loop_;
+  /// Per-tick service ordering of the inline (shards = 1) path.
+  EventLoop service_queue_;
   /// Incremental cross-tick planning queue (see
   /// ContentDeliveryService): one live entry per peer, dirty-flag /
   /// boundary-triggered full rebuilds, due keys replanned per round.

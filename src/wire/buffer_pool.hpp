@@ -26,15 +26,15 @@
 ///
 /// A BufferPool is deliberately NOT thread-safe: the shard-local ownership
 /// rule (DESIGN.md, "Threading model") says every pool belongs to exactly
-/// one shard at a time, and cross-shard buffer traffic goes through
-/// wire::ShardLink's SPSC recycling rings instead. Builds with owner checks
-/// enabled (debug builds, or any build defining ICD_POOL_OWNER_CHECKS)
-/// enforce the rule: the first acquire/release binds the pool to the
-/// calling thread and any call from a different thread aborts loudly,
-/// so a cross-shard buffer leak fails at the offending call site instead
-/// of corrupting a freelist. Coordinators that legitimately hand a pool
-/// between phases (session refresh runs single-threaded while workers are
-/// parked) call debug_release_owner() so the next user rebinds.
+/// one shard at a time — a download's link, and so its pool, lives wholly
+/// on the receiver's shard. Builds with owner checks enabled (debug
+/// builds, or any build defining ICD_POOL_OWNER_CHECKS) enforce the rule:
+/// the first acquire/release binds the pool to the calling thread and any
+/// call from a different thread aborts loudly, so a cross-shard buffer
+/// leak fails at the offending call site instead of corrupting a
+/// freelist. Coordinators that legitimately hand a pool between phases
+/// (session refresh runs single-threaded while workers are parked) call
+/// debug_release_owner() so the next user rebinds.
 namespace icd::wire {
 
 class BufferPool {

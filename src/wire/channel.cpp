@@ -37,11 +37,6 @@ void TimedFrameQueue::insert(TimedFrame frame, bool swap_with_last) {
 std::optional<std::vector<std::uint8_t>> TimedFrameQueue::pop_due(
     std::uint64_t now) {
   if (queue_.empty() || queue_.front().arrival > now) return std::nullopt;
-  return pop_any();
-}
-
-std::optional<std::vector<std::uint8_t>> TimedFrameQueue::pop_any() {
-  if (queue_.empty()) return std::nullopt;
   auto frame = std::move(queue_.front().frame);
   queue_.pop_front();
   return frame;

@@ -142,11 +142,11 @@ inline ChannelConfig resolve_edge_config(
       override_fn ? override_fn(sender, receiver) : fallback, draw);
 }
 
-/// The per-direction Gilbert-Elliott chain shared by LossyChannel and
-/// wire::ShardLink. Each frame advances the state (one transition draw)
-/// and then draws loss at the state's rate, so both draws come from the
-/// owning link's RNG stream — deterministic per (config, seed) exactly
-/// like the Bernoulli path it replaces.
+/// The per-direction Gilbert-Elliott chain of a LossyChannel. Each frame
+/// advances the state (one transition draw) and then draws loss at the
+/// state's rate, so both draws come from the owning link's RNG stream —
+/// deterministic per (config, seed) exactly like the Bernoulli path it
+/// replaces.
 class GilbertElliott {
  public:
   explicit GilbertElliott(const ChannelConfig& config) : config_(config) {}
@@ -175,10 +175,10 @@ struct TimedFrame {
   std::vector<std::uint8_t> frame;
 };
 
-/// The (arrival, seq)-sorted delay line shared by LossyChannel and
-/// wire::ShardLink: earliest arrival at the front, near-sorted insertion
-/// scanned from the back (frames are scheduled in roughly increasing
-/// arrival order, so the scan is short).
+/// The (arrival, seq)-sorted delay line of a timed LossyChannel: earliest
+/// arrival at the front, near-sorted insertion scanned from the back
+/// (frames are scheduled in roughly increasing arrival order, so the scan
+/// is short).
 class TimedFrameQueue {
  public:
   bool empty() const { return queue_.empty(); }
@@ -198,9 +198,6 @@ class TimedFrameQueue {
   /// Pops the earliest frame if its arrival is <= now.
   std::optional<std::vector<std::uint8_t>> pop_due(std::uint64_t now);
 
-  /// Pops the earliest frame regardless of arrival (teardown drains).
-  std::optional<std::vector<std::uint8_t>> pop_any();
-
   /// Teardown: clamps every arrival to `now`, preserving order.
   void collapse_to(std::uint64_t now);
 
@@ -217,10 +214,10 @@ class TimedFrameQueue {
   std::deque<TimedFrame> queue_;
 };
 
-/// Sender-side simulated-time shaping shared by LossyChannel and
-/// wire::ShardLink: a virtual clock, per-hop token-bucket pacing, and
-/// delay/jitter arrival scheduling. Loss/reorder draws stay with the
-/// owning link (they share its RNG stream).
+/// Sender-side simulated-time shaping of a timed LossyChannel: a virtual
+/// clock, per-hop token-bucket pacing, and delay/jitter arrival
+/// scheduling. Loss/reorder draws stay with the owning link (they share
+/// its RNG stream).
 class LinkShaper {
  public:
   explicit LinkShaper(const ChannelConfig& config)

@@ -178,14 +178,9 @@ class Transport {
   virtual bool send_datagram(std::vector<std::uint8_t> frame) = 0;
   virtual std::optional<std::vector<std::uint8_t>> next_datagram() = 0;
 
-  /// Buffer recycling seam. The defaults go through the link-shared pool;
-  /// cross-shard transports (wire::ShardLink) override them to route spent
-  /// receive buffers back to the sending shard through an SPSC ring, since
-  /// a BufferPool itself is shard-local (see buffer_pool.hpp).
-  virtual std::vector<std::uint8_t> acquire_buffer() {
-    return pool_->acquire();
-  }
-  virtual void release_buffer(std::vector<std::uint8_t> buffer) {
+  /// Frame buffers cycle through the link-shared pool.
+  std::vector<std::uint8_t> acquire_buffer() { return pool_->acquire(); }
+  void release_buffer(std::vector<std::uint8_t> buffer) {
     pool_->release(std::move(buffer));
   }
 

@@ -342,6 +342,27 @@ TEST(FaultDelivery, FlashCrowdJoinersAreServedAndRunWaitsForThem) {
   }
 }
 
+TEST(FaultDelivery, RunUntilIsNotDoneWhileAJoinIsStillScheduled) {
+  // Every present peer finishes long before the deadline, but a flash
+  // crowd is due after it: the swarm has not finished, on either engine.
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->joins.push_back({5000, 2, false});
+  const auto content = random_content(64 * 20, 68);
+  core::ContentDeliveryService legacy(content, fault_options(plan));
+  core::ShardedDelivery sharded(content, fault_options(plan),
+                                core::ShardOptions{/*shards=*/2});
+  add_peers(legacy, 3, 1);
+  add_peers(sharded, 3, 1);
+  EXPECT_FALSE(legacy.run_until(2000));
+  EXPECT_FALSE(sharded.run_until(2000));
+  ASSERT_EQ(legacy.peer_count(), 3u);
+  ASSERT_EQ(sharded.peer_count(), 3u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_TRUE(legacy.peer_complete(p)) << "peer " << p;
+    EXPECT_TRUE(sharded.peer_complete(p)) << "peer " << p;
+  }
+}
+
 // --- Cross-engine equality with faults enabled ------------------------------
 
 std::shared_ptr<core::FaultPlan> churn_plan() {

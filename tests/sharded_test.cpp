@@ -1,19 +1,21 @@
 // Sharded delivery engine: determinism contract (shards = 1 is bit-for-bit
-// the legacy ContentDeliveryService), multi-shard swarm correctness (run
-// under TSAN in CI), SPSC ring and cross-shard link plumbing, and the
-// per-tick control-frame batching layer.
+// the legacy ContentDeliveryService; any N >= 2 shards give one identical
+// trajectory), multi-shard swarm correctness (run under TSAN in CI), the
+// per-peer link memory of multi-shard swarms, and the per-tick
+// control-frame batching layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/delivery.hpp"
+#include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
 #include "overlay/simulator.hpp"
 #include "util/random.hpp"
-#include "util/spsc.hpp"
-#include "wire/shard_link.hpp"
 #include "wire/transport.hpp"
 
 namespace icd {
@@ -53,97 +55,6 @@ std::vector<std::size_t> drive(Service& service, std::size_t peers,
     if (all) break;
   }
   return completion;
-}
-
-// --- SPSC ring --------------------------------------------------------------
-
-TEST(SpscRing, CrossThreadFifoDeliversEverythingInOrder) {
-  util::SpscRing<std::vector<std::uint8_t>> ring(64);
-  constexpr std::size_t kItems = 20000;
-  std::vector<std::size_t> seen;
-  seen.reserve(kItems);
-  std::jthread consumer([&] {
-    while (seen.size() < kItems) {
-      if (auto item = ring.try_pop()) {
-        seen.push_back((*item)[0] | (std::size_t{(*item)[1]} << 8));
-      }
-    }
-  });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    std::vector<std::uint8_t> item{static_cast<std::uint8_t>(i),
-                                   static_cast<std::uint8_t>(i >> 8)};
-    while (!ring.try_push(item)) {
-    }
-  }
-  consumer.join();
-  ASSERT_EQ(seen.size(), kItems);
-  for (std::size_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[i], i & 0xffff) << "position " << i;
-    if (seen[i] != (i & 0xffff)) break;
-  }
-}
-
-TEST(SpscRing, RejectsWhenFullWithoutLosingTheValue) {
-  util::SpscRing<std::vector<std::uint8_t>> ring(8);
-  std::vector<std::uint8_t> item{42};
-  for (std::size_t i = 0; i < ring.capacity(); ++i) {
-    std::vector<std::uint8_t> filler{1};
-    ASSERT_TRUE(ring.try_push(filler));
-  }
-  EXPECT_FALSE(ring.try_push(item));
-  EXPECT_EQ(item, (std::vector<std::uint8_t>{42}));  // untouched
-}
-
-// --- ShardLink --------------------------------------------------------------
-
-TEST(ShardLink, CarriesFramesBothWaysAndRecyclesBuffers) {
-  wire::ChannelConfig config;
-  config.mtu = 1500;
-  wire::ShardLink link(config);
-
-  // a -> b and b -> a, single-threaded (coordinator role on both ends).
-  // The last frame sent stays in flight for one hop (LossyChannel's event
-  // clock, emulated producer-side): the owner's next advance releases it.
-  ASSERT_TRUE(link.a().send(wire::Request{7}));
-  ASSERT_TRUE(link.b().send(wire::Request{9}));
-  EXPECT_FALSE(link.b().receive().has_value());
-  link.advance_a_to(1);
-  link.advance_b_to(1);
-  auto at_b = link.b().receive();
-  ASSERT_TRUE(at_b.has_value());
-  EXPECT_EQ(std::get<wire::Request>(*at_b).symbols_desired, 7u);
-  auto at_a = link.a().receive();
-  ASSERT_TRUE(at_a.has_value());
-  EXPECT_EQ(std::get<wire::Request>(*at_a).symbols_desired, 9u);
-
-  // Steady state: buffers must recycle through the rings — after warmup a
-  // burst of sends allocates nothing new from the pools. Each send
-  // displaces its predecessor out of flight and onto the ring.
-  ASSERT_TRUE(link.a().send(wire::Request{1000}));
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(link.a().send(wire::Request{static_cast<std::uint64_t>(
-        round)}));
-    ASSERT_TRUE(link.b().receive().has_value());
-  }
-  EXPECT_EQ(link.overflow_drops(), 0u);
-}
-
-TEST(ShardLink, AppliesBernoulliLossSenderSide) {
-  wire::ChannelConfig config;
-  config.mtu = 1500;
-  config.loss_rate = 0.5;
-  config.seed = 99;
-  wire::ShardLink link(config);
-  std::size_t delivered = 0;
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(link.a().send(wire::Request{1}));
-    if (link.b().receive().has_value()) ++delivered;
-  }
-  // ~50% loss; generous bounds.
-  EXPECT_GT(delivered, 100u);
-  EXPECT_LT(delivered, 300u);
-  // Lost frames still count as sent (handed to the link), like a channel.
-  EXPECT_EQ(link.a().stats().frames_sent, 400u);
 }
 
 // --- Determinism: shards = 1 vs the legacy engine ---------------------------
@@ -259,6 +170,114 @@ TEST(ShardedDelivery, FourShardSwarmSurvivesLossyCrossLinks) {
   for (std::size_t p = 0; p < peers; ++p) {
     EXPECT_EQ(service.peer_content(p), content);
   }
+}
+
+// --- Shard-count invariance -------------------------------------------------
+
+/// Everything a run exposes that could depend on the schedule: per-peer
+/// completion ticks and content, and the cumulative wire totals.
+struct Trajectory {
+  std::vector<std::size_t> completion;
+  std::vector<std::vector<std::uint8_t>> content;
+  core::ShardedDelivery::LinkTotals totals;
+};
+
+Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
+                           const core::DeliveryOptions& options,
+                           std::size_t shards, std::size_t peers,
+                           std::size_t fed, std::size_t max_ticks) {
+  core::ShardedDelivery service(content, options,
+                                core::ShardOptions{shards});
+  for (std::size_t p = 0; p < peers; ++p) {
+    service.add_peer("p" + std::to_string(p), p < fed);
+  }
+  service.run(max_ticks);
+  Trajectory trajectory;
+  for (std::size_t p = 0; p < service.peer_count(); ++p) {
+    trajectory.completion.push_back(service.peer_completion_tick(p));
+    trajectory.content.push_back(service.peer_complete(p)
+                                     ? service.peer_content(p)
+                                     : std::vector<std::uint8_t>{});
+  }
+  trajectory.totals = service.link_totals();
+  return trajectory;
+}
+
+/// Every download runs wholly on its receiver's shard in the same two
+/// phases, so with N >= 2 the run is a function of the plan alone: 2, 3
+/// and 4 shards must agree bit for bit.
+void expect_shard_count_invariant(const std::vector<std::uint8_t>& content,
+                                  const core::DeliveryOptions& options,
+                                  std::size_t peers, std::size_t fed,
+                                  std::size_t max_ticks) {
+  const Trajectory two =
+      run_with_shards(content, options, 2, peers, fed, max_ticks);
+  for (std::size_t p = 0; p < two.completion.size(); ++p) {
+    ASSERT_NE(two.completion[p], 0u) << "peer " << p << " stuck";
+    EXPECT_EQ(two.content[p], content) << "peer " << p;
+  }
+  for (const std::size_t shards : {3u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const Trajectory other =
+        run_with_shards(content, options, shards, peers, fed, max_ticks);
+    EXPECT_EQ(other.completion, two.completion);
+    EXPECT_EQ(other.content, two.content);
+    EXPECT_EQ(other.totals, two.totals);
+  }
+}
+
+TEST(ShardCountInvariance, UntimedLossAndReorderSwarm) {
+  auto options = small_options();
+  options.link.loss_rate = 0.08;
+  options.link.reorder_rate = 0.1;
+  options.link.mtu = 600;
+  expect_shard_count_invariant(random_content(64 * 60, 28), options,
+                               /*peers=*/10, /*fed=*/2, 10000);
+}
+
+TEST(ShardCountInvariance, TimedSwarmUnderCrashRestartJoinAndBlackout) {
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({30, 3});
+  plan->restarts.push_back({75, 3});
+  plan->joins.push_back({50, 2, false});
+  plan->blackouts.push_back({20, 60, 0, 2});
+  auto options = small_options();
+  options.faults = plan;
+  options.link.delay_ticks = 2;
+  options.link.jitter_ticks = 1;
+  options.link.loss_rate = 0.05;
+  options.handshake_retry_ticks = 12;
+  options.liveness_timeout_ticks = 16;
+  options.max_handshake_retries = 6;
+  expect_shard_count_invariant(random_content(64 * 40, 29), options,
+                               /*peers=*/8, /*fed=*/2, 10000);
+}
+
+// --- Link memory ------------------------------------------------------------
+
+TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
+  // A mid-download audit of a 2-shard swarm: every live link is a plain
+  // ChannelLink (queued frames, transport scratch, one shared pool), so
+  // the per-peer link share stays a few KiB wherever the two ends live.
+  const auto content = random_content(64 * 60, 30);
+  constexpr std::size_t kPeers = 16;
+  core::ShardedDelivery service(content, small_options(),
+                                core::ShardOptions{/*shards=*/2});
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    service.add_peer("p" + std::to_string(p), p < 2);
+  }
+  std::optional<core::MemoryAudit> mid;
+  for (std::size_t t = 0; t < 8000 && !mid; ++t) {
+    service.tick();
+    std::size_t complete = 0;
+    for (std::size_t p = 0; p < kPeers; ++p) {
+      complete += service.peer_complete(p) ? 1 : 0;
+    }
+    if (complete >= kPeers / 4) mid = service.memory_audit();
+  }
+  ASSERT_TRUE(mid.has_value()) << "swarm never reached a quarter complete";
+  ASSERT_GT(mid->link_bytes, 0u);
+  EXPECT_LT(mid->link_bytes / mid->peers, 16 * 1024u);
 }
 
 // --- Per-tick control-frame batching ----------------------------------------
