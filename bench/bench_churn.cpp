@@ -1,14 +1,13 @@
 // Fault-tolerant delivery under churn: one fault schedule (crash + restart,
 // stall window, flash-crowd join, link blackout) over timed Gilbert-Elliott
-// burst-loss links, run through every engine/driver combination. Emits
+// burst-loss links, run lockstep and jumped at 1 and 2 shards. Emits
 // BENCH_churn.json.
 //
 // Three claims are measured and gated:
-//   * fault_determinism — with faults enabled, legacy lockstep, legacy
-//     event-loop and shards=1 trajectories are identical, and the shards=2
-//     jump reproduces its own lockstep run exactly (the engine equality
-//     contracts survive churn; multi-shard is a different but internally
-//     deterministic trajectory);
+//   * fault_determinism — with faults enabled, the event-loop jump
+//     reproduces the lockstep run exactly at shards = 1 and at shards = 2
+//     (the jump contract survives churn; multi-shard is a different but
+//     internally deterministic trajectory);
 //   * all_survivors_completed — every peer that is up at the end of the
 //     schedule finishes its download (churn never strands the swarm);
 //   * max_stall_ticks — after a sender crashes mid-transfer, its receivers
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/delivery.hpp"
 #include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
 
@@ -85,8 +83,7 @@ struct ChurnRun {
   std::uint64_t ticks_skipped = 0;
 };
 
-template <typename Service>
-ChurnRun harvest(Service& service) {
+ChurnRun harvest(const core::ShardedDelivery& service) {
   ChurnRun run;
   run.peer_count = service.peer_count();
   run.completed = true;
@@ -103,8 +100,8 @@ ChurnRun harvest(Service& service) {
   return run;
 }
 
-template <typename Service>
-void add_peers(Service& service, std::size_t peers, std::size_t fed) {
+void add_peers(core::ShardedDelivery& service, std::size_t peers,
+               std::size_t fed) {
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("peer" + std::to_string(p), p < fed);
   }
@@ -113,8 +110,7 @@ void add_peers(Service& service, std::size_t peers, std::size_t fed) {
 /// Lockstep tick loop that keeps going until every scheduled fault fired
 /// (the restart at tick 300 is the last) and every peer — including the
 /// flash-crowd joiners — completed.
-template <typename Service>
-void drive_lockstep(Service& service, std::size_t max_ticks) {
+void drive_lockstep(core::ShardedDelivery& service, std::size_t max_ticks) {
   for (std::size_t t = 0; t < max_ticks; ++t) {
     service.tick();
     if (service.ticks() <= 300) continue;
@@ -161,7 +157,7 @@ StallProbe probe_crash_stall(const std::vector<std::uint8_t>& content,
   plan->crashes.push_back({kCrashTick, kCrashedPeer});
   options.faults = std::move(plan);
 
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   add_peers(service, 4, 2);
 
   StallProbe probe;
@@ -208,7 +204,7 @@ std::size_t strategy_completion_total(const std::vector<std::uint8_t>& content,
   options.link.ge_loss_bad = 0.6;
   options.link.ge_p_good_bad = 0.03;
   options.link.ge_p_bad_good = 0.15;
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   add_peers(service, 5, 1);
   service.run(max_ticks);
   std::size_t total = 0;
@@ -234,50 +230,34 @@ int main(int argc, char** argv) {
   report.add("peers", peers);
   report.add("content_bytes", content_bytes);
 
-  // --- Determinism under churn: four engine/driver combinations ----------
-  const auto with_faults = [&]() {
+  // --- Determinism under churn: lockstep vs jump at 1 and 2 shards -------
+  // The inline (1) and two-phase (2) schedules give different
+  // trajectories; at each, the event-loop jump must reproduce the
+  // lockstep run exactly.
+  const auto run_churn = [&](std::size_t shards, bool jump) {
     auto options = churn_options();
     options.faults = churn_plan();
-    return options;
+    core::ShardedDelivery service(content, options,
+                                  core::ShardOptions{shards});
+    add_peers(service, peers, 2);
+    if (jump) {
+      service.run(max_ticks);
+    } else {
+      drive_lockstep(service, max_ticks);
+    }
+    return harvest(service);
   };
-  core::ContentDeliveryService legacy_lockstep(content, with_faults());
-  add_peers(legacy_lockstep, peers, 2);
-  drive_lockstep(legacy_lockstep, max_ticks);
-  const ChurnRun baseline = harvest(legacy_lockstep);
-
-  core::ContentDeliveryService legacy_jump(content, with_faults());
-  add_peers(legacy_jump, peers, 2);
-  legacy_jump.run(max_ticks);
-  const ChurnRun jumped = harvest(legacy_jump);
-
-  core::ShardedDelivery shards1(content, with_faults(),
-                                core::ShardOptions{1});
-  add_peers(shards1, peers, 2);
-  shards1.run(max_ticks);
-  const ChurnRun sharded1 = harvest(shards1);
-
-  // Multi-shard trajectories legitimately differ from the legacy engine
-  // (different link plumbing); the contract for shards >= 2 is that the
-  // event-loop jump reproduces that engine's own lockstep run exactly.
-  core::ShardedDelivery shards2_lockstep(content, with_faults(),
-                                         core::ShardOptions{2});
-  add_peers(shards2_lockstep, peers, 2);
-  drive_lockstep(shards2_lockstep, max_ticks);
-  const ChurnRun sharded2_base = harvest(shards2_lockstep);
-
-  core::ShardedDelivery shards2_jump(content, with_faults(),
-                                     core::ShardOptions{2});
-  add_peers(shards2_jump, peers, 2);
-  shards2_jump.run(max_ticks);
-  const ChurnRun sharded2 = harvest(shards2_jump);
+  const ChurnRun baseline = run_churn(1, /*jump=*/false);
+  const ChurnRun jumped = run_churn(1, /*jump=*/true);
+  const ChurnRun sharded2_base = run_churn(2, /*jump=*/false);
+  const ChurnRun sharded2 = run_churn(2, /*jump=*/true);
 
   const bool deterministic = same_trajectory(baseline, jumped) &&
-                             same_trajectory(baseline, sharded1) &&
                              same_trajectory(sharded2_base, sharded2);
   const bool churn_completed = baseline.completed && jumped.completed &&
-                               sharded1.completed && sharded2.completed;
+                               sharded2_base.completed && sharded2.completed;
   std::printf(
-      "churn determinism (lockstep==jump==shards1, shards2 jump==lockstep): "
+      "churn determinism (shards1 jump==lockstep, shards2 jump==lockstep): "
       "%s\n",
       deterministic ? "EXACT" : "MISMATCH");
   std::printf("churn swarm: %zu peers (%zu joined), completed=%s, "

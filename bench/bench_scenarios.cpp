@@ -1,10 +1,10 @@
 // The scenario-catalog gate runner: every `scenarios/*.scn` file is lowered
-// by core::compile_scenario and executed through the three simulator
-// drivers — legacy lockstep, legacy event-loop jump, and the sharded engine
-// at shards=1 — re-proving the fault-enabled determinism contracts per
-// catalog entry (lockstep == jump == shards1) and evaluating each
-// scenario's declared pass gates (survivor completion inside the deadline,
-// failed-session budget, control-byte budget) on the reference trajectory.
+// by core::compile_scenario and run on the delivery engine at shards = 1
+// twice — lockstep and with the event-loop jump — re-proving the
+// fault-enabled determinism contract per catalog entry (lockstep == jump)
+// and evaluating each scenario's declared pass gates (survivor completion
+// inside the deadline, failed-session budget, control-byte budget) on the
+// lockstep trajectory.
 // Emits BENCH_scenarios.json (schema: docs/BENCHMARKS.md) and exits
 // nonzero when any scenario misses a gate or any driver pair diverges, so
 // CI fails on the exact scenario that regressed.
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/delivery.hpp"
 #include "core/scenario.hpp"
 #include "core/sharded_delivery.hpp"
 
@@ -48,24 +47,19 @@ ScenarioReport run_scenario(const core::CompiledScenario& compiled) {
   ScenarioReport report;
   report.name = compiled.name;
 
-  core::ContentDeliveryService lockstep(compiled.content, compiled.options);
+  auto lockstep_options = compiled.options;
+  lockstep_options.jump_empty_ticks = false;
+  core::ShardedDelivery lockstep(compiled.content, lockstep_options);
   core::seed_scenario_peers(lockstep, compiled);
-  core::drive_scenario_lockstep(lockstep, compiled);
+  lockstep.run(compiled.max_ticks);
   report.baseline = core::harvest_scenario(lockstep);
 
-  core::ContentDeliveryService jump(compiled.content, compiled.options);
+  core::ShardedDelivery jump(compiled.content, compiled.options);
   core::seed_scenario_peers(jump, compiled);
   jump.run(compiled.max_ticks);
   const auto jumped = core::harvest_scenario(jump);
 
-  core::ShardedDelivery shards1(compiled.content, compiled.options,
-                                core::ShardOptions{1});
-  core::seed_scenario_peers(shards1, compiled);
-  shards1.run(compiled.max_ticks);
-  const auto sharded = core::harvest_scenario(shards1);
-
-  report.deterministic = report.baseline.same_trajectory(jumped) &&
-                         report.baseline.same_trajectory(sharded);
+  report.deterministic = report.baseline.same_trajectory(jumped);
   report.ticks_skipped = jumped.ticks_skipped;
   report.verdict = core::evaluate_gates(report.baseline, compiled);
   return report;
@@ -100,7 +94,8 @@ int main(int argc, char** argv) {
   report.add_string("mode", smoke ? "smoke" : "full");
   report.add_string("catalog_dir", dir);
 
-  bench::print_header("scenario catalog: 3-driver determinism + pass gates");
+  bench::print_header(
+      "scenario catalog: lockstep==jump determinism + pass gates");
   std::printf("%-28s %5s %7s %6s %8s %8s %6s  %s\n", "scenario", "peers",
               "worst", "fails", "ctl-B", "data-B", "skip", "verdict");
 

@@ -216,18 +216,6 @@ std::optional<std::uint64_t> next_service_time(const SenderEndpoint& sender,
   return at;
 }
 
-std::optional<std::uint64_t> finish_event_planning(
-    EventLoop& loop, std::uint64_t now, std::size_t refresh_interval,
-    bool any_incomplete) {
-  if (!any_incomplete) return std::nullopt;
-  const std::size_t interval = std::max<std::size_t>(1, refresh_interval);
-  loop.schedule(((now + interval - 1) / interval) * interval,
-                EventKind::kRefresh, 0);
-  const auto next = loop.peek();
-  if (!next) return std::nullopt;
-  return std::max(next->at, now);
-}
-
 void schedule_download_events(EventLoop& loop, const SenderEndpoint& sender,
                               const ReceiverEndpoint& receiver,
                               const LinkTimes& times, std::uint64_t now,

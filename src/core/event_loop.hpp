@@ -7,14 +7,13 @@
 
 /// The discrete-event core of simulated time.
 ///
-/// PR 4 gave every link a virtual clock but both delivery engines still
-/// iterated tick by tick, asking a per-tick scheduler who was due — a
-/// high-RTT rate-limited swarm burned thousands of empty iterations
-/// between frame arrivals. EventLoop promotes that per-tick LinkScheduler
-/// into a true event queue: a global virtual clock plus a deterministic
-/// (time, kind, key) min-queue holding *all* time-driven work — frame
-/// arrivals, token-bucket send-credit refills, handshake retry timers,
-/// flow-control re-issues, and the coordinator's admission/refresh
+/// Every link has a virtual clock, but a driver that iterates tick by tick,
+/// asking a per-tick scheduler who is due, burns thousands of empty
+/// iterations between frame arrivals on a high-RTT rate-limited swarm.
+/// EventLoop is a true event queue: a global virtual clock plus a
+/// deterministic (time, kind, key) min-queue holding *all* time-driven
+/// work — frame arrivals, token-bucket send-credit refills, handshake retry
+/// timers, flow-control re-issues, and the coordinator's admission/refresh
 /// cadence. Drivers that know every pending event can jump the clock
 /// straight to the next one (`skip_to`), executing only ticks where
 /// something happens; ticks proven empty are counted, never run.
@@ -25,9 +24,8 @@
 /// (time, kind) pairs tie-break by ascending key — for service events the
 /// key is the serving peer id, which reproduces the historical lockstep
 /// per-sender map iteration exactly. That tie-break is what keeps the
-/// shards=1 / legacy-engine bit-for-bit gates intact under both the
-/// per-tick scheduler and the jumping loop. See DESIGN.md, "Time and
-/// scheduling model".
+/// jumped and lockstep runs, and the golden trajectories, bit-for-bit
+/// equal. See DESIGN.md, "Time and scheduling model".
 namespace icd::core {
 
 class SenderEndpoint;
@@ -43,7 +41,7 @@ enum class EventKind : std::uint8_t {
   kFrameArrival = 3,    // a queued frame's arrival time passes
   kSendCredit = 4,      // the token bucket grants one data frame
   kFlowUpdate = 5,      // RequestUpdate re-issue (rides arrival services)
-  kService = 6,         // per-tick link service slot (engines' pop loop)
+  kService = 6,         // per-tick link service slot (engine's pop loop)
   // Appended after kService so historical intra-tick tie-breaks are
   // untouched; both kinds are cross-tick planning barriers, executed at
   // the top of the tick they land on.
@@ -59,8 +57,8 @@ struct Event {
 };
 
 /// A deterministic min-queue of (time, kind, key) events plus the global
-/// virtual clock and the jump accounting. Engines reuse one instance both
-/// ways: rebuilt per scheduling round (clear + schedule + pop_due) for
+/// virtual clock and the jump accounting. The engine reuses one instance
+/// both ways: rebuilt per scheduling round (clear + schedule + pop_due) for
 /// intra-tick service ordering, and rebuilt after each tick to find the
 /// next tick at which anything can happen.
 class EventLoop {
@@ -146,7 +144,7 @@ class EventLoop {
   std::vector<int> watched_fds_;
 };
 
-/// The always-on incremental cross-tick planner. The engines used to
+/// The always-on incremental cross-tick planner. The engine used to
 /// rebuild the whole planning queue after every executed tick (clear +
 /// re-schedule every incomplete peer's downloads) — quadratic-ish on huge
 /// swarms, since one executed tick usually perturbs a handful of peers.
@@ -203,7 +201,6 @@ class PlanningQueue {
   /// The earliest live entry (lazily skimming stale ones).
   std::optional<Event> peek();
 
-  std::size_t live() const { return live_count_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -261,18 +258,6 @@ std::optional<std::uint64_t> next_service_time(const SenderEndpoint& sender,
                                                const ReceiverEndpoint& receiver,
                                                const LinkTimes& times,
                                                std::uint64_t now);
-
-/// Finishes one cross-tick planning round shared by both delivery
-/// engines: schedules the coordinator's next refresh tick (the first
-/// multiple of `refresh_interval` at or after `now` — matching tick()'s
-/// pre-increment modulo check exactly) and returns the earliest planned
-/// event, clamped to `now`. nullopt when no peer is incomplete (the
-/// refresh would be dead work) — callers stop running instead of
-/// jumping.
-std::optional<std::uint64_t> finish_event_planning(EventLoop& loop,
-                                                   std::uint64_t now,
-                                                   std::size_t refresh_interval,
-                                                   bool any_incomplete);
 
 /// Cross-tick planning: schedules one download's future events (frame
 /// arrival, handshake retry, send credit) into `loop`, keyed by `key`.

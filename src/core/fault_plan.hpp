@@ -8,16 +8,17 @@
 
 #include "codec/solver_stats.hpp"
 
-/// Deterministic fault injection for the delivery engines.
+/// Deterministic fault injection for the delivery engine.
 ///
 /// A FaultPlan is a declarative schedule of membership and link faults —
 /// peer crashes, stalls, restarts, flash-crowd joins, and link blackout
-/// windows — expressed in virtual ticks. Both delivery engines honor one
-/// plan identically: fault boundaries are kPeerFault events in the
-/// cross-tick planning (so run_until's jump stops exactly on them), fault
-/// *application* happens at the top of the tick on the coordinator in
-/// ascending peer order, and all fault machinery is strictly inert when no
-/// plan is set — every historical trajectory is bit-for-bit unchanged.
+/// windows — expressed in virtual ticks. Every driver (lockstep, jumped,
+/// any shard count) honors one plan identically: fault boundaries are
+/// kPeerFault events in the cross-tick planning (so run_until's jump stops
+/// exactly on them), fault *application* happens at the top of the tick on
+/// the coordinator in ascending peer order, and all fault machinery is
+/// strictly inert when no plan is set — every historical trajectory is
+/// bit-for-bit unchanged.
 ///
 /// Semantics (see DESIGN.md, "Failure model"):
 ///   * crash    — the peer is down from `at` until its next restart: it is
@@ -119,12 +120,12 @@ struct SessionResult {
   codec::DecoderStats decoder_stats;
 };
 
-/// The mutable fault bookkeeping both engines embed: a cursor over the
+/// The mutable fault bookkeeping the engine embeds: a cursor over the
 /// plan's scheduled membership events (so each fires exactly once, at the
 /// top of the first executed tick at or past its time) and the suspect
 /// set fed by liveness expiries and handshake exhaustion. All calls are
 /// coordinator-side; the phase workers only read the per-tick snapshots
-/// the engines take from it.
+/// the engine takes from it.
 class FaultTracker {
  public:
   FaultTracker() = default;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/sharded_delivery.hpp"
 #include "core/swarm.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
@@ -640,6 +641,30 @@ GateVerdict evaluate_gates(const ScenarioOutcome& outcome,
       compiled.gates.control_budget_bytes == 0 ||
       outcome.control_bytes <= compiled.gates.control_budget_bytes;
   return verdict;
+}
+
+ScenarioOutcome harvest_scenario(const ShardedDelivery& engine) {
+  ScenarioOutcome outcome;
+  outcome.peer_count = engine.peer_count();
+  for (std::size_t p = 0; p < outcome.peer_count; ++p) {
+    outcome.completion_ticks.push_back(engine.peer_completion_tick(p));
+    outcome.down_at_end.push_back(engine.peer_down(p));
+    outcome.failed_sessions += engine.session_result(p).failed_peers.size();
+  }
+  const auto totals = engine.link_totals();
+  outcome.control_bytes = totals.control_bytes;
+  outcome.data_bytes = totals.data_bytes;
+  outcome.data_frames = totals.data_frames;
+  outcome.end_tick = engine.ticks();
+  outcome.ticks_skipped = engine.ticks_skipped();
+  return outcome;
+}
+
+void seed_scenario_peers(ShardedDelivery& engine,
+                         const CompiledScenario& compiled) {
+  for (std::size_t p = 0; p < compiled.peers; ++p) {
+    engine.add_peer("peer" + std::to_string(p), p < compiled.fed);
+  }
 }
 
 std::vector<std::string> list_scenario_files(const std::string& dir) {

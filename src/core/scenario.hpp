@@ -24,10 +24,10 @@
 /// FaultPlan join events), explicit fault windows, and per-scenario *pass
 /// gates* (completion deadline, failed-session budget, control-byte
 /// budget). compile_scenario() lowers one file into the DeliveryOptions +
-/// FaultPlan both delivery engines consume, so the identical adversity runs
-/// through legacy lockstep, the event-loop jump driver, and the sharded
-/// engine — and bench_scenarios re-proves the determinism contracts per
-/// catalog entry.
+/// FaultPlan the delivery engine consumes, so the identical adversity runs
+/// lockstep and through the event-loop jump driver — bench_scenarios
+/// re-proves lockstep == jump per catalog entry, and the golden
+/// trajectories pin every entry's history.
 ///
 /// The paper's claims live on heterogeneous, adverse conditions (access
 /// mixes are where adaptation is actually stressed; reliable delivery must
@@ -35,6 +35,8 @@
 /// configuration) — this subsystem is how those conditions are named,
 /// versioned, and gated instead of hard-coded per bench.
 namespace icd::core {
+
+class ShardedDelivery;
 
 /// One named access-link class. Rates are bytes per virtual tick with the
 /// repo's token-bucket semantics (0 = unlimited); delay/jitter are per-hop
@@ -148,8 +150,8 @@ struct CompiledScenario {
   std::size_t fed = 0;
   std::uint64_t max_ticks = 0;
   /// Latest fault boundary (crash/restart/join/stall/blackout edge) —
-  /// reported for deadline calibration; the run drivers stop on the same
-  /// all-complete rule as ContentDeliveryService::run_until.
+  /// reported for deadline calibration; runs stop on
+  /// ShardedDelivery::run_until's all-complete rule.
   std::uint64_t last_fault_tick = 0;
   /// Joiners the arrival processes add on top of `peers`.
   std::size_t total_joins = 0;
@@ -201,53 +203,13 @@ struct GateVerdict {
 GateVerdict evaluate_gates(const ScenarioOutcome& outcome,
                            const CompiledScenario& compiled);
 
-/// Harvests one finished engine run (works for ContentDeliveryService and
-/// ShardedDelivery — the shared read surface).
-template <typename Service>
-ScenarioOutcome harvest_scenario(Service& service) {
-  ScenarioOutcome outcome;
-  outcome.peer_count = service.peer_count();
-  for (std::size_t p = 0; p < outcome.peer_count; ++p) {
-    outcome.completion_ticks.push_back(service.peer_completion_tick(p));
-    outcome.down_at_end.push_back(service.peer_down(p));
-    outcome.failed_sessions += service.session_result(p).failed_peers.size();
-  }
-  const auto totals = service.link_totals();
-  outcome.control_bytes = totals.control_bytes;
-  outcome.data_bytes = totals.data_bytes;
-  outcome.data_frames = totals.data_frames;
-  outcome.end_tick = service.ticks();
-  outcome.ticks_skipped = service.ticks_skipped();
-  return outcome;
-}
+/// Harvests one finished engine run.
+ScenarioOutcome harvest_scenario(const ShardedDelivery& engine);
 
 /// Adds the scenario's initial peers (ids 0..fed-1 origin-fed) to a fresh
 /// engine; joiners arrive through the fault plan.
-template <typename Service>
-void seed_scenario_peers(Service& service, const CompiledScenario& compiled) {
-  for (std::size_t p = 0; p < compiled.peers; ++p) {
-    service.add_peer("peer" + std::to_string(p), p < compiled.fed);
-  }
-}
-
-/// Lockstep driver: plain tick() with the exact exit rule of
-/// ContentDeliveryService::run_until — stop once every peer (including all
-/// arrival-process joiners, once they exist) holds the content — so the
-/// jump drivers must reproduce this trajectory bit for bit.
-template <typename Service>
-void drive_scenario_lockstep(Service& service,
-                             const CompiledScenario& compiled) {
-  const std::size_t expected = compiled.peers + compiled.total_joins;
-  for (std::uint64_t t = 0; t < compiled.max_ticks; ++t) {
-    service.tick();
-    if (service.peer_count() < expected) continue;
-    bool all = true;
-    for (std::size_t p = 0; p < service.peer_count(); ++p) {
-      all = all && service.peer_complete(p);
-    }
-    if (all) return;
-  }
-}
+void seed_scenario_peers(ShardedDelivery& engine,
+                         const CompiledScenario& compiled);
 
 /// Sorted scenario files (`*.scn`) under `dir`; throws when the directory
 /// does not exist or holds no scenarios (a silently empty catalog would

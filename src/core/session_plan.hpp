@@ -8,14 +8,12 @@
 #include "core/endpoint.hpp"
 #include "wire/channel.hpp"
 
-/// Session planning shared by the delivery engines.
+/// Session planning for the delivery engine.
 ///
-/// ContentDeliveryService (single-threaded) and ShardedDelivery (worker
-/// shards) must form *identical* sessions from identical peer state — the
-/// sharded engine's shards=1 mode is contractually bit-for-bit equal to the
-/// legacy service — so the admission ranking, starvation fallback, request
-/// sizing and the seed-chain evolution live here, in one function both call
-/// in the same per-peer order.
+/// Every refresh must form the same sessions from the same peer state at
+/// any shard count, so the admission ranking, starvation fallback, request
+/// sizing and the seed-chain evolution live here, outside the engine's
+/// threading, and run in ascending peer order on the coordinator.
 namespace icd::core {
 
 struct DeliveryOptions;
@@ -41,15 +39,14 @@ struct PlannedDownload {
 /// largest-candidate starvation fallback), per-sender requested-symbol
 /// shares toward `target_symbols`, and one session seed plus link config
 /// per download drawn from `session_seed_chain` — which this call advances
-/// exactly as ContentDeliveryService::refresh_sessions always has, so
-/// callers iterating peers in ascending order reproduce the historical
-/// seed sequence.
+/// so that callers iterating peers in ascending order reproduce the
+/// historical seed sequence (pinned by the golden trajectories).
 std::vector<PlannedDownload> plan_peer_downloads(
     std::size_t me, const std::vector<PlanPeer>& peers,
     const DeliveryOptions& options, std::size_t target_symbols,
     std::uint64_t& session_seed_chain);
 
-/// The degree distribution both delivery engines give their origins and
+/// The degree distribution the delivery engine gives its origins and
 /// peers for a piece of content.
 codec::DegreeDistribution delivery_distribution(std::size_t content_size,
                                                 std::size_t block_size);
@@ -61,13 +58,13 @@ codec::DegreeDistribution delivery_distribution(std::size_t content_size,
 std::vector<std::size_t> balance_by_cost(
     const std::vector<std::uint64_t>& cost, std::size_t shards);
 
-/// The full refresh loop both engines must execute in the same shape for
-/// the bit-for-bit contract to hold: per peer in ascending order —
-/// teardown, skip if complete, snapshot *all* peers (an earlier peer's
-/// teardown tick may have grown its working set this refresh), plan,
-/// create. Only teardown and create are engine-specific (they own the
-/// link/endpoint types); everything that orders the seed chain lives
-/// here. Not a hot path: runs once per refresh_interval ticks.
+/// The full refresh loop, in the shape the historical trajectories pin:
+/// per peer in ascending order — teardown, skip if complete, snapshot
+/// *all* peers (an earlier peer's teardown tick may have grown its working
+/// set this refresh), plan, create. Teardown and create belong to the
+/// engine (it owns the link/endpoint types); everything that orders the
+/// seed chain lives here. Not a hot path: runs once per refresh_interval
+/// ticks.
 void run_refresh_loop(
     std::size_t peer_count, const DeliveryOptions& options,
     std::size_t target_symbols, std::uint64_t& session_seed_chain,

@@ -48,7 +48,7 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
   const std::size_t id = peers_.size() - 1;
   shard_assignment_.push_back(id % shards_);
   shard_peers_[shard_of(id)].push_back(id);
-  planner_dirty_ = true;
+  planner_.invalidate_all();
   return id;
 }
 
@@ -72,7 +72,7 @@ void ShardedDelivery::release_pool_owners() {
 }
 
 void ShardedDelivery::refresh_sessions() {
-  planner_dirty_ = true;
+  planner_.invalidate_all();
   release_pool_owners();
   // Cost rebalance rides the refresh boundary: every download is torn
   // down below and recreated on its receiver's *new* shard, so no live
@@ -83,9 +83,9 @@ void ShardedDelivery::refresh_sessions() {
     rebalance_shards();
   }
   ++refresh_count_;
-  // The loop shape (and the planner's seed chain) is the shared
-  // session_plan code, so with shards = 1 the sessions formed are
-  // bit-for-bit identical to ContentDeliveryService's.
+  // Tear down finished/stale sessions, then give every incomplete peer up
+  // to max_peer_sessions downloads from admission-ranked senders (loop
+  // shape, ranking, fallback and seed chain: session_plan).
   const std::size_t target = static_cast<std::size_t>(
       1.07 * static_cast<double>(parameters().block_count));
   run_refresh_loop(
@@ -156,7 +156,7 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
       /*on_crash=*/
       [this](std::size_t peer) {
         if (peer >= peers_.size()) return;
-        planner_dirty_ = true;
+        planner_.invalidate_all();
         // Coordinator stands in for the shard threads during the
         // teardown ticks; the workers are parked between pool runs.
         release_pool_owners();
@@ -188,7 +188,7 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
       }
       if (!any_erased) release_pool_owners();
       any_erased = true;
-      planner_dirty_ = true;
+      planner_.invalidate_all();
       const auto reason = receiver.failed()
                               ? FailedPeer::Reason::kHandshakeExhausted
                               : FailedPeer::Reason::kLivenessTimeout;
@@ -202,11 +202,11 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
 }
 
 void ShardedDelivery::service_downloads(PeerEntry& entry) {
-  // Mirrors ContentDeliveryService::service_downloads (the shards=1
-  // bit-for-bit contract): all-untimed peers keep the historical
-  // lockstep loop with zero scheduling overhead; otherwise untimed links
-  // are due every tick in sender order, timed links only when a frame
-  // has arrived or the token bucket grants send credit.
+  // All-untimed peers keep the historical lockstep loop with zero
+  // scheduling overhead; otherwise untimed links are due every tick in
+  // sender order (ties at `now` pop in ascending sender order), timed
+  // links only when a frame has arrived or the token bucket grants send
+  // credit.
   const bool any_timed = std::any_of(
       entry.downloads.begin(), entry.downloads.end(),
       [](const auto& download) { return download.second->link.timed(); });
@@ -214,7 +214,8 @@ void ShardedDelivery::service_downloads(PeerEntry& entry) {
     for (auto& [sender_id, download] : entry.downloads) {
       if (entry.peer->has_content()) break;
       // Down sender: frozen endpoint, but the receiver keeps ticking so
-      // its liveness clock runs (mirrors the legacy loop).
+      // its liveness clock (and handshake retry budget) detects the
+      // silence.
       if (!peers_[sender_id].faulted_at_tick_start) {
         download->sender.tick();
         download->sender.send_symbol();
@@ -341,15 +342,15 @@ std::size_t ShardedDelivery::tick() {
   if (ticks_ % std::max<std::size_t>(1, options_.refresh_interval) == 0) {
     refresh_sessions();
   }
-  // Virtual time of this tick (= its index), as in the legacy engine.
+  // Virtual time of this tick (= its index); every timed link advances
+  // to it.
   tick_now_ = ticks_;
   ++ticks_;
 
   // Coordinator prologue: completion and fault snapshots (the phases read
   // these instead of cross-shard peer state) and origin draws in peer
-  // order — the same symbol-to-peer assignment as the legacy engine,
-  // which drew at each incomplete subscriber's turn (and skips down
-  // peers, exactly as the legacy tick loop does).
+  // order, skipping complete and down peers — the symbol-to-peer
+  // assignment is fixed here whatever the shard count.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     PeerEntry& entry = peers_[i];
     entry.complete_at_tick_start = entry.peer->has_content();
@@ -384,7 +385,8 @@ std::size_t ShardedDelivery::tick() {
             .count());
   }
 
-  // Failure sweep before the completion stamps, as in the legacy engine;
+  // Failure sweep before the completion stamps, so sessions whose
+  // receivers flagged a dead sender are retired at the tick they failed;
   // the workers are parked again, so the coordinator owns all state.
   if (failure_detection_enabled()) sweep_failed_downloads(ticks_);
 
@@ -426,8 +428,8 @@ std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
   }
   const auto first = plan_scratch_.peek();
   if (!first) return std::nullopt;
-  // Re-keyed to the receiving peer, as in the legacy planner: only the
-  // entry's time feeds the jump target.
+  // Re-keyed to the receiving peer: the planner holds one entry per peer,
+  // and only the entry's time feeds the jump target.
   return Event{first->at, first->kind, i};
 }
 
@@ -447,17 +449,18 @@ void ShardedDelivery::replan_peer(std::size_t i, std::uint64_t now) {
 std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   // Coordinator-only, between pool runs: the workers are parked, so every
   // shard's links and endpoints may be inspected (not mutated) here.
-  // Incremental planning, exactly the legacy engine's scheme: one live
-  // entry per peer; full rebuilds only when the download graph changed
-  // shape, a fault boundary fell in the planning gap, or blackout windows
-  // exist; otherwise only the peers whose entries came due are replanned.
+  // Incremental planning: one live entry per peer; full rebuilds only
+  // when the download graph changed shape (refresh, crash, sweep, join), a
+  // fault boundary fell in the planning gap (a stall window edge flips
+  // down() with no callback), or blackout windows exist (they mutate link
+  // delivery without touching planned state); otherwise only the peers
+  // whose entries came due are replanned.
   const std::uint64_t now = ticks_;
   planner_.ensure_keys(peers_.size());
   if (plan_incomplete_.size() < peers_.size()) {
     plan_incomplete_.resize(peers_.size(), 0);
   }
-  bool full = planner_dirty_ || planner_.pending_full() ||
-              faults_.any_blackouts();
+  bool full = planner_.pending_full() || faults_.any_blackouts();
   if (!full && faults_.active()) {
     const auto boundary = faults_.next_boundary_after(planned_through_);
     if (boundary && *boundary <= now) full = true;
@@ -470,7 +473,6 @@ std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
       incomplete_peers_ += static_cast<std::size_t>(plan_incomplete_[i]);
       planner_.set(i, plan_peer_events(i, now));
     }
-    planner_dirty_ = false;
   } else {
     plan_due_scratch_.clear();
     planner_.take_due(now, plan_due_scratch_);
@@ -482,7 +484,9 @@ std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
   if (incomplete_peers_ == 0 && !faults_.pending_joins()) return std::nullopt;
   std::optional<std::uint64_t> at;
   if (const auto next = planner_.peek()) at = next->at;
-  // Fault boundaries are planning barriers, as in the legacy engine.
+  // Fault boundaries are planning barriers: the jump never crosses a
+  // crash/restart/join tick or a stall/blackout window edge, so jumped and
+  // lockstep runs apply faults at identical ticks.
   if (faults_.active()) {
     if (const auto boundary = faults_.next_boundary_after(now)) {
       at = at ? std::min(*at, *boundary) : *boundary;

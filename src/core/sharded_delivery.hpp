@@ -11,13 +11,22 @@
 
 #include "core/delivery.hpp"
 #include "core/endpoint.hpp"
+#include "core/event_loop.hpp"
+#include "core/fault_plan.hpp"
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "util/shard_pool.hpp"
 #include "wire/transport.hpp"
 
-/// ShardedDelivery: ContentDeliveryService partitioned across worker
-/// shards.
+/// ShardedDelivery: the delivery engine — the application-level entry
+/// point a downstream application embeds.
+///
+/// Owns one piece of content, any number of origin mirrors, and a registry
+/// of peers; each tick advances every download by one round — origins
+/// stream fresh symbols to their subscribers, and peer-to-peer endpoint
+/// sessions (formed via sketch-based admission control, re-formed every
+/// refresh_interval) move filtered/recoded symbols across the overlay, each
+/// over its own bidirectional ChannelLink so every edge can be shaped.
 ///
 /// Peers are assigned to shards by id (round-robin); each shard owns its
 /// peers' decoders and, for every download a peer receives, the whole
@@ -26,8 +35,10 @@
 /// concurrently. A download lives wholly on its receiver's shard; shards
 /// share no links, no buffers and no frames.
 ///
-/// A tick is two phases with barriers between them (see DESIGN.md,
-/// "Threading model"):
+/// shards = 1 runs inline on the caller's thread, no worker threads: per
+/// peer in id order, the origin feed and then each download end to end.
+/// With shards >= 2 a tick is two phases with barriers between them (see
+/// DESIGN.md, "Threading model"):
 ///   send phase     — each shard runs the sender half of every download
 ///                    its peers receive. It only *reads* Peer state, so
 ///                    sender halves of one Peer may run on several shards
@@ -39,12 +50,10 @@
 /// coordinator between phases, where they may touch any shard's state.
 ///
 /// Determinism: with shards >= 2 a run is a function of the plan alone —
-/// neither the shard count nor the placement of peers can change it. With
-/// shards = 1 (which runs inline, no worker threads) the engine executes
-/// the legacy ContentDeliveryService loop order exactly — per-peer
-/// results, completion ticks and wire byte accounting are bit-for-bit
-/// identical (enforced by sharded_test). The two schedules differ, so 1
-/// vs N shards differ.
+/// neither the shard count nor the placement of peers can change it. The
+/// inline and two-phase schedules differ, so 1 vs N shards differ. The
+/// shards = 1 trajectories are pinned by tests/golden/engine_trajectories.txt
+/// (recorded from the engine's earlier single-threaded implementation).
 ///
 /// `batch_budget` > 0 turns on per-tick control-frame batching on every
 /// link (wire::Transport::set_batch_budget), with the engine flushing each
@@ -52,8 +61,7 @@
 namespace icd::core {
 
 struct ShardOptions {
-  /// Worker shards. 1 = run inline on the caller's thread (legacy
-  /// semantics, bit-for-bit).
+  /// Worker shards. 1 = run inline on the caller's thread.
   std::size_t shards = 1;
   /// Control-frame batching budget in bytes per train (0 = off). Applied
   /// to every download link's two transports.
@@ -72,23 +80,31 @@ struct ShardOptions {
 
 class ShardedDelivery {
  public:
-  using LinkTotals = ContentDeliveryService::LinkTotals;
+  using LinkTotals = core::LinkTotals;
 
   ShardedDelivery(std::vector<std::uint8_t> content, DeliveryOptions options,
                   ShardOptions shard_options = {});
 
+  /// Adds another full mirror with an uncorrelated symbol stream.
   void add_mirror();
+  /// Registers a new peer; `subscribe_origin` connects it to a round-robin
+  /// origin feed (one symbol per tick). Returns the peer's id.
   std::size_t add_peer(const std::string& name, bool subscribe_origin);
 
-  /// Advances the whole service by one round (send phase, barrier, receive
-  /// phase). Returns the number of peers that completed during this tick.
+  /// Advances the whole service by one round. Returns the number of peers
+  /// that completed during this tick.
   std::size_t tick();
-  /// Drives the service for up to `max_ticks` virtual ticks, jumping
-  /// empty tick spans when DeliveryOptions::jump_empty_ticks is set.
+  /// Drives the service for up to `max_ticks` virtual ticks (see
+  /// run_until). Returns true if everyone finished.
   bool run(std::size_t max_ticks);
-  /// Event-loop driver: see ContentDeliveryService::run_until. Sharded
-  /// ticks barrier only at event times — the jump happens on the
-  /// coordinator between pool runs, where it owns all state.
+  /// Event-loop driver: advances until every peer holds the content or
+  /// the virtual clock reaches `deadline`. With
+  /// DeliveryOptions::jump_empty_ticks set it executes only ticks at which
+  /// an event (refresh, origin feed, frame arrival, send credit, handshake
+  /// retry, fault boundary) can occur; the jump happens on the coordinator
+  /// between pool runs, where it owns all state. Returns true when
+  /// everyone finished: every peer holds the content and no scheduled join
+  /// is still to come.
   bool run_until(std::uint64_t deadline);
 
   std::size_t peer_count() const { return peers_.size(); }
@@ -101,9 +117,12 @@ class ShardedDelivery {
   std::size_t peer_completion_tick(std::size_t id) const {
     return peers_.at(id).completed_tick;
   }
+  /// Reconstructed content for a finished peer.
   std::vector<std::uint8_t> peer_content(std::size_t id) const;
 
-  /// Per-receiver session outcome (see ContentDeliveryService).
+  /// Per-receiver session outcome: completion plus every download session
+  /// the engine abandoned for this receiver (liveness timeout, handshake
+  /// retry exhaustion) — the "my sender died" diagnostic surface.
   SessionResult session_result(std::size_t id) const {
     const PeerEntry& entry = peers_.at(id);
     return SessionResult{entry.peer->has_content(), entry.completed_tick,
@@ -133,9 +152,13 @@ class ShardedDelivery {
     return shard_assignment_[peer_id];
   }
 
-  /// May be called between ticks only (the coordinator thread owns all
-  /// state while the workers are parked).
+  /// Stats over currently active links only; resets to near zero after
+  /// every refresh_interval teardown. May be called between ticks only
+  /// (the coordinator thread owns all state while the workers are parked).
   LinkTotals active_link_totals() const;
+  /// Cumulative wire-level stats over the whole delivery: links retired by
+  /// session refreshes plus the currently active ones. Monotonic across
+  /// ticks.
   LinkTotals link_totals() const;
 
   /// Per-peer memory audit across decoders, endpoints and links (scale
@@ -189,11 +212,20 @@ class ShardedDelivery {
 
   void refresh_sessions();
   void release_pool_owners();
-  /// Coordinator-side fault application (see ContentDeliveryService).
+  /// Coordinator-side, top-of-tick fault application: due crashes tear the
+  /// crashed peer's own downloads down (banking wire costs; its decoded
+  /// content survives for rejoin), due joins add fresh peers, and blackout
+  /// windows toggle on the affected links.
   void apply_faults(std::uint64_t now);
-  /// Coordinator-side end-of-tick failure sweep (see
-  /// ContentDeliveryService); callers must have the workers parked.
+  /// Coordinator-side end-of-tick sweep (callers must have the workers
+  /// parked): downloads whose receiver flagged its sender suspect
+  /// (liveness) or exhausted its retry budget are torn down, recorded in
+  /// failed_peers, and the sender marked suspect for admission. Runs only
+  /// when liveness/retry bounding is enabled.
   void sweep_failed_downloads(std::uint64_t now);
+  /// Graceful single-download teardown shared by refresh, crash, and the
+  /// failure sweep: flush in-flight frames, final receiver drain, bank
+  /// wire costs.
   void teardown_download(DownloadLink& download);
   bool failure_detection_enabled() const {
     return options_.liveness_timeout_ticks > 0 ||
@@ -207,11 +239,12 @@ class ShardedDelivery {
   /// run_until's completion condition: every peer holds the content and
   /// no scheduled join is still to come.
   bool all_finished() const;
-  /// shards == 1: the legacy ContentDeliveryService tick body, inline —
-  /// origin feed, then each peer's downloads end to end (the bit-for-bit
-  /// contract).
+  /// shards == 1: per peer in id order, the origin feed and then each
+  /// download end to end.
   void serve_inline();
-  /// Mirrors ContentDeliveryService::service_downloads for one peer.
+  /// Services one peer's downloads in event order at the tick's virtual
+  /// time: untimed links every tick in sender order, timed links only when
+  /// a frame has arrived or the token bucket grants send credit.
   void service_downloads(PeerEntry& entry);
   /// Multi-shard (shards >= 2) phases: the send phase only *reads* swarm
   /// state (sender halves draw symbols from working sets nothing mutates
@@ -225,14 +258,21 @@ class ShardedDelivery {
   /// Reassigns peers to shards by accumulated work units (LPT); called at
   /// a refresh boundary only, before the refresh loop rebuilds downloads.
   void rebalance_shards();
-  /// One peer's earliest upcoming event, re-keyed to the peer id — the
-  /// incremental planner's per-key value (see
-  /// ContentDeliveryService::plan_peer_events).
+  /// One peer's earliest upcoming event, re-keyed to the receiving peer
+  /// id — the planner entry. nullopt for complete, down, or fully drained
+  /// peers (a down peer is woken by the fault-boundary rebuild).
   std::optional<Event> plan_peer_events(std::size_t i, std::uint64_t now);
+  /// Re-derives one peer's planner entry and incomplete accounting.
   void replan_peer(std::size_t i, std::uint64_t now);
-  /// See ContentDeliveryService::next_event_time — same incremental
-  /// planning queue, same rebuild triggers; inspected by the coordinator
-  /// while the workers are parked.
+  /// The earliest virtual tick >= ticks_ at which a lockstep tick would
+  /// not be a no-op: the next refresh, an origin feed (every tick while a
+  /// fed peer is incomplete), a fault boundary, or any active download's
+  /// next frame arrival / send credit / handshake retry. nullopt when
+  /// every peer is complete. Served by the incremental planner: only peers
+  /// whose stored entry came due (or a structural invalidation) are
+  /// replanned; stored entries with at >= now are exactly what a full
+  /// rebuild would plan (see DESIGN.md, "Scale model"). Inspected by the
+  /// coordinator while the workers are parked.
   std::optional<std::uint64_t> next_event_time();
   void flush_batches(DownloadLink& download);
   static void accumulate_link(const DownloadLink& download,
@@ -264,14 +304,20 @@ class ShardedDelivery {
   EventLoop loop_;
   /// Per-tick service ordering of the inline (shards = 1) path.
   EventLoop service_queue_;
-  /// Incremental cross-tick planning queue (see
-  /// ContentDeliveryService): one live entry per peer, dirty-flag /
-  /// boundary-triggered full rebuilds, due keys replanned per round.
+  /// Incremental cross-tick planning queue: one live entry per peer (its
+  /// earliest upcoming event), lazily invalidated by stamp. Structural
+  /// changes — session refresh, fault application, failure sweep,
+  /// membership change — call invalidate_all() so the next round rebuilds
+  /// fully; otherwise only due keys are replanned.
   PlanningQueue planner_;
+  /// Scratch queue plan_peer_events builds one peer's events into.
   EventLoop plan_scratch_;
+  /// Keys handed back by PlanningQueue::take_due each planning round.
   std::vector<std::uint64_t> plan_due_scratch_;
-  bool planner_dirty_ = true;
+  /// The `now` of the last planning round (fault-boundary gap detection).
   std::uint64_t planned_through_ = 0;
+  /// Per-peer incompleteness mirror + count, so planning needn't rescan
+  /// every peer to decide whether the swarm is done.
   std::vector<char> plan_incomplete_;
   std::size_t incomplete_peers_ = 0;
   /// Present only when shards > 1.

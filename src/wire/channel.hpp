@@ -349,8 +349,8 @@ class LossyChannel {
 
   /// Link blackout: while set, every send is eaten whole *before* any
   /// loss/reorder RNG draw — no randomness is consumed, so a blackout
-  /// window perturbs nothing outside itself and both delivery engines
-  /// drop the identical frame set. Frames already in flight still arrive
+  /// window perturbs nothing outside itself and every driver drops the
+  /// identical frame set. Frames already in flight still arrive
   /// (the partition cuts the wire, not the queue).
   void set_blackout(bool active) { blackout_ = active; }
   bool blackout() const { return blackout_; }

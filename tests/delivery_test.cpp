@@ -1,15 +1,17 @@
-// Tests for the ContentDeliveryService facade: full-fidelity end-to-end
+// Tests for the delivery engine's contract: full-fidelity end-to-end
 // delivery with origin mirrors, admission-controlled peer sessions, and
-// verification of reconstructed content.
+// verification of reconstructed content. Every DeliveryService test runs
+// on the inline schedule (shards = 1) and on the two-phase multi-shard
+// schedule (shards = 2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/fault_plan.hpp"
 #include "core/session_plan.hpp"
+#include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 
 namespace icd::core {
@@ -131,20 +133,37 @@ TEST(OverlapAwareSelection, DemotesOverlappingPairForComplementarySender) {
                std::find(aware.begin(), aware.end(), 2u) != aware.end());
 }
 
-TEST(DeliveryService, SingleSubscriberDecodesFromOrigin) {
+// --- The engine contract, at every schedule ----------------------------------
+
+/// Parameterized over the shard count.
+class DeliveryService : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  ShardedDelivery make(const std::vector<std::uint8_t>& content,
+                       const DeliveryOptions& options) const {
+    return ShardedDelivery(content, options, ShardOptions{GetParam()});
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, DeliveryService,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(DeliveryService, SingleSubscriberDecodesFromOrigin) {
   const auto content = random_content(64 * 200, 1);
-  ContentDeliveryService service(content, small_options());
+  auto service = make(content, small_options());
   const auto id = service.add_peer("solo", /*subscribe_origin=*/true);
   ASSERT_TRUE(service.run(2000));
   EXPECT_TRUE(service.peer_complete(id));
   EXPECT_EQ(service.peer_content(id), content);
 }
 
-TEST(DeliveryService, NonSubscribersFedByPeers) {
+TEST_P(DeliveryService, NonSubscribersFedByPeers) {
   // Two origin-fed peers, three peers reachable only via the overlay: the
   // informed peer sessions must carry the content the rest of the way.
   const auto content = random_content(64 * 150, 2);
-  ContentDeliveryService service(content, small_options());
+  auto service = make(content, small_options());
   std::vector<std::size_t> ids;
   ids.push_back(service.add_peer("seed-a", true));
   ids.push_back(service.add_peer("seed-b", true));
@@ -158,15 +177,15 @@ TEST(DeliveryService, NonSubscribersFedByPeers) {
   }
 }
 
-TEST(DeliveryService, MirrorsSpeedUpSubscribers) {
+TEST_P(DeliveryService, MirrorsSpeedUpSubscribers) {
   const auto content = random_content(64 * 200, 3);
 
-  ContentDeliveryService one(content, small_options());
+  auto one = make(content, small_options());
   one.add_peer("a", true);
   ASSERT_TRUE(one.run(4000));
   const auto single_ticks = one.ticks();
 
-  ContentDeliveryService two(content, small_options());
+  auto two = make(content, small_options());
   two.add_mirror();
   // Peers round-robin across origins; a pair of subscribers shares the
   // load and both still finish.
@@ -177,10 +196,10 @@ TEST(DeliveryService, MirrorsSpeedUpSubscribers) {
   EXPECT_LE(two.ticks(), single_ticks * 2);
 }
 
-TEST(DeliveryService, CompletedPeersServeLateJoiners) {
+TEST_P(DeliveryService, CompletedPeersServeLateJoiners) {
   const auto content = random_content(64 * 120, 4);
   auto options = small_options();
-  ContentDeliveryService service(content, options);
+  auto service = make(content, options);
   const auto seeder = service.add_peer("seeder", true);
   ASSERT_TRUE(service.run(3000));
   ASSERT_TRUE(service.peer_complete(seeder));
@@ -193,7 +212,7 @@ TEST(DeliveryService, CompletedPeersServeLateJoiners) {
   EXPECT_EQ(service.peer_content(late), content);
 }
 
-TEST(DeliveryService, ShortRefreshIntervalDoesNotStarveNearCompletePeers) {
+TEST_P(DeliveryService, ShortRefreshIntervalDoesNotStarveNearCompletePeers) {
   // Regression: with short sessions a nearly-complete peer's sketch
   // resembles every candidate above the admission cutoff, and without the
   // starvation fallback refresh_sessions stops creating downloads — the
@@ -202,21 +221,21 @@ TEST(DeliveryService, ShortRefreshIntervalDoesNotStarveNearCompletePeers) {
   auto options = small_options();
   options.refresh_interval = 10;
   options.link.loss_rate = 0.1;  // over lossy edges, too
-  ContentDeliveryService service(content, options);
+  auto service = make(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
   ASSERT_TRUE(service.run(6000));
   EXPECT_EQ(service.peer_content(leaf), content);
 }
 
-TEST(DeliveryService, TinyLinkMtuIsDiagnosableNotSilent) {
+TEST_P(DeliveryService, TinyLinkMtuIsDiagnosableNotSilent) {
   // An MTU below the fragment overhead means no frame can ever cross the
   // peer links; the service must stall visibly (frames_refused) instead
   // of reporting an idle wire.
   const auto content = random_content(64 * 50, 11);
   auto options = small_options();
   options.link.mtu = 16;
-  ContentDeliveryService service(content, options);
+  auto service = make(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
   EXPECT_FALSE(service.run(100));
@@ -229,15 +248,15 @@ TEST(DeliveryService, TinyLinkMtuIsDiagnosableNotSilent) {
   EXPECT_EQ(totals.data_bytes, 0u);
 }
 
-TEST(DeliveryService, LinkTotalsAreCumulativeAcrossRefreshes) {
+TEST_P(DeliveryService, LinkTotalsAreCumulativeAcrossRefreshes) {
   const auto content = random_content(64 * 150, 7);
   auto options = small_options();
   options.refresh_interval = 10;  // force several session teardowns
-  ContentDeliveryService service(content, options);
+  auto service = make(content, options);
   service.add_peer("seed", true);
   const auto leaf = service.add_peer("leaf", false);
 
-  ContentDeliveryService::LinkTotals previous;
+  LinkTotals previous;
   std::size_t refreshes_observed = 0;
   for (int t = 0; t < 600 && !service.peer_complete(leaf); ++t) {
     service.tick();
@@ -257,7 +276,7 @@ TEST(DeliveryService, LinkTotalsAreCumulativeAcrossRefreshes) {
   EXPECT_GT(previous.data_bytes, 0u);
 }
 
-TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
+TEST_P(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
   // relax_policy_for_need x suspect set: peer 1's only novel source is
   // peer 0, which crashes mid-transfer (flagged by the liveness timeout,
   // marked suspect) and restarts while still inside its suspect TTL. The
@@ -277,7 +296,7 @@ TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
   options.max_handshake_retries = 4;
   options.suspect_ttl_ticks = 60;
   const auto content = random_content(64 * 60, 77);
-  ContentDeliveryService service(content, options);
+  auto service = make(content, options);
   service.add_peer("source", true);
   service.add_peer("leaf", false);
 
@@ -302,9 +321,9 @@ TEST(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
             result.failed_peers.front().tick + options.suspect_ttl_ticks);
 }
 
-TEST(DeliveryService, TicksAreCountedAndContentIsStable) {
+TEST_P(DeliveryService, TicksAreCountedAndContentIsStable) {
   const auto content = random_content(64 * 50, 5);
-  ContentDeliveryService service(content, small_options());
+  auto service = make(content, small_options());
   const auto id = service.add_peer("a", true);
   EXPECT_EQ(service.ticks(), 0u);
   service.tick();

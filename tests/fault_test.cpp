@@ -3,7 +3,7 @@
 // behavior — crash teardown with session resumption on restart, liveness
 // timeouts and handshake-retry exhaustion surfacing in
 // SessionResult::failed_peers, flash-crowd joins keeping run loops open,
-// and the legacy-vs-sharded equality contract holding with faults enabled.
+// and a multi-shard swarm surviving churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
@@ -224,8 +223,8 @@ core::DeliveryOptions fault_options(std::shared_ptr<core::FaultPlan> plan) {
   return options;
 }
 
-template <typename Service>
-void add_peers(Service& service, std::size_t peers, std::size_t fed) {
+void add_peers(core::ShardedDelivery& service, std::size_t peers,
+               std::size_t fed) {
   for (std::size_t p = 0; p < peers; ++p) {
     service.add_peer("p" + std::to_string(p), p < fed);
   }
@@ -236,7 +235,7 @@ TEST(FaultDelivery, CrashedPeerIsDownThenRestartsAndCompletes) {
   plan->crashes.push_back({30, 3});
   plan->restarts.push_back({90, 3});
   const auto content = random_content(64 * 40, 61);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 5, 2);
 
   for (std::size_t t = 0; t < 31; ++t) service.tick();
@@ -261,7 +260,7 @@ TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->crashes.push_back({30, 0});
   const auto content = random_content(64 * 60, 62);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 2, 1);
 
   for (std::size_t t = 0; t < 400; ++t) service.tick();
@@ -292,7 +291,7 @@ TEST(FaultDelivery, BlackedOutHandshakeExhaustsRetryBudgetWithDiagnostic) {
   // bounded-failure path can fire.
   options.refresh_interval = 100;
   const auto content = random_content(64 * 40, 63);
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   add_peers(service, 2, 1);
 
   for (std::size_t t = 0; t < 400; ++t) service.tick();
@@ -310,7 +309,7 @@ TEST(FaultDelivery, StalledPeerThawsAndCompletes) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->stalls.push_back({10, 80, 2});
   const auto content = random_content(64 * 60, 64);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 4, 2);
 
   ASSERT_TRUE(service.run(8000));
@@ -326,7 +325,7 @@ TEST(FaultDelivery, FlashCrowdJoinersAreServedAndRunWaitsForThem) {
   auto plan = std::make_shared<core::FaultPlan>();
   plan->joins.push_back({40, 3, false});
   const auto content = random_content(64 * 40, 65);
-  core::ContentDeliveryService service(content, fault_options(plan));
+  core::ShardedDelivery service(content, fault_options(plan));
   add_peers(service, 3, 1);
   EXPECT_EQ(service.peer_count(), 3u);
 
@@ -344,26 +343,24 @@ TEST(FaultDelivery, FlashCrowdJoinersAreServedAndRunWaitsForThem) {
 
 TEST(FaultDelivery, RunUntilIsNotDoneWhileAJoinIsStillScheduled) {
   // Every present peer finishes long before the deadline, but a flash
-  // crowd is due after it: the swarm has not finished, on either engine.
+  // crowd is due after it: the swarm has not finished, at any shard count.
   auto plan = std::make_shared<core::FaultPlan>();
   plan->joins.push_back({5000, 2, false});
   const auto content = random_content(64 * 20, 68);
-  core::ContentDeliveryService legacy(content, fault_options(plan));
-  core::ShardedDelivery sharded(content, fault_options(plan),
-                                core::ShardOptions{/*shards=*/2});
-  add_peers(legacy, 3, 1);
-  add_peers(sharded, 3, 1);
-  EXPECT_FALSE(legacy.run_until(2000));
-  EXPECT_FALSE(sharded.run_until(2000));
-  ASSERT_EQ(legacy.peer_count(), 3u);
-  ASSERT_EQ(sharded.peer_count(), 3u);
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_TRUE(legacy.peer_complete(p)) << "peer " << p;
-    EXPECT_TRUE(sharded.peer_complete(p)) << "peer " << p;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    core::ShardedDelivery service(content, fault_options(plan),
+                                  core::ShardOptions{shards});
+    add_peers(service, 3, 1);
+    EXPECT_FALSE(service.run_until(2000)) << shards << " shards";
+    ASSERT_EQ(service.peer_count(), 3u);
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_TRUE(service.peer_complete(p))
+          << "peer " << p << ", " << shards << " shards";
+    }
   }
 }
 
-// --- Cross-engine equality with faults enabled ------------------------------
+// --- Multi-shard churn ------------------------------------------------------
 
 std::shared_ptr<core::FaultPlan> churn_plan() {
   auto plan = std::make_shared<core::FaultPlan>();
@@ -373,61 +370,6 @@ std::shared_ptr<core::FaultPlan> churn_plan() {
   plan->joins.push_back({50, 2, false});
   plan->blackouts.push_back({20, 60, 0, 2});
   return plan;
-}
-
-template <typename Service>
-void drive_lockstep(Service& service, std::size_t max_ticks) {
-  for (std::size_t t = 0; t < max_ticks; ++t) {
-    service.tick();
-    if (service.ticks() < 100) continue;  // past every scheduled fault
-    bool all = true;
-    for (std::size_t p = 0; p < service.peer_count(); ++p) {
-      all = all && service.peer_complete(p);
-    }
-    if (all) return;
-  }
-}
-
-template <typename A, typename B>
-void expect_same_fault_trajectory(A& left, B& right) {
-  ASSERT_EQ(left.peer_count(), right.peer_count());
-  for (std::size_t p = 0; p < left.peer_count(); ++p) {
-    ASSERT_NE(left.peer_completion_tick(p), 0u) << "peer " << p << " stuck";
-    EXPECT_EQ(left.peer_completion_tick(p), right.peer_completion_tick(p))
-        << "peer " << p;
-    EXPECT_EQ(left.peer_content(p), right.peer_content(p)) << "peer " << p;
-    const auto left_result = left.session_result(p);
-    const auto right_result = right.session_result(p);
-    ASSERT_EQ(left_result.failed_peers.size(),
-              right_result.failed_peers.size())
-        << "peer " << p;
-    for (std::size_t i = 0; i < left_result.failed_peers.size(); ++i) {
-      EXPECT_EQ(left_result.failed_peers[i].peer,
-                right_result.failed_peers[i].peer);
-      EXPECT_EQ(left_result.failed_peers[i].tick,
-                right_result.failed_peers[i].tick);
-      EXPECT_EQ(left_result.failed_peers[i].reason,
-                right_result.failed_peers[i].reason);
-    }
-  }
-  const auto left_totals = left.link_totals();
-  const auto right_totals = right.link_totals();
-  EXPECT_EQ(left_totals.control_bytes, right_totals.control_bytes);
-  EXPECT_EQ(left_totals.control_frames, right_totals.control_frames);
-  EXPECT_EQ(left_totals.data_bytes, right_totals.data_bytes);
-  EXPECT_EQ(left_totals.data_frames, right_totals.data_frames);
-}
-
-TEST(FaultDelivery, Shards1MatchesLegacyUnderActiveFaultPlan) {
-  const auto content = random_content(64 * 40, 66);
-  core::ContentDeliveryService legacy(content, fault_options(churn_plan()));
-  core::ShardedDelivery sharded(content, fault_options(churn_plan()),
-                                core::ShardOptions{/*shards=*/1});
-  add_peers(legacy, 5, 2);
-  add_peers(sharded, 5, 2);
-  drive_lockstep(legacy, 10000);
-  drive_lockstep(sharded, 10000);
-  expect_same_fault_trajectory(legacy, sharded);
 }
 
 TEST(FaultDelivery, MultiShardSwarmSurvivesChurn) {

@@ -13,7 +13,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/event_loop.hpp"
 #include "core/session_plan.hpp"
 #include "core/sharded_delivery.hpp"
@@ -290,7 +289,7 @@ TEST(ScaleAdmission, SampledAdmissionCompletesAndIsDeterministic) {
   options.admission_sample = 4;
 
   auto run = [&] {
-    core::ContentDeliveryService service(content, options);
+    core::ShardedDelivery service(content, options);
     for (std::size_t p = 0; p < kPeers; ++p) {
       service.add_peer("p" + std::to_string(p), p % 8 == 0);
     }
@@ -316,7 +315,7 @@ TEST(ScaleMemory, AuditShrinksAfterCompletionAndBoundsBytesPerPeer) {
   options.block_size = 256;
   options.session_seed = 17;
   options.refresh_interval = 25;
-  core::ContentDeliveryService service(content, options);
+  core::ShardedDelivery service(content, options);
   for (std::size_t p = 0; p < kPeers; ++p) {
     service.add_peer("p" + std::to_string(p), p == 0);
   }

@@ -3,8 +3,8 @@
 // unknown profile names — every malformed input throws with the origin and
 // line number, never UB), arrival-process generation (seeded Poisson and
 // flash ramps compiled into sorted FaultPlan joins), access-link edge
-// composition, and a full compile-and-run through all three drivers with
-// the determinism contracts and pass gates enforced.
+// composition, and a full compile-and-run lockstep and jumped with the
+// determinism contract and pass gates enforced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/scenario.hpp"
 #include "core/sharded_delivery.hpp"
 #include "wire/channel.hpp"
@@ -363,7 +362,7 @@ TEST(ScenarioEdges, GilbertElliottCarriesOverWithFarPlainLossFolded) {
   EXPECT_DOUBLE_EQ(contested.ge_p_good_bad, 0.1);
 }
 
-// --- Compile + run: the three-driver determinism contract -------------------
+// --- Compile + run: the lockstep == jump determinism contract ---------------
 
 constexpr char kRunnableScenario[] = R"(name unit-mixed
 peers 5
@@ -418,30 +417,25 @@ TEST(ScenarioCompile, LowersShapeFaultsAndGates) {
   EXPECT_NE(core::compile_scenario(reseeded).content, compiled.content);
 }
 
-TEST(ScenarioRun, ThreeDriversAgreeAndGatesPass) {
+TEST(ScenarioRun, LockstepAndJumpAgreeAndGatesPass) {
   const auto compiled =
       core::compile_scenario(Scenario::parse_text(kRunnableScenario));
 
-  core::ContentDeliveryService lockstep(compiled.content, compiled.options);
+  auto lockstep_options = compiled.options;
+  lockstep_options.jump_empty_ticks = false;
+  core::ShardedDelivery lockstep(compiled.content, lockstep_options);
   core::seed_scenario_peers(lockstep, compiled);
-  core::drive_scenario_lockstep(lockstep, compiled);
+  lockstep.run(compiled.max_ticks);
   const auto baseline = core::harvest_scenario(lockstep);
 
-  core::ContentDeliveryService jump(compiled.content, compiled.options);
+  core::ShardedDelivery jump(compiled.content, compiled.options);
   core::seed_scenario_peers(jump, compiled);
   jump.run(compiled.max_ticks);
   const auto jumped = core::harvest_scenario(jump);
 
-  core::ShardedDelivery shards1(compiled.content, compiled.options,
-                                core::ShardOptions{1});
-  core::seed_scenario_peers(shards1, compiled);
-  shards1.run(compiled.max_ticks);
-  const auto sharded = core::harvest_scenario(shards1);
-
   EXPECT_TRUE(baseline.same_trajectory(jumped))
       << "event-loop jump diverged from lockstep";
-  EXPECT_TRUE(baseline.same_trajectory(sharded))
-      << "shards=1 diverged from the legacy engine";
+  EXPECT_EQ(baseline.ticks_skipped, 0u);
   EXPECT_GT(jumped.ticks_skipped, 0u) << "the jump driver must actually jump";
 
   EXPECT_EQ(baseline.peer_count, 7u) << "both ramped joiners must arrive";
