@@ -5,9 +5,9 @@
 //
 // Three claims are measured and gated:
 //   * fault_determinism — with faults enabled, the event-loop jump
-//     reproduces the lockstep run exactly at shards = 1 and at shards = 2
-//     (the jump contract survives churn; multi-shard is a different but
-//     internally deterministic trajectory);
+//     reproduces the lockstep run exactly at shards = 1 and at shards = 2,
+//     and the two shard counts give one trajectory (the jump and
+//     shard-count contracts survive churn);
 //   * all_survivors_completed — every peer that is up at the end of the
 //     schedule finishes its download (churn never strands the swarm);
 //   * max_stall_ticks — after a sender crashes mid-transfer, its receivers
@@ -231,9 +231,9 @@ int main(int argc, char** argv) {
   report.add("content_bytes", content_bytes);
 
   // --- Determinism under churn: lockstep vs jump at 1 and 2 shards -------
-  // The inline (1) and two-phase (2) schedules give different
-  // trajectories; at each, the event-loop jump must reproduce the
-  // lockstep run exactly.
+  // Both shard counts run the same two-phase tick, so all four runs must
+  // give one trajectory: at each count the event-loop jump reproduces the
+  // lockstep run, and the two counts agree.
   const auto run_churn = [&](std::size_t shards, bool jump) {
     auto options = churn_options();
     options.faults = churn_plan();
@@ -253,12 +253,13 @@ int main(int argc, char** argv) {
   const ChurnRun sharded2 = run_churn(2, /*jump=*/true);
 
   const bool deterministic = same_trajectory(baseline, jumped) &&
-                             same_trajectory(sharded2_base, sharded2);
+                             same_trajectory(sharded2_base, sharded2) &&
+                             same_trajectory(baseline, sharded2_base);
   const bool churn_completed = baseline.completed && jumped.completed &&
                                sharded2_base.completed && sharded2.completed;
   std::printf(
-      "churn determinism (shards1 jump==lockstep, shards2 jump==lockstep): "
-      "%s\n",
+      "churn determinism (shards1 jump==lockstep, shards2 jump==lockstep, "
+      "shards1==shards2): %s\n",
       deterministic ? "EXACT" : "MISMATCH");
   std::printf("churn swarm: %zu peers (%zu joined), completed=%s, "
               "%zu failed sessions, %zu data B\n",

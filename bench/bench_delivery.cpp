@@ -104,7 +104,6 @@ struct TimedRun {
   std::size_t ticks = 0;
   double wall_ms = 0.0;
   std::vector<std::size_t> completion_ticks;
-  std::uint64_t events_processed = 0;
   std::uint64_t ticks_skipped = 0;
   std::size_t control_bytes = 0;
   std::size_t data_bytes = 0;
@@ -136,7 +135,6 @@ TimedRun run_timed_swarm(const std::vector<std::uint8_t>& content,
   for (std::size_t p = 0; p < peers; ++p) {
     run.completion_ticks[p] = service.peer_completion_tick(p);
   }
-  run.events_processed = service.events_processed();
   run.ticks_skipped = service.ticks_skipped();
   const auto totals = service.link_totals();
   run.control_bytes = totals.control_bytes;
@@ -205,8 +203,7 @@ int main(int argc, char** argv) {
 
   // Event loop on a timed swarm: run() jumps empty tick spans; the
   // trajectory must equal the lockstep tick loop's exactly, and the jump
-  // accounting (events_processed / ticks_skipped) plus the wall ratio is
-  // tracked here.
+  // accounting (ticks_skipped) plus the wall ratio is tracked here.
   bool matches = false;
   {
     const std::size_t timed_max = max_ticks * 4;
@@ -224,14 +221,12 @@ int main(int argc, char** argv) {
     report.add("timed_completed",
                jumped.completed ? std::size_t{1} : std::size_t{0});
     report.add("timed_ticks", jumped.ticks);
-    report.add("timed_events_processed", jumped.events_processed);
     report.add("timed_ticks_skipped", jumped.ticks_skipped);
     report.add("timed_wall_speedup", speedup);
     std::printf(
-        "timed swarm (event loop): %zu ticks, %zu events, %zu skipped, "
+        "timed swarm (event loop): %zu ticks, %zu skipped, "
         "%.2fx vs lockstep, trajectory %s\n",
-        jumped.ticks, static_cast<std::size_t>(jumped.events_processed),
-        static_cast<std::size_t>(jumped.ticks_skipped), speedup,
+        jumped.ticks, static_cast<std::size_t>(jumped.ticks_skipped), speedup,
         matches ? "EXACT" : "MISMATCH");
   }
 

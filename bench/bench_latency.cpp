@@ -18,8 +18,8 @@
 // (every virtual tick iterated) and once on the core::EventLoop (the
 // clock jumps straight to the next frame arrival / send credit /
 // handshake retry). The two trajectories must be tick-for-tick identical
-// — gated in BENCH_latency.json — and the event loop's wall-time speedup,
-// events_processed and ticks_skipped are reported per scenario.
+// — gated in BENCH_latency.json — and the event loop's wall-time speedup
+// and ticks_skipped are reported per scenario.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -110,10 +110,8 @@ struct RunResult {
   /// Receiver's distinct-symbol count at the end (trajectory fingerprint
   /// for the lockstep-vs-event-loop equality gate).
   std::size_t symbols = 0;
-  /// Event-loop accounting. Both modes pop services through the loop, so
-  /// events_processed is nonzero in lockstep runs too; only the jumping
-  /// run's numbers are reported (ticks_skipped is zero under lockstep).
-  std::uint64_t events_processed = 0;
+  /// Event-loop accounting; only the jumping run's number is reported
+  /// (ticks_skipped is zero under lockstep).
   std::uint64_t ticks_skipped = 0;
   /// Wall time of the completion loop.
   double wall_ms = 0.0;
@@ -140,34 +138,22 @@ void preload(core::Peer& peer, const std::vector<std::uint64_t>& ids,
   }
 }
 
-/// Services every lane at virtual tick `now` in event order — the same
-/// service rule the delivery engines use.
+/// Services every lane at virtual tick `now` with the delivery engine's
+/// two-phase rule: link advance and sender half for every lane, then the
+/// receiver half for every lane.
 void service_lanes(std::vector<std::unique_ptr<Lane>>& lanes,
-                   core::EventLoop& loop, std::uint64_t now,
-                   std::size_t hint) {
-  loop.clear();
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    Lane& lane = *lanes[k];
-    lane.link.advance_to(now);
-    core::LinkTimes times;
-    times.timed = lane.link.timed();
-    if (times.timed) {
-      times.next_arrival = lane.link.next_arrival_at();
-      times.send_credit_at = lane.link.a_send_ready_at(hint);
-    }
-    if (auto at = core::next_service_time(lane.sender, lane.receiver, times,
-                                          now)) {
-      loop.schedule(*at, core::EventKind::kService, k);
+                   std::uint64_t now, std::size_t hint) {
+  for (auto& lane : lanes) {
+    lane->link.advance_to(now);
+    lane->sender.tick();
+    if (!lane->link.timed() || (!lane->sender.satisfied() &&
+                                lane->link.a_send_ready_at(hint) <= now)) {
+      lane->sender.send_symbol();
     }
   }
-  while (auto event = loop.pop_due(now)) {
-    Lane& lane = *lanes[event->key];
-    lane.sender.tick();
-    if (!lane.link.timed() || lane.link.a_send_ready_at(hint) <= now) {
-      lane.sender.send_symbol();
-    }
-    lane.receiver.advance_to(now);
-    lane.receiver.tick();
+  for (auto& lane : lanes) {
+    lane->receiver.advance_to(now);
+    lane->receiver.tick();
   }
 }
 
@@ -290,7 +276,7 @@ RunResult run_scenario(const BenchParams& params,
   std::uint64_t now = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   while (now < max_ticks) {
-    service_lanes(lanes, loop, now, hint);
+    service_lanes(lanes, now, hint);
     // Complete on real decode, or on the figures' distinct-symbol target —
     // decoding can finish a few symbols early, at which point flow control
     // rightly stops every sender, so symbol count alone would never trip.
@@ -320,7 +306,6 @@ RunResult run_scenario(const BenchParams& params,
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
   result.symbols = receiver_peer.symbol_count();
-  result.events_processed = loop.events_processed();
   result.ticks_skipped = loop.ticks_skipped();
 
   // Satisfaction gate, per lane: once a *sender* has heard the
@@ -334,7 +319,7 @@ RunResult run_scenario(const BenchParams& params,
   // stop, not its propagation latency.
   const std::uint64_t grace = 4 * max_rtt + 16;
   for (std::uint64_t g = 0; g < grace; ++g) {
-    service_lanes(lanes, loop, now + g, hint);
+    service_lanes(lanes, now + g, hint);
   }
   std::vector<bool> sender_satisfied_at_snapshot(lanes.size(), false);
   std::vector<std::size_t> frames_at_snapshot(lanes.size(), 0);
@@ -344,7 +329,7 @@ RunResult run_scenario(const BenchParams& params,
         lanes[k]->sender.transport().stats().data_frames_sent;
   }
   for (std::uint64_t g = 0; g < grace; ++g) {
-    service_lanes(lanes, loop, now + grace + g, hint);
+    service_lanes(lanes, now + grace + g, hint);
   }
   result.no_stop_violations = true;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
@@ -406,7 +391,6 @@ int main(int argc, char** argv) {
   std::size_t stopped_lanes_total = 0;
   std::size_t flow_updates_total = 0;
   std::size_t throttled_total = 0;
-  std::uint64_t events_total = 0;
   std::uint64_t skipped_total = 0;
   double speedup_max = 0.0;
   double speedup_fig8_max = 0.0;
@@ -473,7 +457,6 @@ int main(int argc, char** argv) {
           stopped_lanes_total += run.stopped_lanes;
           flow_updates_total += run.flow_updates;
           throttled_total += run.throttled;
-          events_total += run.events_processed;
           skipped_total += run.ticks_skipped;
           const double speedup =
               run.wall_ms > 0.0 ? lockstep.wall_ms / run.wall_ms : 0.0;
@@ -491,15 +474,13 @@ int main(int argc, char** argv) {
               strategy_key(strategy);
           report.add(key + "_ticks", run.ticks);
           report.add(key + "_completed", std::size_t{run.completed ? 1u : 0u});
-          report.add(key + "_events", run.events_processed);
           report.add(key + "_ticks_skipped", run.ticks_skipped);
           report.add(key + "_wall_speedup", speedup);
           report.add(key + "_lockstep_wall_ms", lockstep.wall_ms);
           report.add(key + "_eventloop_wall_ms", run.wall_ms);
           std::printf(
-              "  %-32s %8zu ticks  %s  %6zu events  %8zu skipped  %5.1fx%s\n",
+              "  %-32s %8zu ticks  %s  %8zu skipped  %5.1fx%s\n",
               key.c_str(), run.ticks, run.completed ? "done" : "INCOMPLETE",
-              static_cast<std::size_t>(run.events_processed),
               static_cast<std::size_t>(run.ticks_skipped), speedup,
               matches ? "" : "  TRAJECTORY MISMATCH");
         }
@@ -522,16 +503,14 @@ int main(int argc, char** argv) {
   report.add("throttled_frames_total", throttled_total);
   report.add("eventloop_matches_lockstep",
              std::size_t{eventloop_matches ? 1u : 0u});
-  report.add("events_processed_total", events_total);
   report.add("ticks_skipped_total", skipped_total);
   report.add("eventloop_speedup_max", speedup_max);
   report.add("eventloop_speedup_fig8_max", speedup_fig8_max);
   report.add("eventloop_speedup_hirtt_max", speedup_hirtt_max);
   std::printf(
-      "event loop: %s lockstep, %zu events, %zu ticks skipped, "
+      "event loop: %s lockstep, %zu ticks skipped, "
       "max speedup %.1fx (fig8 %.1fx, hirtt %.1fx)\n",
       eventloop_matches ? "matches" : "DIVERGES FROM",
-      static_cast<std::size_t>(events_total),
       static_cast<std::size_t>(skipped_total), speedup_max,
       speedup_fig8_max, speedup_hirtt_max);
   report.write("BENCH_latency.json");

@@ -188,34 +188,6 @@ std::size_t data_frame_bytes_hint(std::size_t block_size) {
   return block_size + 64;
 }
 
-namespace {
-
-inline void fold_min(std::optional<std::uint64_t>& at, std::uint64_t t) {
-  at = at ? std::min(*at, t) : t;
-}
-
-}  // namespace
-
-std::optional<std::uint64_t> next_service_time(const SenderEndpoint& sender,
-                                               const ReceiverEndpoint& receiver,
-                                               const LinkTimes& times,
-                                               std::uint64_t now) {
-  if (!times.timed) return now;
-  // The handshake needs every tick: retry clocks count quiet ticks, and
-  // bundle pieces may still be crossing the (delayed) link.
-  if (!receiver.transfer_started() || !sender.transfer_active()) return now;
-  std::optional<std::uint64_t> at = times.next_arrival;
-  if (!times.sender_down && !sender.satisfied() && times.send_credit_at) {
-    fold_min(at, *times.send_credit_at);
-  }
-  // Sender-liveness: the receiver must be serviced at its expiry tick even
-  // if the link is silent — that service is what trips the suspect flag.
-  if (const auto liveness = receiver.liveness_due_at()) {
-    fold_min(at, *liveness);
-  }
-  return at;
-}
-
 void schedule_download_events(EventLoop& loop, const SenderEndpoint& sender,
                               const ReceiverEndpoint& receiver,
                               const LinkTimes& times, std::uint64_t now,

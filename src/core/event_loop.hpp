@@ -18,22 +18,20 @@
 /// straight to the next one (`skip_to`), executing only ticks where
 /// something happens; ticks proven empty are counted, never run.
 ///
-/// Determinism: events pop in strict (time, kind, key) order. Kinds are
-/// ordered to match the execution order inside one tick (coordinator
-/// refresh before origin feeds before link servicing), and equal
-/// (time, kind) pairs tie-break by ascending key — for service events the
-/// key is the serving peer id, which reproduces the historical lockstep
-/// per-sender map iteration exactly. That tie-break is what keeps the
-/// jumped and lockstep runs, and the golden trajectories, bit-for-bit
-/// equal. See DESIGN.md, "Time and scheduling model".
+/// Determinism: events pop in strict (time, kind, key) order, so a queue's
+/// answer never depends on insertion order. The delivery engine reads only
+/// the earliest time — which tick to execute next. What runs inside a tick
+/// is the fixed two-phase order (every sender half, then every receiver
+/// half), so a jumped run executes exactly the ticks a lockstep run finds
+/// non-empty, and the two stay bit-for-bit equal. See DESIGN.md, "Time
+/// and scheduling model".
 namespace icd::core {
 
 class SenderEndpoint;
 class ReceiverEndpoint;
 
-/// What a scheduled event means. The numeric order is the intra-tick
-/// execution order, so equal-time events pop in the order a lockstep tick
-/// would have performed them.
+/// What a scheduled event means. Equal-time events pop in this numeric
+/// order.
 enum class EventKind : std::uint8_t {
   kRefresh = 0,         // admission/session refresh cadence (coordinator)
   kOriginFeed = 1,      // origin fountain streams one symbol per tick
@@ -41,10 +39,9 @@ enum class EventKind : std::uint8_t {
   kFrameArrival = 3,    // a queued frame's arrival time passes
   kSendCredit = 4,      // the token bucket grants one data frame
   kFlowUpdate = 5,      // RequestUpdate re-issue (rides arrival services)
-  kService = 6,         // per-tick link service slot (engine's pop loop)
-  // Appended after kService so historical intra-tick tie-breaks are
-  // untouched; both kinds are cross-tick planning barriers, executed at
-  // the top of the tick they land on.
+  kService = 6,         // per-tick link service slot
+  // Both kinds are cross-tick planning barriers, executed at the top of
+  // the tick they land on.
   kPeerFault = 7,       // a FaultPlan boundary (crash/stall/restart/join/
                         // blackout edge) falls on this tick
   kLivenessProbe = 8,   // a receiver's sender-liveness timeout expires
@@ -57,10 +54,9 @@ struct Event {
 };
 
 /// A deterministic min-queue of (time, kind, key) events plus the global
-/// virtual clock and the jump accounting. The engine reuses one instance
-/// both ways: rebuilt per scheduling round (clear + schedule + pop_due) for
-/// intra-tick service ordering, and rebuilt after each tick to find the
-/// next tick at which anything can happen.
+/// virtual clock and the jump accounting. Drivers rebuild it (clear +
+/// schedule + peek) to find the next tick at which anything can happen,
+/// or pop due events in order (pop_due).
 class EventLoop {
  public:
   // --- Event queue ---------------------------------------------------------
@@ -97,7 +93,7 @@ class EventLoop {
   }
 
   // --- Accounting ----------------------------------------------------------
-  /// Events popped due (service slots executed).
+  /// Events popped due.
   std::uint64_t events_processed() const { return events_processed_; }
   /// Virtual ticks jumped over without executing.
   std::uint64_t ticks_skipped() const { return ticks_skipped_; }
@@ -226,7 +222,7 @@ class PlanningQueue {
   Stats stats_;
 };
 
-/// Link-derived inputs to the service decision, gathered by the engine
+/// Link-derived inputs to the planning decision, gathered by the engine
 /// from the download's ChannelLink.
 struct LinkTimes {
   /// False = legacy event-clock link: service every tick.
@@ -247,25 +243,14 @@ struct LinkTimes {
 /// cadence).
 std::size_t data_frame_bytes_hint(std::size_t block_size);
 
-/// When the download next needs service *within the current tick's
-/// scheduling round*: now for untimed links and during the handshake
-/// (retry clocks must keep counting), the earliest of frame arrival /
-/// send credit during transfer, and nullopt — skip entirely — for a
-/// drained link whose sender is satisfied. Cross-tick planning uses
-/// next_download_event() instead, which replaces the handshake's "now"
-/// with the receiver's retry deadline.
-std::optional<std::uint64_t> next_service_time(const SenderEndpoint& sender,
-                                               const ReceiverEndpoint& receiver,
-                                               const LinkTimes& times,
-                                               std::uint64_t now);
-
-/// Cross-tick planning: schedules one download's future events (frame
-/// arrival, handshake retry, send credit) into `loop`, keyed by `key`.
-/// Mirrors next_service_time's decision tree exactly, except that a
-/// handshaking download is due at its retry deadline rather than every
-/// tick — empty handshake ticks are no-ops once the retry clock is
-/// virtual-time-based, which is precisely what makes the span skippable.
-/// Untimed links are due `now` (the event clock advances every tick).
+/// Cross-tick planning: schedules one download's future events into
+/// `loop`, keyed by `key` — its next frame arrival; while handshaking, the
+/// receiver's retry deadline (empty handshake ticks are no-ops once the
+/// retry clock is virtual-time-based, which is what makes the span
+/// skippable); in transfer, the next send credit of an up, unsatisfied
+/// sender and the receiver's liveness expiry. A drained link whose sender
+/// is satisfied schedules nothing. Untimed links are due `now` (the event
+/// clock advances every tick).
 void schedule_download_events(EventLoop& loop, const SenderEndpoint& sender,
                               const ReceiverEndpoint& receiver,
                               const LinkTimes& times, std::uint64_t now,

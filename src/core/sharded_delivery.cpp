@@ -201,86 +201,6 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
   if (any_erased) release_pool_owners();
 }
 
-void ShardedDelivery::service_downloads(PeerEntry& entry) {
-  // All-untimed peers keep the historical lockstep loop with zero
-  // scheduling overhead; otherwise untimed links are due every tick in
-  // sender order (ties at `now` pop in ascending sender order), timed
-  // links only when a frame has arrived or the token bucket grants send
-  // credit.
-  const bool any_timed = std::any_of(
-      entry.downloads.begin(), entry.downloads.end(),
-      [](const auto& download) { return download.second->link.timed(); });
-  if (!any_timed) {
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (entry.peer->has_content()) break;
-      // Down sender: frozen endpoint, but the receiver keeps ticking so
-      // its liveness clock (and handshake retry budget) detects the
-      // silence.
-      if (!peers_[sender_id].faulted_at_tick_start) {
-        download->sender.tick();
-        download->sender.send_symbol();
-      }
-      download->receiver.tick();
-      flush_batches(*download);
-      entry.work_units += 2;  // both endpoint halves
-    }
-    return;
-  }
-
-  const std::uint64_t now = tick_now_;
-  const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  service_queue_.clear();
-  for (auto& [sender_id, download] : entry.downloads) {
-    download->link.advance_to(now);
-    LinkTimes times;
-    times.timed = download->link.timed();
-    times.sender_down = peers_[sender_id].faulted_at_tick_start;
-    if (times.timed) {
-      times.next_arrival = download->link.next_arrival_at();
-      times.send_credit_at = download->link.a_send_ready_at(hint);
-    }
-    if (auto at = next_service_time(download->sender, download->receiver,
-                                    times, now)) {
-      service_queue_.schedule(*at, EventKind::kService, sender_id);
-    }
-  }
-  while (auto event = service_queue_.pop_due(now)) {
-    if (entry.peer->has_content()) break;
-    DownloadLink& download = *entry.downloads.at(event->key);
-    if (!peers_[event->key].faulted_at_tick_start) {
-      download.sender.tick();
-      if (!download.link.timed() ||
-          download.link.a_send_ready_at(hint) <= now) {
-        download.sender.send_symbol();
-      }
-    }
-    download.receiver.advance_to(now);
-    download.receiver.tick();
-    flush_batches(download);
-    entry.work_units += 2;  // both endpoint halves
-  }
-}
-
-void ShardedDelivery::serve_inline() {
-  for (PeerEntry& entry : peers_) {
-    if (entry.peer->has_content()) {
-      entry.pending_origin_id.reset();
-      continue;
-    }
-    // A down peer is frozen this tick: no origin apply, no servicing.
-    if (entry.faulted_at_tick_start) continue;
-    // Origin feed: the coordinator reserved the id (the deterministic
-    // stream order); Encoder::encode is a const pure function of the id.
-    if (entry.pending_origin_id) {
-      entry.peer->receive_encoded(
-          origins_[entry.origin_index]->encode(*entry.pending_origin_id));
-      entry.pending_origin_id.reset();
-      entry.work_units += 1;
-    }
-    service_downloads(entry);
-  }
-}
-
 void ShardedDelivery::phase_send(std::size_t shard) {
   // Read-only over swarm state: sender halves draw from working sets that
   // nothing mutates until the barrier (origin applies and receives both
@@ -373,8 +293,11 @@ std::size_t ShardedDelivery::tick() {
     }
   }
 
+  // Every sender half, barrier, every receiver half: one schedule at every
+  // shard count, so shards = 1 simply runs both phases on this thread.
   if (!pool_) {
-    serve_inline();
+    phase_send(0);
+    phase_receive(0);
   } else {
     const auto start = std::chrono::steady_clock::now();
     pool_->run(send_fn_);
@@ -508,11 +431,6 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
     tick();
     if (all_finished()) return true;
     if (!options_.jump_empty_ticks) continue;
-    // All-untimed swarms can never open a span (untimed downloads are
-    // due every tick), so skip the planning rebuild outright and keep
-    // the historical heap-free hot path. A link_config may hand out
-    // timed configs per edge, so its presence keeps planning on.
-    if (!options_.link.timed() && !options_.link_config) continue;
     // Jump straight to the next tick at which anything can happen —
     // sharded ticks barrier only at event times; the span in between
     // would have been all-shard no-ops.

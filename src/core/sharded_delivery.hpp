@@ -35,10 +35,8 @@
 /// concurrently. A download lives wholly on its receiver's shard; shards
 /// share no links, no buffers and no frames.
 ///
-/// shards = 1 runs inline on the caller's thread, no worker threads: per
-/// peer in id order, the origin feed and then each download end to end.
-/// With shards >= 2 a tick is two phases with barriers between them (see
-/// DESIGN.md, "Threading model"):
+/// Every tick is two phases with a barrier between them (see DESIGN.md,
+/// "Threading model"):
 ///   send phase     — each shard runs the sender half of every download
 ///                    its peers receive. It only *reads* Peer state, so
 ///                    sender halves of one Peer may run on several shards
@@ -46,14 +44,15 @@
 ///   receive phase  — each shard applies its peers' origin symbols and
 ///                    runs the receiver halves, mutating only its own
 ///                    peers.
-/// Admission/refresh and origin symbol draws stay single-threaded on the
-/// coordinator between phases, where they may touch any shard's state.
+/// shards = 1 runs both phases on the caller's thread, with no worker
+/// threads; shards >= 2 run them on a ShardPool. Admission/refresh and
+/// origin symbol draws stay single-threaded on the coordinator outside the
+/// phases, where they may touch any shard's state.
 ///
-/// Determinism: with shards >= 2 a run is a function of the plan alone —
-/// neither the shard count nor the placement of peers can change it. The
-/// inline and two-phase schedules differ, so 1 vs N shards differ. The
-/// shards = 1 trajectories are pinned by tests/golden/engine_trajectories.txt
-/// (recorded from the engine's earlier single-threaded implementation).
+/// Determinism: a tick is a function of the state at its start, so a run
+/// is a function of the plan alone — neither the shard count (1 included)
+/// nor the placement of peers can change it. The trajectories are pinned
+/// by tests/golden/engine_trajectories.txt.
 ///
 /// `batch_budget` > 0 turns on per-tick control-frame batching on every
 /// link (wire::Transport::set_batch_budget), with the engine flushing each
@@ -61,7 +60,8 @@
 namespace icd::core {
 
 struct ShardOptions {
-  /// Worker shards. 1 = run inline on the caller's thread.
+  /// Worker shards. 1 = run the two phases on the caller's thread (no
+  /// pool); the trajectory is the same at every count.
   std::size_t shards = 1;
   /// Control-frame batching budget in bytes per train (0 = off). Applied
   /// to every download link's two transports.
@@ -134,12 +134,9 @@ class ShardedDelivery {
   bool peer_down(std::size_t id) const { return faults_.down(id, ticks_); }
 
   std::size_t ticks() const { return ticks_; }
-  /// Scheduler-ordered link services executed by the inline (shards = 1)
-  /// timed service path; the multi-shard phases service every download
-  /// each tick and count none. Coordinator-only, between ticks.
-  std::uint64_t events_processed() const {
-    return service_queue_.events_processed();
-  }
+  /// Always 0: the phases service every download each executed tick, with
+  /// no per-tick event queue to count. Kept for callers that report it.
+  std::uint64_t events_processed() const { return 0; }
   /// Virtual ticks run_until() jumped over without executing.
   std::uint64_t ticks_skipped() const { return loop_.ticks_skipped(); }
   const codec::CodeParameters& parameters() const {
@@ -174,9 +171,9 @@ class ShardedDelivery {
   /// busy_ns it is identical across runs and machines.
   std::vector<std::uint64_t> shard_cost_units() const;
 
-  /// Cumulative per-shard worker thread-CPU nanoseconds (empty when
-  /// shards = 1 runs inline) and wall time spent inside the parallel
-  /// phases — bench_delivery's critical-path scaling model.
+  /// Cumulative per-shard worker thread-CPU nanoseconds (empty at
+  /// shards = 1, which runs without a pool) and wall time spent inside the
+  /// parallel phases — bench_delivery's critical-path scaling model.
   std::vector<std::uint64_t> shard_busy_ns() const;
   std::uint64_t parallel_wall_ns() const { return parallel_wall_ns_; }
 
@@ -239,14 +236,7 @@ class ShardedDelivery {
   /// run_until's completion condition: every peer holds the content and
   /// no scheduled join is still to come.
   bool all_finished() const;
-  /// shards == 1: per peer in id order, the origin feed and then each
-  /// download end to end.
-  void serve_inline();
-  /// Services one peer's downloads in event order at the tick's virtual
-  /// time: untimed links every tick in sender order, timed links only when
-  /// a frame has arrived or the token bucket grants send credit.
-  void service_downloads(PeerEntry& entry);
-  /// Multi-shard (shards >= 2) phases: the send phase only *reads* swarm
+  /// The two phases of a tick: the send phase only *reads* swarm
   /// state (sender halves draw symbols from working sets nothing mutates
   /// until the barrier); the receive phase mutates only the iterated
   /// peer's own state (its origin apply, its receiver halves). No
@@ -302,8 +292,6 @@ class ShardedDelivery {
   FaultTracker faults_;
   /// Coordinator event loop: global clock and jump accounting.
   EventLoop loop_;
-  /// Per-tick service ordering of the inline (shards = 1) path.
-  EventLoop service_queue_;
   /// Incremental cross-tick planning queue: one live entry per peer (its
   /// earliest upcoming event), lazily invalidated by stamp. Structural
   /// changes — session refresh, fault application, failure sweep,

@@ -271,7 +271,9 @@ TEST(InactivationDecoder, IncrementalSolveCompletesWhenRankArrivesLate) {
     EXPECT_EQ(decoder.stats().rows_folded, folded)
         << "idle try_solve re-folded equations";
     completed = second;
-    if (!completed) EXPECT_FALSE(decoder.complete());
+    if (!completed) {
+      EXPECT_FALSE(decoder.complete());
+    }
   }
   ASSERT_TRUE(decoder.complete());
   EXPECT_GT(decoder.received_count(), std::size_t{blocks})

@@ -4,9 +4,14 @@
 // completion ticks, the five cumulative LinkTotals fields, every abandoned
 // download session (receiver, sender, tick, reason) and an FNV-1a hash of
 // each peer's content (0 while it has none) — integers only, nothing
-// wall-clock. Every case is replayed on ShardedDelivery at shards = 1
-// twice, lockstep (jump_empty_ticks = false) and with the event-loop jump;
-// both runs must reproduce its line exactly.
+// wall-clock. Every case is replayed on ShardedDelivery at shards = 1 and
+// at shards = 2, each lockstep (jump_empty_ticks = false) and with the
+// event-loop jump; all four runs must reproduce its line exactly, which
+// pins the single-threaded run to the pooled one.
+//
+// The lines were recorded from the 2-shard engine (lockstep and jumped
+// agreed) while shards = 1 still ran a separate inline schedule; the
+// shards = 1 run of the shared two-phase tick reproduces every one.
 //
 // The cases: the configurations of the former shards=1-vs-legacy equality
 // tests, two fault_test swarms whose receivers abandon sessions (so the
@@ -273,11 +278,11 @@ std::vector<GoldenCase> golden_cases() {
 
 // --- Replay -----------------------------------------------------------------
 
-/// Runs one case on a fresh single-shard engine and renders its line.
-std::string replay(const GoldenCase& c, bool jump) {
+/// Runs one case on a fresh engine and renders its line.
+std::string replay(const GoldenCase& c, bool jump, std::size_t shards) {
   core::DeliveryOptions options = c.options;
   options.jump_empty_ticks = jump;
-  core::ShardedDelivery engine(c.content, options);
+  core::ShardedDelivery engine(c.content, options, core::ShardOptions{shards});
   for (std::size_t m = 0; m < c.mirrors; ++m) engine.add_mirror();
   for (std::size_t p = 0; p < c.peers; ++p) {
     engine.add_peer(c.peer_prefix + std::to_string(p), p < c.fed);
@@ -345,16 +350,19 @@ TEST(EngineGolden, EveryCaseHasALineAndEveryLineACase) {
 void expect_replays(bool jump) {
   const auto golden = load_golden();
   for (const auto& c : golden_cases()) {
-    const std::string line = replay(c, jump);
-    const auto it = golden.find(c.name);
-    if (it == golden.end()) {
-      ADD_FAILURE() << "no golden line for " << c.name << "; recomputed:\n"
-                    << line;
-      continue;
+    for (const std::size_t shards : {1u, 2u}) {
+      const std::string line = replay(c, jump, shards);
+      const auto it = golden.find(c.name);
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden line for " << c.name << "; recomputed:\n"
+                      << line;
+        continue;
+      }
+      EXPECT_EQ(it->second, line)
+          << (jump ? "jumped" : "lockstep") << " run at shards = " << shards
+          << " diverged; recomputed:\n"
+          << line;
     }
-    EXPECT_EQ(it->second, line)
-        << (jump ? "jumped" : "lockstep") << " run diverged; recomputed:\n"
-        << line;
   }
 }
 

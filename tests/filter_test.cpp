@@ -229,7 +229,9 @@ TEST(PartitionedBloom, CoversExactlyOneResidueClass) {
   for (const auto key : keys) {
     const bool in_class = PartitionedBloomFilter::residue_of(key, 8) == 3;
     EXPECT_EQ(filter.covers(key), in_class);
-    if (in_class) EXPECT_TRUE(filter.contains(key));
+    if (in_class) {
+      EXPECT_TRUE(filter.contains(key));
+    }
   }
 }
 
@@ -257,7 +259,9 @@ TEST(PartitionedBloom, PipelineCoversAllKeysExactlyOnce) {
     ++emitted;
     // No false negatives within the class.
     for (const auto key : keys) {
-      if (filter->covers(key)) EXPECT_TRUE(filter->contains(key));
+      if (filter->covers(key)) {
+        EXPECT_TRUE(filter->contains(key));
+      }
     }
   }
   EXPECT_EQ(emitted, 6u);

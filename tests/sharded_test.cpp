@@ -1,8 +1,7 @@
-// Sharded delivery engine: determinism contract (any N >= 2 shards give
-// one identical trajectory; shards = 1 is pinned by the golden
-// trajectories), multi-shard swarm correctness (run under TSAN in CI), the
-// per-peer link memory of multi-shard swarms, and the per-tick
-// control-frame batching layer.
+// Sharded delivery engine: determinism contract (every shard count, 1
+// included, gives one identical trajectory), multi-shard swarm correctness
+// (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
+// and the per-tick control-frame batching layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,8 +143,9 @@ Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
 }
 
 /// Every download runs wholly on its receiver's shard in the same two
-/// phases, so with N >= 2 the run is a function of the plan alone: 2, 3
-/// and 4 shards must agree bit for bit.
+/// phases — on the caller's thread at shards = 1 — so the run is a
+/// function of the plan alone: 1, 2, 3 and 4 shards must agree bit for
+/// bit.
 void expect_shard_count_invariant(const std::vector<std::uint8_t>& content,
                                   const core::DeliveryOptions& options,
                                   std::size_t peers, std::size_t fed,
@@ -156,7 +156,7 @@ void expect_shard_count_invariant(const std::vector<std::uint8_t>& content,
     ASSERT_NE(two.completion[p], 0u) << "peer " << p << " stuck";
     EXPECT_EQ(two.content[p], content) << "peer " << p;
   }
-  for (const std::size_t shards : {3u, 4u}) {
+  for (const std::size_t shards : {1u, 3u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     const Trajectory other =
         run_with_shards(content, options, shards, peers, fed, max_ticks);
