@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "codec/solver_stats.hpp"
@@ -33,9 +35,9 @@
 /// waiting index is a flat pool of singly-linked incidence nodes
 /// (tail-appended so per-key traversal preserves equation insertion order),
 /// and the known map is a dense value table + bitmap when keys are 32-bit
-/// block indices (recode-level 64-bit ids keep a hash index). Retired and
-/// redundant payload buffers are recycled through a small freelist, the
-/// `wire::BufferPool` idiom.
+/// block indices (recode-level 64-bit ids hash to a slot in a slab of
+/// values kept in recovery order). Retired and redundant payload buffers
+/// are recycled through a small freelist, the `wire::BufferPool` idiom.
 ///
 /// Observable behavior (recovery values, recovery_log order,
 /// redundant/buffered counts) is bit-for-bit identical to the list-based
@@ -58,36 +60,54 @@ struct IncidenceChain {
   std::uint32_t tail = kSolverNil;
 };
 
-/// Recovered-value store. Primary template: hash map, for sparse key
-/// universes (recode-level 64-bit symbol ids, signed test keys).
+/// Recovered-value store. Primary template, for sparse key universes
+/// (recode-level 64-bit symbol ids, signed test keys): values live in a
+/// slab in insertion order, and a hash map names each key's slot. The
+/// solver inserts exactly when it appends to its recovery log, so slot k
+/// holds the value of recovery_log()[k] — callers that already know a
+/// key's slot read its value without hashing.
 template <typename Key>
 class KnownStore {
  public:
-  bool contains(const Key& key) const { return map_.contains(key); }
+  bool contains(const Key& key) const { return slots_.contains(key); }
 
   const std::vector<std::uint8_t>* find(const Key& key) const {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
+    const auto it = slots_.find(key);
+    return it == slots_.end() ? nullptr : &slab_[it->second];
+  }
+
+  std::optional<std::uint32_t> slot(const Key& key) const {
+    const auto it = slots_.find(key);
+    if (it == slots_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  const std::vector<std::uint8_t>& at(std::uint32_t slot) const {
+    return slab_[slot];
   }
 
   void insert(const Key& key, std::vector<std::uint8_t> value) {
-    map_.emplace(key, std::move(value));
+    slots_.emplace(key, static_cast<std::uint32_t>(slab_.size()));
+    slab_.push_back(std::move(value));
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return slab_.size(); }
 
   std::size_t memory_bytes() const {
-    // Bucket array plus, per node: key, vector header, node/hash links.
-    std::size_t bytes = map_.bucket_count() * sizeof(void*);
-    for (const auto& [key, value] : map_) {
-      bytes += sizeof(Key) + sizeof(std::vector<std::uint8_t>) +
-               2 * sizeof(void*) + value.capacity();
-    }
+    // Bucket array plus, per node: the padded (key, slot) pair and
+    // node/hash links; then the slab's vector headers and the values.
+    std::size_t bytes =
+        slots_.bucket_count() * sizeof(void*) +
+        slots_.size() * (sizeof(std::pair<const Key, std::uint32_t>) +
+                         2 * sizeof(void*)) +
+        slab_.capacity() * sizeof(std::vector<std::uint8_t>);
+    for (const auto& value : slab_) bytes += value.capacity();
     return bytes;
   }
 
  private:
-  std::unordered_map<Key, std::vector<std::uint8_t>> map_;
+  std::unordered_map<Key, std::uint32_t> slots_;
+  std::vector<std::vector<std::uint8_t>> slab_;
 };
 
 /// Dense specialization for block-index keys: value table indexed by key
@@ -255,6 +275,19 @@ class PeelingDecoder {
 
   std::size_t known_count() const { return known_.size(); }
 
+  /// Slot of a recovered key: its position in recovery_log(), assigned at
+  /// recovery and never moved. nullopt if unknown. Sparse-key (hashed)
+  /// decoders only; 32-bit block indices are their own dense index.
+  std::optional<std::uint32_t> slot(const Key& key) const {
+    return known_.slot(key);
+  }
+
+  /// Value of the key in `slot` (< known_count()): an array index, no
+  /// hashing. Sparse-key decoders only, as slot().
+  const std::vector<std::uint8_t>& slot_value(std::uint32_t slot) const {
+    return known_.at(slot);
+  }
+
   /// Equations still waiting on 2+ unknowns.
   std::size_t buffered_count() const { return live_equations_; }
 
@@ -303,10 +336,10 @@ class PeelingDecoder {
   }
 
   /// Heap bytes this decoder pins: recovered values (incl. the dense
-  /// bitmap/table or hash buckets), the key arena and per-equation arrays,
-  /// buffered payloads, the incidence pool + waiting index, the pending
-  /// queue, the recovery log, and the payload freelist. Exact for vector
-  /// storage; hash node overhead is counted per entry.
+  /// bitmap/table, or the slab and its slot hash), the key arena and
+  /// per-equation arrays, buffered payloads, the incidence pool + waiting
+  /// index, the pending queue, the recovery log, and the payload freelist.
+  /// Exact for vector storage; hash node overhead is counted per entry.
   std::size_t memory_bytes() const {
     std::size_t bytes = known_.memory_bytes();
     bytes += arena_.capacity() * sizeof(Key);
@@ -476,8 +509,8 @@ class PeelingDecoder {
       const Key key = pending_[pending_head_++];
       std::uint32_t idx = waiting_.detach(key);
       if (idx == detail::kSolverNil) continue;
-      // Span, not reference: recover() below may grow the dense value
-      // table, moving the inner vectors — their heap buffers survive.
+      // Span, not reference: recover() below may grow the value table or
+      // slab, moving the inner vectors — their heap buffers survive.
       const std::span<const std::uint8_t> value(*known_.find(key));
       while (idx != detail::kSolverNil) {
         const detail::Incidence inc = incidences_[idx];

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "codec/degree.hpp"
@@ -71,6 +72,10 @@ class Recoder {
 /// substitution rule ("A peer that receives z1, z2 and z3 can immediately
 /// recover y13. Then by substituting y13 into z3, the peer can recover
 /// y5 ...").
+///
+/// It is also the store a sender serves from: every held symbol gets a
+/// dense slot on acquisition (slot k is acquisition_log()[k]), so a sender
+/// that resolved its domain to slots once reads payloads by index.
 class RecodeDecoder {
  public:
   RecodeDecoder() = default;
@@ -97,6 +102,19 @@ class RecodeDecoder {
   /// Payload of a held/recovered symbol; throws if absent.
   const std::vector<std::uint8_t>& payload(std::uint64_t id) const {
     return peeler_.value(id);
+  }
+
+  /// Dense slot of a held/recovered symbol: its index in acquisition_log(),
+  /// fixed when the symbol is acquired. nullopt if absent.
+  std::optional<std::uint32_t> slot(std::uint64_t id) const {
+    return peeler_.slot(id);
+  }
+
+  /// Payload of the symbol in `slot` (< symbol_count()) by array index —
+  /// the send path's read, which never hashes. The payloads live in one
+  /// slab that grows only when a symbol is acquired.
+  const std::vector<std::uint8_t>& slot_payload(std::uint32_t slot) const {
+    return peeler_.slot_value(slot);
   }
 
   /// Recoded symbols buffered with >= 2 unknown constituents.

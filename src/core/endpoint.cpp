@@ -228,9 +228,7 @@ void ReceiverEndpoint::maybe_send_flow_update() {
 SenderEndpoint::SenderEndpoint(const Peer& peer, SessionOptions options,
                                wire::Transport& transport)
     : peer_(peer), options_(options), transport_(transport),
-      rng_(options.seed),
-      recode_distribution_(make_recode_distribution(
-          peer.symbol_count(), options.recode_degree_limit)) {}
+      rng_(options.seed) {}
 
 bool SenderEndpoint::bundle_complete() const {
   if (!receiver_hello_ || !receiver_sketch_ || !request_seen_) return false;
@@ -319,6 +317,15 @@ void SenderEndpoint::finish_handshake() {
       domain_.resize(symbols_desired_);
       std::sort(domain_.begin(), domain_.end());
     }
+    // Resolve the domain to slots once, in domain_ order: every symbol of
+    // the session then reads payloads by index. The domain is drawn from
+    // our own ids and working sets only grow, so symbol_slot cannot miss;
+    // if it ever does, the handshake fails loudly here.
+    domain_slots_.clear();
+    domain_slots_.reserve(domain_.size());
+    for (const std::uint64_t id : domain_) {
+      domain_slots_.push_back(peer_.symbol_slot(id));
+    }
     recode_distribution_ = make_recode_distribution(
         std::max<std::size_t>(domain_.size(), 2), options_.recode_degree_limit);
   } else {
@@ -358,25 +365,27 @@ bool SenderEndpoint::send_symbol() {
   // Every branch serializes straight from borrowed storage (the peer's
   // decoder for encoded symbols, recode_scratch_ for recoded ones) into a
   // pooled transport buffer: the steady-state send allocates nothing.
+  //
+  // Payloads are read by slot: a filtered domain was resolved to
+  // domain_slots_ at the handshake, and the whole working set's index k is
+  // slot k. An empty domain (Random, Recode, or nothing filtered) means the
+  // whole working set.
   bool sent = false;
   switch (options_.strategy) {
-    case Strategy::kRandom: {
-      const auto& ids = peer_.symbol_ids();
-      const std::uint64_t id = ids[rng_.next_below(ids.size())];
-      sent = transport_.send(
-          codec::EncodedSymbolView{id, peer_.symbol_payload(id)});
-      break;
-    }
+    case Strategy::kRandom:
     case Strategy::kRandomBloom: {
-      const auto& ids = domain_.empty() ? peer_.symbol_ids() : domain_;
-      const std::uint64_t id = ids[rng_.next_below(ids.size())];
-      sent = transport_.send(
-          codec::EncodedSymbolView{id, peer_.symbol_payload(id)});
+      const std::uint32_t slot =
+          domain_slots_.empty()
+              ? static_cast<std::uint32_t>(
+                    rng_.next_below(peer_.symbol_count()))
+              : domain_slots_[rng_.next_below(domain_slots_.size())];
+      sent = transport_.send(codec::EncodedSymbolView{
+          peer_.symbol_ids()[slot], peer_.slot_payload(slot)});
       break;
     }
     case Strategy::kRecode:
     case Strategy::kRecodeMinwise: {
-      std::size_t degree = recode_distribution_.sample(rng_);
+      std::size_t degree = recode_distribution_->sample(rng_);
       if (options_.strategy == Strategy::kRecodeMinwise) {
         degree = codec::minwise_recode_degree(degree, estimated_containment_,
                                               options_.recode_degree_limit);
@@ -386,12 +395,11 @@ bool SenderEndpoint::send_symbol() {
       break;
     }
     case Strategy::kRecodeBloom: {
-      const std::size_t degree = recode_distribution_.sample(rng_);
-      if (domain_.empty()) {
+      const std::size_t degree = recode_distribution_->sample(rng_);
+      if (domain_slots_.empty()) {
         peer_.recode_into(recode_scratch_, degree, rng_);
       } else {
-        peer_.recode_from_into(recode_scratch_, domain_, degree, rng_,
-                               held_scratch_);
+        peer_.recode_slots_into(recode_scratch_, domain_slots_, degree, rng_);
       }
       sent = transport_.send(codec::RecodedSymbolView(recode_scratch_));
       break;

@@ -291,8 +291,10 @@ class ReceiverEndpoint {
 };
 
 /// The uploading half. Waits for the receiver's bundle, digests sketch and
-/// summary into a containment estimate and a filtered domain, then serves
-/// symbols under the configured strategy, one per send_symbol() call.
+/// summary into a containment estimate and a filtered domain, resolves
+/// that domain to the peer's payload slots once, then serves symbols under
+/// the configured strategy, one per send_symbol() call — each costing
+/// O(degree) slot reads, whatever the domain size.
 ///
 /// A sender only reads its Peer, and every scratch buffer it serves from
 /// is its own: sender halves on different threads may share one Peer
@@ -333,14 +335,14 @@ class SenderEndpoint {
   const wire::Transport& transport() const { return transport_; }
 
   /// Heap bytes this endpoint pins beyond its Peer: buffered handshake
-  /// summaries (released once digested), the filtered domain, the recode
-  /// scratch, and the cached reply sketch (scale audit).
+  /// summaries (released once digested), the filtered domain and its slots,
+  /// the recode scratch, and the cached reply sketch (scale audit).
   std::size_t memory_bytes() const {
     return (receiver_sketch_ ? receiver_sketch_->memory_bytes() : 0) +
            (receiver_bloom_ ? receiver_bloom_->memory_bytes() : 0) +
            (receiver_art_ ? receiver_art_->memory_bytes() : 0) +
-           (domain_.capacity() + held_scratch_.capacity()) *
-               sizeof(std::uint64_t) +
+           domain_.capacity() * sizeof(std::uint64_t) +
+           domain_slots_.capacity() * sizeof(std::uint32_t) +
            recode_scratch_.constituents.capacity() * sizeof(std::uint64_t) +
            recode_scratch_.payload.capacity() +
            cached_message_bytes(sketch_scratch_);
@@ -376,14 +378,16 @@ class SenderEndpoint {
   std::size_t symbols_desired_ = 0;
   double estimated_containment_ = 0.0;
   std::vector<std::uint64_t> domain_;
-  codec::DegreeDistribution recode_distribution_;
+  /// domain_[i]'s slot in the peer (Peer::symbol_slot), resolved once at
+  /// the handshake: the send path reads payloads by these, never by id.
+  std::vector<std::uint32_t> domain_slots_;
+  /// Degree distribution over the session's domain; built at the
+  /// handshake, the only place its size is known.
+  std::optional<codec::DegreeDistribution> recode_distribution_;
   std::size_t symbols_sent_ = 0;
   /// Reused by send_symbol so a warm transfer builds every recoded symbol
   /// in place (no per-symbol vectors); serialized from a view.
   codec::RecodedSymbol recode_scratch_;
-  /// The held subset of domain_ a Recode/BF symbol samples from
-  /// (Peer::recode_from_into's filter scratch).
-  std::vector<std::uint64_t> held_scratch_;
   /// Sketch message scratch for handshake replies (see ReceiverEndpoint).
   std::optional<wire::Message> sketch_scratch_;
 };

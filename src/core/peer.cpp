@@ -25,12 +25,14 @@ std::size_t Peer::absorb_acquisitions() {
   const auto& log = recode_decoder_.acquisition_log();
   std::size_t fresh = 0;
   while (log_offset_ < log.size()) {
+    // A symbol's slot is its position in the log (and in symbol_ids_).
+    const auto slot = static_cast<std::uint32_t>(log_offset_);
     const std::uint64_t id = log[log_offset_++];
     symbol_ids_.push_back(id);
     sketch_.update(id % kSymbolIdUniverse);
     // Span feed: the block decoder copies the payload into its own solver;
     // no intermediate EncodedSymbol is materialized.
-    block_decoder_.add_symbol(id, recode_decoder_.payload(id));
+    block_decoder_.add_symbol(id, recode_decoder_.slot_payload(slot));
     ++fresh;
   }
   return fresh;
@@ -92,6 +94,40 @@ codec::EncodedSymbol Peer::encode_fresh() {
   return symbol;
 }
 
+std::uint32_t Peer::symbol_slot(std::uint64_t id) const {
+  const auto slot = recode_decoder_.slot(id);
+  if (!slot) throw std::logic_error("Peer::symbol_slot: id not held");
+  return *slot;
+}
+
+template <typename SlotOf>
+void Peer::blend_recode(codec::RecodedSymbol& out, std::size_t domain_size,
+                        SlotOf slot_of, std::size_t degree,
+                        util::Xoshiro256& rng) const {
+  if (domain_size == 0) {
+    throw std::invalid_argument("Peer::recode_from: no held ids in domain");
+  }
+  const std::size_t d = std::min(std::max<std::size_t>(degree, 1), domain_size);
+  // Reserve to the degree cap (not just d): capacities then reach steady
+  // state on the first call instead of whenever the degree distribution
+  // happens to draw its maximum — which keeps the send path's
+  // zero-allocation guarantee deterministic.
+  const std::size_t hint = std::max(
+      d, std::min(domain_size, codec::kDefaultRecodeDegreeLimit));
+  out.constituents.reserve(hint);
+  // Indices are sampled straight into the constituent list, then mapped to
+  // ids in place: no scratch, so a const Peer stays shareable.
+  util::sample_without_replacement_into(out.constituents, domain_size, d,
+                                        rng);
+  out.payload.clear();
+  for (std::uint64_t& pick : out.constituents) {
+    const std::uint32_t slot = slot_of(static_cast<std::size_t>(pick));
+    pick = symbol_ids_[slot];
+    codec::xor_into(out.payload, recode_decoder_.slot_payload(slot));
+  }
+  std::sort(out.constituents.begin(), out.constituents.end());
+}
+
 codec::RecodedSymbol Peer::recode(std::size_t degree,
                                   util::Xoshiro256& rng) const {
   codec::RecodedSymbol symbol;
@@ -102,55 +138,31 @@ codec::RecodedSymbol Peer::recode(std::size_t degree,
 codec::RecodedSymbol Peer::recode_from(
     const std::vector<std::uint64_t>& domain_ids, std::size_t degree,
     util::Xoshiro256& rng) const {
+  std::vector<std::uint32_t> slots;
+  slots.reserve(domain_ids.size());
+  for (const std::uint64_t id : domain_ids) {
+    if (const auto slot = recode_decoder_.slot(id)) slots.push_back(*slot);
+  }
   codec::RecodedSymbol symbol;
-  std::vector<std::uint64_t> held;
-  recode_from_into(symbol, domain_ids, degree, rng, held);
+  recode_slots_into(symbol, slots, degree, rng);
   return symbol;
 }
 
 void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,
                        util::Xoshiro256& rng) const {
-  // The whole working set is the domain and every id in it is held by
-  // construction: sample symbol_ids_ directly, skipping the held filter.
-  blend_recode(out, symbol_ids_, degree, rng);
+  // The whole working set is the domain, and index k of it is slot k.
+  blend_recode(
+      out, symbol_ids_.size(),
+      [](std::size_t k) { return static_cast<std::uint32_t>(k); }, degree,
+      rng);
 }
 
-void Peer::recode_from_into(codec::RecodedSymbol& out,
-                            const std::vector<std::uint64_t>& domain_ids,
-                            std::size_t degree, util::Xoshiro256& rng,
-                            std::vector<std::uint64_t>& held_scratch) const {
-  held_scratch.clear();
-  held_scratch.reserve(domain_ids.size());
-  for (const std::uint64_t id : domain_ids) {
-    if (recode_decoder_.has_symbol(id)) held_scratch.push_back(id);
-  }
-  blend_recode(out, held_scratch, degree, rng);
-}
-
-void Peer::blend_recode(codec::RecodedSymbol& out,
-                        const std::vector<std::uint64_t>& held,
-                        std::size_t degree, util::Xoshiro256& rng) const {
-  if (held.empty()) {
-    throw std::invalid_argument("Peer::recode_from: no held ids in domain");
-  }
-  const std::size_t d = std::min(std::max<std::size_t>(degree, 1), held.size());
-  // Reserve to the degree cap (not just d): capacities then reach steady
-  // state on the first call instead of whenever the degree distribution
-  // happens to draw its maximum — which keeps the send path's
-  // zero-allocation guarantee deterministic.
-  const std::size_t hint = std::max(
-      d, std::min(held.size(), codec::kDefaultRecodeDegreeLimit));
-  out.constituents.reserve(hint);
-  // Indices are sampled straight into the constituent list, then mapped to
-  // ids in place: no scratch, so a const Peer stays shareable.
-  util::sample_without_replacement_into(out.constituents, held.size(), d,
-                                        rng);
-  out.payload.clear();
-  for (std::uint64_t& pick : out.constituents) {
-    pick = held[static_cast<std::size_t>(pick)];
-    codec::xor_into(out.payload, recode_decoder_.payload(pick));
-  }
-  std::sort(out.constituents.begin(), out.constituents.end());
+void Peer::recode_slots_into(codec::RecodedSymbol& out,
+                             std::span<const std::uint32_t> slots,
+                             std::size_t degree, util::Xoshiro256& rng) const {
+  blend_recode(
+      out, slots.size(), [slots](std::size_t i) { return slots[i]; }, degree,
+      rng);
 }
 
 }  // namespace icd::core

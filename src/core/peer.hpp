@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,18 @@ class Peer {
     return recode_decoder_.payload(id);
   }
 
+  /// Dense slot of a held symbol, fixed when it was acquired: slot k holds
+  /// symbol_ids()[k]. Throws std::logic_error if `id` is not held — a
+  /// sender resolves its session domain through this once, so a domain
+  /// that is not a subset of the working set fails at the handshake.
+  std::uint32_t symbol_slot(std::uint64_t id) const;
+
+  /// Payload of the symbol in `slot` (< symbol_count()): an array read, no
+  /// hashing. Payloads live in one slab that grows only in receive calls.
+  const std::vector<std::uint8_t>& slot_payload(std::uint32_t slot) const {
+    return recode_decoder_.slot_payload(slot);
+  }
+
   /// Source blocks recovered so far / needed.
   std::size_t blocks_recovered() const {
     return block_decoder_.recovered_count();
@@ -121,18 +134,19 @@ class Peer {
                                    util::Xoshiro256& rng) const;
 
   /// In-place variants for the endpoint fast path: `out`'s vectors are
-  /// reused (cleared, capacity kept), and the whole-working-set overload
-  /// samples symbol_ids() directly, so a warm sender allocates nothing per
-  /// recoded symbol. Same symbol (same rng consumption) as the returning
-  /// overloads. The held-id filter of the restricted variant goes to the
-  /// caller's `held_scratch`: a Peer keeps no mutable state, so sender
-  /// halves on different threads may recode from one const Peer at once.
+  /// reused (cleared, capacity kept), so a warm sender allocates nothing
+  /// per recoded symbol. recode_into samples the whole working set (index
+  /// k is slot k); recode_slots_into samples a domain already resolved to
+  /// slots (symbol_slot), so each symbol costs O(degree) array reads
+  /// whatever the domain size. Same symbol (same rng consumption) as the
+  /// returning overloads over the same ids in the same order. A Peer keeps
+  /// no mutable send state, so sender halves on different threads may
+  /// recode from one const Peer at once.
   void recode_into(codec::RecodedSymbol& out, std::size_t degree,
                    util::Xoshiro256& rng) const;
-  void recode_from_into(codec::RecodedSymbol& out,
-                        const std::vector<std::uint64_t>& domain_ids,
-                        std::size_t degree, util::Xoshiro256& rng,
-                        std::vector<std::uint64_t>& held_scratch) const;
+  void recode_slots_into(codec::RecodedSymbol& out,
+                         std::span<const std::uint32_t> slots,
+                         std::size_t degree, util::Xoshiro256& rng) const;
 
   /// --- Scale audit --------------------------------------------------------
 
@@ -175,10 +189,11 @@ class Peer {
   /// sketch and feeding the block decoder. Returns how many were new.
   std::size_t absorb_acquisitions();
 
-  /// Shared recode core: XOR-blend `degree` distinct symbols sampled from
-  /// `held` (all of which must be held) into `out`.
-  void blend_recode(codec::RecodedSymbol& out,
-                    const std::vector<std::uint64_t>& held, std::size_t degree,
+  /// Shared recode core: XOR-blend `degree` distinct entries of a domain of
+  /// `domain_size` entries into `out`, entry i living in slot slot_of(i).
+  template <typename SlotOf>
+  void blend_recode(codec::RecodedSymbol& out, std::size_t domain_size,
+                    SlotOf slot_of, std::size_t degree,
                     util::Xoshiro256& rng) const;
 
   std::string name_;

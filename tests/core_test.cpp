@@ -4,6 +4,7 @@
 // real decoding — end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -114,6 +115,144 @@ TEST(Peer, RecodedSymbolsCascadeThroughBothDecoders) {
   EXPECT_GT(gained, 0u);
   EXPECT_GE(receiver.blocks_recovered(), before_blocks);
   EXPECT_EQ(receiver.symbol_count(), 150 + gained);
+}
+
+// XOR of the given held symbols, as a sender would recode them.
+codec::RecodedSymbol blend(const Peer& holder,
+                           std::vector<std::uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  codec::RecodedSymbol symbol;
+  for (const std::uint64_t id : ids) {
+    codec::xor_into(symbol.payload, holder.symbol_payload(id));
+  }
+  symbol.constituents = std::move(ids);
+  return symbol;
+}
+
+void expect_slots_follow_ids(const Peer& peer) {
+  const auto& ids = peer.symbol_ids();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_EQ(peer.symbol_slot(ids[k]), k);
+    EXPECT_EQ(peer.slot_payload(static_cast<std::uint32_t>(k)),
+              peer.symbol_payload(ids[k]));
+  }
+}
+
+TEST(Peer, SlotsFollowSymbolIds) {
+  Fixture f;
+  Peer sender = f.make_peer("sender");
+  Peer receiver = f.make_peer("receiver");
+  for (int i = 0; i < 40; ++i) sender.receive_encoded(f.origin.next());
+  const auto& held = sender.symbol_ids();
+  for (int i = 0; i < 10; ++i) {
+    receiver.receive_encoded(
+        codec::EncodedSymbol{held[i], sender.symbol_payload(held[i])});
+  }
+  expect_slots_follow_ids(receiver);
+
+  // A chain of degree-2 symbols buffers (two unknowns each) until its
+  // first link lands; that one arrival then cascades through the chain,
+  // recovering several ids in a single receive call.
+  for (std::size_t i = 11; i < 16; ++i) {
+    EXPECT_EQ(receiver.receive_recoded(blend(sender, {held[i], held[i + 1]})),
+              0u);
+  }
+  EXPECT_EQ(receiver.receive_recoded(blend(sender, {held[9], held[11]})), 6u);
+  expect_slots_follow_ids(receiver);
+
+  // A second, interleaved cascade, then plain arrivals after it.
+  EXPECT_EQ(receiver.receive_recoded(blend(sender, {held[20], held[21]})), 0u);
+  EXPECT_EQ(receiver.receive_recoded(blend(sender, {held[19], held[20]})), 0u);
+  EXPECT_EQ(receiver.receive_recoded(blend(sender, {held[0], held[19]})), 3u);
+  for (std::size_t i = 30; i < 40; ++i) {
+    receiver.receive_encoded(
+        codec::EncodedSymbol{held[i], sender.symbol_payload(held[i])});
+  }
+  EXPECT_EQ(receiver.symbol_count(), 29u);
+  expect_slots_follow_ids(receiver);
+  expect_slots_follow_ids(sender);
+}
+
+TEST(Peer, RecodeBySlotsMatchesRecodeByIds) {
+  Fixture f;
+  Peer peer = f.make_peer("sender");
+  for (int i = 0; i < 200; ++i) peer.receive_encoded(f.origin.next());
+
+  util::Xoshiro256 picker(9);
+  codec::RecodedSymbol by_slots;
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    // A random sorted domain of held ids, as a handshake builds one.
+    std::vector<std::uint64_t> domain;
+    for (const std::uint64_t id : peer.symbol_ids()) {
+      if (picker.next_below(4) == 0) domain.push_back(id);
+    }
+    if (trial % 10 == 0) domain.resize(std::min<std::size_t>(domain.size(), 3));
+    if (domain.empty()) domain.push_back(peer.symbol_ids().front());
+    std::sort(domain.begin(), domain.end());
+    std::vector<std::uint32_t> slots;
+    for (const std::uint64_t id : domain) slots.push_back(peer.symbol_slot(id));
+    // Degrees beyond the domain size and the recode cap are clamped alike.
+    const std::size_t degree = 1 + picker.next_below(70);
+
+    util::Xoshiro256 rng_ids(trial);
+    util::Xoshiro256 rng_slots(trial);
+    const auto by_ids = peer.recode_from(domain, degree, rng_ids);
+    peer.recode_slots_into(by_slots, slots, degree, rng_slots);
+    EXPECT_EQ(by_slots.constituents, by_ids.constituents);
+    EXPECT_EQ(by_slots.payload, by_ids.payload);
+    EXPECT_EQ(rng_slots(), rng_ids());
+
+    // The slot reads agree with the hashed payload lookup.
+    std::vector<std::uint8_t> expected;
+    for (const std::uint64_t id : by_slots.constituents) {
+      EXPECT_TRUE(std::binary_search(domain.begin(), domain.end(), id));
+      codec::xor_into(expected, peer.symbol_payload(id));
+    }
+    EXPECT_EQ(by_slots.payload, expected);
+
+    // The whole working set is slots 0..n-1 in symbol_ids() order.
+    util::Xoshiro256 rng_whole(trial);
+    util::Xoshiro256 rng_all_ids(trial);
+    peer.recode_into(by_slots, degree, rng_whole);
+    const auto all = peer.recode_from(peer.symbol_ids(), degree, rng_all_ids);
+    EXPECT_EQ(by_slots.constituents, all.constituents);
+    EXPECT_EQ(by_slots.payload, all.payload);
+    EXPECT_EQ(rng_whole(), rng_all_ids());
+  }
+}
+
+TEST(Peer, RecodeFromIgnoresUnheldIds) {
+  Fixture f;
+  Peer peer = f.make_peer("sender");
+  for (int i = 0; i < 30; ++i) peer.receive_encoded(f.origin.next());
+  std::vector<std::uint64_t> unheld;
+  for (int i = 0; i < 30; ++i) unheld.push_back(f.origin.next().id);
+
+  // Unknown ids are dropped before sampling: the symbol (and the rng
+  // draws) are those of the held subset alone.
+  const std::vector<std::uint64_t> held(peer.symbol_ids().begin(),
+                                        peer.symbol_ids().begin() + 12);
+  std::vector<std::uint64_t> mixed = held;
+  mixed.insert(mixed.end(), unheld.begin(), unheld.end());
+  std::sort(mixed.begin(), mixed.end());
+  std::vector<std::uint64_t> held_sorted = held;
+  std::sort(held_sorted.begin(), held_sorted.end());
+  util::Xoshiro256 rng_mixed(5);
+  util::Xoshiro256 rng_held(5);
+  const auto from_mixed = peer.recode_from(mixed, 8, rng_mixed);
+  const auto from_held = peer.recode_from(held_sorted, 8, rng_held);
+  EXPECT_EQ(from_mixed.constituents, from_held.constituents);
+  EXPECT_EQ(from_mixed.payload, from_held.payload);
+  EXPECT_EQ(rng_mixed(), rng_held());
+
+  util::Xoshiro256 rng(6);
+  EXPECT_THROW(peer.recode_from(unheld, 4, rng), std::invalid_argument);
+  EXPECT_THROW(peer.recode_from({}, 4, rng), std::invalid_argument);
+  // The slot resolution a sender runs once per session does not ignore:
+  // an id outside the working set is a logic error.
+  for (const std::uint64_t id : unheld) {
+    EXPECT_THROW(peer.symbol_slot(id), std::logic_error);
+  }
 }
 
 TEST(Peer, SketchTracksWorkingSet) {
