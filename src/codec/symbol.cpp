@@ -17,12 +17,4 @@ void xor_into(std::vector<std::uint8_t>& dst,
   xor_bytes(dst.data(), src.data(), dst.size());
 }
 
-std::size_t wire_bytes(const EncodedSymbol& symbol) {
-  return 8 + symbol.payload.size();
-}
-
-std::size_t wire_bytes(const RecodedSymbol& symbol) {
-  return 2 + 8 * symbol.constituents.size() + symbol.payload.size();
-}
-
 }  // namespace icd::codec

@@ -29,15 +29,6 @@ std::optional<Event> EventLoop::peek() const {
   return heap_.front();
 }
 
-std::optional<Event> EventLoop::pop_due(std::uint64_t now) {
-  if (heap_.empty() || heap_.front().at > now) return std::nullopt;
-  std::pop_heap(heap_.begin(), heap_.end(), after);
-  const Event event = heap_.back();
-  heap_.pop_back();
-  ++events_processed_;
-  return event;
-}
-
 void EventLoop::enable_wall_clock(std::uint64_t ns_per_tick) {
   wall_enabled_ = true;
   wall_ns_per_tick_ = std::max<std::uint64_t>(1, ns_per_tick);

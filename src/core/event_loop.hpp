@@ -12,13 +12,13 @@
 /// iterations between frame arrivals on a high-RTT rate-limited swarm.
 /// EventLoop is a true event queue: a global virtual clock plus a
 /// deterministic (time, kind, key) min-queue holding *all* time-driven
-/// work — frame arrivals, token-bucket send-credit refills, handshake retry
-/// timers, flow-control re-issues, and the coordinator's admission/refresh
-/// cadence. Drivers that know every pending event can jump the clock
-/// straight to the next one (`skip_to`), executing only ticks where
-/// something happens; ticks proven empty are counted, never run.
+/// work — origin feeds, frame arrivals, token-bucket send-credit refills,
+/// handshake retry timers, flow-control re-issues and fault boundaries.
+/// Drivers that know every pending event can jump the clock straight to
+/// the next one (`skip_to`), executing only ticks where something happens;
+/// ticks proven empty are counted, never run.
 ///
-/// Determinism: events pop in strict (time, kind, key) order, so a queue's
+/// Determinism: events order strictly by (time, kind, key), so a queue's
 /// answer never depends on insertion order. The delivery engine reads only
 /// the earliest time — which tick to execute next. What runs inside a tick
 /// is the fixed two-phase order (every sender half, then every receiver
@@ -30,10 +30,9 @@ namespace icd::core {
 class SenderEndpoint;
 class ReceiverEndpoint;
 
-/// What a scheduled event means. Equal-time events pop in this numeric
-/// order.
+/// What a scheduled event means. Equal-time events order by this numeric
+/// value.
 enum class EventKind : std::uint8_t {
-  kRefresh = 0,         // admission/session refresh cadence (coordinator)
   kOriginFeed = 1,      // origin fountain streams one symbol per tick
   kHandshakeRetry = 2,  // receiver re-sends its handshake bundle
   kFrameArrival = 3,    // a queued frame's arrival time passes
@@ -55,8 +54,7 @@ struct Event {
 
 /// A deterministic min-queue of (time, kind, key) events plus the global
 /// virtual clock and the jump accounting. Drivers rebuild it (clear +
-/// schedule + peek) to find the next tick at which anything can happen,
-/// or pop due events in order (pop_due).
+/// schedule + peek) to find the next tick at which anything can happen.
 class EventLoop {
  public:
   // --- Event queue ---------------------------------------------------------
@@ -70,11 +68,6 @@ class EventLoop {
 
   /// The earliest event, if any.
   std::optional<Event> peek() const;
-
-  /// Pops and returns the earliest event if its time is <= now; nullopt
-  /// when the queue is empty or everything lies in the future. Counts the
-  /// pop in events_processed().
-  std::optional<Event> pop_due(std::uint64_t now);
 
   // --- Global virtual clock ------------------------------------------------
   std::uint64_t now() const { return now_; }
@@ -93,8 +86,6 @@ class EventLoop {
   }
 
   // --- Accounting ----------------------------------------------------------
-  /// Events popped due.
-  std::uint64_t events_processed() const { return events_processed_; }
   /// Virtual ticks jumped over without executing.
   std::uint64_t ticks_skipped() const { return ticks_skipped_; }
 
@@ -131,7 +122,6 @@ class EventLoop {
   /// std::push_heap/pop_heap min-heap ordered by (at, kind, key).
   std::vector<Event> heap_;
   std::uint64_t now_ = 0;
-  std::uint64_t events_processed_ = 0;
   std::uint64_t ticks_skipped_ = 0;
   /// Wall-clock mode state (enable_wall_clock / poll_wait).
   bool wall_enabled_ = false;

@@ -25,10 +25,9 @@ std::size_t Peer::absorb_acquisitions() {
   const auto& log = recode_decoder_.acquisition_log();
   std::size_t fresh = 0;
   while (log_offset_ < log.size()) {
-    // A symbol's slot is its position in the log (and in symbol_ids_).
+    // A symbol's slot is its position in the log, i.e. in symbol_ids().
     const auto slot = static_cast<std::uint32_t>(log_offset_);
     const std::uint64_t id = log[log_offset_++];
-    symbol_ids_.push_back(id);
     sketch_.update(id % kSymbolIdUniverse);
     // Span feed: the block decoder copies the payload into its own solver;
     // no intermediate EncodedSymbol is materialized.
@@ -64,13 +63,13 @@ std::vector<std::uint8_t> Peer::content(std::size_t content_size) const {
 
 filter::BloomFilter Peer::bloom_summary(double bits_per_element) const {
   auto filter = filter::BloomFilter::with_bits_per_element(
-      std::max<std::size_t>(1, symbol_ids_.size()), bits_per_element);
-  filter.insert_all(symbol_ids_);
+      std::max<std::size_t>(1, symbol_count()), bits_per_element);
+  filter.insert_all(symbol_ids());
   return filter;
 }
 
 art::ReconciliationTree Peer::reconciliation_tree() const {
-  return art::ReconciliationTree(symbol_ids_);
+  return art::ReconciliationTree(symbol_ids());
 }
 
 art::ArtSummary Peer::art_summary(double leaf_bits_per_element,
@@ -122,7 +121,7 @@ void Peer::blend_recode(codec::RecodedSymbol& out, std::size_t domain_size,
   out.payload.clear();
   for (std::uint64_t& pick : out.constituents) {
     const std::uint32_t slot = slot_of(static_cast<std::size_t>(pick));
-    pick = symbol_ids_[slot];
+    pick = symbol_ids()[slot];
     codec::xor_into(out.payload, recode_decoder_.slot_payload(slot));
   }
   std::sort(out.constituents.begin(), out.constituents.end());
@@ -152,7 +151,7 @@ void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,
                        util::Xoshiro256& rng) const {
   // The whole working set is the domain, and index k of it is slot k.
   blend_recode(
-      out, symbol_ids_.size(),
+      out, symbol_count(),
       [](std::size_t k) { return static_cast<std::uint32_t>(k); }, degree,
       rng);
 }

@@ -63,8 +63,12 @@ class Peer {
   /// --- State -------------------------------------------------------------
 
   /// Distinct encoded symbols held (received or recovered).
-  std::size_t symbol_count() const { return symbol_ids_.size(); }
-  const std::vector<std::uint64_t>& symbol_ids() const { return symbol_ids_; }
+  std::size_t symbol_count() const { return symbol_ids().size(); }
+  /// Held symbol ids in acquisition order: the recode decoder's log, which
+  /// survives compact_on_complete.
+  const std::vector<std::uint64_t>& symbol_ids() const {
+    return recode_decoder_.acquisition_log();
+  }
   bool has_symbol(std::uint64_t id) const {
     return recode_decoder_.has_symbol(id);
   }
@@ -150,13 +154,13 @@ class Peer {
 
   /// --- Scale audit --------------------------------------------------------
 
-  /// Heap bytes this peer pins: both decoders, the sketch, the id set,
-  /// and any cached decoded blocks. The per-peer half of MemoryAudit.
+  /// Heap bytes this peer pins: both decoders (the recode decoder's
+  /// includes the symbol id log), the sketch, and any cached decoded
+  /// blocks. The per-peer half of MemoryAudit.
   std::size_t memory_bytes() const {
     std::size_t bytes = recode_decoder_.memory_bytes() +
                         block_decoder_.memory_bytes() +
-                        sketch_.memory_bytes() +
-                        symbol_ids_.capacity() * sizeof(std::uint64_t);
+                        sketch_.memory_bytes();
     if (decoded_blocks_) {
       for (const auto& block : *decoded_blocks_) bytes += block.capacity();
       bytes += decoded_blocks_->capacity() * sizeof(std::vector<std::uint8_t>);
@@ -202,7 +206,8 @@ class Peer {
   codec::RecodeDecoder recode_decoder_;
   codec::Decoder block_decoder_;
   sketch::MinwiseSketch sketch_;
-  std::vector<std::uint64_t> symbol_ids_;
+  /// Acquisitions already absorbed: the length of symbol_ids() the sketch
+  /// and block decoder have seen.
   std::size_t log_offset_ = 0;
   std::uint64_t next_fresh_id_;
   std::optional<std::vector<std::vector<std::uint8_t>>> decoded_blocks_;

@@ -151,32 +151,6 @@ std::vector<PlannedDownload> plan_peer_downloads(
                               target_symbols, session_seed_chain);
 }
 
-std::vector<std::size_t> balance_by_cost(
-    const std::vector<std::uint64_t>& cost, std::size_t shards) {
-  std::vector<std::size_t> assignment(cost.size(), 0);
-  if (shards <= 1) return assignment;
-  // Longest-processing-time: heaviest peers first (id ascending on ties,
-  // so the result is deterministic), each onto the currently least-loaded
-  // shard (lowest index on ties).
-  std::vector<std::size_t> order(cost.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&cost](std::size_t a, std::size_t b) {
-              if (cost[a] != cost[b]) return cost[a] > cost[b];
-              return a < b;
-            });
-  std::vector<std::uint64_t> load(shards, 0);
-  for (const std::size_t id : order) {
-    std::size_t lightest = 0;
-    for (std::size_t s = 1; s < shards; ++s) {
-      if (load[s] < load[lightest]) lightest = s;
-    }
-    assignment[id] = lightest;
-    load[lightest] += cost[id];
-  }
-  return assignment;
-}
-
 void run_refresh_loop(
     std::size_t peer_count, const DeliveryOptions& options,
     std::size_t target_symbols, std::uint64_t& session_seed_chain,

@@ -51,13 +51,6 @@ std::vector<PlannedDownload> plan_peer_downloads(
 codec::DegreeDistribution delivery_distribution(std::size_t content_size,
                                                 std::size_t block_size);
 
-/// Longest-processing-time assignment of per-peer costs to `shards` bins:
-/// peers in descending cost (id ascending on ties) each go to the
-/// currently lightest bin (lowest index on ties). Deterministic — the
-/// sharded engine's cost rebalance and its tests both call this.
-std::vector<std::size_t> balance_by_cost(
-    const std::vector<std::uint64_t>& cost, std::size_t shards);
-
 /// The full refresh loop, in the shape the historical trajectories pin:
 /// per peer in ascending order — teardown, skip if complete, snapshot
 /// *all* peers (an earlier peer's teardown tick may have grown its working

@@ -14,7 +14,6 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
     : content_(std::move(content)), options_(options),
       shards_(std::max<std::size_t>(1, shard_options.shards)),
       batch_budget_(shard_options.batch_budget),
-      rebalance_epochs_(shard_options.rebalance_epochs),
       shard_peers_(shards_),
       next_session_seed_(util::mix64(options.session_seed ^ 0x5e551075ULL)),
       faults_(options.faults) {
@@ -46,7 +45,6 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
   entry.origin_index = peers_.size() % origins_.size();
   peers_.push_back(std::move(entry));
   const std::size_t id = peers_.size() - 1;
-  shard_assignment_.push_back(id % shards_);
   shard_peers_[shard_of(id)].push_back(id);
   planner_.invalidate_all();
   return id;
@@ -74,15 +72,6 @@ void ShardedDelivery::release_pool_owners() {
 void ShardedDelivery::refresh_sessions() {
   planner_.invalidate_all();
   release_pool_owners();
-  // Cost rebalance rides the refresh boundary: every download is torn
-  // down below and recreated on its receiver's *new* shard, so no live
-  // link ever changes threads, and the refresh is already a planning
-  // barrier for the jump driver.
-  if (rebalance_epochs_ > 0 && refresh_count_ > 0 &&
-      refresh_count_ % rebalance_epochs_ == 0) {
-    rebalance_shards();
-  }
-  ++refresh_count_;
   // Tear down finished/stale sessions, then give every incomplete peer up
   // to max_peer_sessions downloads from admission-ranked senders (loop
   // shape, ranking, fallback and seed chain: session_plan).
@@ -225,7 +214,6 @@ void ShardedDelivery::phase_send(std::size_t shard) {
         download->sender.send_symbol();
       }
       if (batch_budget_ > 0) download->link.a().flush_batch();
-      entry.work_units += 1;
     }
   }
 }
@@ -243,14 +231,12 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
       entry.peer->receive_encoded(
           origins_[entry.origin_index]->encode(*entry.pending_origin_id));
       entry.pending_origin_id.reset();
-      entry.work_units += 1;
     }
     for (auto& [sender_id, download] : entry.downloads) {
       if (entry.peer->has_content()) break;
       download->receiver.advance_to(tick_now_);
       download->receiver.tick();
       if (batch_budget_ > 0) download->link.b().flush_batch();
-      entry.work_units += 1;
     }
   }
 }
@@ -482,33 +468,6 @@ ShardedDelivery::LinkTotals ShardedDelivery::link_totals() const {
 std::vector<std::uint64_t> ShardedDelivery::shard_busy_ns() const {
   if (!pool_) return {};
   return pool_->busy_ns();
-}
-
-void ShardedDelivery::rebalance_shards() {
-  // LPT over the deterministic work units (busy_ns is wall-machine noise;
-  // the assignment must be identical across runs). Callers guarantee a
-  // refresh boundary: every download is about to be torn down, so no live
-  // link changes shards under the new placement.
-  std::vector<std::uint64_t> cost(peers_.size(), 0);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    cost[i] = peers_[i].work_units;
-  }
-  shard_assignment_ = balance_by_cost(cost, shards_);
-  for (auto& owned : shard_peers_) owned.clear();
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    shard_peers_[shard_assignment_[i]].push_back(i);  // ascending
-  }
-  // Decay: half-life of one epoch, so placement tracks current load
-  // instead of being pinned by ancient history.
-  for (PeerEntry& entry : peers_) entry.work_units /= 2;
-}
-
-std::vector<std::uint64_t> ShardedDelivery::shard_cost_units() const {
-  std::vector<std::uint64_t> cost(shards_, 0);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    cost[shard_assignment_[i]] += peers_[i].work_units;
-  }
-  return cost;
 }
 
 MemoryAudit ShardedDelivery::memory_audit() const {

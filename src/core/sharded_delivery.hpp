@@ -50,9 +50,9 @@
 /// phases, where they may touch any shard's state.
 ///
 /// Determinism: a tick is a function of the state at its start, so a run
-/// is a function of the plan alone — neither the shard count (1 included)
-/// nor the placement of peers can change it. The trajectories are pinned
-/// by tests/golden/engine_trajectories.txt.
+/// is a function of the plan alone — the shard count (1 included), and
+/// with it the placement of peers, cannot change it. The trajectories are
+/// pinned by tests/golden/engine_trajectories.txt.
 ///
 /// `batch_budget` > 0 turns on per-tick control-frame batching on every
 /// link (wire::Transport::set_batch_budget), with the engine flushing each
@@ -66,16 +66,6 @@ struct ShardOptions {
   /// Control-frame batching budget in bytes per train (0 = off). Applied
   /// to every download link's two transports.
   std::size_t batch_budget = 0;
-  /// Cost-balanced peer placement: every `rebalance_epochs` refreshes the
-  /// coordinator reassigns peers to shards by measured per-peer work
-  /// (longest-processing-time over deterministic work units) instead of
-  /// the admission-time id % shards placement. 0 = off (historical).
-  /// Placement is semantics-free — every download runs the same two-phase
-  /// schedule on whichever shard owns its receiver — and the rebalance
-  /// runs at a refresh (itself a planning barrier, with every download
-  /// torn down), so per-peer results are bit-for-bit unchanged; only
-  /// which thread does the work moves.
-  std::size_t rebalance_epochs = 0;
 };
 
 class ShardedDelivery {
@@ -143,10 +133,9 @@ class ShardedDelivery {
     return origins_.front()->parameters();
   }
   std::size_t shards() const { return shards_; }
-  /// Current shard owning `peer_id`. Admission places id % shards; a
-  /// cost rebalance (ShardOptions::rebalance_epochs) may move it.
+  /// Shard owning `peer_id`: peers are placed round-robin by id.
   std::size_t shard_of(std::size_t peer_id) const {
-    return shard_assignment_[peer_id];
+    return peer_id % shards_;
   }
 
   /// Stats over currently active links only; resets to near zero after
@@ -165,12 +154,6 @@ class ShardedDelivery {
   const PlanningQueue::Stats& planner_stats() const {
     return planner_.stats();
   }
-  /// Deterministic per-shard service cost: the sum of the owned peers'
-  /// accumulated work units (halved at each rebalance so stale history
-  /// decays). The rebalance input, exposed for tests/benches; unlike
-  /// busy_ns it is identical across runs and machines.
-  std::vector<std::uint64_t> shard_cost_units() const;
-
   /// Cumulative per-shard worker thread-CPU nanoseconds (empty at
   /// shards = 1, which runs without a pool) and wall time spent inside the
   /// parallel phases — bench_delivery's critical-path scaling model.
@@ -191,10 +174,6 @@ class ShardedDelivery {
     /// thus the symbol-to-peer assignment — stays the coordinator's
     /// deterministic draw order.
     std::optional<std::uint64_t> pending_origin_id;
-    /// Deterministic service-cost accumulator (rebalance input): bumped by
-    /// the owning shard only — 1 per endpoint half run for one of its
-    /// downloads, 1 per origin apply.
-    std::uint64_t work_units = 0;
     /// Snapshot the phases read instead of cross-shard peer state.
     bool complete_at_tick_start = false;
     /// Down (crashed or stalled) under the fault plan this tick — written
@@ -241,13 +220,10 @@ class ShardedDelivery {
   /// until the barrier); the receive phase mutates only the iterated
   /// peer's own state (its origin apply, its receiver halves). No
   /// intra-tick ordering between peers can leak into results, so which
-  /// shard a peer lives on — and hence the shard count and the cost
-  /// rebalance — is a planning concern, not a semantics one.
+  /// shard a peer lives on — and hence the shard count — is a planning
+  /// concern, not a semantics one.
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
-  /// Reassigns peers to shards by accumulated work units (LPT); called at
-  /// a refresh boundary only, before the refresh loop rebuilds downloads.
-  void rebalance_shards();
   /// One peer's earliest upcoming event, re-keyed to the receiving peer
   /// id — the planner entry. nullopt for complete, down, or fully drained
   /// peers (a down peer is woken by the fault-boundary rebuild).
@@ -272,11 +248,6 @@ class ShardedDelivery {
   DeliveryOptions options_;
   std::size_t shards_;
   std::size_t batch_budget_;
-  std::size_t rebalance_epochs_;
-  /// Peer id -> owning shard (admission: id % shards; rebalance may move).
-  std::vector<std::size_t> shard_assignment_;
-  /// Refreshes executed (the rebalance epoch clock).
-  std::size_t refresh_count_ = 0;
   std::vector<std::unique_ptr<OriginServer>> origins_;
   std::vector<PeerEntry> peers_;
   /// Per shard: owned peer ids, ascending.

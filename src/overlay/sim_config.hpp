@@ -7,11 +7,9 @@
 /// Shared knobs for the Section 6 simulations.
 ///
 /// Per-edge wire behavior (loss, reordering, MTU, and the simulated-time
-/// delay/jitter/rate knobs) is not configured here but on the
-/// wire::ChannelConfig each harness takes alongside this struct —
-/// AdaptiveOverlayConfig::link / link_config for the overlay simulator,
-/// DeliveryOptions::link / link_config for the delivery engines; see
-/// DESIGN.md, "Time and scheduling model".
+/// delay/jitter/rate knobs) is not configured here but on a
+/// wire::ChannelConfig — DeliveryOptions::link / link_config for the
+/// delivery engine; see DESIGN.md, "Time and scheduling model".
 namespace icd::overlay {
 
 struct SimConfig {
@@ -47,25 +45,14 @@ struct SimConfig {
 
   std::uint64_t seed = 0x1cdc0de5eedULL;
 
-  /// Worker shards the tick engines partition work across (peers in the
-  /// adaptive-overlay simulator, senders in the multi-sender transfer
-  /// harnesses; core::ShardedDelivery takes the same knob through
+  /// Worker shards the multi-sender transfer harnesses partition senders
+  /// across (core::ShardedDelivery takes the same knob through
   /// ShardOptions). 1 = the single-threaded legacy path, bit-for-bit
   /// reproducing historical results. With more shards, runs are still
   /// deterministic for a fixed shard count (shard-local RNGs, no shared
   /// draws), but trajectories differ from the shards=1 sequence because
   /// the shared-RNG draw order is gone.
   std::size_t shards = 1;
-
-  /// Per-tick control-frame batching budget in bytes. Frame-carrying
-  /// engines pass it to wire::Transport::set_batch_budget (see
-  /// core::ShardOptions::batch_budget): handshake/sketch control streams
-  /// coalesce into trains of up to this size, one pooled buffer and one
-  /// datagram per train. The count-only adaptive-overlay simulator models
-  /// the same thing in its packet currency: the setup blobs a peer ships
-  /// to one neighbor pay packetization once for the concatenated stream
-  /// instead of per blob. 0 = off (historical accounting and framing).
-  std::size_t batch_budget = 0;
 
   /// Completion target in distinct symbols.
   std::size_t target() const {

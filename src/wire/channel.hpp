@@ -55,9 +55,9 @@ struct ChannelConfig {
   /// are sized to fit; control messages are packetized above this layer.
   std::size_t mtu = 1500;
   /// Loss/reorder randomness. Unset means "let the service pick": the
-  /// per-edge drivers (delivery, overlay simulator) substitute a fresh
-  /// decorrelating draw via with_edge_seed; a standalone channel falls
-  /// back to kDefaultChannelSeed. Any explicitly set value — including
+  /// delivery engine substitutes a fresh per-edge decorrelating draw via
+  /// with_edge_seed; a standalone channel falls back to
+  /// kDefaultChannelSeed. Any explicitly set value — including
   /// kDefaultChannelSeed itself — is honored verbatim.
   std::optional<std::uint64_t> seed;
 

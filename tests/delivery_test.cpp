@@ -2,11 +2,13 @@
 // delivery with origin mirrors, admission-controlled peer sessions, and
 // verification of reconstructed content. Every DeliveryService test runs
 // on the inline schedule (shards = 1) and on the two-phase multi-shard
-// schedule (shards = 2).
+// schedule (shards = 2). The AdaptiveOverlay suite gates the Section 2.1
+// claims (admission, loss, adaptation, reordering) on the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fault_plan.hpp"
@@ -332,6 +334,97 @@ TEST_P(DeliveryService, TicksAreCountedAndContentIsStable) {
   const auto first = service.peer_content(id);
   service.tick();  // extra ticks change nothing for completed peers
   EXPECT_EQ(service.peer_content(id), first);
+}
+
+// --- The Section 2.1 environment ---------------------------------------------
+// An overlay must cope with asynchrony, heterogeneity, transience and
+// adaptivity. These tests gate the qualitative claims on the engine: 8
+// peers (2 origin-fed) share 200 blocks of 64 B, and each claim compares
+// completion ticks summed over seeds 1-3. Shards = 1 suffices, because
+// ShardCountInvariance pins every shard count to the same trajectory.
+
+constexpr std::size_t kOverlayPeers = 8;
+
+DeliveryOptions overlay_options() {
+  DeliveryOptions options;
+  options.block_size = 64;
+  options.refresh_interval = 25;
+  options.max_peer_sessions = 2;
+  return options;
+}
+
+/// Uniformly random senders: a candidate sample no larger than the session
+/// cap, every candidate of which admission accepts.
+DeliveryOptions random_senders(DeliveryOptions options) {
+  options.admission_sample = options.max_peer_sessions;
+  options.admission.max_resemblance = 1.0;
+  return options;
+}
+
+/// Mean completion tick of one overlay run. Every peer must complete with
+/// the origin's content.
+double overlay_mean_completion(DeliveryOptions options, std::uint64_t seed) {
+  const auto content = random_content(64 * 200, seed);
+  options.session_seed = seed;
+  ShardedDelivery service(content, options);
+  for (std::size_t p = 0; p < kOverlayPeers; ++p) {
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 2);
+  }
+  EXPECT_TRUE(service.run(20000)) << "seed " << seed;
+  double total = 0;
+  for (std::size_t p = 0; p < kOverlayPeers; ++p) {
+    EXPECT_EQ(service.peer_content(p), content) << "seed " << seed;
+    total += static_cast<double>(service.peer_completion_tick(p));
+  }
+  return total / static_cast<double>(kOverlayPeers);
+}
+
+/// Mean completion ticks summed over seeds 1-3.
+double overlay_completion(const DeliveryOptions& options) {
+  double sum = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    sum += overlay_mean_completion(options, seed);
+  }
+  return sum;
+}
+
+TEST(AdaptiveOverlay, SketchAdmissionBeatsRandomSenders) {
+  // Ranking the whole pool by sketch novelty steers each receiver to the
+  // senders with the most content it lacks.
+  const double informed = overlay_completion(overlay_options());
+  const double random = overlay_completion(random_senders(overlay_options()));
+  EXPECT_LT(informed, random);
+}
+
+TEST(AdaptiveOverlay, LossSlowsButNeverBreaksDelivery) {
+  // 30% loss on every peer link: slower, yet every peer still completes.
+  auto lossy = overlay_options();
+  lossy.link.loss_rate = 0.3;
+  EXPECT_LT(overlay_completion(overlay_options()), overlay_completion(lossy));
+}
+
+TEST(AdaptiveOverlay, RefreshCadenceIsTheAdaptation) {
+  // Re-running admission often follows the swarm as working sets change;
+  // a slow cadence leaves receivers on stale senders.
+  auto stale = overlay_options();
+  stale.refresh_interval = 400;
+  EXPECT_LT(overlay_completion(overlay_options()), overlay_completion(stale));
+}
+
+TEST(AdaptiveOverlay, HeavyReorderingStillDelivers) {
+  // Every adjacent frame pair swaps, on untimed links and on links with a
+  // 2 +/- 1 tick delay (1 tick plus up to 2 of jitter).
+  auto untimed = overlay_options();
+  untimed.link.reorder_rate = 1.0;
+  auto delayed = untimed;
+  delayed.link.delay_ticks = 1;
+  delayed.link.jitter_ticks = 2;
+  for (const DeliveryOptions& options : {untimed, delayed}) {
+    SCOPED_TRACE(options.link.timed() ? "delayed" : "untimed");
+    overlay_completion(options);  // checks every peer's content
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Massive-swarm scale armor: the incremental PlanningQueue property-tested
 // against a naive full-rebuild reference, the jump ≡ lockstep full-engine
-// pin under loss + timing + faults with the queue in the loop, the
-// cost-balanced shard placement (results byte-identical, load provably
-// moved), sampled admission determinism, and the post-completion memory
-// budget (solver state released, bytes-per-peer bounded).
+// pin under loss + timing + faults with the queue in the loop, sampled
+// admission determinism, and the post-completion memory budget (solver
+// state released, bytes-per-peer bounded).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/event_loop.hpp"
-#include "core/session_plan.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 
@@ -190,90 +188,6 @@ TEST(ScalePlanner, ShardedJumpEqualsLockstepUnderLossTimingAndFaults) {
   // jump driver legitimately finds no empty gaps to skip — equality above
   // is the real assertion.
   EXPECT_GT(jumping.planner_stats().pops, 0u);
-}
-
-// --- Cost-balanced placement ------------------------------------------------
-
-TEST(ScaleBalance, BalanceByCostIsDeterministicLpt) {
-  const std::vector<std::uint64_t> cost = {100, 3, 3, 3, 3, 3, 3, 40};
-  const auto assignment = core::balance_by_cost(cost, 2);
-  ASSERT_EQ(assignment.size(), cost.size());
-  // Heaviest first onto the (lowest-index) empty bin.
-  EXPECT_EQ(assignment[0], 0u);
-  // Second-heaviest onto the other bin.
-  EXPECT_EQ(assignment[7], 1u);
-  // LPT keeps the spread tight: the light peers all pile opposite the
-  // hot one until loads cross.
-  std::vector<std::uint64_t> load(2, 0);
-  for (std::size_t i = 0; i < cost.size(); ++i) load[assignment[i]] += cost[i];
-  EXPECT_EQ(load[0] + load[1], 158u);
-  EXPECT_LE(std::max(load[0], load[1]) - std::min(load[0], load[1]), 42u);
-  // Deterministic, and shards=1 degenerates to all-zero.
-  EXPECT_EQ(assignment, core::balance_by_cost(cost, 2));
-  EXPECT_EQ(core::balance_by_cost(cost, 1),
-            std::vector<std::size_t>(cost.size(), 0));
-}
-
-TEST(ScaleBalance, RebalancePreservesResultsAndMovesLoad) {
-  const auto content = random_content(8 * 1024, 4242);
-  constexpr std::size_t kPeers = 8;
-  constexpr std::size_t kTicks = 1500;
-  core::DeliveryOptions delay_shaped;
-  delay_shaped.block_size = 128;
-  delay_shaped.session_seed = 21;
-  delay_shaped.refresh_interval = 30;
-  delay_shaped.link.delay_ticks = 1;
-  // Stochastic shaping: every loss draw comes from the download's own
-  // link, which runs on the receiver's shard wherever that is.
-  core::DeliveryOptions lossy = delay_shaped;
-  lossy.link.delay_ticks = 0;
-  lossy.link.loss_rate = 0.05;
-
-  for (const core::DeliveryOptions& options : {delay_shaped, lossy}) {
-    SCOPED_TRACE(options.link.timed() ? "delay-shaped" : "untimed 5% loss");
-    // Skew: peer 0 is the only origin-fed peer, so early refreshes route
-    // most downloads at it and its shard runs hot.
-    core::ShardedDelivery fixed(content, options, {.shards = 2});
-    core::ShardedDelivery balanced(content, options,
-                                   {.shards = 2, .rebalance_epochs = 1});
-    for (std::size_t p = 0; p < kPeers; ++p) {
-      fixed.add_peer("p" + std::to_string(p), p == 0);
-      balanced.add_peer("p" + std::to_string(p), p == 0);
-    }
-    fixed.run(kTicks);
-    balanced.run(kTicks);
-
-    // Placement is semantics-free: identical results, byte for byte.
-    for (std::size_t p = 0; p < fixed.peer_count(); ++p) {
-      ASSERT_EQ(fixed.peer_complete(p), balanced.peer_complete(p)) << p;
-      EXPECT_EQ(fixed.peer_completion_tick(p),
-                balanced.peer_completion_tick(p))
-          << p;
-      if (fixed.peer_complete(p)) {
-        EXPECT_EQ(fixed.peer_content(p), balanced.peer_content(p)) << p;
-      }
-    }
-    const auto fixed_totals = fixed.link_totals();
-    const auto balanced_totals = balanced.link_totals();
-    EXPECT_EQ(fixed_totals.control_bytes, balanced_totals.control_bytes);
-    EXPECT_EQ(fixed_totals.data_bytes, balanced_totals.data_bytes);
-
-    // The rebalance actually moved somebody off the admission placement...
-    bool moved = false;
-    for (std::size_t p = 0; p < balanced.peer_count(); ++p) {
-      if (balanced.shard_of(p) != p % balanced.shards()) moved = true;
-      EXPECT_EQ(fixed.shard_of(p), p % fixed.shards()) << p;
-    }
-    EXPECT_TRUE(moved);
-    // ...and the deterministic cost spread is no worse than the id%N
-    // placement's on the same (identical) workload.
-    auto spread = [](const std::vector<std::uint64_t>& cost) {
-      const auto [lo, hi] = std::minmax_element(cost.begin(), cost.end());
-      return *hi - *lo;
-    };
-    EXPECT_LE(spread(balanced.shard_cost_units()),
-              spread(fixed.shard_cost_units()));
-  }
 }
 
 // --- Sampled admission ------------------------------------------------------

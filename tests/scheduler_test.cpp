@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/endpoint.hpp"
@@ -48,59 +49,65 @@ std::uint16_t frame_tag(const std::vector<std::uint8_t>& frame) {
 // --- EventLoop --------------------------------------------------------------
 
 TEST(EventLoop, PopsInTimeKindKeyOrder) {
+  // Equal (time, key) pairs order by kind: origin feed before handshake
+  // retry before link service. After each head is read, the queue is
+  // rebuilt from the events still left, in alternating insertion order, so
+  // the heads must come out in (time, kind, key) order whatever the order
+  // of insertion.
+  std::vector<core::Event> left{{5, core::EventKind::kService, 2},
+                                {3, core::EventKind::kService, 9},
+                                {5, core::EventKind::kService, 1},
+                                {3, core::EventKind::kService, 4},
+                                {3, core::EventKind::kHandshakeRetry, 9},
+                                {3, core::EventKind::kOriginFeed, 9}};
   core::EventLoop loop;
-  loop.schedule(5, core::EventKind::kService, 2);
-  loop.schedule(3, core::EventKind::kService, 9);
-  loop.schedule(5, core::EventKind::kService, 1);
-  loop.schedule(3, core::EventKind::kService, 4);
-  // Equal (time, key) pairs order by kind: refresh before origin feed
-  // before link events — the intra-tick execution order.
-  loop.schedule(3, core::EventKind::kRefresh, 9);
-  loop.schedule(3, core::EventKind::kOriginFeed, 9);
-
   std::vector<std::pair<core::EventKind, std::uint64_t>> order;
-  while (auto event = loop.pop_due(10)) {
-    order.emplace_back(event->kind, event->key);
+  while (!left.empty()) {
+    loop.clear();
+    if (order.size() % 2 == 1) std::reverse(left.begin(), left.end());
+    for (const core::Event& event : left) {
+      loop.schedule(event.at, event.kind, event.key);
+    }
+    const auto head = loop.peek();
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(loop.size(), left.size());
+    order.emplace_back(head->kind, head->key);
+    left.erase(std::find_if(left.begin(), left.end(),
+                            [&head](const core::Event& event) {
+                              return event.at == head->at &&
+                                     event.kind == head->kind &&
+                                     event.key == head->key;
+                            }));
   }
   const std::vector<std::pair<core::EventKind, std::uint64_t>> expected{
-      {core::EventKind::kRefresh, 9},    {core::EventKind::kOriginFeed, 9},
+      {core::EventKind::kOriginFeed, 9}, {core::EventKind::kHandshakeRetry, 9},
       {core::EventKind::kService, 4},    {core::EventKind::kService, 9},
       {core::EventKind::kService, 1},    {core::EventKind::kService, 2}};
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(loop.events_processed(), expected.size());
-}
-
-TEST(EventLoop, PopDueLeavesFutureEventsQueued) {
-  core::EventLoop loop;
-  loop.schedule(7, core::EventKind::kService, 1);
-  loop.schedule(3, core::EventKind::kService, 2);
-  auto due = loop.pop_due(4);
-  ASSERT_TRUE(due.has_value());
-  EXPECT_EQ(due->key, 2u);
-  EXPECT_FALSE(loop.pop_due(4).has_value());  // key 1 due at 7
-  ASSERT_TRUE(loop.peek().has_value());
-  EXPECT_EQ(loop.peek()->at, 7u);
-  due = loop.pop_due(7);
-  ASSERT_TRUE(due.has_value());
-  EXPECT_EQ(due->key, 1u);
-  EXPECT_TRUE(loop.empty());
 }
 
 TEST(EventLoop, VirtualTimeIsMonotoneUnderRandomOps) {
-  // Property test: under arbitrary interleavings of schedule / pop /
-  // advance / skip, the global clock never moves backwards, due pops come
-  // out in nondecreasing (time, kind, key) order within a drain, and
-  // skip_to accounts exactly the ticks it jumped.
+  // Property test: under arbitrary interleavings of schedule / peek /
+  // advance / skip, the global clock never moves backwards, peek() returns
+  // the (time, kind, key) minimum of everything scheduled since the last
+  // clear, and skip_to accounts exactly the ticks it jumped.
   util::Xoshiro256 rng(0xfeed);
   core::EventLoop loop;
+  std::vector<core::Event> scheduled;
   std::uint64_t last_now = 0;
   std::uint64_t expected_skipped = 0;
+  const auto earlier = [](const core::Event& a, const core::Event& b) {
+    return std::tie(a.at, a.kind, a.key) < std::tie(b.at, b.kind, b.key);
+  };
   for (int step = 0; step < 2000; ++step) {
     const auto op = rng.next_below(4);
     if (op == 0) {
-      loop.schedule(loop.now() + rng.next_below(50),
-                    static_cast<core::EventKind>(rng.next_below(7)),
-                    rng.next_below(8));
+      const core::Event event{
+          loop.now() + rng.next_below(50),
+          static_cast<core::EventKind>(1 + rng.next_below(8)),
+          rng.next_below(8)};
+      loop.schedule(event.at, event.kind, event.key);
+      scheduled.push_back(event);
     } else if (op == 1) {
       loop.advance_to(loop.now() + rng.next_below(3));
     } else if (op == 2) {
@@ -108,21 +115,17 @@ TEST(EventLoop, VirtualTimeIsMonotoneUnderRandomOps) {
       if (target > loop.now()) expected_skipped += target - loop.now();
       loop.skip_to(target);
     } else {
-      std::uint64_t last_at = 0;
-      core::Event last_event{};
-      bool first = true;
-      while (auto event = loop.pop_due(loop.now())) {
-        EXPECT_LE(event->at, loop.now());
-        EXPECT_GE(event->at, last_at);
-        if (!first && event->at == last_event.at) {
-          EXPECT_TRUE(last_event.kind < event->kind ||
-                      (last_event.kind == event->kind &&
-                       last_event.key <= event->key));
-        }
-        last_at = event->at;
-        last_event = *event;
-        first = false;
+      const auto head = loop.peek();
+      ASSERT_EQ(head.has_value(), !scheduled.empty());
+      if (head) {
+        const core::Event least =
+            *std::min_element(scheduled.begin(), scheduled.end(), earlier);
+        EXPECT_EQ(std::tie(head->at, head->kind, head->key),
+                  std::tie(least.at, least.kind, least.key));
       }
+      loop.clear();
+      scheduled.clear();
+      EXPECT_TRUE(loop.empty());
     }
     EXPECT_GE(loop.now(), last_now) << "clock moved backwards";
     last_now = loop.now();

@@ -12,7 +12,6 @@
 
 #include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
-#include "overlay/simulator.hpp"
 #include "util/random.hpp"
 #include "wire/transport.hpp"
 
@@ -323,24 +322,6 @@ TEST(Batching, FourShardsWithBatchingDeliversEverywhere) {
   for (std::size_t p = 0; p < peers; ++p) {
     EXPECT_EQ(service.peer_content(p), content);
   }
-}
-
-TEST(Batching, OverlaySimulatorChargesCoalescedControlPackets) {
-  // SimConfig::batch_budget in the count-only simulator: same delivery
-  // trajectory (the data plane is untouched), fewer control packets (the
-  // per-connection setup blobs pay packetization once per train).
-  overlay::AdaptiveOverlayConfig config;
-  config.base.n = 200;
-  config.base.seed = 404;
-  config.peer_count = 8;
-  config.origin_fanout = 2;
-  config.max_rounds = 30000;
-  const auto plain = overlay::run_adaptive_overlay(config);
-  config.base.batch_budget = 4096;
-  const auto batched = overlay::run_adaptive_overlay(config);
-  EXPECT_EQ(plain.completion_round, batched.completion_round);
-  EXPECT_EQ(plain.transmissions, batched.transmissions);
-  EXPECT_LT(batched.control_packets, plain.control_packets);
 }
 
 // --- BufferPool shard-local ownership ---------------------------------------
