@@ -64,9 +64,9 @@ inline bool smoke_mode(int argc, char** argv) {
   return false;
 }
 
-/// Parses --shards N — the SimConfig::shards worker-pool knob shared by
-/// the delivery engine and the Section 6 harnesses. 1 (the bit-for-bit
-/// single-threaded path) when absent or unparsable.
+/// Parses --shards N — the delivery engine's worker-shard count
+/// (core::ShardOptions::shards). 1 (no worker pool) when absent or
+/// unparsable.
 inline std::size_t shards_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") != 0) continue;

@@ -11,11 +11,6 @@
 
 namespace {
 
-/// --shards N: SimConfig::shards for the transfer engine (a pair transfer
-/// degenerates to the serial path; the knob rides along for parity with
-/// fig7/8).
-std::size_t g_shards = 1;
-
 void run_scenario(const char* name, double stretch, double max_correlation) {
   using namespace icd;
   using namespace icd::bench;
@@ -39,7 +34,6 @@ void run_scenario(const char* name, double stretch, double max_correlation) {
             realized = scenario.correlation;
             overlay::SimConfig c = config;
             c.seed = seed ^ 0xf00d;
-            c.shards = g_shards;
             return overlay::run_pair_with_full_sender(scenario, strategy, c)
                 .speedup();
           });
@@ -53,8 +47,7 @@ void run_scenario(const char* name, double stretch, double max_correlation) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  g_shards = icd::bench::shards_arg(argc, argv);
+int main() {
   run_scenario("compact (1.1n distinct symbols)", icd::overlay::kCompactStretch,
                0.45);
   run_scenario("stretched (1.5n distinct symbols)",

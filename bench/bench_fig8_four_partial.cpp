@@ -10,9 +10,6 @@
 
 namespace {
 
-/// --shards N: produce each round's sender symbols on a worker pool.
-std::size_t g_shards = 1;
-
 void run_scenario(const char* name, double stretch, double max_correlation) {
   using namespace icd;
   using namespace icd::bench;
@@ -36,7 +33,6 @@ void run_scenario(const char* name, double stretch, double max_correlation) {
             realized = scenario.correlation;
             overlay::SimConfig c = config;
             c.seed = seed ^ 0xcafe;
-            c.shards = g_shards;
             return overlay::run_multi_transfer(scenario, strategy, c)
                 .speedup();
           });
@@ -50,8 +46,7 @@ void run_scenario(const char* name, double stretch, double max_correlation) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  g_shards = icd::bench::shards_arg(argc, argv);
+int main() {
   run_scenario("compact (1.1n distinct symbols)", icd::overlay::kCompactStretch,
                0.50);
   run_scenario("stretched (1.5n distinct symbols)",

@@ -161,24 +161,21 @@ void service_lanes(std::vector<std::unique_ptr<Lane>>& lanes,
 /// arrival, send credit, handshake retry) — where the jumping driver
 /// wakes next. nullopt = every lane is provably drained and satisfied.
 std::optional<std::uint64_t> next_lane_event(
-    std::vector<std::unique_ptr<Lane>>& lanes, core::EventLoop& loop,
-    std::uint64_t now, std::size_t hint) {
-  loop.clear();
-  const std::uint64_t next_tick = now + 1;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    Lane& lane = *lanes[k];
+    const std::vector<std::unique_ptr<Lane>>& lanes, std::uint64_t now,
+    std::size_t hint) {
+  std::optional<std::uint64_t> next;
+  for (const auto& lane : lanes) {
     core::LinkTimes times;
-    times.timed = lane.link.timed();
+    times.timed = lane->link.timed();
     if (times.timed) {
-      times.next_arrival = lane.link.next_event_time();
-      times.send_credit_at = lane.link.a_send_ready_at(hint);
+      times.next_arrival = lane->link.next_event_time();
+      times.send_credit_at = lane->link.a_send_ready_at(hint);
     }
-    core::schedule_download_events(loop, lane.sender, lane.receiver, times,
-                                   next_tick, k);
+    const auto due =
+        core::download_due_at(lane->sender, lane->receiver, times, now + 1);
+    if (due && (!next || *due < *next)) next = due;
   }
-  const auto next = loop.peek();
-  if (!next) return std::nullopt;
-  return std::max(next->at, next_tick);
+  return next;
 }
 
 /// Runs one scenario: `sender_sets` partial senders (plus a full sender
@@ -292,7 +289,7 @@ RunResult run_scenario(const BenchParams& params,
     // Event-loop mode: wake only when some lane has something to do. The
     // span in between is empty for every lane, so the trajectory — and
     // the completion tick — is identical to the lockstep loop's.
-    const auto next = next_lane_event(lanes, loop, now, hint);
+    const auto next = next_lane_event(lanes, now, hint);
     if (!next) {
       now = max_ticks;  // drained forever: lockstep idles to the cap
       break;

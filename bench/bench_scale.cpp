@@ -1,6 +1,6 @@
-// Scale curve for the delivery engines: swarm sizes 1k / 10k / 100k through
-// the sharded engine with sampled admission and the incremental planning
-// queue. Emits BENCH_scale.json.
+// Scale curve for the delivery engine: swarm sizes 1k / 10k / 100k through
+// the sharded engine with sampled admission and per-peer jump planning.
+// Emits BENCH_scale.json.
 //
 // Per swarm size the harness reports:
 //   * peers_per_sec_per_core — admitted peers divided by wall-clock seconds
@@ -8,9 +8,9 @@
 //     figure);
 //   * peer_ticks_per_sec_per_core — peer-ticks of simulation work per
 //     second per shard (throughput independent of completion time);
-//   * queue_ops_per_tick — incremental planning-queue operations per
-//     executed tick (the rebuild-per-tick regression guard: ops stay
-//     near the number of *changed* keys, not the swarm size);
+//   * plans_per_tick — peers holding a planned tick after each executed
+//     tick, summed and divided by the ticks (the receive phase plans
+//     every peer, so this is at most the swarm size);
 //   * bytes_per_peer — the engine's memory audit at the end of the run
 //     (decoders + endpoints + links over admitted peers).
 //
@@ -59,7 +59,7 @@ struct ScalePoint {
   std::size_t completed = 0;
   bool all_complete = false;
   double seconds = 0.0;
-  double queue_ops_per_tick = 0.0;
+  double plans_per_tick = 0.0;
   double bytes_per_peer = 0.0;
   std::vector<std::size_t> completion_ticks;
   std::uint64_t data_bytes = 0;
@@ -91,7 +91,7 @@ ScalePoint run_swarm(const std::vector<std::uint8_t>& content,
   }
   point.all_complete = point.completed == peers;
   if (point.ticks > 0) {
-    point.queue_ops_per_tick =
+    point.plans_per_tick =
         static_cast<double>(service.planner_stats().ops()) /
         static_cast<double>(point.ticks);
   }
@@ -112,10 +112,10 @@ void report_point(bench::JsonReport& report, const std::string& tag,
       static_cast<double>(point.peers) * static_cast<double>(point.ticks) /
       denom;
   std::printf("%8zu peers: %7.2fs %4zu ticks  %10.0f peers/s/core  "
-              "%12.0f peer-ticks/s/core  %7.1f q-ops/tick  %8.0f B/peer  "
+              "%12.0f peer-ticks/s/core  %7.1f plans/tick  %8.0f B/peer  "
               "completed %zu/%zu\n",
               point.peers, point.seconds, point.ticks, peers_per_sec_per_core,
-              peer_ticks_per_sec_per_core, point.queue_ops_per_tick,
+              peer_ticks_per_sec_per_core, point.plans_per_tick,
               point.bytes_per_peer, point.completed, point.peers);
   report.add("scale_" + tag + "_peers", point.peers);
   report.add("scale_" + tag + "_ticks", point.ticks);
@@ -124,8 +124,7 @@ void report_point(bench::JsonReport& report, const std::string& tag,
              peers_per_sec_per_core);
   report.add("scale_" + tag + "_peer_ticks_per_sec_per_core",
              peer_ticks_per_sec_per_core);
-  report.add("scale_" + tag + "_queue_ops_per_tick",
-             point.queue_ops_per_tick);
+  report.add("scale_" + tag + "_plans_per_tick", point.plans_per_tick);
   report.add("scale_" + tag + "_bytes_per_peer", point.bytes_per_peer);
   report.add("scale_" + tag + "_completed",
              point.all_complete ? std::size_t{1} : std::size_t{0});

@@ -167,9 +167,9 @@ class ReceiverEndpoint {
   }
 
   /// The virtual tick at which the sender-liveness timeout expires if the
-  /// link stays silent — the kLivenessProbe event. nullopt when liveness
-  /// is disabled, outside transfer, already satisfied, already flagged,
-  /// or on the call-counting clock (no virtual baseline).
+  /// link stays silent — a jumping driver must wake for it. nullopt when
+  /// liveness is disabled, outside transfer, already satisfied, already
+  /// flagged, or on the call-counting clock (no virtual baseline).
   std::optional<std::uint64_t> liveness_due_at() const {
     if (options_.liveness_timeout_ticks == 0 ||
         phase_ != EndpointPhase::kTransfer || sender_suspect_ ||

@@ -13,9 +13,9 @@
 /// A FaultPlan is a declarative schedule of membership and link faults —
 /// peer crashes, stalls, restarts, flash-crowd joins, and link blackout
 /// windows — expressed in virtual ticks. Every driver (lockstep, jumped,
-/// any shard count) honors one plan identically: fault boundaries are
-/// kPeerFault events in the cross-tick planning (so run_until's jump stops
-/// exactly on them), fault *application* happens at the top of the tick on
+/// any shard count) honors one plan identically: run_until folds the next
+/// fault boundary into its jump target (so the jump stops on it), fault
+/// *application* happens at the top of the tick on
 /// the coordinator in ascending peer order, and all fault machinery is
 /// strictly inert when no plan is set — every historical trajectory is
 /// bit-for-bit unchanged.
@@ -90,8 +90,8 @@ struct FaultPlan {
                    std::uint64_t tick) const;
 
   /// Earliest fault boundary strictly after `tick` (crash/restart/join
-  /// ticks, stall and blackout window edges) — the kPeerFault planning
-  /// event that keeps jumped runs lockstep-identical across boundaries.
+  /// ticks, stall and blackout window edges) — the planning barrier that
+  /// keeps jumped runs lockstep-identical across boundaries.
   std::optional<std::uint64_t> next_boundary_after(std::uint64_t tick) const;
 };
 
@@ -123,9 +123,11 @@ struct SessionResult {
 /// The mutable fault bookkeeping the engine embeds: a cursor over the
 /// plan's scheduled membership events (so each fires exactly once, at the
 /// top of the first executed tick at or past its time) and the suspect
-/// set fed by liveness expiries and handshake exhaustion. All calls are
-/// coordinator-side; the phase workers only read the per-tick snapshots
-/// the engine takes from it.
+/// set fed by liveness expiries and handshake exhaustion. Every mutating
+/// call (apply_until, mark_suspect) is coordinator-side, between pool
+/// runs. The phase workers read only the immutable plan: down() and
+/// active() while they plan their peers, besides the per-tick snapshots
+/// the engine takes.
 class FaultTracker {
  public:
   FaultTracker() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/event_loop.hpp"
 #include "core/session_plan.hpp"
 #include "util/hash.hpp"
 
@@ -13,7 +14,6 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
                                  ShardOptions shard_options)
     : content_(std::move(content)), options_(options),
       shards_(std::max<std::size_t>(1, shard_options.shards)),
-      batch_budget_(shard_options.batch_budget),
       shard_peers_(shards_),
       next_session_seed_(util::mix64(options.session_seed ^ 0x5e551075ULL)),
       faults_(options.faults) {
@@ -46,14 +46,7 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
   peers_.push_back(std::move(entry));
   const std::size_t id = peers_.size() - 1;
   shard_peers_[shard_of(id)].push_back(id);
-  planner_.invalidate_all();
   return id;
-}
-
-void ShardedDelivery::flush_batches(DownloadLink& download) {
-  if (batch_budget_ == 0) return;
-  download.link.a().flush_batch();
-  download.link.b().flush_batch();
 }
 
 void ShardedDelivery::release_pool_owners() {
@@ -70,7 +63,6 @@ void ShardedDelivery::release_pool_owners() {
 }
 
 void ShardedDelivery::refresh_sessions() {
-  planner_.invalidate_all();
   release_pool_owners();
   // Tear down finished/stale sessions, then give every incomplete peer up
   // to max_peer_sessions downloads from admission-ranked senders (loop
@@ -111,14 +103,9 @@ void ShardedDelivery::refresh_sessions() {
         auto download = std::make_unique<DownloadLink>(
             *peers_[planned.sender_id].peer, *peers_[me].peer,
             planned.session, planned.link);
-        if (batch_budget_ > 0) {
-          download->link.a().set_batch_budget(batch_budget_);
-          download->link.b().set_batch_budget(batch_budget_);
-        }
         // The handshake itself flows over the link and completes across
         // subsequent ticks.
         download->receiver.start();
-        if (batch_budget_ > 0) download->link.b().flush_batch();
         peers_[me].downloads.emplace(planned.sender_id,
                                      std::move(download));
       });
@@ -128,14 +115,9 @@ void ShardedDelivery::refresh_sessions() {
 }
 
 void ShardedDelivery::teardown_download(DownloadLink& download) {
-  // Ship pending control trains first so their bytes are accounted, then
-  // deliver frames still in flight and bank the link's costs. The
-  // teardown tick may batch a retry bundle; ship that too so the retiring
-  // link's accounting matches the unbatched engine.
-  flush_batches(download);
+  // Deliver frames still in flight, then bank the link's costs.
   download.link.flush();
   download.receiver.tick();
-  flush_batches(download);
   accumulate_link(download, retired_link_totals_);
 }
 
@@ -145,7 +127,6 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
       /*on_crash=*/
       [this](std::size_t peer) {
         if (peer >= peers_.size()) return;
-        planner_.invalidate_all();
         // Coordinator stands in for the shard threads during the
         // teardown ticks; the workers are parked between pool runs.
         release_pool_owners();
@@ -168,7 +149,9 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
 
 void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
   bool any_erased = false;
-  for (PeerEntry& entry : peers_) {
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    PeerEntry& entry = peers_[i];
+    bool erased_here = false;
     for (auto it = entry.downloads.begin(); it != entry.downloads.end();) {
       const ReceiverEndpoint& receiver = it->second->receiver;
       if (!receiver.failed() && !receiver.sender_suspect()) {
@@ -177,7 +160,7 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
       }
       if (!any_erased) release_pool_owners();
       any_erased = true;
-      planner_.invalidate_all();
+      erased_here = true;
       const auto reason = receiver.failed()
                               ? FailedPeer::Reason::kHandshakeExhausted
                               : FailedPeer::Reason::kLivenessTimeout;
@@ -186,6 +169,9 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
       faults_.mark_suspect(it->first, now + suspect_ttl());
       it = entry.downloads.erase(it);
     }
+    // The teardown drain may have completed the receiver, and its plan
+    // must no longer count the erased downloads.
+    if (erased_here) entry.next_due = plan_peer(i, now);
   }
   if (any_erased) release_pool_owners();
 }
@@ -213,7 +199,6 @@ void ShardedDelivery::phase_send(std::size_t shard) {
            download->link.a_send_ready_at(hint) <= tick_now_)) {
         download->sender.send_symbol();
       }
-      if (batch_budget_ > 0) download->link.a().flush_batch();
     }
   }
 }
@@ -226,18 +211,23 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
   // ascending sender order.
   for (const std::size_t id : shard_peers_[shard]) {
     PeerEntry& entry = peers_[id];
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
-    if (entry.pending_origin_id) {
-      entry.peer->receive_encoded(
-          origins_[entry.origin_index]->encode(*entry.pending_origin_id));
-      entry.pending_origin_id.reset();
+    if (!entry.complete_at_tick_start && !entry.faulted_at_tick_start) {
+      if (entry.pending_origin_id) {
+        entry.peer->receive_encoded(
+            origins_[entry.origin_index]->encode(*entry.pending_origin_id));
+        entry.pending_origin_id.reset();
+      }
+      for (auto& [sender_id, download] : entry.downloads) {
+        if (entry.peer->has_content()) break;
+        download->receiver.advance_to(tick_now_);
+        download->receiver.tick();
+      }
     }
-    for (auto& [sender_id, download] : entry.downloads) {
-      if (entry.peer->has_content()) break;
-      download->receiver.advance_to(tick_now_);
-      download->receiver.tick();
-      if (batch_budget_ > 0) download->link.b().flush_batch();
-    }
+    // Plan every peer, serviced or not, where its state now sits. Before
+    // run_until folds the plans only the failure sweep touches a plan's
+    // inputs, and it re-plans; later faults and refreshes fall on ticks
+    // the fold stops at, which plan again.
+    entry.next_due = plan_peer(id, tick_now_ + 1);
   }
 }
 
@@ -300,6 +290,7 @@ std::size_t ShardedDelivery::tick() {
   if (failure_detection_enabled()) sweep_failed_downloads(ticks_);
 
   std::size_t completed_now = 0;
+  earliest_due_.reset();
   for (PeerEntry& entry : peers_) {
     if (!entry.complete_at_tick_start && entry.peer->has_content()) {
       ++completed_now;
@@ -307,24 +298,29 @@ std::size_t ShardedDelivery::tick() {
     if (entry.completed_tick == 0 && entry.peer->has_content()) {
       entry.completed_tick = ticks_;
     }
+    if (entry.next_due) {
+      ++planner_stats_.pushes;
+      if (!earliest_due_ || *entry.next_due < *earliest_due_) {
+        earliest_due_ = entry.next_due;
+      }
+    }
   }
-  loop_.advance_to(ticks_);
   return completed_now;
 }
 
-std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
-                                                       std::uint64_t now) {
-  PeerEntry& entry = peers_[i];
+std::optional<std::uint64_t> ShardedDelivery::plan_peer(
+    std::size_t i, std::uint64_t now) const {
+  const PeerEntry& entry = peers_[i];
   if (entry.peer->has_content()) return std::nullopt;
-  // A down peer is frozen until a fault boundary wakes it — every
-  // boundary forces a full planner rebuild, never a per-link event.
+  // A down peer is frozen until a fault boundary wakes it; the fold stops
+  // at every boundary, never at a per-link time.
   if (faults_.active() && faults_.down(i, now)) return std::nullopt;
   // The origin fountain streams one symbol per tick to an incomplete
   // subscriber: every tick is an event while one exists.
-  if (entry.origin_fed) return Event{now, EventKind::kOriginFeed, i};
+  if (entry.origin_fed) return now;
   const std::size_t hint = data_frame_bytes_hint(options_.block_size);
-  plan_scratch_.clear();
-  for (auto& [sender_id, download] : entry.downloads) {
+  std::optional<std::uint64_t> due;
+  for (const auto& [sender_id, download] : entry.downloads) {
     LinkTimes times;
     times.timed = download->link.timed();
     times.sender_down = faults_.active() && faults_.down(sender_id, now);
@@ -332,80 +328,30 @@ std::optional<Event> ShardedDelivery::plan_peer_events(std::size_t i,
       times.next_arrival = download->link.next_event_time();
       times.send_credit_at = download->link.a_send_ready_at(hint);
     }
-    schedule_download_events(plan_scratch_, download->sender,
-                             download->receiver, times, now, sender_id);
+    const auto at =
+        download_due_at(download->sender, download->receiver, times, now);
+    if (!at) continue;
+    if (*at == now) return now;  // nothing can be earlier
+    if (!due || *at < *due) due = at;
   }
-  const auto first = plan_scratch_.peek();
-  if (!first) return std::nullopt;
-  // Re-keyed to the receiving peer: the planner holds one entry per peer,
-  // and only the entry's time feeds the jump target.
-  return Event{first->at, first->kind, i};
+  return due;
 }
 
-void ShardedDelivery::replan_peer(std::size_t i, std::uint64_t now) {
-  const char incomplete = peers_[i].peer->has_content() ? 0 : 1;
-  if (plan_incomplete_[i] != incomplete) {
-    plan_incomplete_[i] = incomplete;
-    if (incomplete) {
-      ++incomplete_peers_;
-    } else {
-      --incomplete_peers_;
-    }
-  }
-  planner_.set(i, plan_peer_events(i, now));
-}
-
-std::optional<std::uint64_t> ShardedDelivery::next_event_time() {
-  // Coordinator-only, between pool runs: the workers are parked, so every
-  // shard's links and endpoints may be inspected (not mutated) here.
-  // Incremental planning: one live entry per peer; full rebuilds only
-  // when the download graph changed shape (refresh, crash, sweep, join), a
-  // fault boundary fell in the planning gap (a stall window edge flips
-  // down() with no callback), or blackout windows exist (they mutate link
-  // delivery without touching planned state); otherwise only the peers
-  // whose entries came due are replanned.
+std::uint64_t ShardedDelivery::next_event_time() const {
   const std::uint64_t now = ticks_;
-  planner_.ensure_keys(peers_.size());
-  if (plan_incomplete_.size() < peers_.size()) {
-    plan_incomplete_.resize(peers_.size(), 0);
-  }
-  bool full = planner_.pending_full() || faults_.any_blackouts();
-  if (!full && faults_.active()) {
-    const auto boundary = faults_.next_boundary_after(planned_through_);
-    if (boundary && *boundary <= now) full = true;
-  }
-  if (full) {
-    planner_.begin_rebuild();
-    incomplete_peers_ = 0;
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      plan_incomplete_[i] = peers_[i].peer->has_content() ? 0 : 1;
-      incomplete_peers_ += static_cast<std::size_t>(plan_incomplete_[i]);
-      planner_.set(i, plan_peer_events(i, now));
-    }
-  } else {
-    plan_due_scratch_.clear();
-    planner_.take_due(now, plan_due_scratch_);
-    for (const std::uint64_t key : plan_due_scratch_) {
-      replan_peer(key, now);
-    }
-  }
-  planned_through_ = now;
-  if (incomplete_peers_ == 0 && !faults_.pending_joins()) return std::nullopt;
-  std::optional<std::uint64_t> at;
-  if (const auto next = planner_.peek()) at = next->at;
-  // Fault boundaries are planning barriers: the jump never crosses a
-  // crash/restart/join tick or a stall/blackout window edge, so jumped and
-  // lockstep runs apply faults at identical ticks.
-  if (faults_.active()) {
-    if (const auto boundary = faults_.next_boundary_after(now)) {
-      at = at ? std::min(*at, *boundary) : *boundary;
-    }
-  }
   const std::size_t interval =
       std::max<std::size_t>(1, options_.refresh_interval);
-  const std::uint64_t refresh = ((now + interval - 1) / interval) * interval;
-  at = at ? std::min(*at, refresh) : refresh;
-  return std::max(*at, now);
+  std::uint64_t at = ((now + interval - 1) / interval) * interval;
+  if (earliest_due_) at = std::min(at, *earliest_due_);
+  // Fault boundaries after `now` are planning barriers: the jump never
+  // crosses a crash/restart/join tick or a stall/blackout window edge, so
+  // jumped and lockstep runs apply those faults at identical ticks. A
+  // boundary at `now` itself is not folded in (a known gap for joins; see
+  // DESIGN.md, "Failure model").
+  if (const auto boundary = faults_.next_boundary_after(now)) {
+    at = std::min(at, *boundary);
+  }
+  return std::max(at, now);
 }
 
 bool ShardedDelivery::run(std::size_t max_ticks) {
@@ -420,11 +366,10 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
     // Jump straight to the next tick at which anything can happen —
     // sharded ticks barrier only at event times; the span in between
     // would have been all-shard no-ops.
-    if (const auto next = next_event_time()) {
-      const std::uint64_t target = std::min<std::uint64_t>(*next, deadline);
-      loop_.skip_to(target);
-      ticks_ = target;
-    }
+    const std::uint64_t target =
+        std::min<std::uint64_t>(next_event_time(), deadline);
+    ticks_skipped_ += target - ticks_;
+    ticks_ = target;
   }
   return all_finished();
 }

@@ -11,7 +11,6 @@
 
 #include "core/delivery.hpp"
 #include "core/endpoint.hpp"
-#include "core/event_loop.hpp"
 #include "core/fault_plan.hpp"
 #include "core/origin.hpp"
 #include "core/peer.hpp"
@@ -53,19 +52,12 @@
 /// is a function of the plan alone — the shard count (1 included), and
 /// with it the placement of peers, cannot change it. The trajectories are
 /// pinned by tests/golden/engine_trajectories.txt.
-///
-/// `batch_budget` > 0 turns on per-tick control-frame batching on every
-/// link (wire::Transport::set_batch_budget), with the engine flushing each
-/// endpoint's train at its tick boundary.
 namespace icd::core {
 
 struct ShardOptions {
   /// Worker shards. 1 = run the two phases on the caller's thread (no
   /// pool); the trajectory is the same at every count.
   std::size_t shards = 1;
-  /// Control-frame batching budget in bytes per train (0 = off). Applied
-  /// to every download link's two transports.
-  std::size_t batch_budget = 0;
 };
 
 class ShardedDelivery {
@@ -91,8 +83,9 @@ class ShardedDelivery {
   /// the virtual clock reaches `deadline`. With
   /// DeliveryOptions::jump_empty_ticks set it executes only ticks at which
   /// an event (refresh, origin feed, frame arrival, send credit, handshake
-  /// retry, fault boundary) can occur; the jump happens on the coordinator
-  /// between pool runs, where it owns all state. Returns true when
+  /// retry, fault boundary) can occur: the minimum of the per-peer plans
+  /// the receive phase stored, the next fault boundary and the next
+  /// refresh, taken on the coordinator between pool runs. Returns true when
   /// everyone finished: every peer holds the content and no scheduled join
   /// is still to come.
   bool run_until(std::uint64_t deadline);
@@ -128,7 +121,7 @@ class ShardedDelivery {
   /// no per-tick event queue to count. Kept for callers that report it.
   std::uint64_t events_processed() const { return 0; }
   /// Virtual ticks run_until() jumped over without executing.
-  std::uint64_t ticks_skipped() const { return loop_.ticks_skipped(); }
+  std::uint64_t ticks_skipped() const { return ticks_skipped_; }
   const codec::CodeParameters& parameters() const {
     return origins_.front()->parameters();
   }
@@ -150,10 +143,17 @@ class ShardedDelivery {
   /// Per-peer memory audit across decoders, endpoints and links (scale
   /// budget). Coordinator-only, between ticks.
   MemoryAudit memory_audit() const;
-  /// Incremental planning-queue counters (run_until's jump planner).
-  const PlanningQueue::Stats& planner_stats() const {
-    return planner_.stats();
-  }
+  /// Jump-planner counters. The names exist for perfbench, which reads
+  /// them (as with events_processed()): `pushes` counts the peers holding
+  /// a planned tick after each executed tick. Per-peer plans are never
+  /// stale and never rebuilt, so the other two read 0.
+  struct PlannerStats {
+    std::uint64_t pushes = 0;
+    std::uint64_t stale_skipped = 0;
+    std::uint64_t full_rebuilds = 0;
+    std::uint64_t ops() const { return pushes; }
+  };
+  const PlannerStats& planner_stats() const { return planner_stats_; }
   /// Cumulative per-shard worker thread-CPU nanoseconds (empty at
   /// shards = 1, which runs without a pool) and wall time spent inside the
   /// parallel phases — bench_delivery's critical-path scaling model.
@@ -180,6 +180,10 @@ class ShardedDelivery {
     /// by the coordinator prologue, read by the phase workers (the pool
     /// barrier orders the handoff).
     bool faulted_at_tick_start = false;
+    /// This peer's plan: the earliest tick >= the next one at which it has
+    /// work (plan_peer). Written by the owning shard at the end of each
+    /// receive phase, and by the failure sweep for receivers it touched.
+    std::optional<std::uint64_t> next_due;
     /// Virtual tick of first completion (0 = incomplete).
     std::size_t completed_tick = 0;
     /// Download sessions abandoned for this receiver (diagnostics).
@@ -197,7 +201,8 @@ class ShardedDelivery {
   /// parked): downloads whose receiver flagged its sender suspect
   /// (liveness) or exhausted its retry budget are torn down, recorded in
   /// failed_peers, and the sender marked suspect for admission. Runs only
-  /// when liveness/retry bounding is enabled.
+  /// when liveness/retry bounding is enabled. Re-plans every receiver it
+  /// erased a download from.
   void sweep_failed_downloads(std::uint64_t now);
   /// Graceful single-download teardown shared by refresh, crash, and the
   /// failure sweep: flush in-flight frames, final receiver drain, bank
@@ -221,33 +226,29 @@ class ShardedDelivery {
   /// peer's own state (its origin apply, its receiver halves). No
   /// intra-tick ordering between peers can leak into results, so which
   /// shard a peer lives on — and hence the shard count — is a planning
-  /// concern, not a semantics one.
+  /// concern, not a semantics one. The receive phase also plans each of
+  /// its peers, serviced or not (PeerEntry::next_due).
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
-  /// One peer's earliest upcoming event, re-keyed to the receiving peer
-  /// id — the planner entry. nullopt for complete, down, or fully drained
-  /// peers (a down peer is woken by the fault-boundary rebuild).
-  std::optional<Event> plan_peer_events(std::size_t i, std::uint64_t now);
-  /// Re-derives one peer's planner entry and incomplete accounting.
-  void replan_peer(std::size_t i, std::uint64_t now);
+  /// The earliest tick >= `now` at which peer i has work: `now` for an
+  /// origin-fed peer (the fountain streams every tick), else the earliest
+  /// download_due_at over its downloads. nullopt for complete, down, or
+  /// fully drained peers (a down peer wakes at a fault boundary). Reads
+  /// only the peer's own downloads and the immutable fault plan, so its
+  /// owning shard may call it inside a phase.
+  std::optional<std::uint64_t> plan_peer(std::size_t i,
+                                         std::uint64_t now) const;
   /// The earliest virtual tick >= ticks_ at which a lockstep tick would
-  /// not be a no-op: the next refresh, an origin feed (every tick while a
-  /// fed peer is incomplete), a fault boundary, or any active download's
-  /// next frame arrival / send credit / handshake retry. nullopt when
-  /// every peer is complete. Served by the incremental planner: only peers
-  /// whose stored entry came due (or a structural invalidation) are
-  /// replanned; stored entries with at >= now are exactly what a full
-  /// rebuild would plan (see DESIGN.md, "Scale model"). Inspected by the
-  /// coordinator while the workers are parked.
-  std::optional<std::uint64_t> next_event_time();
-  void flush_batches(DownloadLink& download);
+  /// not be a no-op: the earliest per-peer plan folded by the last tick,
+  /// the next fault boundary, or the next refresh. Called by run_until
+  /// right after a tick, while the workers are parked.
+  std::uint64_t next_event_time() const;
   static void accumulate_link(const DownloadLink& download,
                               LinkTotals& totals);
 
   std::vector<std::uint8_t> content_;
   DeliveryOptions options_;
   std::size_t shards_;
-  std::size_t batch_budget_;
   std::vector<std::unique_ptr<OriginServer>> origins_;
   std::vector<PeerEntry> peers_;
   /// Per shard: owned peer ids, ascending.
@@ -259,26 +260,15 @@ class ShardedDelivery {
   std::uint64_t next_session_seed_;
   LinkTotals retired_link_totals_;
   /// Fault bookkeeping (inert when options_.faults is null). Mutated on
-  /// the coordinator only; the phases read per-tick snapshots instead.
+  /// the coordinator only; the phases read per-tick snapshots and, while
+  /// planning, the immutable plan (down()).
   FaultTracker faults_;
-  /// Coordinator event loop: global clock and jump accounting.
-  EventLoop loop_;
-  /// Incremental cross-tick planning queue: one live entry per peer (its
-  /// earliest upcoming event), lazily invalidated by stamp. Structural
-  /// changes — session refresh, fault application, failure sweep,
-  /// membership change — call invalidate_all() so the next round rebuilds
-  /// fully; otherwise only due keys are replanned.
-  PlanningQueue planner_;
-  /// Scratch queue plan_peer_events builds one peer's events into.
-  EventLoop plan_scratch_;
-  /// Keys handed back by PlanningQueue::take_due each planning round.
-  std::vector<std::uint64_t> plan_due_scratch_;
-  /// The `now` of the last planning round (fault-boundary gap detection).
-  std::uint64_t planned_through_ = 0;
-  /// Per-peer incompleteness mirror + count, so planning needn't rescan
-  /// every peer to decide whether the swarm is done.
-  std::vector<char> plan_incomplete_;
-  std::size_t incomplete_peers_ = 0;
+  /// Virtual ticks run_until jumped over without executing.
+  std::uint64_t ticks_skipped_ = 0;
+  /// The minimum of every peer's next_due, folded by the last tick's
+  /// epilogue (nullopt: no peer has work planned).
+  std::optional<std::uint64_t> earliest_due_;
+  PlannerStats planner_stats_;
   /// Present only when shards > 1.
   std::optional<util::ShardPool> pool_;
   std::function<void(std::size_t)> send_fn_;

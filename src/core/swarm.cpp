@@ -634,27 +634,25 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
       break;
     }
 
-    // Plan the wake-up: the next virtual event among this node's halves —
-    // the next data-budget tick, an unfinished handshake's retry deadline,
-    // a backlogged transmit — then sleep in poll until it is due or a
-    // socket turns readable.
-    loop.clear();
+    // Plan the wake-up: the next tick at which one of this node's halves
+    // has work — the next data-budget tick, an unfinished handshake's
+    // retry deadline, a backlogged transmit — capped so the loop never
+    // parks long, then sleep in poll until it is due or a socket turns
+    // readable.
+    std::uint64_t due = now + 64;
     for (const auto& half : halves) {
-      if (half.sender && half.sender->transfer_active() &&
-          half.sender->symbols_sent() < half.quota) {
-        loop.schedule(now + 1, EventKind::kSendCredit, half.edge_index);
+      if ((half.sender && half.sender->transfer_active() &&
+           half.sender->symbols_sent() < half.quota) ||
+          !half.transport->tx_idle()) {
+        due = std::min(due, now + 1);
       }
       if (half.receiver && !half.receiver->transfer_started() &&
           !half.receiver->failed()) {
         const auto retry = half.receiver->retry_due_at();
-        loop.schedule(std::max(retry.value_or(now + 1), now + 1),
-                      EventKind::kHandshakeRetry, half.edge_index);
-      }
-      if (!half.transport->tx_idle()) {
-        loop.schedule(now + 1, EventKind::kService, half.edge_index);
+        due = std::min(due, std::max(retry.value_or(now + 1), now + 1));
       }
     }
-    loop.poll_wait(/*max_wait_ticks=*/64);
+    loop.poll_wait(due);
   }
 
   // Teardown grace: flush any transmit backlog so the last datagrams the

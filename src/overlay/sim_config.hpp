@@ -45,15 +45,6 @@ struct SimConfig {
 
   std::uint64_t seed = 0x1cdc0de5eedULL;
 
-  /// Worker shards the multi-sender transfer harnesses partition senders
-  /// across (core::ShardedDelivery takes the same knob through
-  /// ShardOptions). 1 = the single-threaded legacy path, bit-for-bit
-  /// reproducing historical results. With more shards, runs are still
-  /// deterministic for a fixed shard count (shard-local RNGs, no shared
-  /// draws), but trajectories differ from the shards=1 sequence because
-  /// the shared-RNG draw order is gone.
-  std::size_t shards = 1;
-
   /// Completion target in distinct symbols.
   std::size_t target() const {
     const auto t = static_cast<std::size_t>(

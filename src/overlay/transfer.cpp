@@ -1,11 +1,7 @@
 #include "overlay/transfer.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-
-#include "util/hash.hpp"
-#include "util/shard_pool.hpp"
 
 namespace icd::overlay {
 
@@ -151,49 +147,13 @@ TransferResult run_multi_transfer(const MultiScenario& scenario,
     senders.push_back(std::move(sender));
   }
 
-  // Sharded production: with config.shards > 1 the senders' symbol
-  // selection (the recode/XOR-free but sampling-heavy part of a round)
-  // runs on a worker pool, each sender with its own derived RNG; the
-  // receiver still absorbs serially in sender order, so results are
-  // deterministic for a fixed shard count. shards = 1 keeps the historical
-  // shared-RNG loop bit for bit.
-  std::optional<util::ShardPool> pool;
-  std::vector<util::Xoshiro256> sender_rngs;
-  std::vector<Transmission> produced;
-  if (config.shards > 1 && senders.size() > 1) {
-    pool.emplace(std::min(config.shards, senders.size()));
-    for (std::size_t s = 0; s < senders.size(); ++s) {
-      sender_rngs.emplace_back(
-          util::mix64(config.seed ^ (0x9e3779b97f4a7c15ULL * (s + 1))));
-    }
-    produced.resize(senders.size());
-  }
-
-  // Built once, not once per round (std::function conversion allocates).
-  const std::function<void(std::size_t)> produce_sharded =
-      [&](std::size_t shard) {
-        for (std::size_t s = shard; s < senders.size();
-             s += pool->shards()) {
-          produced[s] = senders[s].produce(sender_rngs[s]);
-        }
-      };
-
   const std::size_t start = receiver.symbol_count();
   const std::size_t cap = result.needed * config.max_transmission_factor;
   while (receiver.symbol_count() < target && result.rounds < cap) {
-    if (!pool) {
-      for (SenderNode& sender : senders) {
-        receiver.apply(sender.produce(rng));
-        ++result.transmissions;
-        if (receiver.symbol_count() >= target) break;
-      }
-    } else {
-      pool->run(produce_sharded);
-      for (std::size_t s = 0; s < senders.size(); ++s) {
-        receiver.apply(produced[s]);
-        ++result.transmissions;
-        if (receiver.symbol_count() >= target) break;
-      }
+    for (SenderNode& sender : senders) {
+      receiver.apply(sender.produce(rng));
+      ++result.transmissions;
+      if (receiver.symbol_count() >= target) break;
     }
     ++result.rounds;
   }

@@ -7,7 +7,8 @@
 // wall-clock. Every case is replayed on ShardedDelivery at shards = 1 and
 // at shards = 2, each lockstep (jump_empty_ticks = false) and with the
 // event-loop jump; all four runs must reproduce its line exactly, which
-// pins the single-threaded run to the pooled one.
+// pins the single-threaded run to the pooled one. The two shard counts
+// must also end on the same tick with the same ticks skipped.
 //
 // The lines were recorded from the 2-shard engine (lockstep and jumped
 // agreed) while shards = 1 still ran a separate inline schedule; the
@@ -278,8 +279,16 @@ std::vector<GoldenCase> golden_cases() {
 
 // --- Replay -----------------------------------------------------------------
 
+/// One replayed case: its rendered line plus the clock it ended on and the
+/// ticks the jump skipped on the way there.
+struct Replay {
+  std::string line;
+  std::size_t ticks = 0;
+  std::uint64_t ticks_skipped = 0;
+};
+
 /// Runs one case on a fresh engine and renders its line.
-std::string replay(const GoldenCase& c, bool jump, std::size_t shards) {
+Replay replay(const GoldenCase& c, bool jump, std::size_t shards) {
   core::DeliveryOptions options = c.options;
   options.jump_empty_ticks = jump;
   core::ShardedDelivery engine(c.content, options, core::ShardOptions{shards});
@@ -316,7 +325,7 @@ std::string replay(const GoldenCase& c, bool jump, std::size_t shards) {
     }
     line << (p ? "," : "") << hash;
   }
-  return line.str();
+  return Replay{line.str(), engine.ticks(), engine.ticks_skipped()};
 }
 
 /// Golden lines keyed by case name ('#' comments and blank lines skipped).
@@ -347,11 +356,19 @@ TEST(EngineGolden, EveryCaseHasALineAndEveryLineACase) {
   }
 }
 
-void expect_replays(bool jump) {
+/// Replays every case at shards 1 and 2 against its golden line. Both
+/// shard counts must also end on the same tick having skipped the same
+/// ticks: each shard plans its own peers, so the jump targets are pinned
+/// across shard counts, not only the trajectories. Returns the ticks
+/// skipped over all cases at shards = 1.
+std::uint64_t expect_replays(bool jump) {
   const auto golden = load_golden();
+  std::uint64_t skipped = 0;
   for (const auto& c : golden_cases()) {
+    std::vector<Replay> runs;
     for (const std::size_t shards : {1u, 2u}) {
-      const std::string line = replay(c, jump, shards);
+      runs.push_back(replay(c, jump, shards));
+      const std::string& line = runs.back().line;
       const auto it = golden.find(c.name);
       if (it == golden.end()) {
         ADD_FAILURE() << "no golden line for " << c.name << "; recomputed:\n"
@@ -363,15 +380,20 @@ void expect_replays(bool jump) {
           << " diverged; recomputed:\n"
           << line;
     }
+    EXPECT_EQ(runs[0].ticks, runs[1].ticks) << c.name;
+    EXPECT_EQ(runs[0].ticks_skipped, runs[1].ticks_skipped) << c.name;
+    skipped += runs[0].ticks_skipped;
   }
+  return skipped;
 }
 
 TEST(EngineGolden, LockstepRunsReproduceEveryLine) {
-  expect_replays(/*jump=*/false);
+  EXPECT_EQ(expect_replays(/*jump=*/false), 0u);
 }
 
 TEST(EngineGolden, JumpedRunsReproduceEveryLine) {
-  expect_replays(/*jump=*/true);
+  // Some case must actually jump, or the shard-count pin above is vacuous.
+  EXPECT_GT(expect_replays(/*jump=*/true), 0u);
 }
 
 }  // namespace

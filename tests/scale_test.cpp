@@ -1,18 +1,13 @@
-// Massive-swarm scale armor: the incremental PlanningQueue property-tested
-// against a naive full-rebuild reference, the jump ≡ lockstep full-engine
-// pin under loss + timing + faults with the queue in the loop, sampled
+// Massive-swarm scale armor: the jump ≡ lockstep full-engine pin under
+// loss + timing + faults with the per-peer planner in the loop, sampled
 // admission determinism, and the post-completion memory budget (solver
 // state released, bytes-per-peer bounded).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <memory>
-#include <optional>
-#include <tuple>
+#include <string>
 #include <vector>
 
-#include "core/event_loop.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 
@@ -27,105 +22,7 @@ std::vector<std::uint8_t> random_content(std::size_t size,
   return content;
 }
 
-// --- PlanningQueue vs naive rebuilt reference -------------------------------
-
-/// The reference the incremental queue must be indistinguishable from: a
-/// plain per-key table, re-scanned from scratch on every operation.
-struct NaivePlanner {
-  std::vector<std::optional<core::Event>> live;
-
-  std::optional<core::Event> peek() const {
-    std::optional<core::Event> best;
-    for (const auto& event : live) {
-      if (!event) continue;
-      if (!best || std::tie(event->at, event->kind, event->key) <
-                       std::tie(best->at, best->kind, best->key)) {
-        best = event;
-      }
-    }
-    return best;
-  }
-
-  std::vector<std::uint64_t> take_due(std::uint64_t now) {
-    std::vector<std::uint64_t> out;
-    while (true) {
-      const auto best = peek();
-      if (!best || best->at >= now) break;
-      out.push_back(best->key);
-      live[best->key].reset();
-    }
-    return out;
-  }
-};
-
-TEST(PlanningQueue, MatchesNaiveRebuildReferenceOnRandomScripts) {
-  constexpr std::size_t kKeys = 48;
-  const std::array<core::EventKind, 4> kinds = {
-      core::EventKind::kOriginFeed, core::EventKind::kFrameArrival,
-      core::EventKind::kSendCredit, core::EventKind::kService};
-  for (std::uint64_t seed : {11ULL, 2026ULL, 0xfeedULL}) {
-    util::Xoshiro256 rng(seed);
-    core::PlanningQueue queue;
-    queue.ensure_keys(kKeys);
-    NaivePlanner naive;
-    naive.live.resize(kKeys);
-    std::uint64_t now = 0;
-    // First round is always a full build (pending_full starts true), as
-    // the engines do it: begin_rebuild + set every key.
-    auto rebuild = [&] {
-      queue.begin_rebuild();
-      for (std::size_t k = 0; k < kKeys; ++k) queue.set(k, naive.live[k]);
-    };
-    rebuild();
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint64_t op = rng.next_below(100);
-      if (op < 55) {
-        // Replace a key's entry (the replan path).
-        const std::uint64_t key = rng.next_below(kKeys);
-        const core::Event event{now + rng.next_below(40),
-                                kinds[rng.next_below(kinds.size())], key};
-        queue.set(key, event);
-        naive.live[key] = event;
-      } else if (op < 70) {
-        // Key goes planless (complete / down / drained).
-        const std::uint64_t key = rng.next_below(kKeys);
-        queue.set(key, std::nullopt);
-        naive.live[key].reset();
-      } else if (op < 90) {
-        // Advance time and pop everything due: identical keys in
-        // identical (at, kind, key) order is the whole contract.
-        now += rng.next_below(12);
-        std::vector<std::uint64_t> got;
-        queue.take_due(now, got);
-        ASSERT_EQ(got, naive.take_due(now)) << "seed " << seed << " step "
-                                            << step << " now " << now;
-      } else if (op < 95) {
-        // Engine-side invalidation (refresh / fault / membership).
-        queue.invalidate_all();
-        ASSERT_TRUE(queue.pending_full());
-        rebuild();
-      }
-      const auto queue_peek = queue.peek();
-      const auto naive_peek = naive.peek();
-      ASSERT_EQ(queue_peek.has_value(), naive_peek.has_value());
-      if (queue_peek) {
-        ASSERT_EQ(queue_peek->at, naive_peek->at);
-        ASSERT_EQ(queue_peek->kind, naive_peek->kind);
-        ASSERT_EQ(queue_peek->key, naive_peek->key);
-      }
-    }
-    // The script exercised the lazy-invalidation machinery, not a
-    // degenerate path: entries were pushed, popped, skimmed, and the
-    // garbage bound forced compactions.
-    EXPECT_GT(queue.stats().pushes, 0u);
-    EXPECT_GT(queue.stats().pops, 0u);
-    EXPECT_GT(queue.stats().stale_skipped, 0u);
-    EXPECT_GT(queue.stats().full_rebuilds, 0u);
-    EXPECT_GT(queue.stats().ops(), queue.stats().pushes);
-  }
-}
-
-// --- Full-engine pin: jump ≡ lockstep with the incremental planner ----------
+// --- Full-engine pin: jump ≡ lockstep with the per-peer planner -------------
 
 core::DeliveryOptions timed_faulted_options() {
   core::DeliveryOptions options;
@@ -183,11 +80,10 @@ TEST(ScalePlanner, ShardedJumpEqualsLockstepUnderLossTimingAndFaults) {
   EXPECT_EQ(lock_totals.data_bytes, jump_totals.data_bytes);
   EXPECT_EQ(lock_totals.control_frames, jump_totals.control_frames);
   EXPECT_EQ(lock_totals.data_frames, jump_totals.data_frames);
-  // The incremental queue was in the loop (incremental rounds, not
-  // rebuild-every-tick). This scenario feeds origins every tick, so the
-  // jump driver legitimately finds no empty gaps to skip — equality above
-  // is the real assertion.
-  EXPECT_GT(jumping.planner_stats().pops, 0u);
+  // The per-peer planner was in the loop. This scenario feeds origins
+  // every tick, so the jump driver legitimately finds no empty gaps to
+  // skip — equality above is the real assertion.
+  EXPECT_GT(jumping.planner_stats().pushes, 0u);
 }
 
 // --- Sampled admission ------------------------------------------------------

@@ -1,6 +1,6 @@
 // Simulated-time scheduling: the LossyChannel virtual clock (RTT, jitter
 // distributions, multi-hop residency, per-hop token-bucket rate limits),
-// the EventLoop (time, kind, key) queue and its global clock, closed-loop
+// the EventLoop's global clock and jump accounting, closed-loop
 // flow control (Request re-issue stops senders at satisfaction), and the
 // jumping-vs-lockstep trajectory equality gates under timed, lossy,
 // reordering links, with and without faults.
@@ -10,7 +10,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/endpoint.hpp"
@@ -48,85 +47,27 @@ std::uint16_t frame_tag(const std::vector<std::uint8_t>& frame) {
 
 // --- EventLoop --------------------------------------------------------------
 
-TEST(EventLoop, PopsInTimeKindKeyOrder) {
-  // Equal (time, key) pairs order by kind: origin feed before handshake
-  // retry before link service. After each head is read, the queue is
-  // rebuilt from the events still left, in alternating insertion order, so
-  // the heads must come out in (time, kind, key) order whatever the order
-  // of insertion.
-  std::vector<core::Event> left{{5, core::EventKind::kService, 2},
-                                {3, core::EventKind::kService, 9},
-                                {5, core::EventKind::kService, 1},
-                                {3, core::EventKind::kService, 4},
-                                {3, core::EventKind::kHandshakeRetry, 9},
-                                {3, core::EventKind::kOriginFeed, 9}};
-  core::EventLoop loop;
-  std::vector<std::pair<core::EventKind, std::uint64_t>> order;
-  while (!left.empty()) {
-    loop.clear();
-    if (order.size() % 2 == 1) std::reverse(left.begin(), left.end());
-    for (const core::Event& event : left) {
-      loop.schedule(event.at, event.kind, event.key);
-    }
-    const auto head = loop.peek();
-    ASSERT_TRUE(head.has_value());
-    EXPECT_EQ(loop.size(), left.size());
-    order.emplace_back(head->kind, head->key);
-    left.erase(std::find_if(left.begin(), left.end(),
-                            [&head](const core::Event& event) {
-                              return event.at == head->at &&
-                                     event.kind == head->kind &&
-                                     event.key == head->key;
-                            }));
-  }
-  const std::vector<std::pair<core::EventKind, std::uint64_t>> expected{
-      {core::EventKind::kOriginFeed, 9}, {core::EventKind::kHandshakeRetry, 9},
-      {core::EventKind::kService, 4},    {core::EventKind::kService, 9},
-      {core::EventKind::kService, 1},    {core::EventKind::kService, 2}};
-  EXPECT_EQ(order, expected);
-}
-
 TEST(EventLoop, VirtualTimeIsMonotoneUnderRandomOps) {
-  // Property test: under arbitrary interleavings of schedule / peek /
-  // advance / skip, the global clock never moves backwards, peek() returns
-  // the (time, kind, key) minimum of everything scheduled since the last
-  // clear, and skip_to accounts exactly the ticks it jumped.
+  // Property test: under arbitrary interleavings of advance and skip, the
+  // global clock never moves backwards and skip_to accounts exactly the
+  // ticks it jumped.
   util::Xoshiro256 rng(0xfeed);
   core::EventLoop loop;
-  std::vector<core::Event> scheduled;
   std::uint64_t last_now = 0;
   std::uint64_t expected_skipped = 0;
-  const auto earlier = [](const core::Event& a, const core::Event& b) {
-    return std::tie(a.at, a.kind, a.key) < std::tie(b.at, b.kind, b.key);
-  };
   for (int step = 0; step < 2000; ++step) {
-    const auto op = rng.next_below(4);
-    if (op == 0) {
-      const core::Event event{
-          loop.now() + rng.next_below(50),
-          static_cast<core::EventKind>(1 + rng.next_below(8)),
-          rng.next_below(8)};
-      loop.schedule(event.at, event.kind, event.key);
-      scheduled.push_back(event);
-    } else if (op == 1) {
+    if (rng.next_below(2) == 0) {
       loop.advance_to(loop.now() + rng.next_below(3));
-    } else if (op == 2) {
+    } else {
       const std::uint64_t target = loop.now() + rng.next_below(20);
       if (target > loop.now()) expected_skipped += target - loop.now();
       loop.skip_to(target);
-    } else {
-      const auto head = loop.peek();
-      ASSERT_EQ(head.has_value(), !scheduled.empty());
-      if (head) {
-        const core::Event least =
-            *std::min_element(scheduled.begin(), scheduled.end(), earlier);
-        EXPECT_EQ(std::tie(head->at, head->kind, head->key),
-                  std::tie(least.at, least.kind, least.key));
-      }
-      loop.clear();
-      scheduled.clear();
-      EXPECT_TRUE(loop.empty());
     }
+    // A target behind the clock moves nothing and counts nothing.
+    const std::uint64_t before = loop.now();
+    loop.advance_to(before > 0 ? before - 1 : 0);
+    loop.skip_to(before > 0 ? before - 1 : 0);
+    EXPECT_EQ(loop.now(), before);
     EXPECT_GE(loop.now(), last_now) << "clock moved backwards";
     last_now = loop.now();
   }
@@ -717,9 +658,10 @@ void drive_lockstep_past_faults(core::ShardedDelivery& service,
 }
 
 TEST(EventLoopEngine, ShardedJumpMatchesLockstepWithFaultsEnabled) {
-  // The event-loop jump must land exactly on every fault boundary
-  // (kPeerFault planning events) — a jump that overshot a crash tick or a
-  // blackout edge would diverge from the lockstep trajectory immediately.
+  // The event-loop jump must land exactly on every fault boundary (the
+  // jump target folds in the next one) — a jump that overshot a crash
+  // tick or a blackout edge would diverge from the lockstep trajectory
+  // immediately.
   const auto content = random_content(64 * 40, 47);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     core::ShardedDelivery lockstep(content, faulty_options(),

@@ -1,7 +1,7 @@
 // Sharded delivery engine: determinism contract (every shard count, 1
 // included, gives one identical trajectory), multi-shard swarm correctness
 // (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
-// and the per-tick control-frame batching layer.
+// and the transport's per-tick control-frame batching layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -281,47 +281,6 @@ TEST(Batching, DataSendFlushesPendingControlFirst) {
   auto second = pipe.b().receive();
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(std::holds_alternative<wire::EncodedSymbolMessage>(*second));
-}
-
-TEST(Batching, ShardedDeliveryWithBatchingMatchesUnbatchedTrajectory) {
-  // On perfect links, batching changes datagram count but neither bytes
-  // nor protocol behavior: same completion ticks, same control bytes,
-  // fewer control frames.
-  const auto content = random_content(64 * 60, 26);
-  const std::size_t peers = 5;
-  core::ShardedDelivery plain(content, small_options(),
-                              core::ShardOptions{/*shards=*/1});
-  core::ShardedDelivery batched(
-      content, small_options(),
-      core::ShardOptions{/*shards=*/1, /*batch_budget=*/4096});
-  for (std::size_t p = 0; p < peers; ++p) {
-    plain.add_peer("p" + std::to_string(p), p < 2);
-    batched.add_peer("p" + std::to_string(p), p < 2);
-  }
-  EXPECT_EQ(drive(plain, peers, 6000), drive(batched, peers, 6000));
-  const auto plain_totals = plain.link_totals();
-  const auto batched_totals = batched.link_totals();
-  EXPECT_EQ(batched_totals.control_bytes, plain_totals.control_bytes);
-  EXPECT_EQ(batched_totals.data_bytes, plain_totals.data_bytes);
-  EXPECT_LT(batched_totals.control_frames, plain_totals.control_frames);
-  for (std::size_t p = 0; p < peers; ++p) {
-    EXPECT_EQ(batched.peer_content(p), content);
-  }
-}
-
-TEST(Batching, FourShardsWithBatchingDeliversEverywhere) {
-  const auto content = random_content(64 * 50, 27);
-  const std::size_t peers = 8;
-  core::ShardedDelivery service(
-      content, small_options(),
-      core::ShardOptions{/*shards=*/4, /*batch_budget=*/2048});
-  for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 2);
-  }
-  ASSERT_TRUE(service.run(8000));
-  for (std::size_t p = 0; p < peers; ++p) {
-    EXPECT_EQ(service.peer_content(p), content);
-  }
 }
 
 // --- BufferPool shard-local ownership ---------------------------------------

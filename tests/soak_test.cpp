@@ -3,8 +3,9 @@
 // completion inside a wall-clock watchdog with zero failed sessions and a
 // bounded per-peer memory footprint. This is the scale tentpole's
 // endurance gate — sampled admission keeps refreshes O(n * sample), the
-// incremental planner keeps empty spans cheap, and the completion-time
-// scratch releases keep 10k finished peers from pinning solver state.
+// jump over empty spans costs nothing per skipped tick, and the
+// completion-time scratch releases keep 10k finished peers from pinning
+// solver state.
 #include <gtest/gtest.h>
 
 #include <chrono>
