@@ -18,8 +18,7 @@ AdmissionDecision evaluate_candidate(const sketch::MinwiseSketch& receiver,
   const double containment = sketch::containment_from_resemblance(
       decision.resemblance, receiver_size, candidate.working_set_size);
   decision.novelty = 1.0 - containment;
-  decision.admitted = decision.resemblance <= policy.max_resemblance &&
-                      decision.novelty >= policy.min_novelty;
+  decision.admitted = decision.resemblance <= policy.max_resemblance;
   return decision;
 }
 
@@ -32,11 +31,10 @@ AdmissionPolicy relax_policy_for_need(const AdmissionPolicy& policy,
                     : 1.0;
   need = std::clamp(need, 0.0, 1.0);
   AdmissionPolicy relaxed = policy;
-  // need -> 0 (near complete): cutoff -> 1, novelty floor -> 0.
+  // need -> 0 (near complete): cutoff -> 1.
   // need -> 1 (nothing yet):   the strict policy, unchanged.
   relaxed.max_resemblance =
       policy.max_resemblance + (1.0 - policy.max_resemblance) * (1.0 - need);
-  relaxed.min_novelty = policy.min_novelty * need;
   return relaxed;
 }
 
@@ -67,26 +65,6 @@ std::vector<std::size_t> select_senders(
     selected.push_back(s.id);
   }
   return selected;
-}
-
-double estimate_group_overlap(
-    const std::vector<const sketch::MinwiseSketch*>& group) {
-  if (group.size() < 2) return 0.0;
-  for (const auto* sketch : group) {
-    if (sketch == nullptr) {
-      throw std::invalid_argument("estimate_group_overlap: null sketch");
-    }
-  }
-  // Average pairwise resemblance, each pair estimated from the sketches.
-  double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    for (std::size_t j = i + 1; j < group.size(); ++j) {
-      total += sketch::MinwiseSketch::resemblance(*group[i], *group[j]);
-      ++pairs;
-    }
-  }
-  return total / static_cast<double>(pairs);
 }
 
 }  // namespace icd::core

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "sketch/minwise.hpp"
@@ -28,9 +27,6 @@ struct AdmissionPolicy {
   /// Reject candidates whose estimated resemblance to the receiver exceeds
   /// this ("reject candidate senders whose content is identical").
   double max_resemblance = 0.95;
-  /// Reject candidates that rate to supply fewer than this fraction of
-  /// novel symbols (estimated 1 - containment of candidate in receiver).
-  double min_novelty = 0.0;
 };
 
 struct AdmissionDecision {
@@ -47,14 +43,14 @@ AdmissionDecision evaluate_candidate(const sketch::MinwiseSketch& receiver,
                                      const AdmissionPolicy& policy);
 
 /// Starvation relaxation: when strict admission rejects every candidate,
-/// the cutoffs relax in proportion to how *little* the receiver still
+/// the cutoff relaxes in proportion to how *little* the receiver still
 /// needs. Near the end of a download every candidate resembles the
 /// receiver above max_resemblance while still holding the few novel
 /// symbols it lacks — so as the remaining need `needed / target` shrinks,
-/// max_resemblance relaxes toward 1 and min_novelty scales down with the
-/// need. A peer with most of the download ahead keeps (nearly) the strict
-/// policy: senders that look identical to it genuinely offer nothing, and
-/// relaxing for them would admit useless sessions.
+/// max_resemblance relaxes toward 1. A peer with most of the download
+/// ahead keeps (nearly) the strict policy: senders that look identical to
+/// it genuinely offer nothing, and relaxing for them would admit useless
+/// sessions.
 AdmissionPolicy relax_policy_for_need(const AdmissionPolicy& policy,
                                       std::size_t needed_symbols,
                                       std::size_t target_symbols);
@@ -68,11 +64,5 @@ std::vector<std::size_t> select_senders(const sketch::MinwiseSketch& receiver,
                                         const std::vector<CandidateSender>& candidates,
                                         const AdmissionPolicy& policy,
                                         std::size_t max_senders);
-
-/// Estimated overlap of a *group* of candidates with each other, computed
-/// from sketches alone via coordinate-wise-min union combination — the
-/// paper's "to estimate the overlap of a third peer's working set C with
-/// the combined working set A ∪ B can be done with v(A), v(B), and v(C)".
-double estimate_group_overlap(const std::vector<const sketch::MinwiseSketch*>& group);
 
 }  // namespace icd::core

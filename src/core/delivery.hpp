@@ -29,18 +29,10 @@ struct DeliveryOptions {
   std::size_t max_peer_sessions = 2;
   /// Re-run admission control and rebuild sessions every this many ticks.
   std::size_t refresh_interval = 50;
+  /// Sender admission at every refresh: each incomplete receiver ranks
+  /// its candidates by sketch novelty and keeps the top max_peer_sessions
+  /// (see select_senders and core/session_plan.hpp).
   AdmissionPolicy admission;
-  /// Complementary sender-group selection (end of Section 4: "overlay
-  /// management may explicitly avoid connecting nodes with identical
-  /// content"). When set, planning ranks the *whole* admitted pool and
-  /// then picks the max_peer_sessions group greedily, anchored at the
-  /// most novel candidate and at each step adding the candidate that
-  /// minimizes estimate_group_overlap of the group so far — so two
-  /// near-identical senders are demoted in favor of a complementary one
-  /// even when each looks equally novel against the receiver alone. Off
-  /// by default: the historical plan (top novelty ranks, input order on
-  /// ties) stays bit-for-bit.
-  bool overlap_aware_selection = false;
   /// Massive-swarm admission: when nonzero, each refresh plans every
   /// receiver against a deterministic sample of this many candidate
   /// senders (seeded rejection draws off the session seed chain) instead

@@ -44,11 +44,11 @@ bool FaultPlan::blackout_at(std::size_t sender, std::size_t receiver,
   return false;
 }
 
-std::optional<std::uint64_t> FaultPlan::next_boundary_after(
+std::optional<std::uint64_t> FaultPlan::next_boundary_from(
     std::uint64_t tick) const {
   std::optional<std::uint64_t> next;
   const auto consider = [&](std::uint64_t at) {
-    if (at > tick) next = next ? std::min(*next, at) : at;
+    if (at >= tick) next = next ? std::min(*next, at) : at;
   };
   for (const Crash& crash : crashes) consider(crash.at);
   for (const Restart& restart : restarts) consider(restart.at);

@@ -89,10 +89,10 @@ struct FaultPlan {
   bool blackout_at(std::size_t sender, std::size_t receiver,
                    std::uint64_t tick) const;
 
-  /// Earliest fault boundary strictly after `tick` (crash/restart/join
+  /// Earliest fault boundary at or after `tick` (crash/restart/join
   /// ticks, stall and blackout window edges) — the planning barrier that
   /// keeps jumped runs lockstep-identical across boundaries.
-  std::optional<std::uint64_t> next_boundary_after(std::uint64_t tick) const;
+  std::optional<std::uint64_t> next_boundary_from(std::uint64_t tick) const;
 };
 
 /// One abandoned download session: the engine gave up on `peer` at `tick`
@@ -189,10 +189,6 @@ class FaultTracker {
     const auto it = suspects_.find(peer);
     return it != suspects_.end() && it->second > tick;
   }
-  /// A peer admission should skip: down, or under suspicion.
-  bool unavailable(std::size_t peer, std::uint64_t tick) const {
-    return down(peer, tick) || suspect(peer, tick);
-  }
 
   /// Joins not applied yet: run loops must not declare the swarm done (and
   /// planning must not close the event horizon) while a flash crowd is
@@ -200,9 +196,9 @@ class FaultTracker {
   bool pending_joins() const { return join_cursor_ < join_applied_.size(); }
 
   /// Plan boundary for cross-tick planning (nullopt without a plan).
-  std::optional<std::uint64_t> next_boundary_after(std::uint64_t tick) const {
+  std::optional<std::uint64_t> next_boundary_from(std::uint64_t tick) const {
     if (!plan_) return std::nullopt;
-    return plan_->next_boundary_after(tick);
+    return plan_->next_boundary_from(tick);
   }
 
  private:

@@ -94,10 +94,6 @@ class Peer {
   std::size_t blocks_recovered() const {
     return block_decoder_.recovered_count();
   }
-  double decode_progress() const {
-    return static_cast<double>(blocks_recovered()) /
-           static_cast<double>(params_.block_count);
-  }
   /// True once the whole file is decodable.
   bool has_content() const { return block_decoder_.complete(); }
 

@@ -7,58 +7,7 @@
 
 namespace icd::core {
 
-namespace {
-
-/// Sketch of a ranked candidate id: ranked ids come out of
-/// select_senders over `candidates`, so a linear find by id always hits
-/// (the candidate lists here are admission pools — small by construction
-/// in sampled mode, and only walked once per chosen member otherwise).
-const sketch::MinwiseSketch* candidate_sketch(
-    const std::vector<CandidateSender>& candidates, std::size_t id) {
-  for (const CandidateSender& candidate : candidates) {
-    if (candidate.id == id) return candidate.sketch;
-  }
-  return nullptr;
-}
-
-/// Overlap-aware narrowing of an admission-ranked pool to a session cap:
-/// anchor at the top-ranked (most novel) candidate, then repeatedly add
-/// the candidate whose inclusion keeps estimate_group_overlap of the
-/// chosen group smallest, ranking order breaking exact ties. The sketches
-/// admission already fetched are all this needs — the group-overlap
-/// estimator works on coordinate-wise minima alone.
-std::vector<std::size_t> pick_complementary_group(
-    const std::vector<CandidateSender>& candidates,
-    const std::vector<std::size_t>& ranked, std::size_t max_sessions) {
-  if (ranked.size() <= max_sessions) return ranked;
-  std::vector<std::size_t> chosen{ranked.front()};
-  std::vector<const sketch::MinwiseSketch*> sketches{
-      candidate_sketch(candidates, ranked.front())};
-  std::vector<std::size_t> remaining(ranked.begin() + 1, ranked.end());
-  while (chosen.size() < max_sessions && !remaining.empty()) {
-    std::size_t best = 0;
-    double best_overlap = 2.0;  // overlap estimates live in [0, 1]
-    for (std::size_t i = 0; i < remaining.size(); ++i) {
-      sketches.push_back(candidate_sketch(candidates, remaining[i]));
-      const double overlap = estimate_group_overlap(sketches);
-      sketches.pop_back();
-      if (overlap < best_overlap) {
-        best_overlap = overlap;
-        best = i;
-      }
-    }
-    chosen.push_back(remaining[best]);
-    sketches.push_back(candidate_sketch(candidates, remaining[best]));
-    remaining.erase(remaining.begin() +
-                    static_cast<std::ptrdiff_t>(best));
-  }
-  return chosen;
-}
-
-/// The candidate-based planning core: everything plan_peer_downloads did
-/// after building its candidate pool, so the sampled-admission path can
-/// feed a bounded pool through identical ranking/relaxation/sizing logic.
-std::vector<PlannedDownload> plan_from_candidates(
+std::vector<PlannedDownload> plan_downloads(
     std::size_t me, const PlanPeer& self,
     const std::vector<CandidateSender>& candidates,
     const DeliveryOptions& options, std::size_t target_symbols,
@@ -66,14 +15,9 @@ std::vector<PlannedDownload> plan_from_candidates(
   const std::size_t have = self.symbol_count;
   const std::size_t needed =
       target_symbols > have ? target_symbols - have : 1;
-  // Overlap-aware mode admits the whole pool (ranked), then narrows to the
-  // cap by group complementarity below; a cap of zero still means zero.
-  const std::size_t admit_cap =
-      options.overlap_aware_selection && options.max_peer_sessions > 0
-          ? candidates.size()
-          : options.max_peer_sessions;
-  auto selected = select_senders(*self.sketch, self.symbol_count,
-                                 candidates, options.admission, admit_cap);
+  auto selected =
+      select_senders(*self.sketch, self.symbol_count, candidates,
+                     options.admission, options.max_peer_sessions);
   // Starvation relaxation: admission exists to skip identical-content
   // senders, but near the end of a download every candidate looks
   // near-identical (resemblance above the cutoff) while still holding
@@ -91,7 +35,7 @@ std::vector<PlannedDownload> plan_from_candidates(
     selected = select_senders(
         *self.sketch, self.symbol_count, candidates,
         relax_policy_for_need(options.admission, needed, target_symbols),
-        admit_cap);
+        options.max_peer_sessions);
   }
   if (selected.empty() && !candidates.empty() &&
       options.max_peer_sessions > 0) {
@@ -101,11 +45,6 @@ std::vector<PlannedDownload> plan_from_candidates(
           return a.working_set_size < b.working_set_size;
         });
     selected.push_back(best->id);
-  }
-  if (options.overlap_aware_selection &&
-      selected.size() > options.max_peer_sessions) {
-    selected = pick_complementary_group(candidates, selected,
-                                        options.max_peer_sessions);
   }
   std::vector<PlannedDownload> plan;
   plan.reserve(selected.size());
@@ -133,103 +72,41 @@ std::vector<PlannedDownload> plan_from_candidates(
   return plan;
 }
 
-}  // namespace
-
-std::vector<PlannedDownload> plan_peer_downloads(
-    std::size_t me, const std::vector<PlanPeer>& peers,
-    const DeliveryOptions& options, std::size_t target_symbols,
-    std::uint64_t& session_seed_chain) {
-  std::vector<CandidateSender> candidates;
-  for (std::size_t j = 0; j < peers.size(); ++j) {
-    if (j == me || peers[j].symbol_count == 0 || !peers[j].available) {
+void sample_candidates(std::size_t me, const std::vector<PlanPeer>& peers,
+                       const std::vector<std::size_t>& eligible,
+                       std::size_t sample, std::uint64_t session_seed_chain,
+                       std::vector<CandidateSender>& out) {
+  // Ranking a bounded random sample instead of the full pool makes one
+  // refresh cost O(n * sample) sketch comparisons instead of O(n^2) (and
+  // O(n * sample^2) duplicate checks). The draws fork off the seed chain
+  // without advancing it, so the chain still evolves only per planned
+  // download and the refresh stays a deterministic function of (swarm
+  // state, chain value).
+  out.clear();
+  const bool self_eligible =
+      std::binary_search(eligible.begin(), eligible.end(), me);
+  const std::size_t pool =
+      eligible.size() - static_cast<std::size_t>(self_eligible);
+  if (pool == 0) return;
+  const std::size_t want = std::min(sample, pool);
+  std::uint64_t draw = util::mix64(
+      session_seed_chain ^ (0x5ca1ab1eULL + me * 0x9e3779b97f4a7c15ULL));
+  // Rejection-sample `want` distinct candidates; the attempt cap only
+  // matters when want is close to the pool size, where a rare undershoot
+  // just means a slightly smaller (still ranked) pool.
+  std::size_t attempts = 0;
+  const std::size_t max_attempts = 64 + 16 * want;
+  while (out.size() < want && attempts < max_attempts) {
+    ++attempts;
+    draw = util::mix64(draw);
+    const std::size_t j = eligible[draw % eligible.size()];
+    if (j == me || std::any_of(out.begin(), out.end(),
+                               [j](const CandidateSender& candidate) {
+                                 return candidate.id == j;
+                               })) {
       continue;
     }
-    candidates.push_back(
-        CandidateSender{j, peers[j].sketch, peers[j].symbol_count});
-  }
-  return plan_from_candidates(me, peers[me], candidates, options,
-                              target_symbols, session_seed_chain);
-}
-
-void run_refresh_loop(
-    std::size_t peer_count, const DeliveryOptions& options,
-    std::size_t target_symbols, std::uint64_t& session_seed_chain,
-    const std::function<void(std::size_t)>& teardown,
-    const std::function<bool(std::size_t)>& is_complete,
-    const std::function<PlanPeer(std::size_t)>& snapshot,
-    const std::function<void(std::size_t, PlannedDownload&)>& create) {
-  if (options.admission_sample > 0) {
-    // Sampled admission (massive swarms): tear every session down first,
-    // snapshot the swarm once, and rank each receiver against a bounded
-    // random candidate sample instead of the full pool — one refresh
-    // costs O(n * sample) sketch comparisons instead of O(n^2). The
-    // candidate draws come from a stream forked off the seed chain
-    // without advancing it, so the chain still evolves only per planned
-    // download (as in the historical path) and the whole refresh remains
-    // a deterministic function of (swarm state, chain value).
-    for (std::size_t me = 0; me < peer_count; ++me) teardown(me);
-    std::vector<PlanPeer> plan_peers;
-    plan_peers.reserve(peer_count);
-    for (std::size_t j = 0; j < peer_count; ++j) {
-      plan_peers.push_back(snapshot(j));
-    }
-    std::vector<std::size_t> eligible;
-    for (std::size_t j = 0; j < peer_count; ++j) {
-      if (plan_peers[j].symbol_count > 0 && plan_peers[j].available) {
-        eligible.push_back(j);
-      }
-    }
-    std::vector<CandidateSender> candidates;
-    std::vector<char> drawn(peer_count, 0);
-    for (std::size_t me = 0; me < peer_count; ++me) {
-      if (is_complete(me)) continue;
-      const bool self_eligible =
-          std::binary_search(eligible.begin(), eligible.end(), me);
-      const std::size_t pool =
-          eligible.size() - static_cast<std::size_t>(self_eligible);
-      if (pool == 0) continue;
-      const std::size_t want = std::min(options.admission_sample, pool);
-      std::uint64_t draw = util::mix64(
-          session_seed_chain ^ (0x5ca1ab1eULL + me * 0x9e3779b97f4a7c15ULL));
-      candidates.clear();
-      // Rejection-sample `want` distinct candidates; the attempt cap only
-      // matters when want is close to the pool size, where a rare
-      // undershoot just means a slightly smaller (still ranked) pool.
-      std::size_t attempts = 0;
-      const std::size_t max_attempts = 64 + 16 * want;
-      while (candidates.size() < want && attempts < max_attempts) {
-        ++attempts;
-        draw = util::mix64(draw);
-        const std::size_t j = eligible[draw % eligible.size()];
-        if (j == me || drawn[j]) continue;
-        drawn[j] = 1;
-        candidates.push_back(
-            CandidateSender{j, plan_peers[j].sketch,
-                            plan_peers[j].symbol_count});
-      }
-      for (const CandidateSender& candidate : candidates) {
-        drawn[candidate.id] = 0;
-      }
-      for (PlannedDownload& planned :
-           plan_from_candidates(me, plan_peers[me], candidates, options,
-                                target_symbols, session_seed_chain)) {
-        create(me, planned);
-      }
-    }
-    return;
-  }
-  for (std::size_t me = 0; me < peer_count; ++me) {
-    teardown(me);
-    if (is_complete(me)) continue;
-    std::vector<PlanPeer> plan_peers;
-    plan_peers.reserve(peer_count);
-    for (std::size_t j = 0; j < peer_count; ++j) {
-      plan_peers.push_back(snapshot(j));
-    }
-    for (PlannedDownload& planned : plan_peer_downloads(
-             me, plan_peers, options, target_symbols, session_seed_chain)) {
-      create(me, planned);
-    }
+    out.push_back(CandidateSender{j, peers[j].sketch, peers[j].symbol_count});
   }
 }
 

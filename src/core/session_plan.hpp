@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -12,13 +11,15 @@
 ///
 /// Every refresh must form the same sessions from the same peer state at
 /// any shard count, so the admission ranking, starvation fallback, request
-/// sizing and the seed-chain evolution live here, outside the engine's
-/// threading, and run in ascending peer order on the coordinator.
+/// sizing, candidate sampling and the seed-chain evolution live here, as
+/// functions of (peer view, options, chain value). The engine's refresh
+/// (ShardedDelivery::refresh_sessions) calls them on the coordinator, one
+/// receiver at a time in ascending id order.
 namespace icd::core {
 
 struct DeliveryOptions;
 
-/// One peer's view for planning: its sketch and working-set size.
+/// One peer as a refresh sees it: its sketch and working-set size.
 struct PlanPeer {
   const sketch::MinwiseSketch* sketch = nullptr;
   std::size_t symbol_count = 0;
@@ -35,35 +36,33 @@ struct PlannedDownload {
   wire::ChannelConfig link;
 };
 
-/// Plans receiver `me`'s downloads: admission-ranked senders (with the
-/// largest-candidate starvation fallback), per-sender requested-symbol
-/// shares toward `target_symbols`, and one session seed plus link config
-/// per download drawn from `session_seed_chain` — which this call advances
-/// so that callers iterating peers in ascending order reproduce the
-/// historical seed sequence (pinned by the golden trajectories).
-std::vector<PlannedDownload> plan_peer_downloads(
-    std::size_t me, const std::vector<PlanPeer>& peers,
+/// Plans receiver `me`'s downloads from its view `self` and the candidate
+/// senders it ranks this refresh: admission-ranked senders (relaxed for a
+/// near-complete receiver, with the largest-candidate starvation
+/// fallback), per-sender requested-symbol shares toward `target_symbols`,
+/// and one session seed plus link config per download drawn from
+/// `session_seed_chain`. The call advances the chain once per planned
+/// download, so a refresh that plans receivers in ascending order
+/// reproduces the historical seed sequence (pinned by the golden
+/// trajectories).
+std::vector<PlannedDownload> plan_downloads(
+    std::size_t me, const PlanPeer& self,
+    const std::vector<CandidateSender>& candidates,
     const DeliveryOptions& options, std::size_t target_symbols,
     std::uint64_t& session_seed_chain);
+
+/// Sampled admission (DeliveryOptions::admission_sample): fills `out` with
+/// up to `sample` distinct candidates for receiver `me`, drawn from
+/// `eligible` (ascending ids of peers that may serve and hold symbols) by
+/// a stream forked off `session_seed_chain` without advancing it.
+void sample_candidates(std::size_t me, const std::vector<PlanPeer>& peers,
+                       const std::vector<std::size_t>& eligible,
+                       std::size_t sample, std::uint64_t session_seed_chain,
+                       std::vector<CandidateSender>& out);
 
 /// The degree distribution the delivery engine gives its origins and
 /// peers for a piece of content.
 codec::DegreeDistribution delivery_distribution(std::size_t content_size,
                                                 std::size_t block_size);
-
-/// The full refresh loop, in the shape the historical trajectories pin:
-/// per peer in ascending order — teardown, skip if complete, snapshot
-/// *all* peers (an earlier peer's teardown tick may have grown its working
-/// set this refresh), plan, create. Teardown and create belong to the
-/// engine (it owns the link/endpoint types); everything that orders the
-/// seed chain lives here. Not a hot path: runs once per refresh_interval
-/// ticks.
-void run_refresh_loop(
-    std::size_t peer_count, const DeliveryOptions& options,
-    std::size_t target_symbols, std::uint64_t& session_seed_chain,
-    const std::function<void(std::size_t)>& teardown,
-    const std::function<bool(std::size_t)>& is_complete,
-    const std::function<PlanPeer(std::size_t)>& snapshot,
-    const std::function<void(std::size_t, PlannedDownload&)>& create);
 
 }  // namespace icd::core

@@ -64,54 +64,83 @@ void ShardedDelivery::release_pool_owners() {
 
 void ShardedDelivery::refresh_sessions() {
   release_pool_owners();
-  // Tear down finished/stale sessions, then give every incomplete peer up
-  // to max_peer_sessions downloads from admission-ranked senders (loop
-  // shape, ranking, fallback and seed chain: session_plan).
+  // Give every incomplete peer up to max_peer_sessions downloads from
+  // admission-ranked senders (ranking, fallback, sampling and seed chain:
+  // session_plan). Sampled admission retires every download before any
+  // receiver plans; full-pool admission retires each receiver's just
+  // before it plans. The golden trajectories pin both orders.
   const std::size_t target = static_cast<std::size_t>(
       1.07 * static_cast<double>(parameters().block_count));
-  run_refresh_loop(
-      peers_.size(), options_, target, next_session_seed_,
-      /*teardown=*/
-      [this](std::size_t me) {
-        for (auto& [sender_id, download] : peers_[me].downloads) {
-          teardown_download(*download);
+  const std::size_t n = peers_.size();
+  const bool sampled = options_.admission_sample > 0;
+  if (sampled) {
+    for (std::size_t me = 0; me < n; ++me) retire_downloads(me);
+  }
+  // One snapshot per refresh. Fault and suspect state cannot change inside
+  // a refresh, and retiring a receiver's downloads changes only its own
+  // working set, so the full-pool loop re-reads only that receiver's size.
+  std::vector<PlanPeer> view(n);
+  std::vector<char> down(n);
+  std::vector<std::size_t> eligible;
+  for (std::size_t j = 0; j < n; ++j) {
+    down[j] = faults_.down(j, ticks_);
+    view[j] = PlanPeer{&peers_[j].peer->sketch(),
+                       peers_[j].peer->symbol_count(),
+                       !down[j] && !faults_.suspect(j, ticks_)};
+    if (sampled && view[j].symbol_count > 0 && view[j].available) {
+      eligible.push_back(j);
+    }
+  }
+  std::vector<CandidateSender> candidates;
+  for (std::size_t me = 0; me < n; ++me) {
+    if (!sampled) {
+      retire_downloads(me);
+      view[me].symbol_count = peers_[me].peer->symbol_count();
+    }
+    // A down peer plans nothing this refresh — it rejoins (session
+    // resumption with its surviving working set) at the first refresh
+    // after its restart.
+    if (peers_[me].peer->has_content() || down[me]) continue;
+    if (sampled) {
+      sample_candidates(me, view, eligible, options_.admission_sample,
+                        next_session_seed_, candidates);
+    } else {
+      candidates.clear();
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == me || view[j].symbol_count == 0 || !view[j].available) {
+          continue;
         }
-        peers_[me].downloads.clear();
-        // Sessions are fully retired: a peer that finished since the last
-        // refresh can safely shed its solver state (see
-        // Peer::compact_on_complete for why this must not happen at the
-        // completion stamp itself).
-        if (peers_[me].peer->has_content()) {
-          peers_[me].peer->compact_on_complete();
-        }
-      },
-      /*is_complete=*/
-      [this](std::size_t me) {
-        // A down peer plans nothing this refresh — it rejoins (session
-        // resumption with its surviving working set) at the first refresh
-        // after its restart.
-        return peers_[me].peer->has_content() || faults_.down(me, ticks_);
-      },
-      /*snapshot=*/
-      [this](std::size_t j) {
-        return PlanPeer{&peers_[j].peer->sketch(),
-                        peers_[j].peer->symbol_count(),
-                        !faults_.unavailable(j, ticks_)};
-      },
-      /*create=*/
-      [this](std::size_t me, PlannedDownload& planned) {
-        auto download = std::make_unique<DownloadLink>(
-            *peers_[planned.sender_id].peer, *peers_[me].peer,
-            planned.session, planned.link);
-        // The handshake itself flows over the link and completes across
-        // subsequent ticks.
-        download->receiver.start();
-        peers_[me].downloads.emplace(planned.sender_id,
-                                     std::move(download));
-      });
-
+        candidates.push_back(
+            CandidateSender{j, view[j].sketch, view[j].symbol_count});
+      }
+    }
+    for (PlannedDownload& planned :
+         plan_downloads(me, view[me], candidates, options_, target,
+                        next_session_seed_)) {
+      auto download = std::make_unique<DownloadLink>(
+          *peers_[planned.sender_id].peer, *peers_[me].peer,
+          planned.session, planned.link);
+      // The handshake itself flows over the link and completes across
+      // subsequent ticks.
+      download->receiver.start();
+      peers_[me].downloads.emplace(planned.sender_id, std::move(download));
+    }
+  }
   // Hand the pools back to whichever thread uses them next.
   release_pool_owners();
+}
+
+void ShardedDelivery::retire_downloads(std::size_t id) {
+  PeerEntry& entry = peers_[id];
+  for (auto& [sender_id, download] : entry.downloads) {
+    teardown_download(*download);
+  }
+  entry.downloads.clear();
+  // Sessions are fully retired: a peer that finished since the last
+  // refresh can safely shed its solver state (see
+  // Peer::compact_on_complete for why this must not happen at the
+  // completion stamp itself).
+  if (entry.peer->has_content()) entry.peer->compact_on_complete();
 }
 
 void ShardedDelivery::teardown_download(DownloadLink& download) {
@@ -130,13 +159,7 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
         // Coordinator stands in for the shard threads during the
         // teardown ticks; the workers are parked between pool runs.
         release_pool_owners();
-        for (auto& [sender_id, download] : peers_[peer].downloads) {
-          teardown_download(*download);
-        }
-        peers_[peer].downloads.clear();
-        if (peers_[peer].peer->has_content()) {
-          peers_[peer].peer->compact_on_complete();
-        }
+        retire_downloads(peer);
         release_pool_owners();
       },
       /*on_join=*/
@@ -343,12 +366,11 @@ std::uint64_t ShardedDelivery::next_event_time() const {
       std::max<std::size_t>(1, options_.refresh_interval);
   std::uint64_t at = ((now + interval - 1) / interval) * interval;
   if (earliest_due_) at = std::min(at, *earliest_due_);
-  // Fault boundaries after `now` are planning barriers: the jump never
-  // crosses a crash/restart/join tick or a stall/blackout window edge, so
-  // jumped and lockstep runs apply those faults at identical ticks. A
-  // boundary at `now` itself is not folded in (a known gap for joins; see
-  // DESIGN.md, "Failure model").
-  if (const auto boundary = faults_.next_boundary_after(now)) {
+  // Fault boundaries at or after `now` are planning barriers: the jump
+  // never crosses a crash/restart/join tick or a stall/blackout window
+  // edge, so jumped and lockstep runs apply those faults at identical
+  // ticks.
+  if (const auto boundary = faults_.next_boundary_from(now)) {
     at = std::min(at, *boundary);
   }
   return std::max(at, now);

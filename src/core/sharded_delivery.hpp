@@ -204,6 +204,10 @@ class ShardedDelivery {
   /// when liveness/retry bounding is enabled. Re-plans every receiver it
   /// erased a download from.
   void sweep_failed_downloads(std::uint64_t now);
+  /// Retires every download peer `id` receives (teardown_download each)
+  /// and, once it holds the content, compacts its solver state. Shared by
+  /// the refresh and the crash handler; changes no other peer.
+  void retire_downloads(std::size_t id);
   /// Graceful single-download teardown shared by refresh, crash, and the
   /// failure sweep: flush in-flight frames, final receiver drain, bank
   /// wire costs.

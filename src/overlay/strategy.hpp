@@ -52,9 +52,4 @@ constexpr bool strategy_uses_minwise(Strategy strategy) {
   return strategy == Strategy::kRecodeMinwise;
 }
 
-constexpr bool strategy_recodes(Strategy strategy) {
-  return strategy == Strategy::kRecode || strategy == Strategy::kRecodeBloom ||
-         strategy == Strategy::kRecodeMinwise;
-}
-
 }  // namespace icd::overlay

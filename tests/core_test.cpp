@@ -452,23 +452,5 @@ TEST(Admission, SelectSendersRanksByNovelty) {
   EXPECT_EQ(selected[1], 7u);
 }
 
-TEST(Admission, GroupOverlapFromSketchesAlone) {
-  Fixture f;
-  Peer a = f.make_peer("a");
-  Peer b = f.make_peer("b");
-  for (int i = 0; i < 200; ++i) {
-    const auto symbol = f.origin.next();
-    a.receive_encoded(symbol);
-    b.receive_encoded(symbol);
-  }
-  const double same = estimate_group_overlap({&a.sketch(), &b.sketch()});
-  EXPECT_GT(same, 0.95);
-  Peer c = f.make_peer("c");
-  for (int i = 0; i < 200; ++i) c.receive_encoded(f.origin.next());
-  const double mixed = estimate_group_overlap(
-      {&a.sketch(), &b.sketch(), &c.sketch()});
-  EXPECT_LT(mixed, same);
-}
-
 }  // namespace
 }  // namespace icd::core

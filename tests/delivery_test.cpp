@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "core/admission.hpp"
 #include "core/fault_plan.hpp"
-#include "core/session_plan.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 
@@ -92,47 +92,6 @@ TEST(AdmissionRelaxation, FarFromDonePeerKeepsTheStrictCutoff) {
             relax_policy_for_need(policy, 400, 1000).max_resemblance);
   EXPECT_LT(relax_policy_for_need(policy, 400, 1000).max_resemblance,
             relax_policy_for_need(policy, 50, 1000).max_resemblance);
-}
-
-// --- Overlap-aware sender-group selection -----------------------------------
-
-TEST(OverlapAwareSelection, DemotesOverlappingPairForComplementarySender) {
-  // Three candidates, all equally novel against the receiver: two
-  // near-identical to *each other* (190 of 200 ids shared), one disjoint
-  // from both. Per-candidate novelty cannot tell the pair apart from the
-  // complementary sender — only the group-overlap estimate can.
-  const auto receiver = make_sketch(0, 100);
-  const auto first = make_sketch(1000, 200);
-  const auto twin = make_sketch(1010, 200);          // 190 ids shared
-  const auto complementary = make_sketch(5000, 200);  // disjoint
-  const std::vector<PlanPeer> peers{
-      PlanPeer{&receiver, 100}, PlanPeer{&first, 200}, PlanPeer{&twin, 200},
-      PlanPeer{&complementary, 200}};
-  DeliveryOptions options = small_options();
-  options.max_peer_sessions = 2;
-
-  const auto sender_ids = [&](bool overlap_aware) {
-    options.overlap_aware_selection = overlap_aware;
-    std::uint64_t chain = 99;
-    std::vector<std::size_t> ids;
-    for (const auto& download :
-         plan_peer_downloads(0, peers, options, 400, chain)) {
-      ids.push_back(download.sender_id);
-    }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-
-  // Historical plan: novelty-ranked with input order on ties, so the two
-  // overlapping senders win — and must keep winning with the flag off.
-  EXPECT_EQ(sender_ids(false), (std::vector<std::size_t>{1, 2}));
-  // Overlap-aware: the twins' mutual overlap demotes one of them in favor
-  // of the complementary sender.
-  const auto aware = sender_ids(true);
-  ASSERT_EQ(aware.size(), 2u);
-  EXPECT_TRUE(std::find(aware.begin(), aware.end(), 3u) != aware.end());
-  EXPECT_FALSE(std::find(aware.begin(), aware.end(), 1u) != aware.end() &&
-               std::find(aware.begin(), aware.end(), 2u) != aware.end());
 }
 
 // --- The engine contract, at every schedule ----------------------------------
@@ -303,10 +262,12 @@ TEST_P(DeliveryService, SuspectOnlyNovelSenderIsReadmittedAfterTtlExpiry) {
   service.add_peer("leaf", false);
 
   // Restarted and alive — but still suspect, so refreshes (with ever more
-  // relaxed cutoffs: the leaf is starving) must not re-admit peer 0.
+  // relaxed cutoffs: the leaf is starving) must not re-admit peer 0. The
+  // leaf holds nothing to serve, so no link is up at all.
   for (std::size_t t = 0; t < 90; ++t) service.tick();
   EXPECT_FALSE(service.peer_down(0));
   EXPECT_FALSE(service.peer_complete(1));
+  EXPECT_EQ(service.active_link_totals(), LinkTotals{});
 
   ASSERT_TRUE(service.run(8000));
   EXPECT_TRUE(service.peer_complete(1));

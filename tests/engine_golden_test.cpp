@@ -12,16 +12,18 @@
 //
 // The lines were recorded from the 2-shard engine (lockstep and jumped
 // agreed) while shards = 1 still ran a separate inline schedule; the
-// shards = 1 run of the shared two-phase tick reproduces every one.
+// shards = 1 run of the shared two-phase tick reproduces every one. The
+// sampled-admission line was recorded before ShardedDelivery took the
+// refresh loop over from session_plan's callbacks; its four runs agreed.
 //
 // The cases: the configurations of the former shards=1-vs-legacy equality
-// tests, two fault_test swarms whose receivers abandon sessions (so the
-// failure records are pinned too), scenario_test's inline scenario, all
-// five strategies on scheduler_test's paced timed swarm, and every
-// scenario in scenarios/. A case without a line, or a line naming no
-// case, fails the suite. On a mismatch the failure prints the recomputed
-// line; an intended trajectory change is re-pinned by pasting it into the
-// file.
+// tests, a sampled-admission swarm, two fault_test swarms whose receivers
+// abandon sessions (so the failure records are pinned too),
+// scenario_test's inline scenario, all five strategies on
+// scheduler_test's paced timed swarm, and every scenario in scenarios/. A
+// case without a line, or a line naming no case, fails the suite. On a
+// mismatch the failure prints the recomputed line; an intended trajectory
+// change is re-pinned by pasting it into the file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -213,6 +215,14 @@ std::vector<GoldenCase> golden_cases() {
   lossy.link.loss_rate = 0.08;
   lossy.link.reorder_rate = 0.1;
   lossy.link.mtu = 600;
+  // Sampled admission on the lossy links, with one crash/restart so the
+  // sampled pool also skips a down peer.
+  auto sampled = lossy;
+  sampled.admission_sample = 3;
+  auto sampled_faults = std::make_shared<core::FaultPlan>();
+  sampled_faults->crashes.push_back({40, 5});
+  sampled_faults->restarts.push_back({90, 5});
+  sampled.faults = std::move(sampled_faults);
   std::vector<GoldenCase> cases{
       {.name = "sharded:mirrored-swarm",
        .content = random_content(64 * 100, 21),
@@ -226,6 +236,12 @@ std::vector<GoldenCase> golden_cases() {
        .options = lossy,
        .peers = 5,
        .fed = 2,
+       .max_ticks = 8000},
+      {.name = "sharded:sampled-admission",
+       .content = random_content(64 * 80, 23),
+       .options = sampled,
+       .peers = 24,
+       .fed = 3,
        .max_ticks = 8000},
       {.name = "scheduler:timed-lossy",
        .content = random_content(64 * 60, 31),

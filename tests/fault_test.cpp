@@ -3,9 +3,11 @@
 // behavior — crash teardown with session resumption on restart, liveness
 // timeouts and handshake-retry exhaustion surfacing in
 // SessionResult::failed_peers, flash-crowd joins keeping run loops open,
-// and a multi-shard swarm surviving churn.
+// a multi-shard swarm surviving churn, and jumped runs stopping on every
+// fault boundary (FaultJumpProbe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,12 +78,14 @@ TEST(FaultPlan, NextBoundaryEnumeratesEveryEdge) {
   const std::vector<std::uint64_t> expected{10, 20, 35, 40, 60, 80, 160};
   std::uint64_t tick = 0;
   std::vector<std::uint64_t> seen;
-  while (const auto next = plan.next_boundary_after(tick)) {
+  while (const auto next = plan.next_boundary_from(tick)) {
     seen.push_back(*next);
-    tick = *next;
+    tick = *next + 1;
   }
   EXPECT_EQ(seen, expected);
-  EXPECT_EQ(plan.next_boundary_after(160), std::nullopt);
+  // A boundary at the queried tick is itself the next boundary.
+  EXPECT_EQ(plan.next_boundary_from(35), 35u);
+  EXPECT_EQ(plan.next_boundary_from(161), std::nullopt);
 }
 
 // --- FaultTracker -----------------------------------------------------------
@@ -123,8 +127,6 @@ TEST(FaultTracker, SuspectsExpireAndMergeToLatest) {
   EXPECT_TRUE(tracker.suspect(4, 99));
   EXPECT_FALSE(tracker.suspect(4, 100));  // expiry is exclusive
   EXPECT_FALSE(tracker.suspect(5, 50));
-  EXPECT_TRUE(tracker.unavailable(4, 50));
-  EXPECT_FALSE(tracker.unavailable(4, 200));
 }
 
 TEST(FaultTracker, InertWithoutPlan) {
@@ -132,7 +134,7 @@ TEST(FaultTracker, InertWithoutPlan) {
   EXPECT_FALSE(tracker.active());
   EXPECT_FALSE(tracker.down(0, 100));
   EXPECT_FALSE(tracker.pending_joins());
-  EXPECT_EQ(tracker.next_boundary_after(0), std::nullopt);
+  EXPECT_EQ(tracker.next_boundary_from(0), std::nullopt);
 }
 
 // --- Gilbert-Elliott burst loss ---------------------------------------------
@@ -381,6 +383,93 @@ TEST(FaultDelivery, MultiShardSwarmSurvivesChurn) {
   for (std::size_t p = 0; p < service.peer_count(); ++p) {
     EXPECT_EQ(service.peer_content(p), content) << "peer " << p;
   }
+}
+
+// --- Jumped runs stop on every fault boundary --------------------------------
+
+/// One probe run's outcome: what a jump that crosses a fault boundary
+/// would change.
+struct ProbeRun {
+  std::vector<std::size_t> completion;
+  core::LinkTotals totals;
+  std::size_t ticks = 0;
+  std::uint64_t ticks_skipped = 0;
+};
+
+/// 4 peers (peer 0 origin-fed) on links that take 6 ticks and carry 18
+/// bytes per tick at block_size 64, so the jump opens multi-tick spans and
+/// a fault boundary can land on the tick right after an executed one.
+ProbeRun run_probe(std::shared_ptr<core::FaultPlan> plan, bool jump) {
+  core::DeliveryOptions options;
+  options.block_size = 64;
+  options.refresh_interval = 97;
+  options.handshake_retry_ticks = 40;
+  options.link.delay_ticks = 6;
+  options.link.rate_bytes_per_tick = 18;
+  options.faults = std::move(plan);
+  options.jump_empty_ticks = jump;
+  core::ShardedDelivery service(random_content(2560, 7), options);
+  add_peers(service, 4, 1);
+  service.run(20000);
+  ProbeRun run;
+  for (std::size_t p = 0; p < service.peer_count(); ++p) {
+    run.completion.push_back(service.peer_completion_tick(p));
+  }
+  run.totals = service.link_totals();
+  run.ticks = service.ticks();
+  run.ticks_skipped = service.ticks_skipped();
+  return run;
+}
+
+/// Runs the probe jumped and lockstep under plan_at(t) for t = 1, 1 +
+/// stride, ... below 400, and returns every t at which the two differ in
+/// any peer's completion tick, the link totals or the end tick.
+template <typename PlanAt>
+std::vector<std::uint64_t> diverging_fault_ticks(PlanAt plan_at,
+                                                 std::uint64_t stride) {
+  std::vector<std::uint64_t> diverged;
+  std::uint64_t skipped = 0;
+  for (std::uint64_t t = 1; t < 400; t += stride) {
+    const ProbeRun lockstep = run_probe(plan_at(t), /*jump=*/false);
+    const ProbeRun jumped = run_probe(plan_at(t), /*jump=*/true);
+    EXPECT_EQ(std::count(lockstep.completion.begin(),
+                         lockstep.completion.end(), 0u),
+              0)
+        << "the probe must complete (fault at " << t << ")";
+    if (jumped.completion != lockstep.completion ||
+        jumped.totals != lockstep.totals || jumped.ticks != lockstep.ticks) {
+      diverged.push_back(t);
+    }
+    skipped += jumped.ticks_skipped;
+  }
+  EXPECT_GT(skipped, 0u) << "the probe must actually jump";
+  return diverged;
+}
+
+TEST(FaultJumpProbe, JoinOnAnyTickMatchesLockstep) {
+  const auto diverged = diverging_fault_ticks(
+      [](std::uint64_t t) {
+        auto plan = std::make_shared<core::FaultPlan>();
+        plan->joins.push_back({t, 1, true});
+        return plan;
+      },
+      /*stride=*/1);
+  EXPECT_TRUE(diverged.empty())
+      << diverged.size() << " of 399 join ticks diverge: "
+      << ::testing::PrintToString(diverged);
+}
+
+TEST(FaultJumpProbe, BlackoutFromAnyTickMatchesLockstep) {
+  const auto diverged = diverging_fault_ticks(
+      [](std::uint64_t t) {
+        auto plan = std::make_shared<core::FaultPlan>();
+        plan->blackouts.push_back({t, t + 30, 0, 1});
+        return plan;
+      },
+      /*stride=*/3);
+  EXPECT_TRUE(diverged.empty())
+      << diverged.size() << " blackout start ticks diverge: "
+      << ::testing::PrintToString(diverged);
 }
 
 }  // namespace
