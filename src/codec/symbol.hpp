@@ -1,13 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 /// Symbol types exchanged by peers.
 ///
@@ -75,52 +70,33 @@ struct RecodedSymbolView {
 
 /// Wide XOR kernel: dst[i] ^= src[i] for `n` bytes. This is the one XOR
 /// inner loop shared by the encoder, recoder, peeling decoders and
-/// inactivation solver, so it is explicitly widened rather than left to
-/// auto-vectorization: 32 bytes per iteration via AVX2 when the build
-/// enables it, otherwise an unrolled 4x-uint64 block (memcpy keeps both
-/// alignment- and aliasing-safe), then a word tail and a byte tail.
-inline void xor_bytes(std::uint8_t* dst, const std::uint8_t* src,
-                      std::size_t n) {
-  std::size_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(a, b));
-  }
-#else
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t a0, a1, a2, a3, b0, b1, b2, b3;
-    std::memcpy(&a0, dst + i, 8);
-    std::memcpy(&a1, dst + i + 8, 8);
-    std::memcpy(&a2, dst + i + 16, 8);
-    std::memcpy(&a3, dst + i + 24, 8);
-    std::memcpy(&b0, src + i, 8);
-    std::memcpy(&b1, src + i + 8, 8);
-    std::memcpy(&b2, src + i + 16, 8);
-    std::memcpy(&b3, src + i + 24, 8);
-    a0 ^= b0;
-    a1 ^= b1;
-    a2 ^= b2;
-    a3 ^= b3;
-    std::memcpy(dst + i, &a0, 8);
-    std::memcpy(dst + i + 8, &a1, 8);
-    std::memcpy(dst + i + 16, &a2, 8);
-    std::memcpy(dst + i + 24, &a3, 8);
-  }
+/// inactivation solver (all through xor_into), so it is explicitly widened
+/// rather than left to auto-vectorization. The variant is chosen once, on
+/// first use, from the CPU's features, never from build flags: every
+/// build carries every variant its architecture has, and the default
+/// build runs AVX2 on a machine that has it. All variants are
+/// byte-for-byte equal (fastpath_test checks each against a byte loop).
+void xor_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
+
+/// Signature shared by the xor_bytes variants.
+using XorKernel = void (*)(std::uint8_t* dst, const std::uint8_t* src,
+                           std::size_t n);
+
+/// Portable variant, on every architecture: an unrolled 4x-uint64 block
+/// (memcpy keeps it alignment- and aliasing-safe), then a word tail and a
+/// byte tail.
+void xor_bytes_portable(std::uint8_t* dst, const std::uint8_t* src,
+                        std::size_t n);
+
+#if defined(__x86_64__)
+/// AVX2 variant: 32 bytes per step, then the same word and byte tails.
+/// Call it only where __builtin_cpu_supports("avx2") holds.
+void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
+                    std::size_t n);
 #endif
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t a, b;
-    std::memcpy(&a, dst + i, 8);
-    std::memcpy(&b, src + i, 8);
-    a ^= b;
-    std::memcpy(dst + i, &a, 8);
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
+
+/// The variant xor_bytes runs on this CPU.
+XorKernel xor_bytes_kernel();
 
 /// XORs `src` into `dst`. Empty operands are treated as all-zero: XOR into
 /// an empty destination copies, XOR of an empty source is a no-op. Sizes

@@ -44,26 +44,31 @@ std::vector<std::size_t> select_senders(
     const AdmissionPolicy& policy, std::size_t max_senders) {
   struct Scored {
     std::size_t id;
-    std::size_t order;
     double novelty;
   };
-  std::vector<Scored> admitted;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  // The best max_senders so far, by descending novelty. A candidate goes
+  // after every kept one whose novelty is not lower, which is the order a
+  // stable sort of all admitted candidates would give.
+  std::vector<Scored> best;
+  best.reserve(std::min(max_senders, candidates.size()) + 1);
+  for (const CandidateSender& candidate : candidates) {
     const auto decision =
-        evaluate_candidate(receiver, receiver_size, candidates[i], policy);
-    if (decision.admitted) {
-      admitted.push_back(Scored{candidates[i].id, i, decision.novelty});
+        evaluate_candidate(receiver, receiver_size, candidate, policy);
+    if (!decision.admitted) continue;
+    const auto at = std::upper_bound(
+        best.begin(), best.end(), decision.novelty,
+        [](double novelty, const Scored& kept) {
+          return novelty > kept.novelty;
+        });
+    if (at - best.begin() == static_cast<std::ptrdiff_t>(max_senders)) {
+      continue;
     }
+    best.insert(at, Scored{candidate.id, decision.novelty});
+    if (best.size() > max_senders) best.pop_back();
   }
-  std::stable_sort(admitted.begin(), admitted.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.novelty > b.novelty;
-                   });
   std::vector<std::size_t> selected;
-  for (const Scored& s : admitted) {
-    if (selected.size() == max_senders) break;
-    selected.push_back(s.id);
-  }
+  selected.reserve(best.size());
+  for (const Scored& s : best) selected.push_back(s.id);
   return selected;
 }
 

@@ -58,7 +58,9 @@ AdmissionPolicy relax_policy_for_need(const AdmissionPolicy& policy,
 /// Ranks admitted candidates by descending estimated novelty; among
 /// near-identical candidates, position in `candidates` breaks ties, so a
 /// caller can rotate the input order to spread load ("distribute the load
-/// among the senders whose content is identical").
+/// among the senders whose content is identical"). Returns the first
+/// max_senders of that ranking, kept in one pass over the candidates
+/// (no sort of the whole pool); each candidate costs one resemblance.
 std::vector<std::size_t> select_senders(const sketch::MinwiseSketch& receiver,
                                         std::size_t receiver_size,
                                         const std::vector<CandidateSender>& candidates,

@@ -61,7 +61,9 @@ class MinwiseSketch {
 
   /// Unbiased estimate of |A ∩ B| / |A ∪ B| from two sketches. Positions
   /// never touched on either side are skipped; two empty sketches resemble
-  /// each other completely by convention.
+  /// each other completely by convention. Admission scores every candidate
+  /// sender with this, so it is a branch-free count over the minima
+  /// (match_minima_kernel), run at the CPU's width.
   static double resemblance(const MinwiseSketch& a, const MinwiseSketch& b);
 
   /// Coordinate-wise minimum: the sketch of the union of the two sets
@@ -70,16 +72,27 @@ class MinwiseSketch {
   static MinwiseSketch combine_union(const MinwiseSketch& a,
                                      const MinwiseSketch& b);
 
-  /// Wire form; 16 bytes of header + 8 bytes per minimum. serialize_into
-  /// appends the same bytes to an existing writer (e.g. over a pooled
-  /// frame buffer) so the handshake path serializes without a scratch
-  /// vector; serialized_size is the exact byte count it will append.
+  /// Wire form; 16 bytes of header + 8 bytes per minimum, the minima as
+  /// one little-endian block. serialize_into appends the same bytes to an
+  /// existing writer (e.g. over a pooled frame buffer) so the handshake
+  /// path serializes without a scratch vector; serialized_size is the
+  /// exact byte count it will append.
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
+  /// Decodes a received sketch. It reuses the permutation family of a
+  /// local sketch with the same (universe, count, seed) and never draws a
+  /// new one, so hostile frames cannot grow the process-wide family cache
+  /// or cost a family draw each. A sketch of a geometry no local sketch
+  /// uses could never pass resemblance's compatibility check anyway: it
+  /// is rejected with std::invalid_argument, as is a count of 0.
   static MinwiseSketch deserialize(const std::vector<std::uint8_t>& bytes);
 
  private:
+  MinwiseSketch(std::uint64_t universe_size, std::uint64_t seed,
+                std::shared_ptr<const std::vector<util::LinearPermutation>>
+                    permutations);
+
   void check_compatible(const MinwiseSketch& other) const;
 
   std::uint64_t universe_size_;
@@ -90,6 +103,36 @@ class MinwiseSketch {
   std::shared_ptr<const std::vector<util::LinearPermutation>> permutations_;
   std::vector<std::uint64_t> minima_;
 };
+
+/// Position counts over two equally long minima arrays: `equal` counts the
+/// positions where a[j] == b[j], `both_empty` those where a[j] == b[j] ==
+/// MinwiseSketch::kEmpty. resemblance reads live = n - both_empty and
+/// matches = equal - both_empty from them.
+struct MinimaMatch {
+  std::size_t equal = 0;
+  std::size_t both_empty = 0;
+};
+
+/// Signature of the position count; `a` and `b` hold `n` minima each.
+/// Every variant returns the same integers (sketch_test checks each
+/// against the position-by-position loop).
+using MatchKernel = MinimaMatch (*)(const std::uint64_t* a,
+                                    const std::uint64_t* b, std::size_t n);
+
+/// Portable variant, on every architecture.
+MinimaMatch match_minima_portable(const std::uint64_t* a,
+                                  const std::uint64_t* b, std::size_t n);
+
+#if defined(__x86_64__)
+/// AVX2 variant: compares 4 minima per step. Call it only where
+/// __builtin_cpu_supports("avx2") holds.
+MinimaMatch match_minima_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                              std::size_t n);
+#endif
+
+/// The variant resemblance runs on this CPU, chosen once on first use from
+/// the CPU's features, never from build flags.
+MatchKernel match_minima_kernel();
 
 /// Converts a resemblance estimate r = |A∩B| / |A∪B| into the containment
 /// c = |A∩B| / |B| the recoding strategies need, via inclusion-exclusion:

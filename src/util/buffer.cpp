@@ -1,5 +1,7 @@
 #include "util/buffer.hpp"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace icd::util {
@@ -18,6 +20,15 @@ void ByteWriter::u32(std::uint32_t v) {
 void ByteWriter::u64(std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
+  }
+}
+
+void ByteWriter::u64s(std::span<const std::uint64_t> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    raw({reinterpret_cast<const std::uint8_t*>(values.data()),
+         values.size_bytes()});
+  } else {
+    for (const std::uint64_t v : values) u64(v);
   }
 }
 
@@ -70,6 +81,16 @@ std::uint64_t ByteReader::u64() {
   }
   pos_ += 8;
   return v;
+}
+
+void ByteReader::u64s(std::span<std::uint64_t> out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto bytes = view(out.size_bytes());
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  } else {
+    need(out.size_bytes());
+    for (std::uint64_t& v : out) v = u64();
+  }
 }
 
 std::uint64_t ByteReader::varint() {

@@ -11,6 +11,9 @@
 /// Every control message in the library (sketches, Bloom filters, ART
 /// summaries, symbol headers) serializes through these so that the exact
 /// wire size can be measured against the paper's 1 KB-packet budgets.
+/// Integers are little-endian on the wire; u64 arrays (sketch minima,
+/// recoded constituent ids) cross as one block copy on little-endian
+/// hosts, with the same bytes as a u64() per element.
 namespace icd::util {
 
 /// Encoded size of a LEB128 varint (1-10 bytes).
@@ -39,6 +42,8 @@ class ByteWriter {
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
+  /// The same bytes as u64() on each element, in order.
+  void u64s(std::span<const std::uint64_t> values);
   /// LEB128 variable-length unsigned integer (1-10 bytes).
   void varint(std::uint64_t v);
   void raw(std::span<const std::uint8_t> data);
@@ -60,6 +65,9 @@ class ByteReader {
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
+  /// Fills `out` with the next out.size() u64() values, after one bounds
+  /// check for all of them.
+  void u64s(std::span<std::uint64_t> out);
   std::uint64_t varint();
   std::vector<std::uint8_t> raw(std::size_t n);
   /// Bounds-checked non-owning view of the next `n` bytes; the span borrows

@@ -58,25 +58,52 @@ std::vector<LinearPermutation> make_permutation_family(
   return family;
 }
 
-std::shared_ptr<const std::vector<LinearPermutation>>
-shared_permutation_family(std::uint64_t universe_size, std::size_t count,
-                          std::uint64_t seed) {
-  using Key = std::tuple<std::uint64_t, std::size_t, std::uint64_t>;
-  static std::mutex mutex;
-  static std::map<Key, std::shared_ptr<const std::vector<LinearPermutation>>>
-      cache;
-  const Key key{universe_size, count, seed};
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (const auto it = cache.find(key); it != cache.end()) return it->second;
+namespace {
+
+using FamilyKey = std::tuple<std::uint64_t, std::size_t, std::uint64_t>;
+using Family = std::shared_ptr<const std::vector<LinearPermutation>>;
+
+struct FamilyCache {
+  std::mutex mutex;
+  std::map<FamilyKey, Family> families;  // guarded by mutex
+};
+
+FamilyCache& family_cache() {
+  static FamilyCache cache;
+  return cache;
+}
+
+}  // namespace
+
+Family shared_permutation_family(std::uint64_t universe_size,
+                                 std::size_t count, std::uint64_t seed) {
+  if (Family family = find_permutation_family(universe_size, count, seed)) {
+    return family;
   }
   // Draw outside the lock — next_prime near 2^63 is the expensive part and
   // the draw is deterministic, so a racing duplicate is identical and the
   // first insert simply wins.
   auto family = std::make_shared<const std::vector<LinearPermutation>>(
       make_permutation_family(universe_size, count, seed));
-  std::lock_guard<std::mutex> lock(mutex);
-  return cache.try_emplace(key, std::move(family)).first->second;
+  FamilyCache& cache = family_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.families
+      .try_emplace(FamilyKey{universe_size, count, seed}, std::move(family))
+      .first->second;
+}
+
+Family find_permutation_family(std::uint64_t universe_size, std::size_t count,
+                               std::uint64_t seed) {
+  FamilyCache& cache = family_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  const auto it = cache.families.find(FamilyKey{universe_size, count, seed});
+  return it == cache.families.end() ? nullptr : it->second;
+}
+
+std::size_t permutation_family_cache_size() {
+  FamilyCache& cache = family_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.families.size();
 }
 
 }  // namespace icd::util

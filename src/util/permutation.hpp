@@ -62,9 +62,20 @@ std::vector<LinearPermutation> make_permutation_family(
 /// path: MinwiseSketch::deserialize constructs a sketch per received
 /// summary, and rebuilding the family there costs a next_prime search plus
 /// `count` modular inversions per packet. Thread-safe; entries live for the
-/// process (distinct key triples are few — one per universe geometry).
+/// process, so only locally constructed sketches may add one (distinct key
+/// triples are few — one per universe geometry); decoding looks families
+/// up with find_permutation_family instead.
 std::shared_ptr<const std::vector<LinearPermutation>>
 shared_permutation_family(std::uint64_t universe_size, std::size_t count,
                           std::uint64_t seed);
+
+/// The cached family for the key triple, or null if no call to
+/// shared_permutation_family has drawn it. Never draws or inserts.
+std::shared_ptr<const std::vector<LinearPermutation>>
+find_permutation_family(std::uint64_t universe_size, std::size_t count,
+                        std::uint64_t seed);
+
+/// Number of families in the process-wide cache.
+std::size_t permutation_family_cache_size();
 
 }  // namespace icd::util

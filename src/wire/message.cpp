@@ -54,10 +54,8 @@ RecodedSymbolMessage read_recoded(util::ByteReader& reader) {
   if (degree > reader.remaining() / 8) {
     throw std::out_of_range("wire: recoded degree exceeds payload");
   }
-  message.symbol.constituents.reserve(degree);
-  for (std::size_t i = 0; i < degree; ++i) {
-    message.symbol.constituents.push_back(reader.u64());
-  }
+  message.symbol.constituents.resize(degree);
+  reader.u64s(message.symbol.constituents);
   message.symbol.payload = reader.raw(reader.varint());
   return message;
 }
@@ -193,7 +191,7 @@ void encode_frame_into(util::ByteWriter& out,
       util::varint_size(symbol.payload.size()) + symbol.payload.size();
   write_frame_header(out, MessageType::kRecodedSymbol, payload_size);
   out.varint(symbol.constituents.size());
-  for (const std::uint64_t id : symbol.constituents) out.u64(id);
+  out.u64s(symbol.constituents);
   out.varint(symbol.payload.size());
   out.raw(symbol.payload);
 }
@@ -319,11 +317,8 @@ std::optional<SymbolFrameView> decode_symbol_frame(
       if (degree > payload.remaining() / 8) {
         throw std::invalid_argument("wire: recoded degree exceeds payload");
       }
-      constituent_scratch.clear();
-      constituent_scratch.reserve(degree);
-      for (std::size_t i = 0; i < degree; ++i) {
-        constituent_scratch.push_back(payload.u64());
-      }
+      constituent_scratch.resize(degree);
+      payload.u64s(constituent_scratch);
       view.recoded.emplace(constituent_scratch,
                            payload.view(payload.varint()));
     }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -450,6 +451,84 @@ TEST(Admission, SelectSendersRanksByNovelty) {
   ASSERT_EQ(selected.size(), 2u);
   EXPECT_EQ(selected[0], 9u);  // disjoint peer ranks first
   EXPECT_EQ(selected[1], 7u);
+}
+
+/// select_senders as a stable sort of every admitted candidate by
+/// descending novelty: the reference for its one-pass top-k.
+std::vector<std::size_t> stable_sort_reference(
+    const sketch::MinwiseSketch& receiver, std::size_t receiver_size,
+    const std::vector<CandidateSender>& candidates,
+    const AdmissionPolicy& policy, std::size_t max_senders) {
+  std::vector<std::pair<std::size_t, double>> admitted;
+  for (const CandidateSender& candidate : candidates) {
+    const auto decision =
+        evaluate_candidate(receiver, receiver_size, candidate, policy);
+    if (decision.admitted) {
+      admitted.emplace_back(candidate.id, decision.novelty);
+    }
+  }
+  std::stable_sort(
+      admitted.begin(), admitted.end(),
+      [](const auto& a, const auto& b) { return a.second > b.second; });
+  std::vector<std::size_t> selected;
+  for (const auto& [id, novelty] : admitted) {
+    if (selected.size() == max_senders) break;
+    selected.push_back(id);
+  }
+  return selected;
+}
+
+TEST(Admission, SelectSendersEqualsAStableSortOfTheAdmitted) {
+  constexpr std::uint64_t kUniverse = 1 << 20;
+  util::Xoshiro256 rng(0xad31);
+  std::vector<std::uint64_t> held;
+  for (int i = 0; i < 200; ++i) held.push_back(rng.next_below(kUniverse));
+  sketch::MinwiseSketch receiver(kUniverse);
+  receiver.update_all(held);
+  // A few distinct sender profiles, one of them the receiver's own
+  // content (always rejected); many candidates share a profile, so their
+  // novelties tie exactly.
+  std::vector<sketch::MinwiseSketch> profiles;
+  for (const std::size_t shared : {200u, 0u, 50u, 100u, 150u, 190u}) {
+    sketch::MinwiseSketch profile(kUniverse);
+    for (std::size_t i = 0; i < 200; ++i) {
+      profile.update(i < shared ? held[i] : rng.next_below(kUniverse));
+    }
+    profiles.push_back(profile);
+  }
+  const AdmissionPolicy policy;
+  std::size_t rejected = 0;
+  std::size_t tied = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.next_below(40);
+    std::vector<CandidateSender> candidates;
+    std::set<double> novelties;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& profile = profiles[rng.next_below(profiles.size())];
+      candidates.push_back(CandidateSender{1000 + rng.next_below(1000000),
+                                           &profile,
+                                           200 + 100 * rng.next_below(2)});
+      const auto decision = evaluate_candidate(receiver, held.size(),
+                                               candidates.back(), policy);
+      if (!decision.admitted) {
+        ++rejected;
+      } else if (!novelties.insert(decision.novelty).second) {
+        ++tied;
+      }
+    }
+    for (const std::size_t max_senders :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4}, n,
+          n + 3}) {
+      EXPECT_EQ(select_senders(receiver, held.size(), candidates, policy,
+                               max_senders),
+                stable_sort_reference(receiver, held.size(), candidates,
+                                      policy, max_senders))
+          << "trial " << trial << ", " << n << " candidates, max "
+          << max_senders;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tied, 0u);
 }
 
 }  // namespace

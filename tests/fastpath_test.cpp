@@ -1,8 +1,8 @@
-// Tests for the zero-allocation symbol fast path: the word-wise XOR kernel
-// against its scalar reference, BufferPool recycling and hygiene, pooled
-// transport buffers (aliasing / reuse-after-release), the channel's
-// one-hop queue residency, and the steady-state allocation guarantee of
-// the endpoint send path.
+// Tests for the zero-allocation symbol fast path: every XOR kernel variant
+// and its run-time dispatch against a scalar reference, BufferPool
+// recycling and hygiene, pooled transport buffers (aliasing /
+// reuse-after-release), the channel's one-hop queue residency, and the
+// steady-state allocation guarantee of the endpoint send path.
 //
 // This binary replaces global operator new/delete with counting versions;
 // keep it free of death tests and threads.
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "codec/block_source.hpp"
@@ -74,7 +75,7 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 namespace icd {
 namespace {
 
-// --- Word-wise XOR kernel ---------------------------------------------------
+// --- XOR kernel variants ---------------------------------------------------
 
 /// Byte-at-a-time ground truth for xor_bytes.
 void xor_bytes_scalar(std::uint8_t* dst, const std::uint8_t* src,
@@ -82,33 +83,52 @@ void xor_bytes_scalar(std::uint8_t* dst, const std::uint8_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
+/// Every xor_bytes variant this CPU can run, plus the dispatched entry.
+std::vector<std::pair<const char*, codec::XorKernel>> xor_kernels() {
+  std::vector<std::pair<const char*, codec::XorKernel>> kernels{
+      {"portable", codec::xor_bytes_portable},
+      {"dispatched", codec::xor_bytes}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.emplace_back("avx2", codec::xor_bytes_avx2);
+  }
+#endif
+  return kernels;
+}
+
 TEST(XorKernel, MatchesScalarReferenceIncludingOddTails) {
-  util::Xoshiro256 rng(0xfa57);
-  // Every length from 0 through a few words + every tail remainder, plus a
-  // large buffer; word-wise and scalar must agree bit-for-bit.
-  for (std::size_t n = 0; n <= 40; ++n) {
-    std::vector<std::uint8_t> a(n), b(n);
-    for (auto& v : a) v = static_cast<std::uint8_t>(rng());
-    for (auto& v : b) v = static_cast<std::uint8_t>(rng());
-    auto expected = a;
-    xor_bytes_scalar(expected.data(), b.data(), n);
-    codec::xor_bytes(a.data(), b.data(), n);
-    EXPECT_EQ(a, expected) << "length " << n;
-  }
-  // The widened kernel consumes 32-byte blocks before the word and byte
-  // tails: hit every boundary (block edge, block+word, block+word+bytes)
-  // and odd tails at scale.
+  // Every length from 0 through a few words + every tail remainder, then
+  // every boundary of the 32-byte blocks (block edge, block+word,
+  // block+word+bytes) and odd tails at scale: each variant and the scalar
+  // loop must agree bit-for-bit.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
   for (const std::size_t n :
-       {31u, 32u, 33u, 39u, 40u, 41u, 63u, 64u, 65u, 95u, 96u, 97u, 127u,
-        128u, 129u, 255u, 256u, 257u, 1400u, 4097u}) {
-    std::vector<std::uint8_t> a(n), b(n);
-    for (auto& v : a) v = static_cast<std::uint8_t>(rng());
-    for (auto& v : b) v = static_cast<std::uint8_t>(rng());
-    auto expected = a;
-    xor_bytes_scalar(expected.data(), b.data(), n);
-    codec::xor_bytes(a.data(), b.data(), n);
-    EXPECT_EQ(a, expected) << "length " << n;
+       {41u, 63u, 64u, 65u, 95u, 96u, 97u, 127u, 128u, 129u, 255u, 256u,
+        257u, 1024u, 1400u, 4097u}) {
+    lengths.push_back(n);
   }
+  for (const auto& [name, kernel] : xor_kernels()) {
+    util::Xoshiro256 rng(0xfa57);
+    for (const std::size_t n : lengths) {
+      std::vector<std::uint8_t> a(n), b(n);
+      for (auto& v : a) v = static_cast<std::uint8_t>(rng());
+      for (auto& v : b) v = static_cast<std::uint8_t>(rng());
+      auto expected = a;
+      xor_bytes_scalar(expected.data(), b.data(), n);
+      kernel(a.data(), b.data(), n);
+      EXPECT_EQ(a, expected) << name << ", length " << n;
+    }
+  }
+}
+
+TEST(XorKernel, DispatchPicksAvx2IffTheCpuHasIt) {
+#if defined(__x86_64__)
+  const bool avx2 = __builtin_cpu_supports("avx2");
+  EXPECT_EQ(codec::xor_bytes_kernel() == codec::xor_bytes_avx2, avx2);
+#else
+  EXPECT_EQ(codec::xor_bytes_kernel(), codec::xor_bytes_portable);
+#endif
 }
 
 TEST(XorKernel, XorIntoEmptyOperandSemantics) {

@@ -4,11 +4,14 @@
 
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sketch/minwise.hpp"
 #include "sketch/sampling.hpp"
+#include "util/buffer.hpp"
 #include "util/packet.hpp"
+#include "util/permutation.hpp"
 #include "util/random.hpp"
 
 namespace icd::sketch {
@@ -152,6 +155,147 @@ TEST(MinwiseSketch, SerializationRoundTrip) {
   const auto restored = MinwiseSketch::deserialize(bytes);
   EXPECT_EQ(restored.minima(), sketch.minima());
   EXPECT_EQ(restored.universe_size(), sketch.universe_size());
+}
+
+/// The position-by-position loop resemblance ran before its count was
+/// widened: the reference every variant must reproduce exactly.
+struct LoopCounts {
+  std::size_t live = 0;
+  std::size_t matches = 0;
+};
+
+LoopCounts loop_counts(const std::vector<std::uint64_t>& a,
+                       const std::vector<std::uint64_t>& b) {
+  LoopCounts counts;
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    const bool a_empty = a[j] == MinwiseSketch::kEmpty;
+    const bool b_empty = b[j] == MinwiseSketch::kEmpty;
+    if (a_empty && b_empty) continue;
+    ++counts.live;
+    if (a[j] == b[j]) ++counts.matches;
+  }
+  return counts;
+}
+
+double loop_resemblance(const std::vector<std::uint64_t>& a,
+                        const std::vector<std::uint64_t>& b) {
+  const LoopCounts counts = loop_counts(a, b);
+  if (counts.live == 0) return 1.0;
+  return static_cast<double>(counts.matches) /
+         static_cast<double>(counts.live);
+}
+
+/// The wire form of a sketch over kUniverse with this seed and minima.
+std::vector<std::uint8_t> sketch_payload(
+    std::uint64_t seed, const std::vector<std::uint64_t>& minima) {
+  util::ByteWriter out;
+  out.u64(kUniverse);
+  out.u64(seed);
+  out.varint(minima.size());
+  out.u64s(minima);
+  return out.take();
+}
+
+/// A sketch over kUniverse holding exactly `minima`, decoded the way a
+/// received one is (after a local sketch has drawn its family).
+MinwiseSketch sketch_with_minima(const std::vector<std::uint64_t>& minima) {
+  const MinwiseSketch local(kUniverse, minima.size());
+  return MinwiseSketch::deserialize(
+      sketch_payload(MinwiseSketch::kSharedSeed, minima));
+}
+
+/// Two minima arrays of length n: each side is empty at a position with
+/// the given percent chance, and where both are live, b copies a's value
+/// with chance pct_equal.
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> draw_minima(
+    std::size_t n, util::Xoshiro256& rng, std::uint64_t pct_a_empty,
+    std::uint64_t pct_b_empty, std::uint64_t pct_equal) {
+  std::vector<std::uint64_t> a(n), b(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const bool a_empty = rng.next_below(100) < pct_a_empty;
+    const bool b_empty = rng.next_below(100) < pct_b_empty;
+    a[j] = a_empty ? MinwiseSketch::kEmpty : rng.next_below(kUniverse);
+    b[j] = b_empty ? MinwiseSketch::kEmpty
+           : !a_empty && rng.next_below(100) < pct_equal
+               ? a[j]
+               : rng.next_below(kUniverse);
+  }
+  return {a, b};
+}
+
+TEST(MinwiseSketch, EveryResemblanceVariantMatchesThePositionLoop) {
+  std::vector<std::pair<const char*, MatchKernel>> kernels{
+      {"portable", match_minima_portable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.emplace_back("avx2", match_minima_avx2);
+  }
+#endif
+  util::Xoshiro256 rng(0x5e7c4);
+  // Lengths around the 4-minima vector step, and the default 128.
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 127u,
+                              128u, 129u}) {
+    std::vector<std::pair<std::vector<std::uint64_t>,
+                          std::vector<std::uint64_t>>>
+        cases{
+            draw_minima(n, rng, 100, 100, 0),  // both empty
+            draw_minima(n, rng, 0, 100, 0),    // one side empty
+            draw_minima(n, rng, 100, 0, 0),
+            draw_minima(n, rng, 30, 30, 50),   // partly filled
+            draw_minima(n, rng, 0, 0, 50),     // full
+        };
+    const auto partial = draw_minima(n, rng, 30, 0, 0).first;
+    cases.emplace_back(partial, partial);  // identical
+    // Random, with forced equal and both-empty positions.
+    for (int trial = 0; trial < 20; ++trial) {
+      cases.push_back(draw_minima(n, rng, 50, 50, 50));
+    }
+    for (const auto& [a, b] : cases) {
+      const LoopCounts expected = loop_counts(a, b);
+      for (const auto& [name, kernel] : kernels) {
+        const MinimaMatch match = kernel(a.data(), b.data(), n);
+        EXPECT_EQ(n - match.both_empty, expected.live) << name << ", n " << n;
+        EXPECT_EQ(match.equal - match.both_empty, expected.matches)
+            << name << ", n " << n;
+      }
+      EXPECT_EQ(MinwiseSketch::resemblance(sketch_with_minima(a),
+                                           sketch_with_minima(b)),
+                loop_resemblance(a, b))
+          << "n " << n;
+    }
+  }
+}
+
+TEST(MinwiseSketch, ResemblanceDispatchPicksAvx2IffTheCpuHasIt) {
+#if defined(__x86_64__)
+  const bool avx2 = __builtin_cpu_supports("avx2");
+  EXPECT_EQ(match_minima_kernel() == match_minima_avx2, avx2);
+#else
+  EXPECT_EQ(match_minima_kernel(), match_minima_portable);
+#endif
+}
+
+TEST(MinwiseSketch, DecodingForgedGeometriesLeavesTheFamilyCacheUnchanged) {
+  // Sketch frames arrive from the network with their own universe, count
+  // and seed. Decoding one must not draw and cache a permutation family
+  // for a geometry no local sketch uses: that cache is never pruned.
+  const MinwiseSketch local(kUniverse);
+  const std::size_t cached = util::permutation_family_cache_size();
+  const std::vector<std::uint64_t> minima(local.permutation_count());
+  // Seeds no sketch in this binary uses.
+  constexpr std::uint64_t kForged = 0xf06ed00000000000ULL;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_THROW(
+        MinwiseSketch::deserialize(sketch_payload(kForged + i, minima)),
+        std::invalid_argument);
+  }
+  // A count of 0 is rejected before any lookup.
+  EXPECT_THROW(MinwiseSketch::deserialize(sketch_payload(kForged + 1000, {})),
+               std::invalid_argument);
+  EXPECT_EQ(util::permutation_family_cache_size(), cached);
+  // The geometry a local sketch uses still decodes.
+  EXPECT_EQ(MinwiseSketch::deserialize(local.serialize()).minima(),
+            local.minima());
 }
 
 TEST(MinwiseSketch, DefaultSketchFitsOnePacket) {

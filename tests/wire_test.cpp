@@ -63,6 +63,69 @@ TEST(WireMessage, SketchRoundTrip) {
             sketch.minima());
 }
 
+// The two round trips above would pass under any self-consistent layout.
+// These pin the literal bytes: every integer little-endian, a u64 array
+// (sketch minima, recoded constituent ids) as consecutive u64s.
+TEST(WireMessage, SketchFrameBytesArePinned) {
+  sketch::MinwiseSketch sketch(1 << 20, 3);
+  sketch.update_all({1, 2, 3, 99});
+  const std::vector<std::uint8_t> expected{
+      0xd0, 0x1c, 0x01, 0x02, 0x2a,                    // header, length 42
+      0x29,                                            // blob length 41
+      0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,  // universe 2^20
+      0xe5, 0xfe, 0x0f, 0x1c, 0xa1, 0xc4, 0xe7, 0x51,  // kSharedSeed
+      0x03,                                            // 3 minima
+      0x24, 0x73, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 29476
+      0x74, 0xd1, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,  // 119156
+      0xfb, 0xeb, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,  // 125947
+  };
+  EXPECT_EQ(encode_frame(SketchMessage{sketch}), expected);
+  EXPECT_EQ(std::get<SketchMessage>(decode_frame(expected)).sketch.minima(),
+            sketch.minima());
+}
+
+TEST(WireMessage, RecodedSymbolFrameBytesArePinned) {
+  RecodedSymbolMessage message;
+  message.symbol.constituents = {0x0102030405060708ULL, 42,
+                                 0xfedcba9876543210ULL};
+  message.symbol.payload = {9, 8, 7};
+  const std::vector<std::uint8_t> expected{
+      0xd0, 0x1c, 0x01, 0x07, 0x1d,                    // header, length 29
+      0x03,                                            // degree 3
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe,
+      0x03, 0x09, 0x08, 0x07,                          // 3 payload bytes
+  };
+  EXPECT_EQ(encode_frame(message), expected);
+  const auto view = codec::RecodedSymbolView(message.symbol);
+  util::ByteWriter in_place;
+  encode_frame_into(in_place, view);
+  EXPECT_EQ(in_place.bytes(), expected);
+  EXPECT_EQ(std::get<RecodedSymbolMessage>(decode_frame(expected)), message);
+  std::vector<std::uint64_t> scratch;
+  const auto decoded = decode_symbol_frame(expected, scratch);
+  ASSERT_TRUE(decoded.has_value() && decoded->recoded.has_value());
+  EXPECT_EQ(scratch, message.symbol.constituents);
+}
+
+TEST(ByteReader, U64ArrayReadsAreBoundsChecked) {
+  util::ByteWriter out;
+  const std::vector<std::uint64_t> values{1, 0x8000000000000001ULL, 3};
+  out.u64s(values);
+  std::vector<std::uint64_t> read(3);
+  util::ByteReader reader(out.bytes());
+  reader.u64s(read);
+  EXPECT_EQ(read, values);
+  EXPECT_TRUE(reader.done());
+  // One byte short of three u64s.
+  const std::vector<std::uint8_t> bytes(out.bytes().begin(),
+                                        out.bytes().end() - 1);
+  util::ByteReader short_reader(bytes);
+  EXPECT_THROW(short_reader.u64s(read), std::out_of_range);
+  EXPECT_EQ(short_reader.remaining(), bytes.size());
+}
+
 TEST(WireMessage, BloomSummaryRoundTrip) {
   auto filter = filter::BloomFilter::with_bits_per_element(100, 8.0);
   for (std::uint64_t i = 0; i < 100; ++i) filter.insert(i * 7);
