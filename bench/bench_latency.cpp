@@ -240,7 +240,6 @@ RunResult run_scenario(const BenchParams& params,
     // universe); partial senders use the strategy under test.
     options.strategy = full ? overlay::Strategy::kRandom : strategy;
     options.flow_control = true;
-    options.flow_update_symbols = 8;
     // Partial lanes get a bounded share of the need; the full sender (the
     // Figure 6 baseline) streams for the whole transfer — request 0 =
     // full domain — and stops via the decode-complete zero update. A

@@ -1,6 +1,6 @@
 // One peer process of a real-network swarm — and the simulator's oracle.
 //
-//   swarm_node --config swarm.cfg --node 2 --out node2.json \
+//   swarm_node --config swarm.cfg --node 2 --out node2.json
 //              --ready-file node2.ready --go-file go
 //   swarm_node --config swarm.cfg --predict --out predict.json
 //

@@ -15,6 +15,13 @@
 /// Bloom filters, thus allowing the relative accuracies to be controlled."
 namespace icd::art {
 
+/// The protocol's ART summary settings, fixed for the whole evaluation
+/// (Table 4's best): 4 + 4 bits per element on the leaf and internal
+/// filters, searched at correction level 5.
+inline constexpr double kSummaryLeafBitsPerElement = 4.0;
+inline constexpr double kSummaryInternalBitsPerElement = 4.0;
+inline constexpr int kSummaryCorrection = 5;
+
 class ArtSummary {
  public:
   /// Builds the summary of `tree`, spending `leaf_bits_per_element` and

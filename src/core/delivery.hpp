@@ -47,8 +47,8 @@ struct DeliveryOptions {
   /// Optional per-edge override: (sender_id, receiver_id) -> config. When
   /// set it replaces `link` for that edge; the unset-seed rule above
   /// applies to the returned config too. Timing knobs (delay_ticks,
-  /// jitter_ticks, hops, rate_bytes_per_tick) switch the edge to the
-  /// virtual clock and the engine to scheduler-driven servicing.
+  /// jitter_ticks, rate_bytes_per_tick) switch the edge to the virtual
+  /// clock and the engine to scheduler-driven servicing.
   std::function<wire::ChannelConfig(std::size_t, std::size_t)> link_config;
   /// Closed-loop flow control (SessionOptions::flow_control) on every
   /// download session: receivers re-issue their request with decremented

@@ -9,11 +9,10 @@ namespace icd::core {
 
 namespace {
 
-codec::DegreeDistribution make_recode_distribution(std::size_t domain_size,
-                                                   std::size_t cap) {
+codec::DegreeDistribution make_recode_distribution(std::size_t domain_size) {
   return codec::DegreeDistribution::robust_soliton(
              std::max<std::size_t>(domain_size, 2))
-      .truncated(cap);
+      .truncated(codec::kDefaultRecodeDegreeLimit);
 }
 
 }  // namespace
@@ -55,12 +54,9 @@ void ReceiverEndpoint::send_bundle() {
   if (strategy_uses_bloom(options_.strategy)) {
     if (!summary_cache_) {
       if (options_.summary == SummaryKind::kBloomFilter) {
-        summary_cache_ = wire::BloomSummaryMessage{
-            peer_.bloom_summary(options_.bloom_bits_per_element)};
+        summary_cache_ = wire::BloomSummaryMessage{peer_.bloom_summary()};
       } else {
-        summary_cache_ = wire::ArtSummaryMessage{
-            peer_.art_summary(options_.art_leaf_bits_per_element,
-                              options_.art_internal_bits_per_element)};
+        summary_cache_ = wire::ArtSummaryMessage{peer_.art_summary()};
       }
     }
     transport_.send(*summary_cache_);
@@ -200,11 +196,11 @@ void ReceiverEndpoint::maybe_send_flow_update() {
   // The closing update (zero remaining) stops the sender. It can be lost;
   // the retry signal is the data plane itself — while symbols keep
   // arriving the sender evidently has not heard, so the stop is re-issued
-  // every flow_update_symbols further arrivals. Symbols already in flight
+  // every kFlowUpdateSymbols further arrivals. Symbols already in flight
   // over the link's RTT cost at most a handful of redundant updates.
   if (satisfied()) {
     if (!satisfied_sent_ ||
-        symbols_received_ - received_at_stop_ >= options_.flow_update_symbols) {
+        symbols_received_ - received_at_stop_ >= kFlowUpdateSymbols) {
       transport_.send(wire::RequestUpdate{0});
       satisfied_sent_ = true;
       received_at_stop_ = symbols_received_;
@@ -214,7 +210,7 @@ void ReceiverEndpoint::maybe_send_flow_update() {
   }
   // Decrement-count re-issues only make sense against a bounded request.
   if (options_.requested_symbols == 0) return;
-  if (new_encoded_symbols_ - acked_symbols_ < options_.flow_update_symbols) {
+  if (new_encoded_symbols_ - acked_symbols_ < kFlowUpdateSymbols) {
     return;
   }
   acked_symbols_ = new_encoded_symbols_;
@@ -307,7 +303,7 @@ void SenderEndpoint::finish_handshake() {
     } else {
       domain_ = art::find_local_differences(peer_.reconciliation_tree(),
                                             *receiver_art_,
-                                            options_.art_correction);
+                                            art::kSummaryCorrection);
     }
     // Recode/BF: restrict the recoding domain to the receiver's request
     // ("we restrict the recoding domain to an appropriate small size").
@@ -326,11 +322,10 @@ void SenderEndpoint::finish_handshake() {
     for (const std::uint64_t id : domain_) {
       domain_slots_.push_back(peer_.symbol_slot(id));
     }
-    recode_distribution_ = make_recode_distribution(
-        std::max<std::size_t>(domain_.size(), 2), options_.recode_degree_limit);
+    recode_distribution_ =
+        make_recode_distribution(std::max<std::size_t>(domain_.size(), 2));
   } else {
-    recode_distribution_ = make_recode_distribution(
-        peer_.symbol_count(), options_.recode_degree_limit);
+    recode_distribution_ = make_recode_distribution(peer_.symbol_count());
   }
 
   phase_ = EndpointPhase::kTransfer;
@@ -387,8 +382,7 @@ bool SenderEndpoint::send_symbol() {
     case Strategy::kRecodeMinwise: {
       std::size_t degree = recode_distribution_->sample(rng_);
       if (options_.strategy == Strategy::kRecodeMinwise) {
-        degree = codec::minwise_recode_degree(degree, estimated_containment_,
-                                              options_.recode_degree_limit);
+        degree = codec::minwise_recode_degree(degree, estimated_containment_);
       }
       peer_.recode_into(recode_scratch_, degree, rng_);
       sent = transport_.send(codec::RecodedSymbolView(recode_scratch_));

@@ -36,16 +36,16 @@ namespace icd::core {
 /// Which fine-grained summary the BF-flavored strategies ship.
 enum class SummaryKind { kBloomFilter, kArt };
 
+/// New encoded symbols between flow-control updates (see
+/// SessionOptions::flow_control).
+inline constexpr std::size_t kFlowUpdateSymbols = 8;
+
+/// Per-session settings. Summary sizes and the recoding degree limit are
+/// protocol constants: filter::kSummaryBitsPerElement, the
+/// art::kSummary* values and codec::kDefaultRecodeDegreeLimit.
 struct SessionOptions {
   overlay::Strategy strategy = overlay::Strategy::kRecodeBloom;
   SummaryKind summary = SummaryKind::kBloomFilter;
-  double bloom_bits_per_element = 8.0;
-  /// ART budget split and correction level (Table 4 defaults).
-  double art_leaf_bits_per_element = 4.0;
-  double art_internal_bits_per_element = 4.0;
-  int art_correction = 5;
-  /// Degree cap for recoded symbols.
-  std::size_t recode_degree_limit = codec::kDefaultRecodeDegreeLimit;
   /// Number of symbols the receiver requests (0 = sender's full domain);
   /// the Recode/BF recoding domain is restricted to this size.
   std::size_t requested_symbols = 0;
@@ -73,14 +73,12 @@ struct SessionOptions {
   std::size_t liveness_timeout_ticks = 0;
   /// Flow control: when true the receiver re-issues its request as
   /// wire::RequestUpdate frames with the decremented remaining count every
-  /// `flow_update_symbols` new encoded symbols, plus a final
+  /// kFlowUpdateSymbols new encoded symbols, plus a final
   /// zero-remaining update at satisfaction — so the sender stops at
   /// satisfaction instead of relying on the driver loop. Off by default:
   /// the updates are extra control frames, and the historical byte
   /// accounting must stay bit-for-bit reproducible.
   bool flow_control = false;
-  /// New encoded symbols between flow-control updates.
-  std::size_t flow_update_symbols = 8;
   std::uint64_t seed = 0x5e5510a5eedULL;
 };
 

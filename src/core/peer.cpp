@@ -10,12 +10,11 @@
 namespace icd::core {
 
 Peer::Peer(std::string name, codec::CodeParameters params,
-           codec::DegreeDistribution distribution,
-           std::size_t sketch_permutations)
+           codec::DegreeDistribution distribution)
     : name_(std::move(name)), params_(params),
       distribution_(std::move(distribution)),
       block_decoder_(params, distribution_),
-      sketch_(kSymbolIdUniverse, sketch_permutations),
+      sketch_(kSymbolIdUniverse),
       next_fresh_id_(util::hash64(util::fnv1a(std::as_bytes(std::span(
                          name_.data(), name_.size()))),
                      params.session_seed) |
@@ -61,9 +60,10 @@ std::vector<std::uint8_t> Peer::content(std::size_t content_size) const {
   return codec::BlockSource::restore(block_decoder_.blocks(), content_size);
 }
 
-filter::BloomFilter Peer::bloom_summary(double bits_per_element) const {
+filter::BloomFilter Peer::bloom_summary() const {
   auto filter = filter::BloomFilter::with_bits_per_element(
-      std::max<std::size_t>(1, symbol_count()), bits_per_element);
+      std::max<std::size_t>(1, symbol_count()),
+      filter::kSummaryBitsPerElement);
   filter.insert_all(symbol_ids());
   return filter;
 }
@@ -72,10 +72,10 @@ art::ReconciliationTree Peer::reconciliation_tree() const {
   return art::ReconciliationTree(symbol_ids());
 }
 
-art::ArtSummary Peer::art_summary(double leaf_bits_per_element,
-                                  double internal_bits_per_element) const {
-  return art::ArtSummary::build(reconciliation_tree(), leaf_bits_per_element,
-                                internal_bits_per_element);
+art::ArtSummary Peer::art_summary() const {
+  return art::ArtSummary::build(reconciliation_tree(),
+                                art::kSummaryLeafBitsPerElement,
+                                art::kSummaryInternalBitsPerElement);
 }
 
 codec::EncodedSymbol Peer::encode_fresh() {

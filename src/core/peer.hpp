@@ -37,8 +37,7 @@ inline constexpr std::uint64_t kSymbolIdUniverse = std::uint64_t{1} << 63;
 class Peer {
  public:
   Peer(std::string name, codec::CodeParameters params,
-       codec::DegreeDistribution distribution,
-       std::size_t sketch_permutations = sketch::MinwiseSketch::kDefaultPermutations);
+       codec::DegreeDistribution distribution);
 
   const std::string& name() const { return name_; }
   const codec::CodeParameters& parameters() const { return params_; }
@@ -106,14 +105,15 @@ class Peer {
   /// The incrementally maintained min-wise sketch of the working set.
   const sketch::MinwiseSketch& sketch() const { return sketch_; }
 
-  /// Bloom filter over the held symbol ids.
-  filter::BloomFilter bloom_summary(double bits_per_element = 8.0) const;
+  /// Bloom filter over the held symbol ids, at
+  /// filter::kSummaryBitsPerElement.
+  filter::BloomFilter bloom_summary() const;
 
   /// Approximate reconciliation tree over the held symbol ids, and its
-  /// transmissible summary.
+  /// transmissible summary (art::kSummaryLeafBitsPerElement +
+  /// art::kSummaryInternalBitsPerElement).
   art::ReconciliationTree reconciliation_tree() const;
-  art::ArtSummary art_summary(double leaf_bits_per_element = 4.0,
-                              double internal_bits_per_element = 4.0) const;
+  art::ArtSummary art_summary() const;
 
   /// --- Sending -----------------------------------------------------------
 

@@ -107,7 +107,6 @@ std::string SwarmSpec::serialize() const {
   out << "seed " << seed << "\n";
   out << "strategy " << swarm_strategy_key(strategy) << "\n";
   out << "mtu " << mtu << "\n";
-  out << "batch_budget " << batch_budget << "\n";
   out << "symbols_per_tick " << symbols_per_tick << "\n";
   out << "handshake_retry_ticks " << handshake_retry_ticks << "\n";
   out << "request_overhead " << request_overhead << "\n";
@@ -160,7 +159,6 @@ SwarmSpec SwarmSpec::parse(std::istream& in) {
       if (!strategy) throw bad("unknown strategy '" + name + "'");
       spec.strategy = *strategy;
     } else if (key == "mtu") fields >> spec.mtu;
-    else if (key == "batch_budget") fields >> spec.batch_budget;
     else if (key == "symbols_per_tick") fields >> spec.symbols_per_tick;
     else if (key == "handshake_retry_ticks") fields >> spec.handshake_retry_ticks;
     else if (key == "request_overhead") fields >> spec.request_overhead;
@@ -308,8 +306,8 @@ SessionOptions swarm_session_options(const SwarmSpec& spec,
   return options;
 }
 
-void service_sender_half(SenderEndpoint& sender, wire::Transport& transport,
-                         std::size_t quota, std::size_t budget_per_tick) {
+void service_sender_half(SenderEndpoint& sender, std::size_t quota,
+                         std::size_t budget_per_tick) {
   sender.tick();
   if (sender.transfer_active()) {
     for (std::size_t i = 0;
@@ -317,14 +315,11 @@ void service_sender_half(SenderEndpoint& sender, wire::Transport& transport,
       if (!sender.send_symbol()) break;
     }
   }
-  transport.flush_batch();
 }
 
-void service_receiver_half(ReceiverEndpoint& receiver,
-                           wire::Transport& transport, std::uint64_t now) {
+void service_receiver_half(ReceiverEndpoint& receiver, std::uint64_t now) {
   receiver.advance_to(now);
   receiver.tick();
-  transport.flush_batch();
 }
 
 namespace {
@@ -389,8 +384,6 @@ SwarmPrediction predict_swarm(const SwarmSpec& spec) {
       lane.a = &lane.pipe->a();
       lane.b = &lane.pipe->b();
     }
-    lane.a->set_batch_budget(spec.batch_budget);
-    lane.b->set_batch_budget(spec.batch_budget);
     const SessionOptions options = swarm_session_options(spec, world, e);
     lane.quota = swarm_edge_quota(spec, world, e);
     lane.sender = std::make_unique<SenderEndpoint>(*frozen[edge.sender],
@@ -408,9 +401,8 @@ SwarmPrediction predict_swarm(const SwarmSpec& spec) {
   for (; t < spec.max_ticks; ++t) {
     for (auto& lane : lanes) {
       if (lane.link) lane.link->advance_to(t);
-      service_sender_half(*lane.sender, *lane.a, lane.quota,
-                          spec.symbols_per_tick);
-      service_receiver_half(*lane.receiver, *lane.b, t);
+      service_sender_half(*lane.sender, lane.quota, spec.symbols_per_tick);
+      service_receiver_half(*lane.receiver, t);
     }
     for (std::size_t i = 0; i < spec.nodes; ++i) {
       // The figures' completion rule (bench_latency): decoded, or the
@@ -520,7 +512,6 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
     half.quota = swarm_edge_quota(spec, world, e);
     half.transport =
         std::make_unique<wire::UdpTransport>(std::move(socket), spec.mtu);
-    half.transport->set_batch_budget(spec.batch_budget);
     // Inbound shaping: the global loss_rate composed with this node's own
     // access-class loss (independent drops), plus the class's delay line.
     // Deterministic per (spec seed, edge, direction) so reruns of a lossy
@@ -598,10 +589,10 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
     for (auto& half : halves) {
       half.transport->pump();
       if (half.sender) {
-        service_sender_half(*half.sender, *half.transport, half.quota,
+        service_sender_half(*half.sender, half.quota,
                             spec.symbols_per_tick * credit);
       } else if (rx_due) {
-        service_receiver_half(*half.receiver, *half.transport, now);
+        service_receiver_half(*half.receiver, now);
       }
     }
     if (!report.completed && (live->has_content() ||

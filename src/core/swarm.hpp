@@ -75,7 +75,6 @@ struct SwarmSpec {
   std::uint64_t seed = 0x5aa77a11;
   overlay::Strategy strategy = overlay::Strategy::kRecodeBloom;
   std::size_t mtu = 1400;
-  std::size_t batch_budget = 0;
   /// Data-frame send attempts per edge per tick (pacing only; totals are
   /// quota-bound).
   std::size_t symbols_per_tick = 16;
@@ -171,14 +170,12 @@ SessionOptions swarm_session_options(const SwarmSpec& spec,
 /// bound the data plane), which is exactly why the split is sound.
 
 /// Sender half: drain + handshake bookkeeping, then serve up to
-/// `budget_per_tick` symbols while the quota lasts, then flush the control
-/// train (the per-tick batching boundary).
-void service_sender_half(SenderEndpoint& sender, wire::Transport& transport,
-                         std::size_t quota, std::size_t budget_per_tick);
+/// `budget_per_tick` symbols while the quota lasts.
+void service_sender_half(SenderEndpoint& sender, std::size_t quota,
+                         std::size_t budget_per_tick);
 
 /// Receiver half: advance the retry clock to `now`, drain and absorb.
-void service_receiver_half(ReceiverEndpoint& receiver,
-                           wire::Transport& transport, std::uint64_t now);
+void service_receiver_half(ReceiverEndpoint& receiver, std::uint64_t now);
 
 /// --- Prediction -----------------------------------------------------------
 

@@ -19,6 +19,11 @@ class ByteWriter;
 /// content); the filter never causes a redundant transmission.
 namespace icd::filter {
 
+/// Bits per element of every working-set summary the protocol ships: 8
+/// bits per element, 5-6 hashes (~2% false positives), fixed for the
+/// whole evaluation.
+inline constexpr double kSummaryBitsPerElement = 8.0;
+
 class BloomFilter {
  public:
   /// A filter of `bits` bits with `hashes` hash functions drawn from the

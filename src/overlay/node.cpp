@@ -34,7 +34,7 @@ sketch::MinwiseSketch ReceiverNode::make_sketch() const {
 filter::BloomFilter ReceiverNode::make_bloom() const {
   auto filter = filter::BloomFilter::with_bits_per_element(
       std::max<std::size_t>(1, initial_.size()),
-      config_.bloom_bits_per_element);
+      filter::kSummaryBitsPerElement);
   filter.insert_all(initial_);
   return filter;
 }

@@ -12,19 +12,16 @@
 /// delivery engine; see DESIGN.md, "Time and scheduling model".
 namespace icd::overlay {
 
+/// "The experiments used the simplifying assumption of a constant decoding
+/// overhead of 7%": a receiver completes on reaching
+/// ceil(kDecodeOverhead * n) distinct symbols.
+inline constexpr double kDecodeOverhead = 1.07;
+
 struct SimConfig {
   /// n: the number of symbols needed for recovery before decoding overhead
   /// (the paper's file is 23,968 blocks; the default here is laptop-scale —
   /// the curves depend on ratios, not absolute n).
   std::size_t n = 1000;
-
-  /// "The experiments used the simplifying assumption of a constant
-  /// decoding overhead of 7%": a receiver completes on reaching
-  /// ceil(decode_overhead * n) distinct symbols.
-  double decode_overhead = 1.07;
-
-  /// Receiver Bloom filters at 8 bits per element, 5-6 hashes (~2% fp).
-  double bloom_bits_per_element = 8.0;
 
   /// Min-wise sketch positions; 128 64-bit minima = one 1 KB packet.
   std::size_t sketch_permutations = 128;
@@ -48,7 +45,7 @@ struct SimConfig {
   /// Completion target in distinct symbols.
   std::size_t target() const {
     const auto t = static_cast<std::size_t>(
-        decode_overhead * static_cast<double>(n) + 0.999999);
+        kDecodeOverhead * static_cast<double>(n) + 0.999999);
     return t;
   }
 };

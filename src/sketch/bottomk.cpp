@@ -1,6 +1,7 @@
 #include "sketch/bottomk.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "util/buffer.hpp"
@@ -97,17 +98,35 @@ std::vector<std::uint8_t> BottomKSketch::serialize() const {
 
 BottomKSketch BottomKSketch::deserialize(
     const std::vector<std::uint8_t>& bytes) {
-  util::ByteReader reader(bytes);
-  const std::uint64_t universe = reader.u64();
-  const std::uint64_t seed = reader.u64();
-  const std::size_t k = reader.varint();
-  BottomKSketch sketch(universe, k, seed);
-  const std::size_t count = reader.varint();
-  sketch.values_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    sketch.values_.push_back(reader.u64());
+  try {
+    util::ByteReader reader(bytes);
+    const std::uint64_t universe = reader.u64();
+    const std::uint64_t seed = reader.u64();
+    const std::size_t k = reader.varint();
+    const std::size_t count = reader.varint();
+    // Bound the count by what the sketch and the payload can hold before
+    // allocating anything: a hostile count must fail, not reserve.
+    if (count > std::min<std::size_t>(k, reader.remaining() / 8)) {
+      throw std::invalid_argument("BottomKSketch: count exceeds k or payload");
+    }
+    BottomKSketch sketch(universe, k, seed);
+    sketch.values_.resize(count);
+    reader.u64s(sketch.values_);
+    // The estimators binary-search the values, so they must ascend
+    // strictly (the k smallest distinct permuted values).
+    if (std::adjacent_find(sketch.values_.begin(), sketch.values_.end(),
+                           std::greater_equal<>()) != sketch.values_.end()) {
+      throw std::invalid_argument("BottomKSketch: values not ascending");
+    }
+    if (!reader.done()) {
+      throw std::invalid_argument("BottomKSketch: trailing bytes");
+    }
+    return sketch;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("BottomKSketch: truncated payload");
+  } catch (const std::overflow_error&) {
+    throw std::invalid_argument("BottomKSketch: universe too large");
   }
-  return sketch;
 }
 
 }  // namespace icd::sketch

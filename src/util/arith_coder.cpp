@@ -70,13 +70,19 @@ std::vector<bool> arith_decode_bits(const std::vector<std::uint8_t>& bytes,
                                     std::size_t count, double p1) {
   const std::uint32_t prob1 = clamp_probability(p1);
   std::vector<bool> bits;
-  bits.reserve(count);
   std::uint32_t low = 0;
   std::uint32_t range = kTop;
   std::uint32_t code = 0;
   std::size_t pos = 0;
+  // The encoder's 4-byte flush means a valid stream never asks for a byte
+  // past its end; a request for one is a count the bytes cannot hold. So
+  // decoding costs at most a bounded number of bits per input byte,
+  // whatever `count` claims.
   const auto next_byte = [&]() -> std::uint8_t {
-    return pos < bytes.size() ? bytes[pos++] : 0;
+    if (pos >= bytes.size()) {
+      throw std::invalid_argument("arith_decode_bits: count exceeds stream");
+    }
+    return bytes[pos++];
   };
   for (int i = 0; i < 4; ++i) code = (code << 8) | next_byte();
   for (std::size_t i = 0; i < count; ++i) {

@@ -21,7 +21,8 @@ std::vector<std::uint8_t> arith_encode_bits(const std::vector<bool>& bits,
                                             double p1);
 
 /// Decodes exactly `count` bits from an arith_encode_bits() stream
-/// produced with the same p1.
+/// produced with the same p1. Throws std::invalid_argument when the stream
+/// ends before `count` bits are decoded.
 std::vector<bool> arith_decode_bits(const std::vector<std::uint8_t>& bytes,
                                     std::size_t count, double p1);
 

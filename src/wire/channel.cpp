@@ -50,35 +50,30 @@ void TimedFrameQueue::collapse_to(std::uint64_t now) {
 
 // --- LinkShaper ------------------------------------------------------------
 
-std::uint64_t LinkShaper::pace_bucket(Bucket& bucket, std::uint64_t at,
-                                      std::size_t size) const {
-  const double rate = config_.rate_bytes_per_tick;
-  const double burst = config_.burst();
-  // A backlog leaves bucket.time in the future (the fill is known at the
-  // last scheduled departure); earlier frames must not refill from a
-  // wrapped "negative" elapsed time.
-  const std::uint64_t base = std::max(at, bucket.time);
-  bucket.tokens = std::min(
-      burst, bucket.tokens + rate * static_cast<double>(base - bucket.time));
-  bucket.time = base;
-  const double need = static_cast<double>(size);
-  if (bucket.tokens >= need) {
-    bucket.tokens -= need;
-    return base;
-  }
-  // Depart once the deficit has refilled; the wait's own refill is spent
-  // on this frame (leftover fractions stay in the bucket).
-  const auto wait =
-      static_cast<std::uint64_t>(std::ceil((need - bucket.tokens) / rate));
-  bucket.tokens =
-      std::min(burst, bucket.tokens + rate * static_cast<double>(wait)) - need;
-  bucket.time = base + wait;
-  return base + wait;
-}
-
 std::uint64_t LinkShaper::pace_departure(std::size_t size) {
   if (config_.rate_bytes_per_tick <= 0.0) return now_;
-  const std::uint64_t depart = pace_bucket(egress_, now_, size);
+  const double rate = config_.rate_bytes_per_tick;
+  const double burst = config_.burst();
+  // A backlog leaves bucket_time_ in the future (the fill is known at the
+  // last scheduled departure); earlier frames must not refill from a
+  // wrapped "negative" elapsed time.
+  const std::uint64_t base = std::max(now_, bucket_time_);
+  tokens_ = std::min(burst,
+                     tokens_ + rate * static_cast<double>(base - bucket_time_));
+  bucket_time_ = base;
+  const double need = static_cast<double>(size);
+  std::uint64_t depart = base;
+  if (tokens_ >= need) {
+    tokens_ -= need;
+  } else {
+    // Depart once the deficit has refilled; the wait's own refill is spent
+    // on this frame (leftover fractions stay in the bucket).
+    const auto wait =
+        static_cast<std::uint64_t>(std::ceil((need - tokens_) / rate));
+    tokens_ = std::min(burst, tokens_ + rate * static_cast<double>(wait)) - need;
+    bucket_time_ = base + wait;
+    depart = base + wait;
+  }
   if (depart > now_) ++throttled_;
   return depart;
 }
@@ -86,13 +81,14 @@ std::uint64_t LinkShaper::pace_departure(std::size_t size) {
 std::uint64_t LinkShaper::send_ready_at(std::size_t bytes) const {
   if (config_.rate_bytes_per_tick <= 0.0) return now_;
   const double rate = config_.rate_bytes_per_tick;
-  const std::uint64_t base = std::max(now_, egress_.time);
+  const std::uint64_t base = std::max(now_, bucket_time_);
   const double available = std::min(
       config_.burst(),
-      egress_.tokens + rate * static_cast<double>(base - egress_.time));
-  // A frame larger than the bucket departs on a full bucket (the pacer
-  // lets the bucket go into debt for it); without this clamp the probe
-  // would name a time that never satisfies itself and starve the link.
+      tokens_ + rate * static_cast<double>(base - bucket_time_));
+  // A probe larger than the bucket (a frame above the MTU, which the
+  // transport fragments) is ready on a full bucket; without this clamp
+  // the probe would name a time that never satisfies itself and starve
+  // the link.
   const double need =
       std::min(static_cast<double>(bytes), config_.burst());
   if (available >= need) return base;
@@ -101,25 +97,9 @@ std::uint64_t LinkShaper::send_ready_at(std::size_t bytes) const {
 }
 
 std::uint64_t LinkShaper::schedule_arrival(std::uint64_t depart,
-                                           std::size_t size,
                                            util::Xoshiro256& rng) {
-  // Per hop: re-pace through that hop's own bucket (hops beyond the
-  // sender egress, which pace_departure already charged), then
-  // propagation delay plus one jitter draw. The jitter draw order is
-  // identical to the historical flat formula, so single-hop and unpaced
-  // trajectories are bit-for-bit unchanged. Frames whose jitter inverts
-  // their arrival order at an intermediate hop are paced in schedule
-  // order — a FIFO approximation of the hop's queue.
-  std::uint64_t at = depart;
-  for (std::uint64_t hop = 0; hop < config_.hop_count(); ++hop) {
-    if (hop > 0 && !hop_buckets_.empty()) {
-      at = pace_bucket(hop_buckets_[hop - 1], at, size);
-    }
-    at += config_.delay_ticks;
-    if (config_.jitter_ticks > 0) {
-      at += rng.next_below(config_.jitter_ticks + 1);
-    }
-  }
+  std::uint64_t at = depart + config_.delay_ticks;
+  if (config_.jitter_ticks > 0) at += rng.next_below(config_.jitter_ticks + 1);
   return at;
 }
 
@@ -166,9 +146,8 @@ bool LossyChannel::send(std::vector<std::uint8_t> frame) {
 
   // Virtual clock: pace the departure (lost frames consumed the sender's
   // egress capacity too — the network ate them downstream), then schedule
-  // the arrival across the path's hops (per-hop pacing + delay + jitter).
-  const std::size_t size = frame.size();
-  const std::uint64_t depart = shaper_.pace_departure(size);
+  // the arrival (delay + jitter).
+  const std::uint64_t depart = shaper_.pace_departure(frame.size());
   if (ge_ ? ge_->drop(rng_) : rng_.next_bool(config_.loss_rate)) {
     ++dropped_;
     return true;
@@ -176,7 +155,7 @@ bool LossyChannel::send(std::vector<std::uint8_t> frame) {
   const bool reorder = config_.reorder_rate > 0.0 &&
                        rng_.next_bool(config_.reorder_rate);
   timed_queue_.insert(
-      TimedFrame{shaper_.schedule_arrival(depart, size, rng_), next_seq_++,
+      TimedFrame{shaper_.schedule_arrival(depart, rng_), next_seq_++,
                  std::move(frame)},
       reorder);
   return true;

@@ -31,11 +31,11 @@
 ///   * The **virtual clock** (any timing knob set — delay_ticks,
 ///     jitter_ticks, or rate_bytes_per_tick): the channel keeps
 ///     its own simulated time, advanced by the driving engine
-///     (advance_to). Each frame's departure is paced by a token bucket
-///     (rate_bytes_per_tick / burst_bytes) and its arrival is scheduled at
-///     departure + hops * delay_ticks + one uniform jitter draw per hop;
-///     receive() delivers only frames whose arrival time has passed. See
-///     DESIGN.md, "Time and scheduling model".
+///     (advance_to). Each frame's departure is paced by a token bucket of
+///     max(mtu, rate_bytes_per_tick) bytes refilled at rate_bytes_per_tick,
+///     and its arrival is scheduled at departure + delay_ticks + one
+///     uniform jitter draw; receive() delivers only frames whose arrival
+///     time has passed. See DESIGN.md, "Time and scheduling model".
 namespace icd::wire {
 
 /// Seed a LossyChannel falls back to when none is set.
@@ -62,33 +62,19 @@ struct ChannelConfig {
   std::optional<std::uint64_t> seed;
 
   // --- Simulated-time shaping (all zero = the legacy event clock) --------
-  /// Per-hop propagation delay in virtual ticks. A frame sent at tick t
-  /// (after pacing) becomes deliverable at t + hops * delay_ticks + jitter.
+  /// Propagation delay in virtual ticks. A frame sent at tick t (after
+  /// pacing) becomes deliverable at t + delay_ticks + jitter.
   std::uint64_t delay_ticks = 0;
-  /// Per-hop jitter: each of the path's hops adds an independent uniform
-  /// draw from [0, jitter_ticks] to the frame's arrival time. Jitter can
-  /// invert adjacent arrivals, so it is also a reordering source.
+  /// Jitter: each frame adds one independent uniform draw from
+  /// [0, jitter_ticks] to its arrival time. Jitter can invert adjacent
+  /// arrivals, so it is also a reordering source.
   std::uint64_t jitter_ticks = 0;
-  /// Store-and-forward hops the path crosses (multi-hop queue residency).
-  /// Each hop contributes delay_ticks plus one jitter draw. 0 and 1 both
-  /// mean a single hop; hops only scales delay/jitter, so on its own
-  /// (without delay/jitter/rate) it does not enable the virtual clock.
-  std::uint64_t hops = 1;
   /// Token-bucket rate limit in bytes per virtual tick (0 = unlimited).
-  /// The rate is **per hop**: every store-and-forward hop of the path
-  /// meters independently at this rate, so a multi-hop path still carries
-  /// rate_bytes_per_tick end to end (the bottleneck is any one hop) while
-  /// bursts admitted by an earlier hop's bucket are re-paced downstream.
-  /// A frame departs a hop when that hop's bucket holds its size in
-  /// tokens and queues behind the bucket otherwise, so a saturating
-  /// sender is paced to the link rate. Lost frames still consume the
-  /// first hop's tokens (they were transmitted; the network ate them
-  /// downstream of the sender's bottleneck — downstream hops never see
-  /// them).
+  /// A frame departs when the bucket holds its size in tokens and queues
+  /// behind the bucket otherwise, so a saturating sender is paced to the
+  /// link rate. Lost frames still consume tokens (they were transmitted;
+  /// the network ate them downstream of the sender's bottleneck).
   double rate_bytes_per_tick = 0.0;
-  /// Token-bucket capacity in bytes; 0 defaults to max(mtu, rate) so any
-  /// MTU-sized frame can always eventually depart (no starvation).
-  std::size_t burst_bytes = 0;
 
   // --- Gilbert-Elliott burst loss (off unless ge_loss_bad > 0) -----------
   /// Two-state Markov loss: the channel flips between a good state (loss
@@ -108,18 +94,15 @@ struct ChannelConfig {
   /// Whether the Gilbert-Elliott chain replaces the Bernoulli loss draw.
   bool gilbert_elliott() const { return ge_loss_bad > 0.0; }
 
-  /// Whether any knob requests the virtual clock. `hops` alone does not:
-  /// it multiplies delay/jitter and is inert without them.
+  /// Whether any knob requests the virtual clock.
   bool timed() const {
     return delay_ticks > 0 || jitter_ticks > 0 || rate_bytes_per_tick > 0.0;
   }
-  /// Effective bucket capacity.
+  /// Token-bucket capacity: max(mtu, rate), so any MTU-sized frame can
+  /// always eventually depart (no starvation).
   double burst() const {
-    if (burst_bytes > 0) return static_cast<double>(burst_bytes);
     return std::max(static_cast<double>(mtu), rate_bytes_per_tick);
   }
-  /// Effective hop count (at least one).
-  std::uint64_t hop_count() const { return hops == 0 ? 1 : hops; }
 };
 
 /// The per-edge seed rule the services share: an unset seed is replaced
@@ -215,63 +198,39 @@ class TimedFrameQueue {
 };
 
 /// Sender-side simulated-time shaping of a timed LossyChannel: a virtual
-/// clock, per-hop token-bucket pacing, and delay/jitter arrival
-/// scheduling. Loss/reorder draws stay with the owning link (they share
-/// its RNG stream).
+/// clock, token-bucket pacing, and delay/jitter arrival scheduling.
+/// Loss/reorder draws stay with the owning link (they share its RNG
+/// stream).
 class LinkShaper {
  public:
   explicit LinkShaper(const ChannelConfig& config)
-      : config_(config), egress_{config.burst(), 0} {
-    if (config_.rate_bytes_per_tick > 0.0 && config_.hop_count() > 1) {
-      hop_buckets_.assign(config_.hop_count() - 1,
-                          Bucket{config_.burst(), 0});
-    }
-  }
+      : config_(config), tokens_(config.burst()) {}
 
   std::uint64_t now() const { return now_; }
   void advance_to(std::uint64_t t) { now_ = std::max(now_, t); }
 
-  /// First-hop token-bucket departure time for a frame of `size` bytes
-  /// sent at now(); consumes the tokens.
+  /// Token-bucket departure time for a frame of `size` bytes sent at
+  /// now(); consumes the tokens.
   std::uint64_t pace_departure(std::size_t size);
 
-  /// Earliest virtual time a frame of `bytes` could depart the *first*
-  /// hop given its bucket's current fill, without consuming anything.
-  /// Downstream hop queueing shows up in the arrival time instead — the
-  /// send-credit probe stays a sender-egress question.
+  /// Earliest virtual time a frame of `bytes` could depart given the
+  /// bucket's current fill, without consuming anything.
   std::uint64_t send_ready_at(std::size_t bytes) const;
 
-  /// Arrival time for a frame of `size` bytes departing the first hop at
-  /// `depart`: per hop, a token-bucket re-pacing (hops beyond the first;
-  /// each hop meters rate_bytes_per_tick independently), one delay_ticks,
-  /// and one uniform [0, jitter_ticks] draw from `rng`. With one hop or
-  /// no rate limit this is exactly delay + jitter per hop.
-  std::uint64_t schedule_arrival(std::uint64_t depart, std::size_t size,
-                                 util::Xoshiro256& rng);
+  /// Arrival time for a frame departing at `depart`: one delay_ticks plus
+  /// one uniform [0, jitter_ticks] draw from `rng`.
+  std::uint64_t schedule_arrival(std::uint64_t depart, util::Xoshiro256& rng);
 
-  /// Frames whose first-hop departure the token bucket pushed past their
-  /// send tick.
+  /// Frames whose departure the token bucket pushed past their send tick.
   std::size_t throttled() const { return throttled_; }
 
  private:
-  /// One hop's token bucket: fill level at `time`.
-  struct Bucket {
-    double tokens;
-    std::uint64_t time;
-  };
-
-  /// Departure time through one bucket for `size` bytes offered at `at`;
-  /// consumes the tokens (the wait's own refill is spent on this frame,
-  /// leftover fractions stay in the bucket).
-  std::uint64_t pace_bucket(Bucket& bucket, std::uint64_t at,
-                            std::size_t size) const;
-
   ChannelConfig config_;
   std::uint64_t now_ = 0;
-  /// First-hop (sender egress) bucket.
-  Bucket egress_;
-  /// Hops 2..N meter independently; empty when unpaced or single-hop.
-  std::vector<Bucket> hop_buckets_;
+  /// Bucket fill level at `bucket_time_` (in the future while a backlog
+  /// is queued behind the bucket).
+  double tokens_;
+  std::uint64_t bucket_time_ = 0;
   std::size_t throttled_ = 0;
 };
 
@@ -323,9 +282,8 @@ class LossyChannel {
   /// Advances the virtual clock (monotonic; a smaller t is ignored).
   void advance_to(std::uint64_t t) { shaper_.advance_to(t); }
 
-  /// Arrival time of the earliest queued frame, if any — the event the
-  /// scheduler orders link servicing by. Already-due frames report their
-  /// (past) arrival time, not now().
+  /// Arrival time of the earliest queued frame, if any. Already-due frames
+  /// report their (past) arrival time, not now().
   std::optional<std::uint64_t> next_arrival_at() const;
 
   /// The earliest virtual time at which this direction can deliver

@@ -202,80 +202,51 @@ std::vector<std::uint8_t> encode_frame(const Message& message) {
   return frame.take();
 }
 
-namespace {
-
-Message decode_from_reader(util::ByteReader& reader) {
-  if (reader.u16() != kMagic) {
-    throw std::invalid_argument("wire: bad magic");
-  }
-  if (reader.u8() != kVersion) {
-    throw std::invalid_argument("wire: unsupported version");
-  }
-  const auto type = static_cast<MessageType>(reader.u8());
-  const std::size_t length = reader.varint();
-  const auto payload_bytes = reader.raw(length);
-  util::ByteReader payload(payload_bytes);
-
-  Message message = [&]() -> Message {
-    switch (type) {
-      case MessageType::kHello:
-        return read_hello(payload);
-      case MessageType::kSketch:
-        return SketchMessage{
-            sketch::MinwiseSketch::deserialize(read_blob(payload))};
-      case MessageType::kBloomSummary:
-        return BloomSummaryMessage{
-            filter::BloomFilter::deserialize(read_blob(payload))};
-      case MessageType::kArtSummary:
-        return ArtSummaryMessage{
-            art::ArtSummary::deserialize(read_blob(payload))};
-      case MessageType::kRequest:
-        return read_request(payload);
-      case MessageType::kEncodedSymbol:
-        return read_encoded(payload);
-      case MessageType::kRecodedSymbol:
-        return read_recoded(payload);
-      case MessageType::kFragment:
-        return read_fragment(payload);
-      case MessageType::kRequestUpdate:
-        return read_request_update(payload);
-    }
-    throw std::invalid_argument("wire: unknown message type");
-  }();
-  if (!payload.done()) {
-    throw std::invalid_argument("wire: trailing bytes in payload");
-  }
-  return message;
-}
-
-}  // namespace
-
-std::size_t frame_size(std::span<const std::uint8_t> bytes) {
+Message decode_frame(std::span<const std::uint8_t> frame) {
   try {
-    util::ByteReader reader(bytes);
+    util::ByteReader reader(frame);
     if (reader.u16() != kMagic) {
       throw std::invalid_argument("wire: bad magic");
     }
     if (reader.u8() != kVersion) {
       throw std::invalid_argument("wire: unsupported version");
     }
-    reader.u8();  // type; validated when the frame is decoded
-    const std::uint64_t length = reader.varint();
-    if (length > reader.remaining()) {
-      throw std::invalid_argument("wire: truncated frame");
-    }
-    return bytes.size() - reader.remaining() + static_cast<std::size_t>(length);
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("wire: truncated frame");
-  }
-}
-
-Message decode_frame(std::span<const std::uint8_t> frame) {
-  try {
-    util::ByteReader reader(frame);
-    Message message = decode_from_reader(reader);
+    const auto type = static_cast<MessageType>(reader.u8());
+    const std::size_t length = reader.varint();
+    const auto payload_bytes = reader.raw(length);
     if (!reader.done()) {
       throw std::invalid_argument("wire: trailing bytes after frame");
+    }
+    util::ByteReader payload(payload_bytes);
+
+    Message message = [&]() -> Message {
+      switch (type) {
+        case MessageType::kHello:
+          return read_hello(payload);
+        case MessageType::kSketch:
+          return SketchMessage{
+              sketch::MinwiseSketch::deserialize(read_blob(payload))};
+        case MessageType::kBloomSummary:
+          return BloomSummaryMessage{
+              filter::BloomFilter::deserialize(read_blob(payload))};
+        case MessageType::kArtSummary:
+          return ArtSummaryMessage{
+              art::ArtSummary::deserialize(read_blob(payload))};
+        case MessageType::kRequest:
+          return read_request(payload);
+        case MessageType::kEncodedSymbol:
+          return read_encoded(payload);
+        case MessageType::kRecodedSymbol:
+          return read_recoded(payload);
+        case MessageType::kFragment:
+          return read_fragment(payload);
+        case MessageType::kRequestUpdate:
+          return read_request_update(payload);
+      }
+      throw std::invalid_argument("wire: unknown message type");
+    }();
+    if (!payload.done()) {
+      throw std::invalid_argument("wire: trailing bytes in payload");
     }
     return message;
   } catch (const std::out_of_range&) {
@@ -328,30 +299,6 @@ std::optional<SymbolFrameView> decode_symbol_frame(
     return view;
   } catch (const std::out_of_range&) {
     throw std::invalid_argument("wire: truncated frame");
-  }
-}
-
-void encode_stream_into(util::ByteWriter& out,
-                        const std::vector<Message>& messages) {
-  for (const Message& message : messages) encode_frame_into(out, message);
-}
-
-std::vector<std::uint8_t> encode_stream(const std::vector<Message>& messages) {
-  util::ByteWriter bytes;
-  encode_stream_into(bytes, messages);
-  return bytes.take();
-}
-
-std::vector<Message> decode_stream(std::span<const std::uint8_t> bytes) {
-  try {
-    std::vector<Message> messages;
-    util::ByteReader reader(bytes);
-    while (!reader.done()) {
-      messages.push_back(decode_from_reader(reader));
-    }
-    return messages;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("wire: truncated stream");
   }
 }
 

@@ -138,13 +138,6 @@ std::vector<std::uint8_t> encode_frame(const Message& message);
 /// (bad magic, unknown version/type, truncation, trailing bytes).
 Message decode_frame(std::span<const std::uint8_t> frame);
 
-/// Size in bytes of the first frame in `bytes` (header + declared payload
-/// length), without decoding the payload. Lets a receiver slice a batched
-/// train — several frames concatenated in one datagram — into individual
-/// frames for decode_frame/decode_symbol_frame. Throws std::invalid_argument
-/// on bad magic/version or when the declared frame extends past `bytes`.
-std::size_t frame_size(std::span<const std::uint8_t> bytes);
-
 /// In-place decode of a symbol frame. Exactly one of the views is engaged;
 /// its payload span borrows `frame` (valid only while the frame bytes
 /// live), and recoded constituent ids are decoded into
@@ -158,14 +151,5 @@ struct SymbolFrameView {
 std::optional<SymbolFrameView> decode_symbol_frame(
     std::span<const std::uint8_t> frame,
     std::vector<std::uint64_t>& constituent_scratch);
-
-/// Encodes a sequence of messages back-to-back into one byte stream, and
-/// splits a byte stream back into frames. Enables batching several control
-/// messages into one packet. encode_stream_into appends to a (possibly
-/// recycled) buffer via the writer.
-void encode_stream_into(util::ByteWriter& out,
-                        const std::vector<Message>& messages);
-std::vector<std::uint8_t> encode_stream(const std::vector<Message>& messages);
-std::vector<Message> decode_stream(std::span<const std::uint8_t> bytes);
 
 }  // namespace icd::wire

@@ -25,21 +25,12 @@ bool Transport::send(const Message& message) {
   auto frame = writer.take();
   const bool control = !is_data_type(message_type(message));
   if (frame.size() > mtu_) return send_oversized(std::move(frame), control);
-  if (control && batch_budget_ > 0 &&
-      frame.size() <= std::min(batch_budget_, mtu_)) {
-    append_to_train(std::move(frame));
-    ++stats_.messages_sent;
-    return true;
-  }
-  // Unbatched frames overtake nothing: ship the pending train first.
-  flush_batch();
   if (!send_frame(std::move(frame), control)) return false;
   ++stats_.messages_sent;
   return true;
 }
 
 bool Transport::send(const codec::EncodedSymbolView& symbol) {
-  flush_batch();
   util::ByteWriter writer(acquire_buffer());
   encode_frame_into(writer, symbol);
   auto frame = writer.take();
@@ -50,7 +41,6 @@ bool Transport::send(const codec::EncodedSymbolView& symbol) {
 }
 
 bool Transport::send(const codec::RecodedSymbolView& symbol) {
-  flush_batch();
   util::ByteWriter writer(acquire_buffer());
   encode_frame_into(writer, symbol);
   auto frame = writer.take();
@@ -60,30 +50,7 @@ bool Transport::send(const codec::RecodedSymbolView& symbol) {
   return true;
 }
 
-void Transport::append_to_train(std::vector<std::uint8_t> frame) {
-  const std::size_t limit = std::min(batch_budget_, mtu_);
-  if (train_live_ && train_.size() + frame.size() > limit) flush_batch();
-  if (!train_live_) {
-    train_ = acquire_buffer();
-    train_.clear();
-    train_live_ = true;
-  }
-  train_.insert(train_.end(), frame.begin(), frame.end());
-  release_buffer(std::move(frame));
-}
-
-bool Transport::flush_batch() {
-  if (!train_live_) return true;
-  train_live_ = false;
-  std::vector<std::uint8_t> train = std::move(train_);
-  train_ = {};
-  return send_frame(std::move(train), /*control=*/true);
-}
-
 bool Transport::send_oversized(std::vector<std::uint8_t> frame, bool control) {
-  // Fragments are MTU-sized already, so they travel unbatched — but the
-  // pending train must depart first to preserve frame order.
-  flush_batch();
   // Packetize: slice the oversized frame into Fragment messages, each of
   // which fits the MTU with room for its own header.
   if (mtu_ <= kFragmentOverhead) {
@@ -151,35 +118,18 @@ bool Transport::take_datagram() {
   if (!datagram) return false;
   rx_frame_ = std::move(*datagram);
   rx_frame_live_ = true;
-  rx_offset_ = 0;
   ++stats_.frames_received;
   stats_.bytes_received += rx_frame_.size();
   return true;
 }
 
 std::optional<Transport::ReceivedFrame> Transport::receive_frame() {
-  while (true) {
-    // A datagram may be a batched train of several frames: slice the next
-    // frame off it, taking a fresh datagram once this one is consumed.
-    if (!rx_frame_live_ || rx_offset_ >= rx_frame_.size()) {
-      if (!take_datagram()) return std::nullopt;
-    }
-    const std::span<const std::uint8_t> rest(
-        rx_frame_.data() + rx_offset_, rx_frame_.size() - rx_offset_);
-    std::span<const std::uint8_t> frame;
-    try {
-      frame = rest.first(frame_size(rest));
-    } catch (const std::invalid_argument&) {
-      // Can't even delimit the next frame: drop the rest of the datagram.
-      ++stats_.malformed_frames;
-      rx_offset_ = rx_frame_.size();
-      continue;
-    }
-    rx_offset_ += frame.size();
+  while (take_datagram()) {
     // Symbol frames (the overwhelming majority in transfer) decode in
-    // place; only control frames take the owning decode_frame path.
+    // place; only control frames take the owning decode_frame path. Both
+    // decoders reject a datagram that is not exactly one frame.
     try {
-      if (auto symbol = decode_symbol_frame(frame, rx_constituents_)) {
+      if (auto symbol = decode_symbol_frame(rx_frame_, rx_constituents_)) {
         ++stats_.messages_received;
         if (symbol->encoded) return ReceivedFrame{*symbol->encoded};
         return ReceivedFrame{*symbol->recoded};
@@ -190,7 +140,7 @@ std::optional<Transport::ReceivedFrame> Transport::receive_frame() {
     }
     Message message;
     try {
-      message = decode_frame(frame);
+      message = decode_frame(rx_frame_);
     } catch (const std::invalid_argument&) {
       ++stats_.malformed_frames;
       continue;
@@ -205,6 +155,7 @@ std::optional<Transport::ReceivedFrame> Transport::receive_frame() {
     ++stats_.messages_received;
     return ReceivedFrame{std::move(message)};
   }
+  return std::nullopt;
 }
 
 std::optional<Message> Transport::receive() {

@@ -16,8 +16,8 @@
 /// Message transports: the seam between protocol endpoints and the network.
 ///
 /// A Transport carries typed wire::Message frames in one direction pair of a
-/// point-to-point link. It owns the two substrate concerns the endpoints
-/// must not care about:
+/// point-to-point link, one frame per datagram. It owns the two substrate
+/// concerns the endpoints must not care about:
 ///
 ///   * Packetization — frames larger than the link MTU (Bloom/ART control
 ///     summaries, big sketches) are split into Fragment messages and
@@ -112,45 +112,26 @@ class Transport {
 
   /// Delivers the next fully reassembled message, if any, decoding symbol
   /// frames in place (payload spans borrow the transport's receive buffer
-  /// until the next receive call — the single-copy receive rule). Malformed
-  /// frames are counted and skipped, never thrown.
+  /// until the next receive call — the single-copy receive rule). A
+  /// datagram must hold exactly one frame: anything else (garbage, a
+  /// truncated frame, trailing bytes, two frames back to back) counts once
+  /// in malformed_frames and is skipped, never thrown.
   std::optional<ReceivedFrame> receive_frame();
 
   /// Owning variant of receive_frame(): symbol views are materialized into
   /// EncodedSymbolMessage/RecodedSymbolMessage. Control paths and tests.
   std::optional<Message> receive();
 
-  /// Per-tick control-frame batching. With a nonzero budget, control
-  /// frames no longer depart one datagram each: they accumulate in a
-  /// pooled train buffer (self-describing frames concatenated back to
-  /// back, exactly the encode_stream layout) that is handed to the link as
-  /// one datagram when appending the next frame would exceed
-  /// min(budget, mtu), when a data or oversized frame must depart (frame
-  /// order is preserved), or at flush_batch() — the per-tick boundary the
-  /// driving engine calls. Wire *bytes* are unchanged (each frame keeps
-  /// its header); what drops is the per-datagram cost: a handshake bundle
-  /// that took 4 frames travels as 1, and control_frames_sent counts
-  /// datagrams, so the control-packet accounting reflects the saving. A
-  /// train lost by the channel loses all its frames, which the endpoints'
-  /// retry path absorbs — same failure mode as a lost fragment. Budget 0
-  /// (the default) disables batching and reproduces the historical
-  /// one-frame-per-datagram behavior bit for bit.
-  void set_batch_budget(std::size_t bytes) { batch_budget_ = bytes; }
-  std::size_t batch_budget() const { return batch_budget_; }
-  /// Sends the pending control train, if any. Returns false only when the
-  /// backend refused the train datagram (counted in frames_refused).
-  bool flush_batch();
-
   std::size_t mtu() const { return mtu_; }
   const TransportStats& stats() const { return stats_; }
   const BufferPool& pool() const { return *pool_; }
   /// Heap bytes this transport pins: reassembly partials, the live
-  /// receive frame, the control train, and decode scratch. The shared
-  /// BufferPool is deliberately EXCLUDED — both ends of a link share one
-  /// pool, so the owning link counts it exactly once (see
-  /// ChannelLink::memory_bytes / MemoryAudit).
+  /// receive frame, and decode scratch. The shared BufferPool is
+  /// deliberately EXCLUDED — both ends of a link share one pool, so the
+  /// owning link counts it exactly once (see ChannelLink::memory_bytes /
+  /// MemoryAudit).
   std::size_t memory_bytes() const {
-    std::size_t bytes = rx_frame_.capacity() + train_.capacity() +
+    std::size_t bytes = rx_frame_.capacity() +
                         rx_constituents_.capacity() * sizeof(std::uint64_t);
     for (const auto& [sequence, partial] : partials_) {
       bytes += sizeof(Partial) + 4 * sizeof(void*);
@@ -187,7 +168,6 @@ class Transport {
  private:
   bool send_frame(std::vector<std::uint8_t> frame, bool control);
   bool send_oversized(std::vector<std::uint8_t> frame, bool control);
-  void append_to_train(std::vector<std::uint8_t> frame);
   bool take_datagram();
   std::optional<Message> absorb_fragment(Fragment fragment);
 
@@ -202,17 +182,11 @@ class Transport {
   FrameObserver observer_;
   std::uint32_t next_sequence_ = 1;
   std::map<std::uint32_t, Partial> partials_;
-  /// The last datagram taken from the link: views handed out by
-  /// receive_frame() borrow it; released to the pool on the next take.
-  /// A batched train datagram carries several frames; rx_offset_ tracks
-  /// how far it has been sliced.
+  /// The last datagram taken from the link (one datagram, one frame):
+  /// views handed out by receive_frame() borrow it; released to the pool
+  /// on the next take.
   std::vector<std::uint8_t> rx_frame_;
   bool rx_frame_live_ = false;
-  std::size_t rx_offset_ = 0;
-  /// Control-frame batching state (see set_batch_budget).
-  std::size_t batch_budget_ = 0;
-  std::vector<std::uint8_t> train_;
-  bool train_live_ = false;
   /// Decoded recoded-symbol ids; RecodedSymbolView borrows this.
   std::vector<std::uint64_t> rx_constituents_;
 };
@@ -314,16 +288,6 @@ class ChannelLink {
   void advance_to(std::uint64_t t) {
     a_to_b_.advance_to(t);
     b_to_a_.advance_to(t);
-  }
-
-  /// Earliest queued frame arrival in either direction — the link's next
-  /// deliverable-frame event for the scheduler.
-  std::optional<std::uint64_t> next_arrival_at() const {
-    const auto forward = a_to_b_.next_arrival_at();
-    const auto reverse = b_to_a_.next_arrival_at();
-    if (!forward) return reverse;
-    if (!reverse) return forward;
-    return std::min(*forward, *reverse);
   }
 
   /// Send-credit probe for the serving (a -> b) direction.

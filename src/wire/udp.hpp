@@ -12,18 +12,18 @@
 
 /// Real-network backend: the wire::Transport contract over non-blocking UDP.
 ///
-/// Everything above this layer — endpoints, fragmentation, control-frame
-/// trains, byte accounting — is inherited unchanged from Transport, so a
-/// SenderEndpoint speaking through a UdpTransport produces byte-for-byte the
-/// same datagram stream as the same endpoint over an in-process Pipe with the
-/// same MTU and batch budget. That equivalence is what lets the multi-process
-/// swarm harness cross-check real runs against the simulator's prediction
-/// (see DESIGN.md, "Real-network backend").
+/// Everything above this layer — endpoints, fragmentation, byte accounting
+/// — is inherited unchanged from Transport, so a SenderEndpoint speaking
+/// through a UdpTransport produces byte-for-byte the same datagram stream
+/// as the same endpoint over an in-process Pipe with the same MTU. That
+/// equivalence is what lets the multi-process swarm harness cross-check
+/// real runs against the simulator's prediction (see DESIGN.md,
+/// "Real-network backend").
 ///
-/// The backend maps the repo's frame-train batching onto syscall batching:
-/// receive drains the socket with recvmmsg-sized bursts into pooled buffers,
-/// and sends the kernel refused with EAGAIN are queued and flushed with
-/// sendmmsg on the next pump(). Loopback smoke runs never hit either slow
+/// The backend batches syscalls, not frames (each datagram carries one
+/// frame): receive drains the socket with recvmmsg-sized bursts into pooled
+/// buffers, and sends the kernel refused with EAGAIN are queued and flushed
+/// with sendmmsg on the next pump(). Loopback smoke runs never hit either slow
 /// path, but a congested or netem-shaped link exercises both.
 namespace icd::wire {
 
@@ -66,7 +66,7 @@ class UdpSocket {
 };
 
 /// Backend-level counters, beneath the exact frame/byte accounting the base
-/// Transport keeps. Datagrams, not frames: one datagram may carry a train.
+/// Transport keeps.
 struct UdpTransportStats {
   std::size_t datagrams_sent = 0;
   std::size_t datagrams_received = 0;
@@ -95,7 +95,7 @@ struct UdpTransportStats {
 /// send/receive surface must be called from the owning thread. The pooled
 /// receive path mirrors Pipe's: drain() resizes a pooled buffer to mtu+1
 /// (the extra byte detects truncation), recv()s into it, shrinks it to the
-/// datagram length and queues it; receive_frame() slices trains out of it
+/// datagram length and queues it; receive_frame() decodes it as one frame
 /// and returns it to the pool on the next take.
 class UdpTransport : public Transport {
  public:

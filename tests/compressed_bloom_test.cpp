@@ -6,6 +6,7 @@
 
 #include "filter/compressed_bloom.hpp"
 #include "util/arith_coder.hpp"
+#include "util/buffer.hpp"
 #include "util/random.hpp"
 
 namespace icd {
@@ -123,6 +124,29 @@ TEST(CompressedBloom, BeatsClassicalFpAtEqualWireBudget) {
   EXPECT_LT(compressed_fp, classical_fp);
   // It costs memory: the in-RAM array is larger than the wire form.
   EXPECT_GT(compressed.memory_bits(), static_cast<std::size_t>(kWireBudget * n));
+}
+
+TEST(CompressedBloom, BitCountsTheStreamCannotHoldAreRejected) {
+  // A 22-byte payload: the header claims the bit count, the model is the
+  // most skewed one (fill 1/65535, the cheapest zeros), and the coded
+  // stream is the 4-byte minimum. The decoder runs out of stream long
+  // before the claim and must throw, not reserve or decode it.
+  for (const std::uint64_t claim : {std::uint64_t{1} << 28,
+                                    std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 61}) {
+    util::ByteWriter writer;
+    writer.varint(claim);  // bit count
+    writer.varint(4);      // hashes
+    writer.u64(0);         // seed
+    writer.varint(0);      // inserted
+    writer.u16(1);         // fill ratio, in 1/65535ths
+    const std::vector<std::uint8_t> coded(4, 0);
+    writer.varint(coded.size());
+    writer.raw(coded);
+    EXPECT_THROW(filter::CompressedBloomFilter::deserialize(writer.take()),
+                 std::invalid_argument)
+        << "claim " << claim;
+  }
 }
 
 TEST(CompressedBloom, DesignRejectsBadInputs) {

@@ -7,6 +7,7 @@
 #include "codec/inactivation.hpp"
 #include "sketch/bottomk.hpp"
 #include "sketch/minwise.hpp"
+#include "util/buffer.hpp"
 #include "util/random.hpp"
 
 namespace icd {
@@ -167,6 +168,42 @@ TEST(BottomK, SerializationRoundTrip) {
       sketch::BottomKSketch::deserialize(sketch.serialize());
   EXPECT_EQ(restored.values(), sketch.values());
   EXPECT_EQ(restored.k(), sketch.k());
+}
+
+TEST(BottomK, MalformedPayloadsThrowInvalidArgument) {
+  // serialize()'s layout with a chosen value count and values. Hostile
+  // counts must fail before any allocation for them, and every malformed
+  // payload must fail the same way.
+  const auto payload = [](std::uint64_t count,
+                          const std::vector<std::uint64_t>& values) {
+    util::ByteWriter writer;
+    writer.u64(1 << 20);
+    writer.u64(sketch::BottomKSketch::kSharedSeed);
+    writer.varint(sketch::BottomKSketch::kDefaultK);
+    writer.varint(count);
+    for (const std::uint64_t v : values) writer.u64(v);
+    return writer.take();
+  };
+  for (const std::uint64_t count : {std::uint64_t{1} << 26,
+                                    std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 61}) {
+    EXPECT_THROW(sketch::BottomKSketch::deserialize(payload(count, {})),
+                 std::invalid_argument)
+        << "count " << count;
+  }
+  // The estimators binary-search the values: they must ascend strictly.
+  EXPECT_THROW(sketch::BottomKSketch::deserialize(payload(3, {5, 9, 7})),
+               std::invalid_argument);
+  sketch::BottomKSketch sketch(1 << 20);
+  for (std::uint64_t i = 0; i < 50; ++i) sketch.update(i * 17);
+  auto truncated = sketch.serialize();
+  truncated.pop_back();
+  EXPECT_THROW(sketch::BottomKSketch::deserialize(truncated),
+               std::invalid_argument);
+  auto trailing = sketch.serialize();
+  trailing.push_back(0);
+  EXPECT_THROW(sketch::BottomKSketch::deserialize(trailing),
+               std::invalid_argument);
 }
 
 TEST(BottomK, IncompatibleSketchesThrow) {

@@ -71,7 +71,7 @@ std::size_t run_protocol(ProtocolWorld& world, double data_loss) {
       world.receiver.symbol_count()});
   control.send_message(wire::SketchMessage{world.receiver.sketch()});
   control.send_message(
-      wire::BloomSummaryMessage{world.receiver.bloom_summary(8.0)});
+      wire::BloomSummaryMessage{world.receiver.bloom_summary()});
   control.send_message(wire::Request{200});
 
   // --- Sender side: consume control, build its serving state ------------
@@ -163,12 +163,17 @@ TEST(ProtocolIntegration, ControlHandshakeFitsFourPackets) {
                                      world.receiver.symbol_count()});
   handshake.emplace_back(wire::SketchMessage{world.receiver.sketch()});
   handshake.emplace_back(
-      wire::BloomSummaryMessage{world.receiver.bloom_summary(8.0)});
+      wire::BloomSummaryMessage{world.receiver.bloom_summary()});
   handshake.emplace_back(wire::Request{200});
-  const auto bytes = wire::encode_stream(handshake);
-  EXPECT_LE(bytes.size(), 4 * 1024u);
-  // And the stream parses back intact.
-  EXPECT_EQ(wire::decode_stream(bytes).size(), 4u);
+  std::size_t bytes = 0;
+  for (const auto& message : handshake) {
+    const auto frame = wire::encode_frame(message);
+    bytes += frame.size();
+    // And each frame parses back intact.
+    EXPECT_EQ(wire::message_type(wire::decode_frame(frame)),
+              wire::message_type(message));
+  }
+  EXPECT_LE(bytes, 4 * 1024u);
 }
 
 }  // namespace

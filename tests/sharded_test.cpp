@@ -1,7 +1,7 @@
 // Sharded delivery engine: determinism contract (every shard count, 1
 // included, gives one identical trajectory), multi-shard swarm correctness
 // (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
-// and the transport's per-tick control-frame batching layer.
+// and the shard-local ownership of link buffer pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,70 +217,6 @@ TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
   ASSERT_TRUE(mid.has_value()) << "swarm never reached a quarter complete";
   ASSERT_GT(mid->link_bytes, 0u);
   EXPECT_LT(mid->link_bytes / mid->peers, 16 * 1024u);
-}
-
-// --- Per-tick control-frame batching ----------------------------------------
-
-TEST(Batching, TrainPreservesMessagesOrderAndBytes) {
-  wire::Pipe plain(1500);
-  wire::Pipe batched(1500);
-  batched.a().set_batch_budget(1400);
-
-  const std::vector<wire::Message> bundle = {
-      wire::Hello{100, 7, 42}, wire::Request{64}, wire::Request{65}};
-  for (const auto& m : bundle) {
-    ASSERT_TRUE(plain.a().send(m));
-    ASSERT_TRUE(batched.a().send(m));
-  }
-  ASSERT_TRUE(batched.a().flush_batch());
-
-  // Same wire bytes, fewer datagrams.
-  EXPECT_EQ(batched.a().stats().control_bytes_sent,
-            plain.a().stats().control_bytes_sent);
-  EXPECT_EQ(plain.a().stats().control_frames_sent, 3u);
-  EXPECT_EQ(batched.a().stats().control_frames_sent, 1u);
-
-  // The receiver slices the train back into the same messages, in order.
-  for (const auto& m : bundle) {
-    auto received = batched.b().receive();
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(wire::message_type(*received), wire::message_type(m));
-  }
-  EXPECT_FALSE(batched.b().receive().has_value());
-}
-
-TEST(Batching, SplitsTrainsAtBudget) {
-  wire::Pipe pipe(1500);
-  pipe.a().set_batch_budget(40);  // Request frames are ~9 bytes
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pipe.a().send(wire::Request{static_cast<std::uint64_t>(i)}));
-  }
-  ASSERT_TRUE(pipe.a().flush_batch());
-  // Request frames are 6 bytes, so a 40-byte budget holds 6 per train:
-  // 10 frames split into exactly 2 datagrams.
-  EXPECT_EQ(pipe.a().stats().control_frames_sent, 2u);
-  for (int i = 0; i < 10; ++i) {
-    auto received = pipe.b().receive();
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(std::get<wire::Request>(*received).symbols_desired,
-              static_cast<std::uint64_t>(i));
-  }
-}
-
-TEST(Batching, DataSendFlushesPendingControlFirst) {
-  wire::Pipe pipe(1500);
-  pipe.a().set_batch_budget(1400);
-  ASSERT_TRUE(pipe.a().send(wire::Request{5}));
-  const std::vector<std::uint8_t> payload(64, 0xab);
-  ASSERT_TRUE(pipe.a().send(codec::EncodedSymbolView{11, payload}));
-
-  // Control departs before the symbol that followed it.
-  auto first = pipe.b().receive();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(std::holds_alternative<wire::Request>(*first));
-  auto second = pipe.b().receive();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(std::holds_alternative<wire::EncodedSymbolMessage>(*second));
 }
 
 // --- BufferPool shard-local ownership ---------------------------------------

@@ -346,16 +346,14 @@ TEST(UdpTransport, LossInjectionDropsDeterministicallyAtTheSocket) {
 }
 
 /// The same control + data script over a given transport pair; returns the
-/// sender-side stats. Mirrors a handshake bundle (batched control train),
-/// a data-plane burst, and one oversized fragmented summary.
+/// sender-side stats. Mirrors a handshake bundle, a data-plane burst, and
+/// one oversized fragmented summary.
 TransportStats run_script(Transport& tx, Transport& rx) {
-  tx.set_batch_budget(512);
   EXPECT_TRUE(tx.send(Hello{100, 77, 60}));
   sketch::MinwiseSketch sketch(1 << 20, 32);
   for (std::uint64_t i = 0; i < 60; ++i) sketch.update(i * 13);
   EXPECT_TRUE(tx.send(SketchMessage{sketch}));
   EXPECT_TRUE(tx.send(Request{40}));
-  EXPECT_TRUE(tx.flush_batch());
   for (std::uint64_t i = 0; i < 25; ++i) {
     EncodedSymbolMessage symbol;
     symbol.symbol.id = i;
@@ -376,9 +374,9 @@ TransportStats run_script(Transport& tx, Transport& rx) {
 }
 
 TEST(UdpTransport, ByteAccountingMatchesPipeExactly) {
-  // The equivalence the swarm harness rests on: same script, same MTU,
-  // same batch budget -> identical sent-side accounting over real UDP and
-  // over the in-process Pipe, field by field.
+  // The equivalence the swarm harness rests on: same script, same MTU ->
+  // identical sent-side accounting over real UDP and over the in-process
+  // Pipe, field by field.
   auto [pa, pb] = make_loopback_pair(1400);
   UdpTransport &a = *pa, &b = *pb;
   const TransportStats udp = run_script(a, b);

@@ -1,12 +1,14 @@
-// Tests for icd::wire: framed message serialization and the simulated
-// lossy channel.
+// Tests for icd::wire: framed message serialization, the simulated lossy
+// channel, and the one-frame-per-datagram rule of the transport.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/buffer.hpp"
 #include "wire/channel.hpp"
 #include "wire/message.hpp"
+#include "wire/transport.hpp"
 
 namespace icd::wire {
 namespace {
@@ -182,22 +184,6 @@ TEST(WireMessage, RejectsMalformedFrames) {
   EXPECT_THROW(decode_frame(bad), std::invalid_argument);
 }
 
-TEST(WireMessage, StreamBatchesAndSplits) {
-  std::vector<Message> messages;
-  messages.emplace_back(Hello{10, 20, 30});
-  messages.emplace_back(Request{5});
-  EncodedSymbolMessage symbol;
-  symbol.symbol.id = 7;
-  symbol.symbol.payload = {0xaa};
-  messages.emplace_back(symbol);
-  const auto bytes = encode_stream(messages);
-  const auto decoded = decode_stream(bytes);
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(std::get<Hello>(decoded[0]), (Hello{10, 20, 30}));
-  EXPECT_EQ(std::get<Request>(decoded[1]), (Request{5}));
-  EXPECT_EQ(std::get<EncodedSymbolMessage>(decoded[2]), symbol);
-}
-
 TEST(LossyChannel, DeliversInOrderWithoutLoss) {
   LossyChannel channel(ChannelConfig{});
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -269,6 +255,42 @@ TEST(LossyChannel, ReceiveOnEmptyIsEmptyAndMessageThrows) {
   LossyChannel channel(ChannelConfig{});
   EXPECT_TRUE(channel.receive().empty());
   EXPECT_THROW(channel.receive_message(), std::logic_error);
+}
+
+TEST(ChannelTransport, DatagramHoldingTwoFramesIsOneMalformedFrame) {
+  // A datagram carries exactly one frame. Two valid frames back to back
+  // (a control pair, and a symbol followed by a control frame) are
+  // rejected whole: each datagram counts once in malformed_frames and
+  // delivers nothing, and the link keeps working afterwards.
+  LossyChannel inbound(ChannelConfig{});
+  LossyChannel outbound(ChannelConfig{});
+  ChannelTransport receiver(outbound, inbound);
+  EncodedSymbolMessage symbol;
+  symbol.symbol.id = 7;
+  symbol.symbol.payload = {0xaa, 0xbb};
+  const std::vector<std::pair<Message, Message>> pairs = {
+      {Hello{10, 20, 30}, Request{5}}, {symbol, Request{6}}};
+  for (const auto& [first, second] : pairs) {
+    auto datagram = encode_frame(first);
+    const auto tail = encode_frame(second);
+    datagram.insert(datagram.end(), tail.begin(), tail.end());
+    ASSERT_TRUE(inbound.send(std::move(datagram)));
+  }
+  ASSERT_TRUE(inbound.send_message(Request{7}));
+
+  // The event clock holds the newest frame in flight until an empty
+  // receive releases it, so drain over a few calls.
+  std::vector<Message> delivered;
+  for (int call = 0; call < 4; ++call) {
+    while (auto message = receiver.receive()) {
+      delivered.push_back(std::move(*message));
+    }
+  }
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(std::get<Request>(delivered[0]), Request{7});
+  EXPECT_EQ(receiver.stats().malformed_frames, 2u);
+  EXPECT_EQ(receiver.stats().frames_received, 3u);
+  EXPECT_EQ(receiver.stats().messages_received, 1u);
 }
 
 // --- Property-style robustness: malformed inputs must throw, never UB ----
@@ -419,27 +441,10 @@ TEST(WireProperty, RandomGarbageNeverCrashesDecoders) {
       (void)decode_frame(bytes);
     } catch (const std::invalid_argument&) {
     }
+    std::vector<std::uint64_t> constituents;
     try {
-      (void)decode_stream(bytes);
+      (void)decode_symbol_frame(bytes, constituents);
     } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
-TEST(WireProperty, TruncatedStreamsRejectOrYieldAPrefix) {
-  const auto messages = sample_messages();
-  const auto bytes = encode_stream(messages);
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + keep);
-    try {
-      const auto decoded = decode_stream(prefix);
-      // A cut on a frame boundary yields exactly the leading messages.
-      EXPECT_LT(decoded.size(), messages.size());
-      for (std::size_t i = 0; i < decoded.size(); ++i) {
-        EXPECT_EQ(message_type(decoded[i]), message_type(messages[i]));
-      }
-    } catch (const std::invalid_argument&) {
-      // A cut inside a frame must be detected.
     }
   }
 }
