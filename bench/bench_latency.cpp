@@ -3,35 +3,34 @@
 // token-bucket rate limits, and 5-20% edge loss — the dimension the
 // paper's round-based Figures 6-8 abstract away. One receiver downloads
 // concurrently from a set of senders (Figure 6: one full + one partial;
-// Figure 7: two partials; Figure 8: four partials) over asymmetric
-// ChannelLinks driven by the core::EventLoop, with closed-loop flow
-// control on: the receiver re-issues its request as symbols land and every
-// sender provably stops at satisfaction (gated in BENCH_latency.json,
-// which CI validates).
+// Figure 7: two partials; Figure 8: four partials) over asymmetric lanes,
+// each a core::DownloadLink ticked by the delivery engine's per-download
+// rule, with closed-loop flow control on: the receiver re-issues its
+// request as symbols land and every sender provably stops at satisfaction
+// (gated in BENCH_latency.json, which CI validates).
 //
 // The metric is virtual ticks until the receiver holds the decoding
 // target of distinct symbols. Lanes are asymmetric by construction: lane
 // k's forward path doubles the base RTT and halves the base rate of lane
 // k-1, so the scheduler genuinely services links at different cadences.
 //
-// Every scenario runs twice: once with the historical lockstep loop
-// (every virtual tick iterated) and once on the core::EventLoop (the
-// clock jumps straight to the next frame arrival / send credit /
-// handshake retry). The two trajectories must be tick-for-tick identical
-// — gated in BENCH_latency.json — and the event loop's wall-time speedup
-// and ticks_skipped are reported per scenario.
+// Every scenario runs twice: once with the lockstep loop (every virtual
+// tick iterated) and once jumping (the clock goes straight to the
+// earliest DownloadLink::due_at: frame arrival, send credit, handshake
+// retry). The two trajectories must be tick-for-tick identical — gated in
+// BENCH_latency.json (the eventloop_* keys) — and the jump's wall-time
+// speedup and ticks_skipped are reported per scenario.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "codec/decoder.hpp"
 #include "core/endpoint.hpp"
-#include "core/event_loop.hpp"
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "overlay/scenario.hpp"
@@ -85,19 +84,6 @@ LaneProfile hirtt_profile(std::size_t k) {
   return profile;
 }
 
-/// One download lane: an asymmetric timed ChannelLink plus its endpoints.
-struct Lane {
-  Lane(core::Peer& sender_peer, core::Peer& receiver_peer,
-       const core::SessionOptions& options, wire::ChannelConfig forward,
-       wire::ChannelConfig reverse)
-      : link(forward, reverse), sender(sender_peer, options, link.a()),
-        receiver(receiver_peer, options, link.b()) {}
-
-  wire::ChannelLink link;
-  core::SenderEndpoint sender;
-  core::ReceiverEndpoint receiver;
-};
-
 struct RunResult {
   std::size_t ticks = 0;
   bool completed = false;
@@ -110,26 +96,12 @@ struct RunResult {
   /// Receiver's distinct-symbol count at the end (trajectory fingerprint
   /// for the lockstep-vs-event-loop equality gate).
   std::size_t symbols = 0;
-  /// Event-loop accounting; only the jumping run's number is reported
-  /// (ticks_skipped is zero under lockstep).
+  /// Ticks the jumping run skipped (zero under lockstep; only the jumping
+  /// run's number is reported).
   std::uint64_t ticks_skipped = 0;
   /// Wall time of the completion loop.
   double wall_ms = 0.0;
 };
-
-/// Builds `count` distinct encoded symbols from one origin stream.
-std::vector<codec::EncodedSymbol> build_universe(core::OriginServer& origin,
-                                                 std::size_t count) {
-  std::vector<codec::EncodedSymbol> universe;
-  std::map<std::uint64_t, bool> seen;
-  while (universe.size() < count) {
-    auto symbol = origin.next();
-    if (seen.emplace(symbol.id, true).second) {
-      universe.push_back(std::move(symbol));
-    }
-  }
-  return universe;
-}
 
 void preload(core::Peer& peer, const std::vector<std::uint64_t>& ids,
              const std::vector<codec::EncodedSymbol>& universe) {
@@ -138,41 +110,24 @@ void preload(core::Peer& peer, const std::vector<std::uint64_t>& ids,
   }
 }
 
+using Lanes = std::vector<std::unique_ptr<core::DownloadLink>>;
+
 /// Services every lane at virtual tick `now` with the delivery engine's
-/// two-phase rule: link advance and sender half for every lane, then the
-/// receiver half for every lane.
-void service_lanes(std::vector<std::unique_ptr<Lane>>& lanes,
-                   std::uint64_t now, std::size_t hint) {
-  for (auto& lane : lanes) {
-    lane->link.advance_to(now);
-    lane->sender.tick();
-    if (!lane->link.timed() || (!lane->sender.satisfied() &&
-                                lane->link.a_send_ready_at(hint) <= now)) {
-      lane->sender.send_symbol();
-    }
-  }
-  for (auto& lane : lanes) {
-    lane->receiver.advance_to(now);
-    lane->receiver.tick();
-  }
+/// two-phase rule: the send phase of every lane, then the receive phase of
+/// every lane. No sender is ever down here.
+void service_lanes(Lanes& lanes, std::uint64_t now) {
+  for (auto& lane : lanes) lane->send_phase(now, /*sender_down=*/false);
+  for (auto& lane : lanes) lane->receive_phase(now);
 }
 
 /// The earliest virtual tick > now at which any lane has an event (frame
 /// arrival, send credit, handshake retry) — where the jumping driver
 /// wakes next. nullopt = every lane is provably drained and satisfied.
-std::optional<std::uint64_t> next_lane_event(
-    const std::vector<std::unique_ptr<Lane>>& lanes, std::uint64_t now,
-    std::size_t hint) {
+std::optional<std::uint64_t> next_lane_event(const Lanes& lanes,
+                                             std::uint64_t now) {
   std::optional<std::uint64_t> next;
   for (const auto& lane : lanes) {
-    core::LinkTimes times;
-    times.timed = lane->link.timed();
-    if (times.timed) {
-      times.next_arrival = lane->link.next_event_time();
-      times.send_credit_at = lane->link.a_send_ready_at(hint);
-    }
-    const auto due =
-        core::download_due_at(lane->sender, lane->receiver, times, now + 1);
+    const auto due = lane->due_at(now + 1, /*sender_down=*/false);
     if (due && (!next || *due < *next)) next = due;
   }
   return next;
@@ -195,14 +150,13 @@ RunResult run_scenario(const BenchParams& params,
   core::OriginServer origin(
       content, params.block_size,
       codec::DegreeDistribution::robust_soliton(params.n), seed ^ 0x0815);
-  const auto universe = build_universe(origin, distinct);
+  const auto universe = origin.next_symbols(distinct);
   const auto distribution = codec::DegreeDistribution::robust_soliton(params.n);
 
   core::Peer receiver_peer("receiver", origin.parameters(), distribution);
   preload(receiver_peer, receiver_ids, universe);
 
-  const std::size_t target =
-      static_cast<std::size_t>(1.07 * static_cast<double>(params.n) + 0.999);
+  const std::size_t target = codec::decoding_target(params.n);
   const std::size_t needed = target > receiver_peer.symbol_count()
                                  ? target - receiver_peer.symbol_count()
                                  : 1;
@@ -210,7 +164,7 @@ RunResult run_scenario(const BenchParams& params,
       sender_sets.size() + (with_full_sender ? 1 : 0);
 
   std::vector<std::unique_ptr<core::Peer>> sender_peers;
-  std::vector<std::unique_ptr<Lane>> lanes;
+  Lanes lanes;
   std::uint64_t max_rtt = 0;
   for (std::size_t k = 0; k < lane_count; ++k) {
     const bool full = with_full_sender && k == 0;
@@ -258,21 +212,19 @@ RunResult run_scenario(const BenchParams& params,
         std::max<std::size_t>(8, (hirtt ? 16 : 2) * max_rtt);
     options.seed = seed ^ (0xab5 + 7 * k);
 
-    lanes.push_back(std::make_unique<Lane>(*peer, receiver_peer, options,
-                                           forward, reverse));
+    lanes.push_back(std::make_unique<core::DownloadLink>(
+        *peer, receiver_peer, options, forward, reverse, params.block_size));
     sender_peers.push_back(std::move(peer));
     lanes.back()->receiver.start();
   }
 
-  core::EventLoop loop;
-  const std::size_t hint = core::data_frame_bytes_hint(params.block_size);
   const std::uint64_t max_ticks =
       hirtt ? params.hirtt_max_ticks : params.max_ticks;
   RunResult result;
   std::uint64_t now = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   while (now < max_ticks) {
-    service_lanes(lanes, now, hint);
+    service_lanes(lanes, now);
     // Complete on real decode, or on the figures' distinct-symbol target —
     // decoding can finish a few symbols early, at which point flow control
     // rightly stops every sender, so symbol count alone would never trip.
@@ -285,24 +237,23 @@ RunResult run_scenario(const BenchParams& params,
       ++now;
       continue;
     }
-    // Event-loop mode: wake only when some lane has something to do. The
+    // Jumping mode: wake only when some lane has something to do. The
     // span in between is empty for every lane, so the trajectory — and
     // the completion tick — is identical to the lockstep loop's.
-    const auto next = next_lane_event(lanes, now, hint);
+    const auto next = next_lane_event(lanes, now);
     if (!next) {
       now = max_ticks;  // drained forever: lockstep idles to the cap
       break;
     }
-    loop.advance_to(now + 1);
-    loop.skip_to(std::min<std::uint64_t>(*next, max_ticks));
-    now = loop.now();
+    const std::uint64_t wake = std::min<std::uint64_t>(*next, max_ticks);
+    result.ticks_skipped += wake - (now + 1);
+    now = wake;
   }
   result.ticks = static_cast<std::size_t>(now);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
   result.symbols = receiver_peer.symbol_count();
-  result.ticks_skipped = loop.ticks_skipped();
 
   // Satisfaction gate, per lane: once a *sender* has heard the
   // zero-remaining stop (sender.satisfied()), its data plane must be
@@ -315,7 +266,7 @@ RunResult run_scenario(const BenchParams& params,
   // stop, not its propagation latency.
   const std::uint64_t grace = 4 * max_rtt + 16;
   for (std::uint64_t g = 0; g < grace; ++g) {
-    service_lanes(lanes, now + g, hint);
+    service_lanes(lanes, now + g);
   }
   std::vector<bool> sender_satisfied_at_snapshot(lanes.size(), false);
   std::vector<std::size_t> frames_at_snapshot(lanes.size(), 0);
@@ -325,11 +276,11 @@ RunResult run_scenario(const BenchParams& params,
         lanes[k]->sender.transport().stats().data_frames_sent;
   }
   for (std::uint64_t g = 0; g < grace; ++g) {
-    service_lanes(lanes, now + grace + g, hint);
+    service_lanes(lanes, now + grace + g);
   }
   result.no_stop_violations = true;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
-    const Lane& lane = *lanes[k];
+    const core::DownloadLink& lane = *lanes[k];
     result.flow_updates += lane.receiver.flow_updates_sent();
     result.throttled += lane.link.a_to_b().throttled();
     if (!sender_satisfied_at_snapshot[k]) continue;
@@ -344,17 +295,6 @@ RunResult run_scenario(const BenchParams& params,
     }
   }
   return result;
-}
-
-const char* strategy_key(overlay::Strategy strategy) {
-  switch (strategy) {
-    case overlay::Strategy::kRandom: return "random";
-    case overlay::Strategy::kRandomBloom: return "randombf";
-    case overlay::Strategy::kRecode: return "recode";
-    case overlay::Strategy::kRecodeBloom: return "recodebf";
-    case overlay::Strategy::kRecodeMinwise: return "recodemw";
-  }
-  return "unknown";
 }
 
 }  // namespace
@@ -467,7 +407,7 @@ int main(int argc, char** argv) {
               std::string(fig.name) + "_corr" +
               std::to_string(static_cast<int>(corr * 100)) + "_loss" +
               std::to_string(static_cast<int>(loss * 100)) + "_" +
-              strategy_key(strategy);
+              std::string(overlay::strategy_key(strategy));
           report.add(key + "_ticks", run.ticks);
           report.add(key + "_completed", std::size_t{run.completed ? 1u : 0u});
           report.add(key + "_ticks_skipped", run.ticks_skipped);

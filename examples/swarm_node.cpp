@@ -6,12 +6,12 @@
 //
 // In node mode the process binds one non-blocking UDP socket per edge half
 // it owns, signals readiness, waits for the harness's go-file barrier, and
-// drives its protocol endpoints on core::EventLoop's wall-clock poll loop
-// until its uploads served their quotas and its download finished. In
-// predict mode it runs the identical per-edge script over in-process
-// wire::Pipes and reports the byte totals a loss-free real run must hit
-// exactly. tools/swarm_harness launches N node processes, one predict run,
-// and diffs the two into BENCH_swarm.json.
+// drives its protocol endpoints on a wall-clock poll loop until its uploads
+// served their quotas and its download finished. In predict mode it runs
+// the identical per-edge script over in-process wire::Pipes and reports the
+// byte totals a loss-free real run must hit exactly. tools/swarm_harness
+// launches N node processes, one predict run, and diffs the two into
+// BENCH_swarm.json.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -59,7 +59,8 @@ int run_predict(const core::SwarmSpec& spec, const std::string& out_path) {
   const core::SwarmPrediction prediction = core::predict_swarm(spec);
   JsonOut json;
   json.add_string("mode", "predict");
-  json.add_string("strategy", core::swarm_strategy_key(spec.strategy));
+  json.add_string("strategy",
+                  std::string(overlay::strategy_key(spec.strategy)));
   json.add("nodes", spec.nodes);
   json.add("edges", spec.edges.size());
   json.add("all_completed", std::size_t{prediction.all_completed ? 1u : 0u});

@@ -83,4 +83,19 @@ double measure_decode_overhead(std::uint32_t block_count,
                                const DegreeDistribution& dist,
                                std::uint64_t seed);
 
+/// "The experiments used the simplifying assumption of a constant decoding
+/// overhead of 7%" (Section 6).
+inline constexpr double kDecodeOverhead = 1.07;
+
+/// Distinct symbols a receiver of `n` blocks needs under that assumption,
+/// ceil(kDecodeOverhead * n): the completion rule of the Section 6
+/// simulations, bench_latency and the swarm runs. The 0.999999 slack rounds
+/// up, but does not turn the binary representation error of a whole
+/// product (kDecodeOverhead * 1900 is a hair above 2033) into an extra
+/// symbol.
+constexpr std::size_t decoding_target(std::size_t n) {
+  return static_cast<std::size_t>(kDecodeOverhead * static_cast<double>(n) +
+                                  0.999999);
+}
+
 }  // namespace icd::codec

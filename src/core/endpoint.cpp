@@ -404,4 +404,68 @@ bool SenderEndpoint::send_symbol() {
   return true;
 }
 
+DownloadLink::DownloadLink(const Peer& sender, Peer& receiver,
+                           const SessionOptions& options,
+                           wire::ChannelConfig config, std::size_t block_size)
+    : link(config), sender(sender, options, link.a()),
+      receiver(receiver, options, link.b()), probe_bytes_(block_size + 64) {}
+
+DownloadLink::DownloadLink(const Peer& sender, Peer& receiver,
+                           const SessionOptions& options,
+                           wire::ChannelConfig forward,
+                           wire::ChannelConfig reverse, std::size_t block_size)
+    : link(forward, reverse), sender(sender, options, link.a()),
+      receiver(receiver, options, link.b()), probe_bytes_(block_size + 64) {}
+
+void DownloadLink::send_phase(std::uint64_t now, bool sender_down) {
+  link.advance_to(now);
+  // A down sender goes silent: in-flight frames still arrive (the advance
+  // above), but its endpoint is frozen — the receiver's liveness clock
+  // does the failure detection.
+  if (sender_down) return;
+  sender.tick();
+  if (!link.timed() ||
+      (!sender.satisfied() && link.a_send_ready_at(probe_bytes_) <= now)) {
+    sender.send_symbol();
+  }
+}
+
+void DownloadLink::receive_phase(std::uint64_t now) {
+  receiver.advance_to(now);
+  receiver.tick();
+}
+
+std::optional<std::uint64_t> DownloadLink::due_at(std::uint64_t now,
+                                                  bool sender_down) const {
+  // Event-clock link: one hop of residency advances with every tick, so
+  // the download is genuinely due each tick — nothing to skip.
+  if (!link.timed()) return now;
+  std::optional<std::uint64_t> due = link.next_event_time();
+  const auto consider = [&due](std::optional<std::uint64_t> at) {
+    if (at && (!due || *at < *due)) due = at;
+  };
+  // A sender in transfer streams on every credit tick, including while its
+  // reply still crosses toward the receiver, exactly as the lockstep loop
+  // drives it.
+  if (!sender_down && sender.transfer_active() && !sender.satisfied()) {
+    consider(link.a_send_ready_at(probe_bytes_));
+  }
+  if (!receiver.transfer_started() || !sender.transfer_active()) {
+    // Handshaking: between arrivals the observable work is the receiver's
+    // retry clock, which fires at a known virtual tick. A receiver that
+    // exhausted its retry budget (failed()) has no future retry — the
+    // engine tears the session down; planning nothing lets the span close.
+    if (!receiver.failed()) consider(receiver.retry_due_at().value_or(now));
+  } else {
+    // Sender-liveness expiry is a real event: the service at that tick is
+    // what declares the silent sender suspect, so a jump must not skip it.
+    consider(receiver.liveness_due_at());
+  }
+  // A drained link whose sender is satisfied plans nothing: the receiver's
+  // flow-control re-issues ride arrival services, so with no arrivals
+  // pending there is provably nothing left to do.
+  if (!due) return std::nullopt;
+  return std::max(*due, now);
+}
+
 }  // namespace icd::core

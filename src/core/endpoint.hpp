@@ -390,18 +390,51 @@ class SenderEndpoint {
   std::optional<wire::Message> sketch_scratch_;
 };
 
-/// One download as the delivery engines hold it: a ChannelLink whose `a()`
-/// end the sender endpoint drives and whose `b()` end the receiver's does.
-/// The endpoints reference the link, so a DownloadLink never moves.
-struct DownloadLink {
+/// One download: a ChannelLink whose `a()` end the sender endpoint drives
+/// and whose `b()` end the receiver's does, plus the per-download tick
+/// rule. The delivery engine's phases and bench_latency's lanes both run a
+/// tick as send_phase on every download, then receive_phase on every
+/// download, and jump the clock to the earliest due_at. The endpoints
+/// reference the link, so a DownloadLink never moves.
+class DownloadLink {
+ public:
+  /// Same shaping both ways. `block_size` fixes the send-credit probe.
   DownloadLink(const Peer& sender, Peer& receiver,
-               const SessionOptions& options, wire::ChannelConfig config)
-      : link(config), sender(sender, options, link.a()),
-        receiver(receiver, options, link.b()) {}
+               const SessionOptions& options, wire::ChannelConfig config,
+               std::size_t block_size);
+  /// `forward` shapes the data path (a -> b), `reverse` the control path.
+  DownloadLink(const Peer& sender, Peer& receiver,
+               const SessionOptions& options, wire::ChannelConfig forward,
+               wire::ChannelConfig reverse, std::size_t block_size);
+
+  /// The sender half of tick `now`: advance the link, then (unless the
+  /// sender is down) drain and answer, and send one symbol — every tick on
+  /// an untimed link, on a timed one only while the sender is unsatisfied
+  /// and the token bucket holds a data frame.
+  void send_phase(std::uint64_t now, bool sender_down);
+  /// The receiver half of tick `now`: advance its retry and liveness clock,
+  /// drain and absorb.
+  void receive_phase(std::uint64_t now);
+  /// The earliest tick >= `now` at which this download has work: `now` on
+  /// an untimed link (its event clock advances every tick); otherwise its
+  /// next frame arrival, the send credit of an up, unsatisfied sender in
+  /// transfer, and while handshaking the receiver's retry deadline (a
+  /// receiver never serviced on the virtual clock is due `now`), in
+  /// transfer its liveness expiry. nullopt for a drained link with nothing
+  /// left to send.
+  std::optional<std::uint64_t> due_at(std::uint64_t now,
+                                      bool sender_down) const;
 
   wire::ChannelLink link;
   SenderEndpoint sender;
   ReceiverEndpoint receiver;
+
+ private:
+  /// Bytes of one data frame for the send-credit probe: a payload plus
+  /// room for the frame header and symbol prefix. The exact size depends
+  /// on strategy and degree; the token bucket enforces the pacing, so the
+  /// probe only shapes attempt cadence.
+  std::size_t probe_bytes_;
 };
 
 }  // namespace icd::core

@@ -27,6 +27,9 @@ class OriginServer {
 
   /// Produces the next symbol of this origin's stream.
   codec::EncodedSymbol next() { return encoder_.next(); }
+  /// The next `count` symbols of the stream: a symbol universe for the
+  /// Figure 6-8 setups. Stream ids are sequential, so they are distinct.
+  std::vector<codec::EncodedSymbol> next_symbols(std::size_t count);
 
   /// Produces the symbol with a specific id (any 64-bit id is valid).
   codec::EncodedSymbol encode(std::uint64_t id) const {

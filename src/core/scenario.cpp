@@ -8,68 +8,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/field_readers.hpp"
 #include "core/sharded_delivery.hpp"
-#include "core/swarm.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
 
 namespace icd::core {
 
 namespace {
-
-/// Parse-time error with the file origin and line number — every rejection
-/// path in the parser routes through this so a malformed catalog entry
-/// names its own location.
-[[noreturn]] void fail(const std::string& origin, std::size_t line,
-                       const std::string& why) {
-  throw std::runtime_error(origin + " line " + std::to_string(line) + ": " +
-                           why);
-}
-
-/// Probability fields must be actual probabilities; a rate of 1.5 is a
-/// typo, not a request for certain loss.
-double read_probability(std::istringstream& fields, const std::string& origin,
-                        std::size_t line, const std::string& what) {
-  double value = 0.0;
-  if (!(fields >> value) || value < 0.0 || value > 1.0 || !std::isfinite(value)) {
-    fail(origin, line, what + " must be a probability in [0, 1]");
-  }
-  return value;
-}
-
-double read_rate(std::istringstream& fields, const std::string& origin,
-                 std::size_t line, const std::string& what) {
-  double value = 0.0;
-  if (!(fields >> value) || value < 0.0 || !std::isfinite(value)) {
-    fail(origin, line, what + " must be a finite non-negative rate");
-  }
-  return value;
-}
-
-template <typename T>
-T read_integer(std::istringstream& fields, const std::string& origin,
-               std::size_t line, const std::string& what) {
-  // istream would happily wrap "-5" into a huge unsigned count; peek at the
-  // raw token so negative input is rejected with its own message.
-  std::string token;
-  if (!(fields >> token) || token.empty() || token[0] == '-') {
-    fail(origin, line, what + " must be a non-negative integer");
-  }
-  std::istringstream value_in(token);
-  T value{};
-  if (!(value_in >> value) || !value_in.eof()) {
-    fail(origin, line, what + " must be a non-negative integer");
-  }
-  return value;
-}
-
-void reject_trailing(std::istringstream& fields, const std::string& origin,
-                     std::size_t line, const std::string& key) {
-  std::string extra;
-  if (fields >> extra) {
-    fail(origin, line, "trailing tokens after '" + key + "': '" + extra + "'");
-  }
-}
 
 /// Independent-loss composition: survive both legs.
 double combine_loss(double a, double b) { return 1.0 - (1.0 - a) * (1.0 - b); }
@@ -145,7 +91,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& origin) {
       scalar_once(key);
       std::string name;
       if (!(fields >> name)) fail(origin, line_number, "strategy missing");
-      const auto strategy = parse_strategy_key(name);
+      const auto strategy = overlay::parse_strategy_key(name);
       if (!strategy) {
         fail(origin, line_number, "unknown strategy '" + name + "'");
       }

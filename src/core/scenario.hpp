@@ -39,8 +39,8 @@ namespace icd::core {
 class ShardedDelivery;
 
 /// One named access-link class. Rates are bytes per virtual tick with the
-/// repo's token-bucket semantics (0 = unlimited); delay/jitter are per-hop
-/// virtual ticks; loss composes with the far end's when an edge is formed.
+/// repo's token-bucket semantics (0 = unlimited); delay/jitter are virtual
+/// ticks; loss composes with the far end's when an edge is formed.
 struct LinkProfile {
   std::string name;
   double up_rate = 0.0;    // uplink bytes/tick (serving direction)

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/event_loop.hpp"
+#include "codec/decoder.hpp"
 #include "core/session_plan.hpp"
 #include "util/hash.hpp"
 
@@ -69,8 +69,11 @@ void ShardedDelivery::refresh_sessions() {
   // session_plan). Sampled admission retires every download before any
   // receiver plans; full-pool admission retires each receiver's just
   // before it plans. The golden trajectories pin both orders.
+  // The planning target rounds kDecodeOverhead * blocks down, where every
+  // completion rule (codec::decoding_target) rounds up: rounding it up too
+  // would change the request shares, and with them the golden trajectories.
   const std::size_t target = static_cast<std::size_t>(
-      1.07 * static_cast<double>(parameters().block_count));
+      codec::kDecodeOverhead * static_cast<double>(parameters().block_count));
   const std::size_t n = peers_.size();
   const bool sampled = options_.admission_sample > 0;
   if (sampled) {
@@ -119,7 +122,7 @@ void ShardedDelivery::refresh_sessions() {
                         next_session_seed_)) {
       auto download = std::make_unique<DownloadLink>(
           *peers_[planned.sender_id].peer, *peers_[me].peer,
-          planned.session, planned.link);
+          planned.session, planned.link, options_.block_size);
       // The handshake itself flows over the link and completes across
       // subsequent ticks.
       download->receiver.start();
@@ -206,22 +209,11 @@ void ShardedDelivery::phase_send(std::size_t shard) {
   // endpoint's own, so the sender halves of one Peer may run on several
   // shards at once, and neither iteration order nor placement can leak
   // into results.
-  const std::size_t hint = data_frame_bytes_hint(options_.block_size);
   for (const std::size_t id : shard_peers_[shard]) {
     PeerEntry& entry = peers_[id];
     if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
     for (auto& [sender_id, download] : entry.downloads) {
-      download->link.advance_to(tick_now_);
-      // A down sender goes silent: in-flight frames still arrive (the
-      // advance above), but its endpoint is frozen — the receiver's
-      // liveness clock does the failure detection.
-      if (peers_[sender_id].faulted_at_tick_start) continue;
-      download->sender.tick();
-      if (!download->link.timed() ||
-          (!download->sender.satisfied() &&
-           download->link.a_send_ready_at(hint) <= tick_now_)) {
-        download->sender.send_symbol();
-      }
+      download->send_phase(tick_now_, peers_[sender_id].faulted_at_tick_start);
     }
   }
 }
@@ -242,8 +234,7 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
       }
       for (auto& [sender_id, download] : entry.downloads) {
         if (entry.peer->has_content()) break;
-        download->receiver.advance_to(tick_now_);
-        download->receiver.tick();
+        download->receive_phase(tick_now_);
       }
     }
     // Plan every peer, serviced or not, where its state now sits. Before
@@ -341,18 +332,10 @@ std::optional<std::uint64_t> ShardedDelivery::plan_peer(
   // The origin fountain streams one symbol per tick to an incomplete
   // subscriber: every tick is an event while one exists.
   if (entry.origin_fed) return now;
-  const std::size_t hint = data_frame_bytes_hint(options_.block_size);
   std::optional<std::uint64_t> due;
   for (const auto& [sender_id, download] : entry.downloads) {
-    LinkTimes times;
-    times.timed = download->link.timed();
-    times.sender_down = faults_.active() && faults_.down(sender_id, now);
-    if (times.timed) {
-      times.next_arrival = download->link.next_event_time();
-      times.send_credit_at = download->link.a_send_ready_at(hint);
-    }
-    const auto at =
-        download_due_at(download->sender, download->receiver, times, now);
+    const auto at = download->due_at(
+        now, faults_.active() && faults_.down(sender_id, now));
     if (!at) continue;
     if (*at == now) return now;  // nothing can be earlier
     if (!due || *at < *due) due = at;

@@ -230,13 +230,14 @@ class ShardedDelivery {
   /// peer's own state (its origin apply, its receiver halves). No
   /// intra-tick ordering between peers can leak into results, so which
   /// shard a peer lives on — and hence the shard count — is a planning
-  /// concern, not a semantics one. The receive phase also plans each of
-  /// its peers, serviced or not (PeerEntry::next_due).
+  /// concern, not a semantics one. Each phase runs the matching
+  /// DownloadLink half. The receive phase also plans each of its peers,
+  /// serviced or not (PeerEntry::next_due).
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
   /// The earliest tick >= `now` at which peer i has work: `now` for an
   /// origin-fed peer (the fountain streams every tick), else the earliest
-  /// download_due_at over its downloads. nullopt for complete, down, or
+  /// DownloadLink::due_at over its downloads. nullopt for complete, down, or
   /// fully drained peers (a down peer wakes at a fault boundary). Reads
   /// only the peer's own downloads and the immutable fault plan, so its
   /// owning shard may call it inside a phase.

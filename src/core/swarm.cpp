@@ -1,16 +1,21 @@
 #include "core/swarm.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
-#include "core/event_loop.hpp"
+#include "codec/decoder.hpp"
+#include "core/field_readers.hpp"
 #include "core/origin.hpp"
 #include "overlay/scenario.hpp"
 #include "util/hash.hpp"
@@ -19,21 +24,6 @@
 namespace icd::core {
 
 namespace {
-
-/// `count` distinct encoded symbols from one origin stream (the
-/// bench_latency universe rule; every process reproduces it bit for bit).
-std::vector<codec::EncodedSymbol> build_universe(OriginServer& origin,
-                                                 std::size_t count) {
-  std::vector<codec::EncodedSymbol> universe;
-  std::map<std::uint64_t, bool> seen;
-  while (universe.size() < count) {
-    auto symbol = origin.next();
-    if (seen.emplace(symbol.id, true).second) {
-      universe.push_back(std::move(symbol));
-    }
-  }
-  return universe;
-}
 
 std::size_t edge_indegree(const SwarmSpec& spec, std::size_t receiver) {
   std::size_t indegree = 0;
@@ -59,24 +49,6 @@ void SwarmSpec::build_full_mesh(std::uint16_t base_port) {
       edges.push_back(edge);
     }
   }
-}
-
-std::string swarm_strategy_key(overlay::Strategy strategy) {
-  switch (strategy) {
-    case overlay::Strategy::kRandom: return "random";
-    case overlay::Strategy::kRandomBloom: return "randombf";
-    case overlay::Strategy::kRecode: return "recode";
-    case overlay::Strategy::kRecodeBloom: return "recodebf";
-    case overlay::Strategy::kRecodeMinwise: return "recodemw";
-  }
-  return "unknown";
-}
-
-std::optional<overlay::Strategy> parse_strategy_key(const std::string& key) {
-  for (const auto strategy : overlay::kAllStrategies) {
-    if (swarm_strategy_key(strategy) == key) return strategy;
-  }
-  return std::nullopt;
 }
 
 const SwarmLinkProfile* SwarmSpec::node_profile(std::size_t id) const {
@@ -105,7 +77,7 @@ std::string SwarmSpec::serialize() const {
   out << "stretch " << stretch << "\n";
   out << "correlation " << correlation << "\n";
   out << "seed " << seed << "\n";
-  out << "strategy " << swarm_strategy_key(strategy) << "\n";
+  out << "strategy " << overlay::strategy_key(strategy) << "\n";
   out << "mtu " << mtu << "\n";
   out << "symbols_per_tick " << symbols_per_tick << "\n";
   out << "handshake_retry_ticks " << handshake_retry_ticks << "\n";
@@ -133,87 +105,112 @@ std::string SwarmSpec::serialize() const {
 }
 
 SwarmSpec SwarmSpec::parse(std::istream& in) {
+  const std::string origin = "SwarmSpec";
   SwarmSpec spec;
-  spec.edges.clear();
   std::string line;
   std::size_t line_number = 0;
+  std::set<std::string> seen_scalar;
   while (std::getline(in, line)) {
     ++line_number;
     std::istringstream fields(line);
     std::string key;
     if (!(fields >> key) || key[0] == '#') continue;
-    const auto bad = [&](const std::string& why) -> std::runtime_error {
-      return std::runtime_error("SwarmSpec line " +
-                                std::to_string(line_number) + ": " + why);
+    const auto integer = [&](auto& field) {
+      field = read_integer<std::remove_reference_t<decltype(field)>>(
+          fields, origin, line_number, key);
     };
-    if (key == "nodes") fields >> spec.nodes;
-    else if (key == "n") fields >> spec.n;
-    else if (key == "block_size") fields >> spec.block_size;
-    else if (key == "stretch") fields >> spec.stretch;
-    else if (key == "correlation") fields >> spec.correlation;
-    else if (key == "seed") fields >> spec.seed;
+    const auto token = [&](std::string& field) {
+      if (!(fields >> field)) fail(origin, line_number, key + " missing");
+    };
+    if (key != "edge" && key != "link_profile" && key != "access" &&
+        !seen_scalar.insert(key).second) {
+      fail(origin, line_number, "duplicate key '" + key + "'");
+    }
+    if (key == "nodes") integer(spec.nodes);
+    else if (key == "n") integer(spec.n);
+    else if (key == "block_size") integer(spec.block_size);
+    else if (key == "stretch") {
+      spec.stretch = read_rate(fields, origin, line_number, key);
+      if (spec.stretch < 1.0) fail(origin, line_number, "stretch must be >= 1");
+    } else if (key == "correlation") {
+      spec.correlation = read_probability(fields, origin, line_number, key);
+    } else if (key == "seed") integer(spec.seed);
     else if (key == "strategy") {
       std::string name;
-      fields >> name;
-      const auto strategy = parse_strategy_key(name);
-      if (!strategy) throw bad("unknown strategy '" + name + "'");
+      token(name);
+      const auto strategy = overlay::parse_strategy_key(name);
+      if (!strategy) {
+        fail(origin, line_number, "unknown strategy '" + name + "'");
+      }
       spec.strategy = *strategy;
-    } else if (key == "mtu") fields >> spec.mtu;
-    else if (key == "symbols_per_tick") fields >> spec.symbols_per_tick;
-    else if (key == "handshake_retry_ticks") fields >> spec.handshake_retry_ticks;
-    else if (key == "request_overhead") fields >> spec.request_overhead;
-    else if (key == "loss_rate") fields >> spec.loss_rate;
-    else if (key == "max_handshake_retries") fields >> spec.max_handshake_retries;
-    else if (key == "tick_us") fields >> spec.tick_us;
-    else if (key == "max_ticks") fields >> spec.max_ticks;
-    else if (key == "host") fields >> spec.host;
+    } else if (key == "mtu") integer(spec.mtu);
+    else if (key == "symbols_per_tick") integer(spec.symbols_per_tick);
+    else if (key == "handshake_retry_ticks") {
+      integer(spec.handshake_retry_ticks);
+    } else if (key == "request_overhead") {
+      spec.request_overhead = read_rate(fields, origin, line_number, key);
+    } else if (key == "loss_rate") {
+      spec.loss_rate = read_probability(fields, origin, line_number, key);
+    } else if (key == "max_handshake_retries") {
+      integer(spec.max_handshake_retries);
+    } else if (key == "tick_us") integer(spec.tick_us);
+    else if (key == "max_ticks") integer(spec.max_ticks);
+    else if (key == "host") token(spec.host);
     else if (key == "edge") {
       SwarmEdge edge;
-      fields >> edge.sender >> edge.receiver >> edge.sender_port >>
-          edge.receiver_port;
+      integer(edge.sender);
+      integer(edge.receiver);
+      integer(edge.sender_port);
+      integer(edge.receiver_port);
       spec.edges.push_back(edge);
     } else if (key == "link_profile") {
       SwarmLinkProfile profile;
-      fields >> profile.name >> profile.loss >> profile.delay_us >>
-          profile.jitter_us;
-      if (fields.fail()) throw bad("bad value for 'link_profile'");
-      if (profile.loss < 0.0 || profile.loss > 1.0) {
-        throw bad("link_profile loss must be in [0, 1]");
-      }
+      token(profile.name);
+      profile.loss =
+          read_probability(fields, origin, line_number, "link_profile loss");
+      integer(profile.delay_us);
+      integer(profile.jitter_us);
       for (const auto& existing : spec.link_profiles) {
         if (existing.name == profile.name) {
-          throw bad("duplicate link_profile '" + profile.name + "'");
+          fail(origin, line_number,
+               "duplicate link_profile '" + profile.name + "'");
         }
       }
       spec.link_profiles.push_back(std::move(profile));
     } else if (key == "access") {
       std::string who, name;
-      fields >> who >> name;
-      if (fields.fail()) throw bad("access needs <node|default> <profile>");
+      token(who);
+      token(name);
       std::optional<std::size_t> index;
       for (std::size_t i = 0; i < spec.link_profiles.size(); ++i) {
         if (spec.link_profiles[i].name == name) index = i;
       }
       if (!index) {
-        throw bad("access references unknown link_profile '" + name +
-                  "' (declare profiles before access lines)");
+        fail(origin, line_number,
+             "access references unknown link_profile '" + name +
+                 "' (declare profiles before access lines)");
       }
       if (who == "default") {
         spec.access_default = index;
       } else {
         std::istringstream who_in(who);
-        std::size_t node = 0;
-        if (!(who_in >> node) || !who_in.eof()) {
-          throw bad("access node must be an id or 'default'");
-        }
-        spec.access[node] = *index;
+        spec.access[read_integer<std::size_t>(who_in, origin, line_number,
+                                              "access node")] = *index;
       }
     } else {
-      throw bad("unknown key '" + key + "'");
+      fail(origin, line_number, "unknown key '" + key + "'");
     }
-    if (fields.fail()) throw bad("bad value for '" + key + "'");
+    reject_trailing(fields, origin, line_number, key);
   }
   if (spec.nodes < 2) throw std::runtime_error("SwarmSpec: nodes must be >= 2");
+  // build_swarm_world and swarm_edge_quota cast stretch * n and
+  // request_overhead * (the decoding target) to symbol counts.
+  const double n = static_cast<double>(spec.n);
+  if (spec.stretch * n >= 0x1p64 ||
+      spec.request_overhead * (codec::kDecodeOverhead * n + 1.0) >= 0x1p64) {
+    throw std::runtime_error(
+        "SwarmSpec: stretch * n or request_overhead * n exceeds any count");
+  }
   for (const auto& [node, index] : spec.access) {
     if (node >= spec.nodes) {
       throw std::runtime_error("SwarmSpec: access names node " +
@@ -252,7 +249,7 @@ SwarmWorld build_swarm_world(const SwarmSpec& spec) {
   world.params = origin.parameters();
   const auto distinct =
       static_cast<std::size_t>(spec.stretch * static_cast<double>(spec.n));
-  world.universe = build_universe(origin, distinct);
+  world.universe = origin.next_symbols(distinct);
   // Node 0 takes the scenario's receiver set, node i the (i-1)th sender
   // set: every node holds a same-sized partial with the spec'd shared
   // fraction, the Figure 7/8 initial condition.
@@ -261,8 +258,7 @@ SwarmWorld build_swarm_world(const SwarmSpec& spec) {
       spec.n, spec.stretch, spec.correlation, spec.nodes - 1, scenario_rng);
   world.preload.push_back(scenario.receiver);
   for (const auto& set : scenario.senders) world.preload.push_back(set);
-  world.target =
-      static_cast<std::size_t>(1.07 * static_cast<double>(spec.n) + 0.999);
+  world.target = codec::decoding_target(spec.n);
   return world;
 }
 
@@ -436,14 +432,8 @@ SwarmPrediction predict_swarm(const SwarmSpec& spec) {
     prediction.final_symbols.push_back(live[i]->symbol_count());
   }
   for (auto& lane : lanes) {
-    const auto& sent_a = lane.a->stats();
-    const auto& sent_b = lane.b->stats();
-    SwarmEdgeTotals totals;
-    totals.control_bytes = sent_a.control_bytes_sent + sent_b.control_bytes_sent;
-    totals.control_frames =
-        sent_a.control_frames_sent + sent_b.control_frames_sent;
-    totals.data_bytes = sent_a.data_bytes_sent + sent_b.data_bytes_sent;
-    totals.data_frames = sent_a.data_frames_sent + sent_b.data_frames_sent;
+    LinkTotals totals;
+    totals.add(lane.a->stats()).add(lane.b->stats());
     prediction.edges.push_back(totals);
     prediction.handshake_retries += lane.receiver->handshake_retries();
   }
@@ -459,6 +449,60 @@ struct Half {
   std::unique_ptr<wire::UdpTransport> transport;
   std::unique_ptr<SenderEndpoint> sender;      // sender halves
   std::unique_ptr<ReceiverEndpoint> receiver;  // receiver halves
+};
+
+/// run_swarm_node's clock: tick i falls at the epoch plus i tick periods.
+/// Instead of jumping empty spans, the node's loop sleeps across them in
+/// ::poll on its sockets until its next due tick (handshake retry, data
+/// budget, transmit backlog), so the same endpoint state machines run
+/// unmodified against real sockets. See DESIGN.md, "Real-network backend".
+class WallClock {
+ public:
+  /// Tick 0 is now; poll_wait() watches `fds` for readability.
+  WallClock(std::uint64_t ns_per_tick, std::vector<pollfd> fds)
+      : ns_per_tick_(std::max<std::uint64_t>(1, ns_per_tick)),
+        fds_(std::move(fds)) {}
+
+  /// The current wall time, in ticks since the epoch.
+  std::uint64_t now() const {
+    const auto elapsed = std::chrono::steady_clock::now() - epoch_;
+    return static_cast<std::uint64_t>(
+               std::chrono::nanoseconds(elapsed).count()) /
+           ns_per_tick_;
+  }
+
+  /// Blocks until a watched socket turns readable or the clock reaches
+  /// tick `due`; a `due` already past only checks readability. Ticks
+  /// slept across were provably empty for this process: they count as
+  /// skipped.
+  void poll_wait(std::uint64_t due) {
+    const std::uint64_t start = now();
+    // Round up: waking a fraction of a tick late is harmless, waking early
+    // spins. Cap defensively at one minute per poll round.
+    const int timeout_ms =
+        due > start ? static_cast<int>(std::min<std::uint64_t>(
+                          (due - start) * ns_per_tick_ / 1'000'000 + 1,
+                          60'000))
+                    : 0;
+    while (::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
+                  timeout_ms) < 0 &&
+           errno == EINTR) {
+    }
+    const std::uint64_t wall = now();
+    if (wall > polled_to_ + 1) ticks_skipped_ += wall - polled_to_ - 1;
+    polled_to_ = std::max(polled_to_, wall);
+  }
+
+  std::uint64_t ticks_skipped() const { return ticks_skipped_; }
+
+ private:
+  std::uint64_t ns_per_tick_;
+  std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
+  std::vector<pollfd> fds_;
+  /// Wall tick at the end of the latest poll_wait.
+  std::uint64_t polled_to_ = 0;
+  std::uint64_t ticks_skipped_ = 0;
 };
 
 /// Atomically rewrites the watchdog heartbeat (write-then-rename, so the
@@ -550,9 +594,9 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
   }
   if (!go_file.empty()) wait_for_file(go_file, std::chrono::seconds(60));
 
-  EventLoop loop;
-  loop.enable_wall_clock(spec.tick_us * 1000);
-  for (auto& half : halves) loop.watch_fd(half.transport->fd());
+  std::vector<pollfd> fds;
+  for (auto& half : halves) fds.push_back({half.transport->fd(), POLLIN, 0});
+  WallClock clock(spec.tick_us * 1000, std::move(fds));
   for (auto& half : halves) {
     if (half.receiver) half.receiver->start();
   }
@@ -565,7 +609,7 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
   std::uint64_t last_serviced = 0;
   bool first_service = true;
   while (true) {
-    now = loop.wall_now();
+    now = clock.now();
     if (!progress_file.empty() &&
         std::chrono::steady_clock::now() >= next_heartbeat) {
       write_progress(progress_file, now, live->symbol_count(),
@@ -643,7 +687,7 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
         due = std::min(due, std::max(retry.value_or(now + 1), now + 1));
       }
     }
-    loop.poll_wait(due);
+    clock.poll_wait(due);
   }
 
   // Teardown grace: flush any transmit backlog so the last datagrams the
@@ -658,7 +702,7 @@ SwarmNodeReport run_swarm_node(const SwarmSpec& spec, std::size_t id,
   write_progress(progress_file, now, live->symbol_count(), report.completed);
 
   report.end_tick = now;
-  report.ticks_slept = loop.ticks_skipped();
+  report.ticks_slept = clock.ticks_skipped();
   report.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();

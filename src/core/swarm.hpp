@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "codec/symbol.hpp"
+#include "core/delivery.hpp"
 #include "core/endpoint.hpp"
 #include "core/peer.hpp"
 #include "overlay/strategy.hpp"
@@ -121,15 +122,13 @@ struct SwarmSpec {
   void build_full_mesh(std::uint16_t base_port);
 
   std::string serialize() const;
+  /// Throws std::runtime_error ("SwarmSpec line N: ...") on an unknown or
+  /// repeated scalar key, trailing tokens, a negative, non-numeric or
+  /// out-of-range integer, a probability outside [0, 1] or stretch < 1.
   static SwarmSpec parse(std::istream& in);
   static SwarmSpec parse_text(const std::string& text);
   static SwarmSpec parse_file(const std::string& path);
 };
-
-/// Strategy <-> config-token mapping (the bench key names: "random",
-/// "randombf", "recode", "recodebf", "recodemw").
-std::string swarm_strategy_key(overlay::Strategy strategy);
-std::optional<overlay::Strategy> parse_strategy_key(const std::string& key);
 
 /// The deterministic initial condition every process regenerates locally
 /// from the spec: the encoded-symbol universe, each node's preload id set
@@ -179,24 +178,15 @@ void service_receiver_half(ReceiverEndpoint& receiver, std::uint64_t now);
 
 /// --- Prediction -----------------------------------------------------------
 
-/// Per-edge wire totals (both halves summed) — the cross-check currency
-/// between predictor and harness.
-struct SwarmEdgeTotals {
-  std::size_t control_bytes = 0;
-  std::size_t control_frames = 0;
-  std::size_t data_bytes = 0;
-  std::size_t data_frames = 0;
-
-  bool operator==(const SwarmEdgeTotals&) const = default;
-};
-
 struct SwarmPrediction {
   bool all_completed = false;
   std::uint64_t ticks = 0;  // lockstep ticks until everyone finished
   std::vector<bool> completed;                  // per node
   std::vector<std::uint64_t> completion_tick;   // per node (0 = never)
   std::vector<std::size_t> final_symbols;       // per node distinct symbols
-  std::vector<SwarmEdgeTotals> edges;
+  /// Per-edge wire totals, both halves summed: the cross-check currency
+  /// between predictor and harness.
+  std::vector<LinkTotals> edges;
   /// Receiver-half handshake retries summed over all edges (nonzero only
   /// under shaped links, where a lost bundle forces a retry).
   std::size_t handshake_retries = 0;
@@ -232,7 +222,7 @@ struct SwarmNodeReport {
   bool completed = false;
   std::uint64_t completion_tick = 0;
   std::uint64_t end_tick = 0;
-  std::uint64_t ticks_slept = 0;  // EventLoop::ticks_skipped
+  std::uint64_t ticks_slept = 0;  // wall ticks the poll loop slept across
   double wall_ms = 0.0;
   std::vector<SwarmHalfReport> halves;
 };
@@ -241,7 +231,7 @@ struct SwarmNodeReport {
 /// edge half, signals readiness by creating `ready_file`, blocks until
 /// `go_file` exists (the harness's start barrier — bundles must never race
 /// an unbound peer socket, or retries would diverge from the prediction),
-/// then drives its halves on EventLoop's wall-clock poll loop until its
+/// then drives its halves on a wall-clock poll loop until its
 /// uploads exhaust their quotas and its download completes (or max_ticks).
 /// A non-empty `progress_file` is rewritten periodically with `tick
 /// <now> symbols <held> completed <0|1>` so the harness watchdog can tell

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "codec/decoder.hpp"
 #include "codec/recoder.hpp"
 
 /// Shared knobs for the Section 6 simulations.
@@ -11,11 +12,6 @@
 /// wire::ChannelConfig — DeliveryOptions::link / link_config for the
 /// delivery engine; see DESIGN.md, "Time and scheduling model".
 namespace icd::overlay {
-
-/// "The experiments used the simplifying assumption of a constant decoding
-/// overhead of 7%": a receiver completes on reaching
-/// ceil(kDecodeOverhead * n) distinct symbols.
-inline constexpr double kDecodeOverhead = 1.07;
 
 struct SimConfig {
   /// n: the number of symbols needed for recovery before decoding overhead
@@ -42,12 +38,8 @@ struct SimConfig {
 
   std::uint64_t seed = 0x1cdc0de5eedULL;
 
-  /// Completion target in distinct symbols.
-  std::size_t target() const {
-    const auto t = static_cast<std::size_t>(
-        kDecodeOverhead * static_cast<double>(n) + 0.999999);
-    return t;
-  }
+  /// Completion target in distinct symbols (codec::decoding_target).
+  std::size_t target() const { return codec::decoding_target(n); }
 };
 
 }  // namespace icd::overlay

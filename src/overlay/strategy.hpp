@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 /// The five content-selection strategies compared in Section 6.2.
@@ -41,6 +42,26 @@ constexpr std::string_view strategy_name(Strategy strategy) {
       return "Recode/MW";
   }
   return "unknown";
+}
+
+/// The strategy's token in `.scn` and SwarmSpec files and in bench keys.
+constexpr std::string_view strategy_key(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kRandom: return "random";
+    case Strategy::kRandomBloom: return "randombf";
+    case Strategy::kRecode: return "recode";
+    case Strategy::kRecodeBloom: return "recodebf";
+    case Strategy::kRecodeMinwise: return "recodemw";
+  }
+  return "unknown";
+}
+
+/// The strategy a strategy_key token names, if any.
+constexpr std::optional<Strategy> parse_strategy_key(std::string_view key) {
+  for (const Strategy strategy : kAllStrategies) {
+    if (strategy_key(strategy) == key) return strategy;
+  }
+  return std::nullopt;
 }
 
 constexpr bool strategy_uses_bloom(Strategy strategy) {

@@ -17,6 +17,27 @@ std::size_t requested_count(std::size_t needed, std::size_t sender_count,
       std::ceil(share * (1.0 + config.recode_domain_allowance)));
 }
 
+/// The Section 6 handshake of one sender with the receiver: a BF strategy
+/// installs the receiver's Bloom filter (Recode/BF draws its restricted
+/// domain from `rng`), Recode/MW the min-wise containment estimate.
+void handshake(SenderNode& sender,
+               const std::vector<std::uint64_t>& sender_symbols,
+               const ReceiverNode& receiver, std::uint64_t universe,
+               std::size_t requested, const SimConfig& config,
+               util::Xoshiro256& rng) {
+  if (strategy_uses_bloom(sender.strategy())) {
+    sender.install_bloom(receiver.make_bloom(), requested, rng);
+  }
+  if (strategy_uses_minwise(sender.strategy())) {
+    sketch::MinwiseSketch sender_sketch(universe, config.sketch_permutations);
+    sender_sketch.update_all(sender_symbols);
+    const double r = sketch::MinwiseSketch::resemblance(receiver.make_sketch(),
+                                                        sender_sketch);
+    sender.install_containment_estimate(sketch::containment_from_resemblance(
+        r, receiver.initial_symbols().size(), sender_symbols.size()));
+  }
+}
+
 }  // namespace
 
 TransferResult run_pair_transfer(const PairScenario& scenario,
@@ -34,19 +55,8 @@ TransferResult run_pair_transfer(const PairScenario& scenario,
   }
   result.needed = target - receiver.symbol_count();
 
-  const std::size_t requested = requested_count(result.needed, 1, config);
-  if (strategy_uses_bloom(strategy)) {
-    sender.install_bloom(receiver.make_bloom(), requested, rng);
-  }
-  if (strategy_uses_minwise(strategy)) {
-    sketch::MinwiseSketch receiver_sketch = receiver.make_sketch();
-    sketch::MinwiseSketch sender_sketch(universe, config.sketch_permutations);
-    sender_sketch.update_all(scenario.sender);
-    const double r =
-        sketch::MinwiseSketch::resemblance(receiver_sketch, sender_sketch);
-    sender.install_containment_estimate(sketch::containment_from_resemblance(
-        r, scenario.receiver.size(), scenario.sender.size()));
-  }
+  handshake(sender, scenario.sender, receiver, universe,
+            requested_count(result.needed, 1, config), config, rng);
 
   const std::size_t start = receiver.symbol_count();
   const std::size_t cap = result.needed * config.max_transmission_factor;
@@ -79,19 +89,8 @@ TransferResult run_pair_with_full_sender(const PairScenario& scenario,
 
   // With two senders serving it, the receiver requests half its needs from
   // the partial sender.
-  const std::size_t requested = requested_count(result.needed, 2, config);
-  if (strategy_uses_bloom(strategy)) {
-    sender.install_bloom(receiver.make_bloom(), requested, rng);
-  }
-  if (strategy_uses_minwise(strategy)) {
-    sketch::MinwiseSketch receiver_sketch = receiver.make_sketch();
-    sketch::MinwiseSketch sender_sketch(universe, config.sketch_permutations);
-    sender_sketch.update_all(scenario.sender);
-    const double r =
-        sketch::MinwiseSketch::resemblance(receiver_sketch, sender_sketch);
-    sender.install_containment_estimate(sketch::containment_from_resemblance(
-        r, scenario.receiver.size(), scenario.sender.size()));
-  }
+  handshake(sender, scenario.sender, receiver, universe,
+            requested_count(result.needed, 2, config), config, rng);
 
   const std::size_t start = receiver.symbol_count();
   const std::size_t cap = result.needed * config.max_transmission_factor;
@@ -128,22 +127,9 @@ TransferResult run_multi_transfer(const MultiScenario& scenario,
       requested_count(result.needed, scenario.senders.size(), config);
   std::vector<SenderNode> senders;
   senders.reserve(scenario.senders.size());
-  sketch::MinwiseSketch receiver_sketch = receiver.make_sketch();
   for (const auto& symbols : scenario.senders) {
     SenderNode sender(symbols, strategy, config);
-    if (strategy_uses_bloom(strategy)) {
-      sender.install_bloom(receiver.make_bloom(), requested, rng);
-    }
-    if (strategy_uses_minwise(strategy)) {
-      sketch::MinwiseSketch sender_sketch(universe,
-                                          config.sketch_permutations);
-      sender_sketch.update_all(symbols);
-      const double r =
-          sketch::MinwiseSketch::resemblance(receiver_sketch, sender_sketch);
-      sender.install_containment_estimate(
-          sketch::containment_from_resemblance(r, scenario.receiver.size(),
-                                               symbols.size()));
-    }
+    handshake(sender, symbols, receiver, universe, requested, config, rng);
     senders.push_back(std::move(sender));
   }
 

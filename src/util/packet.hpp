@@ -1,30 +1,18 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <stdexcept>
-#include <vector>
 
 /// Packet-size accounting.
 ///
 /// The paper sizes all of its control traffic against 1 KB packets: a
 /// min-wise sketch "fits into a single 1KB packet", Bloom filters for 10,000
-/// packets fit "into five 1 KB packets", etc. Rather than simulating a full
-/// transport, the library enforces these budgets at serialization time.
+/// packets fit "into five 1 KB packets", etc. These helpers count messages
+/// in that unit; the simulated and real transports (wire::Transport) do the
+/// actual fragmentation, against each link's own MTU.
 namespace icd::util {
 
 /// The paper's control-message MTU.
 inline constexpr std::size_t kPacketPayloadBytes = 1024;
-
-/// Splits a serialized control message into <= kPacketPayloadBytes chunks,
-/// the unit the simulator charges for messaging complexity.
-std::vector<std::vector<std::uint8_t>> packetize(
-    const std::vector<std::uint8_t>& message,
-    std::size_t mtu = kPacketPayloadBytes);
-
-/// Reassembles packetize() output.
-std::vector<std::uint8_t> reassemble(
-    const std::vector<std::vector<std::uint8_t>>& packets);
 
 /// Number of packets a message of `bytes` bytes occupies.
 constexpr std::size_t packets_for(std::size_t bytes,

@@ -106,7 +106,7 @@ class UdpTransport : public Transport {
                std::shared_ptr<BufferPool> pool = nullptr);
   ~UdpTransport() override;
 
-  /// The fd for poll()/EventLoop::watch_fd.
+  /// The fd for poll() (run_swarm_node watches it).
   int fd() const { return socket_.fd(); }
   std::uint16_t local_port() const { return socket_.local_port(); }
 

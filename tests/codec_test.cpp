@@ -361,6 +361,29 @@ TEST(Decoder, DegenerateDistributionFailsGracefully) {
       std::runtime_error);
 }
 
+TEST(DecodingTarget, EqualsBothFormerRoundingsUpToAMillion) {
+  // The completion rules once rounded 1.07 * n up with two different
+  // slacks; the one shared rule must agree with both.
+  static_assert(kDecodeOverhead == 1.07);
+  std::size_t mismatches = 0;
+  for (std::size_t n = 0; n <= 1'000'000; ++n) {
+    const double scaled = 1.07 * static_cast<double>(n);
+    const std::size_t target = decoding_target(n);
+    if (target != static_cast<std::size_t>(scaled + 0.999) ||
+        target != static_cast<std::size_t>(scaled + 0.999999)) {
+      if (++mismatches <= 5) ADD_FAILURE() << "n = " << n;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Whole products stay whole; anything else rounds up.
+  EXPECT_EQ(decoding_target(0), 0u);
+  EXPECT_EQ(decoding_target(1), 2u);
+  EXPECT_EQ(decoding_target(100), 107u);
+  EXPECT_EQ(decoding_target(150), 161u);
+  EXPECT_EQ(decoding_target(1000), 1070u);
+  EXPECT_EQ(decoding_target(1900), 2033u);  // 1.07 * 1900 > 2033 in binary
+}
+
 TEST(RecodeDegree, OptimalDegreeGrowsWithCorrelation) {
   // d ~ 1/(1-c): one expected-unknown constituent.
   EXPECT_EQ(optimal_recode_degree(1000, 0.0), 1u);

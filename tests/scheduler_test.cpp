@@ -1,7 +1,8 @@
 // Simulated-time scheduling: the LossyChannel virtual clock (RTT, jitter
-// distributions, the token-bucket rate limit), the EventLoop clock that
-// bench_latency and swarm_node run on, closed-loop flow control (Request
-// re-issue stops senders at satisfaction), and the jumping-vs-lockstep
+// distributions, the token-bucket rate limit), closed-loop flow control
+// (Request re-issue stops senders at satisfaction), the per-download tick
+// rule (DownloadLink's send phase, receive phase and jump plan) that the
+// engine and bench_latency both run, and the jumping-vs-lockstep
 // trajectory equality gates under timed, lossy, reordering links, with and
 // without faults.
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "core/endpoint.hpp"
-#include "core/event_loop.hpp"
 #include "core/origin.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
@@ -43,35 +43,6 @@ std::uint16_t frame_tag(const std::vector<std::uint8_t>& frame) {
   return static_cast<std::uint16_t>(frame[0] |
                                     (static_cast<std::uint16_t>(frame[1])
                                      << 8));
-}
-
-// --- EventLoop --------------------------------------------------------------
-
-TEST(EventLoop, VirtualTimeIsMonotoneUnderRandomOps) {
-  // Property test: under arbitrary interleavings of advance and skip, the
-  // global clock never moves backwards and skip_to accounts exactly the
-  // ticks it jumped.
-  util::Xoshiro256 rng(0xfeed);
-  core::EventLoop loop;
-  std::uint64_t last_now = 0;
-  std::uint64_t expected_skipped = 0;
-  for (int step = 0; step < 2000; ++step) {
-    if (rng.next_below(2) == 0) {
-      loop.advance_to(loop.now() + rng.next_below(3));
-    } else {
-      const std::uint64_t target = loop.now() + rng.next_below(20);
-      if (target > loop.now()) expected_skipped += target - loop.now();
-      loop.skip_to(target);
-    }
-    // A target behind the clock moves nothing and counts nothing.
-    const std::uint64_t before = loop.now();
-    loop.advance_to(before > 0 ? before - 1 : 0);
-    loop.skip_to(before > 0 ? before - 1 : 0);
-    EXPECT_EQ(loop.now(), before);
-    EXPECT_GE(loop.now(), last_now) << "clock moved backwards";
-    last_now = loop.now();
-  }
-  EXPECT_EQ(loop.ticks_skipped(), expected_skipped);
 }
 
 // --- TimedFrameQueue sort invariant -----------------------------------------
@@ -354,6 +325,143 @@ TEST(FlowControl, StopSurvivesLossOnTimedLinks) {
   // 15% loss the sender hears it.
   ASSERT_TRUE(sender.satisfied()) << "no stop after " << t << " ticks";
   EXPECT_GE(receiver.new_encoded_symbols(), options.requested_symbols);
+}
+
+// --- The per-download rule: DownloadLink -------------------------------------
+
+core::SessionOptions random_options() {
+  core::SessionOptions options;
+  options.strategy = overlay::Strategy::kRandom;
+  return options;
+}
+
+TEST(DownloadLinkRule, UntimedLinkIsDueEveryTickInEveryState) {
+  EndpointFixture fixture;
+  core::Peer sender_peer = fixture.make_peer("sender", 260);
+  core::Peer receiver_peer = fixture.make_peer("receiver", 0);
+  core::SessionOptions options = random_options();
+  options.flow_control = true;
+  options.requested_symbols = 20;
+  wire::ChannelConfig config;  // no timing knob: the event clock
+  config.seed = 5;
+  core::DownloadLink download(sender_peer, receiver_peer, options, config,
+                              EndpointFixture::kBlockSize);
+  ASSERT_FALSE(download.link.timed());
+  EXPECT_EQ(download.due_at(0, false), 0u);  // not even started
+  download.receiver.start();
+  // Through the handshake, the transfer and the stop.
+  std::uint64_t t = 0;
+  for (; t < 200; ++t) {
+    EXPECT_EQ(download.due_at(t, false), t) << "tick " << t;
+    EXPECT_EQ(download.due_at(t, true), t) << "tick " << t;
+    download.send_phase(t, false);
+    download.receive_phase(t);
+  }
+  // Drained, with a satisfied sender: a timed link would plan nothing.
+  ASSERT_TRUE(download.sender.satisfied());
+  ASSERT_EQ(download.link.next_event_time(), std::nullopt);
+  EXPECT_EQ(download.due_at(t, false), t);
+  EXPECT_EQ(download.due_at(t, true), t);
+}
+
+TEST(DownloadLinkRule, TimedLinkIsDueNowUntilTheReceiverIsServiced) {
+  EndpointFixture fixture;
+  core::Peer sender_peer = fixture.make_peer("sender", 260);
+  core::Peer receiver_peer = fixture.make_peer("receiver", 0);
+  wire::ChannelConfig config;
+  config.delay_ticks = 5;
+  config.seed = 5;
+  core::DownloadLink download(sender_peer, receiver_peer, random_options(),
+                              config, EndpointFixture::kBlockSize);
+  download.receiver.start();  // the bundle lands at tick 5
+  ASSERT_EQ(download.link.next_event_time(), std::optional<std::uint64_t>{5});
+  // No retry baseline yet: conservatively due at once, sender up or down.
+  EXPECT_EQ(download.due_at(0, false), 0u);
+  EXPECT_EQ(download.due_at(3, true), 3u);
+}
+
+TEST(DownloadLinkRule, HandshakeEatenByBlackoutIsDueAtTheRetry) {
+  EndpointFixture fixture;
+  core::Peer sender_peer = fixture.make_peer("sender", 260);
+  core::Peer receiver_peer = fixture.make_peer("receiver", 0);
+  wire::ChannelConfig config;
+  config.delay_ticks = 2;
+  config.seed = 5;
+  core::DownloadLink download(sender_peer, receiver_peer, random_options(),
+                              config, EndpointFixture::kBlockSize);
+  download.link.set_blackout(true);
+  download.receiver.start();
+  download.receive_phase(0);
+  ASSERT_EQ(download.link.next_event_time(), std::nullopt);
+  const auto retry = download.receiver.retry_due_at();
+  ASSERT_TRUE(retry.has_value());
+  EXPECT_GT(*retry, 1u);
+  EXPECT_EQ(download.due_at(1, false), retry);
+}
+
+TEST(DownloadLinkRule, DrainedTransferWaitsForCreditOrLiveness) {
+  EndpointFixture fixture;
+  core::Peer sender_peer = fixture.make_peer("sender", 260);
+  core::Peer receiver_peer = fixture.make_peer("receiver", 0);
+  core::SessionOptions options = random_options();
+  options.liveness_timeout_ticks = 5000;
+  wire::ChannelConfig config;
+  config.delay_ticks = 1;
+  config.rate_bytes_per_tick = 4.0;  // a data frame of credit every ~10 ticks
+  config.seed = 5;
+  core::DownloadLink download(sender_peer, receiver_peer, options, config,
+                              EndpointFixture::kBlockSize);
+  const std::size_t probe = EndpointFixture::kBlockSize + 64;
+  download.receiver.start();
+  // Lockstep until, planning for the next tick as the engine does, the link
+  // is drained while the unsatisfied sender waits on its token bucket.
+  bool checked = false;
+  for (std::uint64_t t = 0; t < 2000 && !checked; ++t) {
+    download.send_phase(t, false);
+    download.receive_phase(t);
+    const std::uint64_t next = t + 1;
+    const std::uint64_t credit = download.link.a_send_ready_at(probe);
+    if (!download.receiver.transfer_started() ||
+        !download.sender.transfer_active() || download.sender.satisfied() ||
+        download.link.next_event_time() || credit <= next) {
+      continue;
+    }
+    const auto liveness = download.receiver.liveness_due_at();
+    ASSERT_TRUE(liveness.has_value());
+    ASSERT_LT(credit, *liveness);
+    EXPECT_EQ(download.due_at(next, false), credit);
+    // A down sender sends nothing: only the liveness expiry remains.
+    EXPECT_EQ(download.due_at(next, true), liveness);
+    checked = true;
+  }
+  EXPECT_TRUE(checked) << "never reached a drained, credit-bound transfer";
+}
+
+TEST(DownloadLinkRule, DownSenderAdvancesTheLinkButSendsNothing) {
+  EndpointFixture fixture;
+  core::Peer sender_peer = fixture.make_peer("sender", 260);
+  core::Peer receiver_peer = fixture.make_peer("receiver", 0);
+  wire::ChannelConfig config;
+  config.delay_ticks = 1;
+  config.seed = 5;
+  core::DownloadLink download(sender_peer, receiver_peer, random_options(),
+                              config, EndpointFixture::kBlockSize);
+  download.receiver.start();
+  std::uint64_t t = 0;
+  for (; t < 100 && !download.sender.transfer_active(); ++t) {
+    download.send_phase(t, false);
+    download.receive_phase(t);
+  }
+  ASSERT_TRUE(download.sender.transfer_active());
+  const std::size_t sent = download.sender.symbols_sent();
+  download.send_phase(t, false);
+  ASSERT_GT(download.sender.symbols_sent(), sent);  // an up sender sends
+
+  const std::size_t sent_before_down = download.sender.symbols_sent();
+  download.send_phase(t + 10, true);
+  EXPECT_EQ(download.link.a_to_b().now(), t + 10);
+  EXPECT_EQ(download.link.b_to_a().now(), t + 10);
+  EXPECT_EQ(download.sender.symbols_sent(), sent_before_down);
 }
 
 // --- Scheduler-driven servicing: timed swarms -------------------------------

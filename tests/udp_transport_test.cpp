@@ -8,8 +8,10 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -439,6 +441,78 @@ TEST(SwarmSpecShaping, ParserRejectsBadProfilesAndAccess) {
   EXPECT_THROW(core::SwarmSpec::parse_text(
                    "nodes 2\nlink_profile p 0.1 0 0\naccess x p\n"),
                std::runtime_error);
+}
+
+TEST(SwarmSpecShaping, ParserRejectsHostileNumbersByLine) {
+  // Each entry's last line is the bad one; the error must name it.
+  const std::vector<std::string> hostile = {
+      "nodes -1\n",                   // would wrap to 2^64 - 1
+      "n -5\n",
+      "symbols_per_tick -1\n",
+      "n 100x\n",                     // garbage after the number
+      "max_ticks abc\n",
+      "tick_us 1e3\n",
+      "mtu 18446744073709551616\n",   // 2^64: out of range
+      "n 100 200\n",                  // trailing token
+      "host 127.0.0.1 extra\n",
+      "strategy recodebf random\n",
+      "loss_rate 7\n",
+      "loss_rate -0.5\n",
+      "correlation 1.5\n",
+      "link_profile p -0.1 0 0\n",
+      "link_profile p 0.1 -5 0\n",
+      "link_profile p 0.1 5 0 9\n",
+      "stretch -3\n",                 // reached a UB cast in the world build
+      "stretch 0.5\n",
+      "request_overhead -1\n",
+      "edge 0 1 70000 2\n",           // ports are 16-bit
+      "edge 0 1 -1 2\n",
+      "edge 0 1 1 2 3\n",
+      "nodes 3\nnodes 3\n",           // a scalar key set twice
+      "seed 1\nseed 1\n",
+      "link_profile p 0.1 0 0\naccess 0 p extra\n",
+  };
+  for (const std::string& text : hostile) {
+    const std::size_t bad_line =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    try {
+      core::SwarmSpec::parse_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& error) {
+      const std::string prefix =
+          "SwarmSpec line " + std::to_string(bad_line) + ": ";
+      EXPECT_EQ(std::string(error.what()).rfind(prefix, 0), 0u)
+          << text << " -> " << error.what();
+    }
+  }
+  // Each value fits, but a count derived from two of them would not.
+  EXPECT_THROW(core::SwarmSpec::parse_text("n 120\nstretch 1e30\n"),
+               std::runtime_error);
+  EXPECT_THROW(core::SwarmSpec::parse_text("n 60\nrequest_overhead 1e300\n"),
+               std::runtime_error);
+}
+
+TEST(SwarmSpecShaping, StrictParserRoundTripsSerialize) {
+  core::SwarmSpec spec;
+  spec.nodes = 5;
+  spec.n = 333;
+  spec.stretch = 1.25;
+  spec.correlation = 0.4;
+  spec.seed = 0xfedcba9876543210ULL;
+  spec.strategy = overlay::Strategy::kRecodeMinwise;
+  spec.request_overhead = 4.0;
+  spec.loss_rate = 0.05;
+  spec.max_handshake_retries = 8;
+  spec.link_profiles.push_back({"dsl", 0.02, 8000, 2000});
+  spec.access[3] = 0;
+  spec.build_full_mesh(65000);  // the last ports reach 65039
+  const std::string text = spec.serialize();
+  const core::SwarmSpec parsed = core::SwarmSpec::parse_text(text);
+  EXPECT_EQ(parsed.serialize(), text);
+  EXPECT_EQ(parsed.seed, spec.seed);
+  EXPECT_EQ(parsed.strategy, spec.strategy);
+  ASSERT_EQ(parsed.edges.size(), 20u);
+  EXPECT_EQ(parsed.edges.back().receiver_port, 65039u);
 }
 
 TEST(SwarmSpecShaping, ShapedPredictionCompletesDeterministically) {

@@ -1,5 +1,5 @@
 // Tests for the icd::util substrate: RNG, primality, hashing, permutations,
-// bit vectors, serialization buffers, packetization.
+// bit vectors, serialization buffers, packet counting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -370,16 +370,6 @@ TEST(ByteBuffer, VarintEncodingIsMinimal) {
   EXPECT_EQ(writer.size(), 3u);  // 1 + 2
   writer.varint(1ULL << 21);
   EXPECT_EQ(writer.size(), 7u);  // + 4
-}
-
-TEST(Packet, PacketizeSplitsAtMtu) {
-  std::vector<std::uint8_t> message(2500, 7);
-  const auto packets = packetize(message, 1024);
-  ASSERT_EQ(packets.size(), 3u);
-  EXPECT_EQ(packets[0].size(), 1024u);
-  EXPECT_EQ(packets[1].size(), 1024u);
-  EXPECT_EQ(packets[2].size(), 452u);
-  EXPECT_EQ(reassemble(packets), message);
 }
 
 TEST(Packet, PacketsForMatchesFormula) {
