@@ -1,5 +1,6 @@
-// E1 (Section 5.2 figures): Bloom filter false-positive operating points and
-// micro-benchmarks of the filter operations.
+// E1 (Section 5.2): the Bloom filter false-positive table at the paper's
+// two operating points, plus micro-benchmarks of insert, query and
+// serialize.
 //
 // Paper: "using just four bits per element and three hash functions yields a
 // false positive probability of 14.7%; using eight bits per element and five
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "filter/bloom.hpp"
-#include "filter/compressed_bloom.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -53,29 +53,6 @@ void print_fp_table() {
                 static_cast<double>(fp) / kProbes, row.paper);
   }
 
-  std::printf("\n=== Extension: classical vs compressed Bloom filter at "
-              "equal wire budget ===\n");
-  std::printf("%12s %14s %14s %14s\n", "wire bits/n", "classical fp",
-              "compressed fp", "RAM bits/n");
-  for (const double budget : {4.0, 8.0, 12.0}) {
-    auto classical = filter::BloomFilter::with_bits_per_element(n, budget);
-    auto compressed = filter::CompressedBloomFilter::design(n, budget);
-    const auto keys = random_keys(n, 11);
-    classical.insert_all(keys);
-    compressed.insert_all(keys);
-    util::Xoshiro256 rng(12);
-    std::size_t cfp = 0, zfp = 0;
-    constexpr std::size_t kProbes2 = 100000;
-    for (std::size_t i = 0; i < kProbes2; ++i) {
-      const auto probe = rng();
-      cfp += classical.contains(probe);
-      zfp += compressed.contains(probe);
-    }
-    std::printf("%12.0f %14.4f %14.4f %14.1f\n", budget,
-                static_cast<double>(cfp) / kProbes2,
-                static_cast<double>(zfp) / kProbes2,
-                static_cast<double>(compressed.memory_bits()) / n);
-  }
   std::printf("\n");
 }
 

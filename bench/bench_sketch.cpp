@@ -1,13 +1,12 @@
 // E10 (Section 4): accuracy of the three working-set similarity estimators
-// within the paper's single-1KB-packet budget, plus sketch-update
-// micro-benchmarks.
+// within the paper's single-1KB-packet budget and the min-wise estimate's
+// std-dev by sketch size, plus sketch-update micro-benchmarks.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
 #include <unordered_set>
 
-#include "sketch/bottomk.hpp"
 #include "sketch/minwise.hpp"
 #include "sketch/sampling.hpp"
 #include "util/random.hpp"
@@ -96,34 +95,6 @@ void print_estimator_table() {
                 std::sqrt(std::max(0.0, var)));
   }
 
-  std::printf("\n=== Extension: min-wise vs bottom-k at equal budget (128 "
-              "values, true r = 1/3) ===\n");
-  std::printf("%10s %12s %12s\n", "sketch", "mean est", "std dev");
-  for (const bool bottomk : {false, true}) {
-    double total = 0, total_sq = 0;
-    constexpr int kReps = 30;
-    for (int t = 0; t < kReps; ++t) {
-      const auto pair = make_pair(4000, 0.5, 300 + t);
-      double r;
-      if (bottomk) {
-        sketch::BottomKSketch sa(kUniverse, 128), sb(kUniverse, 128);
-        sa.update_all(pair.a);
-        sb.update_all(pair.b);
-        r = sketch::BottomKSketch::resemblance(sa, sb);
-      } else {
-        sketch::MinwiseSketch sa(kUniverse, 128), sb(kUniverse, 128);
-        sa.update_all(pair.a);
-        sb.update_all(pair.b);
-        r = sketch::MinwiseSketch::resemblance(sa, sb);
-      }
-      total += r;
-      total_sq += r * r;
-    }
-    const double mean = total / kReps;
-    const double var = total_sq / kReps - mean * mean;
-    std::printf("%10s %12.4f %12.4f\n", bottomk ? "bottom-k" : "min-wise",
-                mean, std::sqrt(std::max(0.0, var)));
-  }
   std::printf("\n");
 }
 

@@ -57,12 +57,10 @@ class InformedSession {
 
   const SessionStats& stats() const { return stats_; }
 
-  /// The underlying protocol machinery, exposed for byte-level inspection
-  /// (frame observers, transport stats) and tests.
+  /// The two ends of the session's pipe, exposed for byte-level inspection
+  /// (frame observers, transport stats).
   wire::Transport& sender_transport() { return pipe_.a(); }
   wire::Transport& receiver_transport() { return pipe_.b(); }
-  const SenderEndpoint& sender_endpoint() const { return sender_; }
-  const ReceiverEndpoint& receiver_endpoint() const { return receiver_; }
 
  private:
   void refresh_stats();

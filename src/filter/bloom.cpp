@@ -49,36 +49,6 @@ void BloomFilter::insert_all(const std::vector<std::uint64_t>& keys) {
   for (const std::uint64_t key : keys) insert(key);
 }
 
-double BloomFilter::fill_ratio() const {
-  return static_cast<double>(bits_.popcount()) /
-         static_cast<double>(bits_.size());
-}
-
-double BloomFilter::theoretical_fp_rate(std::size_t n) const {
-  return fp_rate(bits_.size(), n, hashes_);
-}
-
-void BloomFilter::check_compatible(const BloomFilter& other) const {
-  if (bits_.size() != other.bits_.size() || hashes_ != other.hashes_ ||
-      seed_ != other.seed_) {
-    throw std::invalid_argument("BloomFilter: incompatible geometry/seed");
-  }
-}
-
-BloomFilter& BloomFilter::merge_union(const BloomFilter& other) {
-  check_compatible(other);
-  bits_ |= other.bits_;
-  inserted_ += other.inserted_;
-  return *this;
-}
-
-BloomFilter& BloomFilter::merge_intersect(const BloomFilter& other) {
-  check_compatible(other);
-  bits_ &= other.bits_;
-  inserted_ = std::min(inserted_, other.inserted_);
-  return *this;
-}
-
 std::vector<std::uint8_t> BloomFilter::serialize() const {
   util::ByteWriter writer;
   serialize_into(writer);
@@ -95,8 +65,7 @@ void BloomFilter::serialize_into(util::ByteWriter& out) const {
   out.varint(hashes_);
   out.u64(seed_);
   out.varint(inserted_);
-  // Byte-identical to raw(bits_.to_bytes()): u64 and to_bytes both emit
-  // each word little-endian.
+  // Each word little-endian, the layout BitVector::from_bytes reads back.
   for (const std::uint64_t word : bits_.words()) out.u64(word);
 }
 

@@ -51,35 +51,16 @@ class BloomFilter {
   std::size_t bit_count() const { return bits_.size(); }
   std::size_t hash_count() const { return hashes_; }
   std::size_t inserted_count() const { return inserted_; }
-  std::uint64_t seed() const { return seed_; }
 
   /// Heap bytes the bit array pins (the scale-audit surface).
   std::size_t memory_bytes() const { return (bits_.size() + 7) / 8; }
 
-  /// Fraction of bits set; used to estimate the realized fp probability
-  /// (1 - e^{-kn/m})^k without knowing n.
-  double fill_ratio() const;
-
-  /// Theoretical false positive probability for n insertions into this
-  /// filter: (1 - e^{-kn/m})^k.
-  double theoretical_fp_rate(std::size_t n) const;
-
-  /// Same formula as a free function, as printed in the paper:
-  /// f = (1 - e^{-kn/m})^k.
+  /// False positive probability for n insertions into m bits with k
+  /// hashes, as printed in the paper: f = (1 - e^{-kn/m})^k.
   static double fp_rate(std::size_t m, std::size_t n, std::size_t k) {
     return std::pow(1.0 - std::exp(-static_cast<double>(k) * n / m),
                     static_cast<double>(k));
   }
-
-  /// Union of two filters with identical geometry and seed (bitwise OR).
-  /// The result behaves exactly like a filter built from the union of the
-  /// two key sets.
-  BloomFilter& merge_union(const BloomFilter& other);
-
-  /// Bitwise AND. Note: unlike union this only *approximates* the filter of
-  /// the intersection (it may contain extra bits), but never loses elements
-  /// of the intersection.
-  BloomFilter& merge_intersect(const BloomFilter& other);
 
   /// Wire form: header (bits, hashes, seed, inserted) + bit array. Sized to
   /// be charged against 1 KB packets by the simulator. serialize_into
@@ -94,8 +75,6 @@ class BloomFilter {
   static constexpr std::uint64_t kDefaultSeed = 0x1cdb10f11e500d5eULL;
 
  private:
-  void check_compatible(const BloomFilter& other) const;
-
   std::size_t hashes_;
   std::uint64_t seed_;
   std::size_t inserted_ = 0;

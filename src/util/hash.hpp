@@ -30,13 +30,6 @@ constexpr std::uint64_t hash64(std::uint64_t x, std::uint64_t seed) {
   return mix64(mix64(x + 0x9e3779b97f4a7c15ULL * (seed + 1)) ^ seed);
 }
 
-/// Combines a hash value into an accumulator (boost::hash_combine recipe,
-/// 64-bit constants).
-constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
-  return seed ^ (mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 12) +
-                 (seed >> 4));
-}
-
 /// FNV-1a for byte strings; used for hashing symbol payloads in tests.
 std::uint64_t fnv1a(std::span<const std::byte> bytes);
 

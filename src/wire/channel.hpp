@@ -144,8 +144,6 @@ class GilbertElliott {
     return rng.next_bool(bad_ ? config_.ge_loss_bad : config_.ge_loss_good);
   }
 
-  bool in_bad_state() const { return bad_; }
-
  private:
   ChannelConfig config_;
   bool bad_ = false;

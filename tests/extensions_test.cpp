@@ -1,13 +1,10 @@
-// Tests for the library's extensions beyond the paper's minimum:
-// inactivation decoding and bottom-k sketches.
+// Tests for the library's extension beyond the paper's minimum:
+// inactivation decoding.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "codec/inactivation.hpp"
-#include "sketch/bottomk.hpp"
-#include "sketch/minwise.hpp"
-#include "util/buffer.hpp"
 #include "util/random.hpp"
 
 namespace icd {
@@ -89,128 +86,6 @@ TEST(InactivationDecoder, SolvesDegenerateDistributionPeelingCannot) {
   ASSERT_TRUE(decoder.complete());
   EXPECT_EQ(codec::BlockSource::restore(decoder.blocks(), content.size()),
             content);
-}
-
-// --- Bottom-k sketches -------------------------------------------------------
-
-TEST(BottomK, IdenticalSetsResembleCompletely) {
-  sketch::BottomKSketch a(1 << 20), b(1 << 20);
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    a.update(i * 31);
-    b.update(i * 31);
-  }
-  EXPECT_DOUBLE_EQ(sketch::BottomKSketch::resemblance(a, b), 1.0);
-}
-
-TEST(BottomK, DisjointSetsResembleRarely) {
-  sketch::BottomKSketch a(1 << 20), b(1 << 20);
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    a.update(i);
-    b.update(100000 + i);
-  }
-  EXPECT_LT(sketch::BottomKSketch::resemblance(a, b), 0.05);
-}
-
-TEST(BottomK, TracksTrueResemblance) {
-  util::Xoshiro256 rng(4);
-  const auto ids = util::sample_without_replacement(1 << 20, 1500, rng);
-  // |A| = |B| = 1000, shared 500 -> r = 500 / 1500 = 1/3.
-  sketch::BottomKSketch a(1 << 20), b(1 << 20);
-  for (int i = 0; i < 1000; ++i) a.update(ids[static_cast<std::size_t>(i)]);
-  for (int i = 500; i < 1500; ++i) b.update(ids[static_cast<std::size_t>(i)]);
-  EXPECT_NEAR(sketch::BottomKSketch::resemblance(a, b), 1.0 / 3.0, 0.12);
-}
-
-TEST(BottomK, LowerVarianceThanMinwiseAtEqualBudget) {
-  // The headline property: at the same wire budget (128 values), bottom-k
-  // estimates have visibly lower error than 128 independent minima.
-  util::Xoshiro256 rng(5);
-  double minwise_sq_err = 0, bottomk_sq_err = 0;
-  constexpr int kTrials = 30;
-  for (int t = 0; t < kTrials; ++t) {
-    const auto ids = util::sample_without_replacement(1 << 22, 3000, rng);
-    const double truth = 1000.0 / 3000.0;
-    sketch::MinwiseSketch ma(1 << 22, 128), mb(1 << 22, 128);
-    sketch::BottomKSketch ba(1 << 22, 128), bb(1 << 22, 128);
-    for (int i = 0; i < 2000; ++i) {
-      ma.update(ids[static_cast<std::size_t>(i)]);
-      ba.update(ids[static_cast<std::size_t>(i)]);
-    }
-    for (int i = 1000; i < 3000; ++i) {
-      mb.update(ids[static_cast<std::size_t>(i)]);
-      bb.update(ids[static_cast<std::size_t>(i)]);
-    }
-    const double em = sketch::MinwiseSketch::resemblance(ma, mb) - truth;
-    const double eb = sketch::BottomKSketch::resemblance(ba, bb) - truth;
-    minwise_sq_err += em * em;
-    bottomk_sq_err += eb * eb;
-  }
-  EXPECT_LT(bottomk_sq_err, minwise_sq_err);
-}
-
-TEST(BottomK, UnionCombinationMatchesDirectSketch) {
-  sketch::BottomKSketch a(1 << 20), b(1 << 20), direct(1 << 20);
-  util::Xoshiro256 rng(6);
-  for (int i = 0; i < 400; ++i) {
-    const auto key = rng.next_below(1 << 20);
-    if (i % 2 == 0) a.update(key);
-    else b.update(key);
-    direct.update(key);
-  }
-  const auto combined = sketch::BottomKSketch::combine_union(a, b);
-  EXPECT_EQ(combined.values(), direct.values());
-}
-
-TEST(BottomK, SerializationRoundTrip) {
-  sketch::BottomKSketch sketch(1 << 20, 64);
-  for (std::uint64_t i = 0; i < 200; ++i) sketch.update(i * 17);
-  const auto restored =
-      sketch::BottomKSketch::deserialize(sketch.serialize());
-  EXPECT_EQ(restored.values(), sketch.values());
-  EXPECT_EQ(restored.k(), sketch.k());
-}
-
-TEST(BottomK, MalformedPayloadsThrowInvalidArgument) {
-  // serialize()'s layout with a chosen value count and values. Hostile
-  // counts must fail before any allocation for them, and every malformed
-  // payload must fail the same way.
-  const auto payload = [](std::uint64_t count,
-                          const std::vector<std::uint64_t>& values) {
-    util::ByteWriter writer;
-    writer.u64(1 << 20);
-    writer.u64(sketch::BottomKSketch::kSharedSeed);
-    writer.varint(sketch::BottomKSketch::kDefaultK);
-    writer.varint(count);
-    for (const std::uint64_t v : values) writer.u64(v);
-    return writer.take();
-  };
-  for (const std::uint64_t count : {std::uint64_t{1} << 26,
-                                    std::uint64_t{1} << 40,
-                                    std::uint64_t{1} << 61}) {
-    EXPECT_THROW(sketch::BottomKSketch::deserialize(payload(count, {})),
-                 std::invalid_argument)
-        << "count " << count;
-  }
-  // The estimators binary-search the values: they must ascend strictly.
-  EXPECT_THROW(sketch::BottomKSketch::deserialize(payload(3, {5, 9, 7})),
-               std::invalid_argument);
-  sketch::BottomKSketch sketch(1 << 20);
-  for (std::uint64_t i = 0; i < 50; ++i) sketch.update(i * 17);
-  auto truncated = sketch.serialize();
-  truncated.pop_back();
-  EXPECT_THROW(sketch::BottomKSketch::deserialize(truncated),
-               std::invalid_argument);
-  auto trailing = sketch.serialize();
-  trailing.push_back(0);
-  EXPECT_THROW(sketch::BottomKSketch::deserialize(trailing),
-               std::invalid_argument);
-}
-
-TEST(BottomK, IncompatibleSketchesThrow) {
-  sketch::BottomKSketch a(1 << 20, 64), b(1 << 20, 128);
-  EXPECT_THROW(sketch::BottomKSketch::resemblance(a, b),
-               std::invalid_argument);
-  EXPECT_THROW(sketch::BottomKSketch(1 << 20, 0), std::invalid_argument);
 }
 
 }  // namespace

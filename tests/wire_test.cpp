@@ -376,6 +376,23 @@ TEST(WireProperty, HugeSummaryCountsAreRejectedWithoutAllocating) {
   EXPECT_THROW(decode_frame(frame_of(MessageType::kBloomSummary,
                                      bloom_blob.bytes())),
                std::invalid_argument);
+
+  // A hash count beyond min(bits, 256): with every bit set, each
+  // sender-side contains() would loop that many times per query.
+  const std::pair<std::uint64_t, std::uint64_t> geometries[] = {
+      {64, 65}, {4096, 257}, {4096, std::uint64_t{1} << 40}};
+  for (const auto& [bits, hashes] : geometries) {
+    util::ByteWriter blob;
+    blob.varint(bits);
+    blob.varint(hashes);
+    blob.u64(42);
+    blob.varint(100);
+    for (std::uint64_t w = 0; w < bits / 64; ++w) blob.u64(~std::uint64_t{0});
+    EXPECT_THROW(decode_frame(frame_of(MessageType::kBloomSummary,
+                                       blob.bytes())),
+                 std::invalid_argument)
+        << bits << " bits, " << hashes << " hashes";
+  }
 }
 
 TEST(WireProperty, EveryTruncationOfEveryFrameIsRejected) {
