@@ -72,7 +72,9 @@ ScalePoint run_swarm(const std::vector<std::uint8_t>& content,
   core::ShardedDelivery service(content, scale_options(),
                                 core::ShardOptions{shards});
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p % 8 == 0);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p % 8 == 0);
   }
   const auto start = std::chrono::steady_clock::now();
   service.run(max_ticks);

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,9 +35,11 @@
 /// waiting index is a flat pool of singly-linked incidence nodes
 /// (tail-appended so per-key traversal preserves equation insertion order),
 /// and the known map is a dense value table + bitmap when keys are 32-bit
-/// block indices (recode-level 64-bit ids hash to a slot in a slab of
-/// values kept in recovery order). Retired and redundant payload buffers
-/// are recycled through a small freelist, the `wire::BufferPool` idiom.
+/// block indices. Sparse keys (recode-level 64-bit ids) look up both the
+/// waiting index and their slot in a slab of values kept in recovery order
+/// through one open-addressing table (`detail::ProbeTable`), which
+/// allocates nothing per entry. Retired and redundant payload buffers are
+/// recycled through a small freelist, the `wire::BufferPool` idiom.
 ///
 /// Observable behavior (recovery values, recovery_log order,
 /// redundant/buffered counts) is bit-for-bit identical to the list-based
@@ -58,28 +60,139 @@ struct Incidence {
 struct IncidenceChain {
   std::uint32_t head = kSolverNil;
   std::uint32_t tail = kSolverNil;
+
+  bool operator==(const IncidenceChain&) const = default;
+};
+
+/// Open-addressing map for sparse integral keys (recode-level 64-bit symbol
+/// ids, signed test keys): linear probing over a power-of-two array of
+/// cells, each holding a key and its small value inline, so an entry costs
+/// no allocation. A cell is free while its value equals `kVacant`; stored
+/// values never do. Erase shifts the rest of the probe run back (no
+/// tombstones). The table starts at kFirstCells and doubles past 3/4 load.
+/// Const methods only read, so threads may look keys up in one const table
+/// at once. Nothing iterates the cells, so no result depends on where a
+/// key lands.
+template <typename Key, typename Value, Value kVacant>
+class ProbeTable {
+ public:
+  const Value* find(const Key& key) const {
+    if (cells_.empty()) return nullptr;
+    const Cell& cell = cells_[probe(key)];
+    return cell.value == kVacant ? nullptr : &cell.value;
+  }
+
+  /// Inserts (key, value) unless `key` is present. Returns the stored value
+  /// and whether it was inserted. `value` must not be kVacant.
+  std::pair<Value*, bool> try_emplace(const Key& key, const Value& value) {
+    std::size_t i = 0;
+    if (!cells_.empty()) {
+      i = probe(key);
+      if (cells_[i].value != kVacant) return {&cells_[i].value, false};
+    }
+    if ((size_ + 1) * 4 > cells_.size() * 3) {
+      grow();
+      i = probe(key);
+    }
+    cells_[i] = Cell{key, value};
+    ++size_;
+    return {&cells_[i].value, true};
+  }
+
+  /// Removes `key` and returns its value (kVacant if it was absent).
+  Value take(const Key& key) {
+    if (cells_.empty()) return kVacant;
+    std::size_t hole = probe(key);
+    const Value taken = cells_[hole].value;
+    if (taken == kVacant) return kVacant;
+    // Backward shift: each later entry of the run moves into the hole
+    // unless its home lies cyclically in (hole, its cell] — there the
+    // move would put it before its home, out of find()'s reach.
+    for (std::size_t j = (hole + 1) & mask(); cells_[j].value != kVacant;
+         j = (j + 1) & mask()) {
+      if (((j - home(cells_[j].key)) & mask()) >= ((j - hole) & mask())) {
+        cells_[hole] = cells_[j];
+        hole = j;
+      }
+    }
+    cells_[hole].value = kVacant;
+    --size_;
+    return taken;
+  }
+
+  /// Frees the cells; the next insert starts over at kFirstCells.
+  void clear() {
+    cells_ = std::vector<Cell>();
+    size_ = 0;
+  }
+
+  std::size_t memory_bytes() const { return cells_.capacity() * sizeof(Cell); }
+
+ private:
+  struct Cell {
+    Key key;
+    Value value;
+  };
+
+  /// Small first allocation: many recode decoders hold only a few dozen
+  /// ids, and the table doubles from here.
+  static constexpr std::size_t kFirstCells = 8;
+
+  std::size_t mask() const { return cells_.size() - 1; }
+
+  /// Multiplicative (Fibonacci) mixing, top bits as the cell index: held
+  /// ids come in runs counting up from hashed starts
+  /// (Encoder::take_next_id), and one multiply spreads a run evenly.
+  std::size_t home(const Key& key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  /// The cell holding `key`, or the free cell that ends its probe run.
+  /// Requires a non-empty table (load < 1 keeps a free cell).
+  std::size_t probe(const Key& key) const {
+    std::size_t i = home(key);
+    while (cells_[i].value != kVacant && cells_[i].key != key) {
+      i = (i + 1) & mask();
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<Cell> old(cells_.empty() ? kFirstCells : cells_.size() * 2,
+                          Cell{Key{}, kVacant});
+    old.swap(cells_);
+    shift_ = 64 - std::countr_zero(cells_.size());
+    for (const Cell& cell : old) {
+      if (cell.value != kVacant) cells_[probe(cell.key)] = cell;
+    }
+  }
+
+  std::vector<Cell> cells_;
+  std::size_t size_ = 0;
+  int shift_ = 64;
 };
 
 /// Recovered-value store. Primary template, for sparse key universes
 /// (recode-level 64-bit symbol ids, signed test keys): values live in a
-/// slab in insertion order, and a hash map names each key's slot. The
+/// slab in insertion order, and a ProbeTable names each key's slot. The
 /// solver inserts exactly when it appends to its recovery log, so slot k
 /// holds the value of recovery_log()[k] — callers that already know a
-/// key's slot read its value without hashing.
+/// key's slot read its value without a lookup.
 template <typename Key>
 class KnownStore {
  public:
-  bool contains(const Key& key) const { return slots_.contains(key); }
+  bool contains(const Key& key) const { return slots_.find(key) != nullptr; }
 
   const std::vector<std::uint8_t>* find(const Key& key) const {
-    const auto it = slots_.find(key);
-    return it == slots_.end() ? nullptr : &slab_[it->second];
+    const std::uint32_t* slot = slots_.find(key);
+    return slot == nullptr ? nullptr : &slab_[*slot];
   }
 
   std::optional<std::uint32_t> slot(const Key& key) const {
-    const auto it = slots_.find(key);
-    if (it == slots_.end()) return std::nullopt;
-    return it->second;
+    const std::uint32_t* slot = slots_.find(key);
+    if (slot == nullptr) return std::nullopt;
+    return *slot;
   }
 
   const std::vector<std::uint8_t>& at(std::uint32_t slot) const {
@@ -87,26 +200,22 @@ class KnownStore {
   }
 
   void insert(const Key& key, std::vector<std::uint8_t> value) {
-    slots_.emplace(key, static_cast<std::uint32_t>(slab_.size()));
+    slots_.try_emplace(key, static_cast<std::uint32_t>(slab_.size()));
     slab_.push_back(std::move(value));
   }
 
   std::size_t size() const { return slab_.size(); }
 
   std::size_t memory_bytes() const {
-    // Bucket array plus, per node: the padded (key, slot) pair and
-    // node/hash links; then the slab's vector headers and the values.
-    std::size_t bytes =
-        slots_.bucket_count() * sizeof(void*) +
-        slots_.size() * (sizeof(std::pair<const Key, std::uint32_t>) +
-                         2 * sizeof(void*)) +
-        slab_.capacity() * sizeof(std::vector<std::uint8_t>);
+    // The slot table's cells, the slab's vector headers, then the values.
+    std::size_t bytes = slots_.memory_bytes() +
+                        slab_.capacity() * sizeof(std::vector<std::uint8_t>);
     for (const auto& value : slab_) bytes += value.capacity();
     return bytes;
   }
 
  private:
-  std::unordered_map<Key, std::uint32_t> slots_;
+  ProbeTable<Key, std::uint32_t, kSolverNil> slots_;
   std::vector<std::vector<std::uint8_t>> slab_;
 };
 
@@ -153,47 +262,49 @@ class KnownStore<std::uint32_t> {
   std::size_t size_ = 0;
 };
 
-/// Waiting index: key -> chain of incidence nodes. Primary template: hash
-/// map of chains for sparse key universes.
+/// Waiting index: key -> chain of incidence nodes. Primary template: a
+/// ProbeTable of chains for sparse key universes. A stored chain is never
+/// empty, so the empty chain marks a free cell.
 template <typename Key>
 class IncidenceIndex {
  public:
-  IncidenceChain& chain(const Key& key) { return chains_[key]; }
+  /// Appends incidence `idx` to `key`'s chain. Returns the chain's old
+  /// tail, whose `next` the caller points at `idx`, or kSolverNil if `key`
+  /// had no chain.
+  std::uint32_t append(const Key& key, std::uint32_t idx) {
+    const auto [chain, inserted] =
+        chains_.try_emplace(key, IncidenceChain{idx, idx});
+    if (inserted) return kSolverNil;
+    const std::uint32_t tail = chain->tail;
+    chain->tail = idx;
+    return tail;
+  }
 
   /// Removes the chain for `key` and returns its head (kSolverNil if none).
-  std::uint32_t detach(const Key& key) {
-    const auto it = chains_.find(key);
-    if (it == chains_.end()) return kSolverNil;
-    const std::uint32_t head = it->second.head;
-    chains_.erase(it);
-    return head;
-  }
+  std::uint32_t detach(const Key& key) { return chains_.take(key).head; }
 
-  void clear() {
-    chains_.clear();
-    chains_.rehash(0);
-  }
+  void clear() { chains_.clear(); }
 
-  std::size_t memory_bytes() const {
-    return chains_.bucket_count() * sizeof(void*) +
-           chains_.size() * (sizeof(Key) + sizeof(IncidenceChain) +
-                             2 * sizeof(void*));
-  }
+  std::size_t memory_bytes() const { return chains_.memory_bytes(); }
 
  private:
-  std::unordered_map<Key, IncidenceChain> chains_;
+  ProbeTable<Key, IncidenceChain, IncidenceChain{}> chains_;
 };
 
 /// Dense specialization for block-index keys: flat vector of chains.
 template <>
 class IncidenceIndex<std::uint32_t> {
  public:
-  IncidenceChain& chain(std::uint32_t key) {
+  std::uint32_t append(std::uint32_t key, std::uint32_t idx) {
     if (key >= chains_.size()) {
       chains_.resize(
           std::max<std::size_t>(std::size_t{key} + 1, chains_.size() * 2));
     }
-    return chains_[key];
+    IncidenceChain& chain = chains_[key];
+    const std::uint32_t tail = chain.tail;
+    if (chain.head == kSolverNil) chain.head = idx;
+    chain.tail = idx;
+    return tail;
   }
 
   std::uint32_t detach(std::uint32_t key) {
@@ -276,14 +387,14 @@ class PeelingDecoder {
   std::size_t known_count() const { return known_.size(); }
 
   /// Slot of a recovered key: its position in recovery_log(), assigned at
-  /// recovery and never moved. nullopt if unknown. Sparse-key (hashed)
-  /// decoders only; 32-bit block indices are their own dense index.
+  /// recovery and never moved. nullopt if unknown. Sparse-key decoders
+  /// only; 32-bit block indices are their own dense index.
   std::optional<std::uint32_t> slot(const Key& key) const {
     return known_.slot(key);
   }
 
   /// Value of the key in `slot` (< known_count()): an array index, no
-  /// hashing. Sparse-key decoders only, as slot().
+  /// lookup. Sparse-key decoders only, as slot().
   const std::vector<std::uint8_t>& slot_value(std::uint32_t slot) const {
     return known_.at(slot);
   }
@@ -336,10 +447,11 @@ class PeelingDecoder {
   }
 
   /// Heap bytes this decoder pins: recovered values (incl. the dense
-  /// bitmap/table, or the slab and its slot hash), the key arena and
+  /// bitmap/table, or the slab and its slot table), the key arena and
   /// per-equation arrays, buffered payloads, the incidence pool + waiting
   /// index, the pending queue, the recovery log, and the payload freelist.
-  /// Exact for vector storage; hash node overhead is counted per entry.
+  /// Exact: every structure, the probe tables' cell arrays included, is
+  /// vector storage counted at capacity.
   std::size_t memory_bytes() const {
     std::size_t bytes = known_.memory_bytes();
     bytes += arena_.capacity() * sizeof(Key);
@@ -421,13 +533,8 @@ class PeelingDecoder {
   void link(const Key& key, std::uint32_t eq_id) {
     const std::uint32_t idx = static_cast<std::uint32_t>(incidences_.size());
     incidences_.push_back(detail::Incidence{eq_id, detail::kSolverNil});
-    detail::IncidenceChain& chain = waiting_.chain(key);
-    if (chain.head == detail::kSolverNil) {
-      chain.head = idx;
-    } else {
-      incidences_[chain.tail].next = idx;
-    }
-    chain.tail = idx;
+    const std::uint32_t tail = waiting_.append(key, idx);
+    if (tail != detail::kSolverNil) incidences_[tail].next = idx;
   }
 
   bool add_equation_impl(std::span<const Key> keys,

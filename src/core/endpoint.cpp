@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "reconcile/set_difference.hpp"
+#include "filter/bloom.hpp"
 
 namespace icd::core {
 
@@ -295,35 +295,43 @@ void SenderEndpoint::finish_handshake() {
   estimated_containment_ = sketch::containment_from_resemblance(
       resemblance, receiver_hello_->working_set_size, peer_.symbol_count());
 
-  // Summarize: digest the Bloom/ART summary into the filtered domain.
+  // Summarize: digest the Bloom/ART summary into the filtered domain, kept
+  // as slots so every symbol of the session reads payloads by index.
   if (strategy_uses_bloom(options_.strategy)) {
+    const auto& ids = peer_.symbol_ids();
+    domain_slots_.clear();
     if (receiver_bloom_) {
-      domain_ =
-          reconcile::bloom_set_difference(peer_.symbol_ids(), *receiver_bloom_);
+      // The Bloom difference (reconcile::bloom_set_difference) read by
+      // position: slot k holds ids[k], so no id is looked up.
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        if (!receiver_bloom_->contains(ids[k])) {
+          domain_slots_.push_back(static_cast<std::uint32_t>(k));
+        }
+      }
     } else {
-      domain_ = art::find_local_differences(peer_.reconciliation_tree(),
-                                            *receiver_art_,
-                                            art::kSummaryCorrection);
+      // The ART difference names ids; map each to its slot once. They are
+      // drawn from our own ids and working sets only grow, so symbol_slot
+      // cannot miss; if it ever does, the handshake fails loudly here.
+      for (const std::uint64_t id : art::find_local_differences(
+               peer_.reconciliation_tree(), *receiver_art_,
+               art::kSummaryCorrection)) {
+        domain_slots_.push_back(peer_.symbol_slot(id));
+      }
     }
     // Recode/BF: restrict the recoding domain to the receiver's request
-    // ("we restrict the recoding domain to an appropriate small size").
+    // ("we restrict the recoding domain to an appropriate small size"),
+    // drawn uniformly and then ordered by id.
     if (options_.strategy == Strategy::kRecodeBloom && symbols_desired_ > 0 &&
-        domain_.size() > symbols_desired_) {
-      util::shuffle(domain_, rng_);
-      domain_.resize(symbols_desired_);
-      std::sort(domain_.begin(), domain_.end());
+        domain_slots_.size() > symbols_desired_) {
+      util::shuffle(domain_slots_, rng_);
+      domain_slots_.resize(symbols_desired_);
+      std::sort(domain_slots_.begin(), domain_slots_.end(),
+                [&ids](std::uint32_t a, std::uint32_t b) {
+                  return ids[a] < ids[b];
+                });
     }
-    // Resolve the domain to slots once, in domain_ order: every symbol of
-    // the session then reads payloads by index. The domain is drawn from
-    // our own ids and working sets only grow, so symbol_slot cannot miss;
-    // if it ever does, the handshake fails loudly here.
-    domain_slots_.clear();
-    domain_slots_.reserve(domain_.size());
-    for (const std::uint64_t id : domain_) {
-      domain_slots_.push_back(peer_.symbol_slot(id));
-    }
-    recode_distribution_ =
-        make_recode_distribution(std::max<std::size_t>(domain_.size(), 2));
+    recode_distribution_ = make_recode_distribution(
+        std::max<std::size_t>(domain_slots_.size(), 2));
   } else {
     recode_distribution_ = make_recode_distribution(peer_.symbol_count());
   }
@@ -331,9 +339,9 @@ void SenderEndpoint::finish_handshake() {
   phase_ = EndpointPhase::kTransfer;
   send_reply();
   // The sketch and summary are fully digested into estimated_containment_
-  // and domain_; free the per-session copies (the dominant sender-side
-  // cost at scale). sketch_scratch_ stays — send_reply reuses it for
-  // every re-sent bundle's reply.
+  // and domain_slots_; free the per-session copies (the dominant
+  // sender-side cost at scale). sketch_scratch_ stays — send_reply reuses
+  // it for every re-sent bundle's reply.
   release_handshake_summaries();
 }
 
@@ -361,10 +369,10 @@ bool SenderEndpoint::send_symbol() {
   // decoder for encoded symbols, recode_scratch_ for recoded ones) into a
   // pooled transport buffer: the steady-state send allocates nothing.
   //
-  // Payloads are read by slot: a filtered domain was resolved to
-  // domain_slots_ at the handshake, and the whole working set's index k is
-  // slot k. An empty domain (Random, Recode, or nothing filtered) means the
-  // whole working set.
+  // Payloads are read by slot: a filtered domain is domain_slots_, fixed
+  // at the handshake, and the whole working set's index k is slot k. An
+  // empty domain (Random, Recode, or nothing filtered) means the whole
+  // working set.
   bool sent = false;
   switch (options_.strategy) {
     case Strategy::kRandom:

@@ -289,10 +289,10 @@ class ReceiverEndpoint {
 };
 
 /// The uploading half. Waits for the receiver's bundle, digests sketch and
-/// summary into a containment estimate and a filtered domain, resolves
-/// that domain to the peer's payload slots once, then serves symbols under
-/// the configured strategy, one per send_symbol() call — each costing
-/// O(degree) slot reads, whatever the domain size.
+/// summary into a containment estimate and a filtered domain of the peer's
+/// payload slots, then serves symbols under the configured strategy, one
+/// per send_symbol() call — each costing O(degree) slot reads, whatever
+/// the domain size.
 ///
 /// A sender only reads its Peer, and every scratch buffer it serves from
 /// is its own: sender halves on different threads may share one Peer
@@ -325,21 +325,16 @@ class SenderEndpoint {
   double estimated_containment() const { return estimated_containment_; }
   std::size_t symbols_sent() const { return symbols_sent_; }
 
-  /// Send/recoding domain after summary filtering (empty when the strategy
-  /// uses the whole working set).
-  const std::vector<std::uint64_t>& domain() const { return domain_; }
-
   const Peer& peer() const { return peer_; }
   const wire::Transport& transport() const { return transport_; }
 
   /// Heap bytes this endpoint pins beyond its Peer: buffered handshake
-  /// summaries (released once digested), the filtered domain and its slots,
+  /// summaries (released once digested), the filtered domain's slots,
   /// the recode scratch, and the cached reply sketch (scale audit).
   std::size_t memory_bytes() const {
     return (receiver_sketch_ ? receiver_sketch_->memory_bytes() : 0) +
            (receiver_bloom_ ? receiver_bloom_->memory_bytes() : 0) +
            (receiver_art_ ? receiver_art_->memory_bytes() : 0) +
-           domain_.capacity() * sizeof(std::uint64_t) +
            domain_slots_.capacity() * sizeof(std::uint32_t) +
            recode_scratch_.constituents.capacity() * sizeof(std::uint64_t) +
            recode_scratch_.payload.capacity() +
@@ -350,10 +345,11 @@ class SenderEndpoint {
   bool bundle_complete() const;
   void finish_handshake();
   void send_reply();
-  /// Frees the buffered handshake summaries once digested into domain_ and
-  /// the containment estimate — at 10k+ peers the per-session Bloom/ART
-  /// copies dominate sender-side memory. A duplicate bundle from a lossy
-  /// link re-buffers them; the transfer branch re-releases after replying.
+  /// Frees the buffered handshake summaries once digested into
+  /// domain_slots_ and the containment estimate — at 10k+ peers the
+  /// per-session Bloom/ART copies dominate sender-side memory. A duplicate
+  /// bundle from a lossy link re-buffers them; the transfer branch
+  /// re-releases after replying.
   void release_handshake_summaries() {
     receiver_sketch_.reset();
     receiver_bloom_.reset();
@@ -375,9 +371,11 @@ class SenderEndpoint {
   std::optional<std::uint64_t> receiver_remaining_;
   std::size_t symbols_desired_ = 0;
   double estimated_containment_ = 0.0;
-  std::vector<std::uint64_t> domain_;
-  /// domain_[i]'s slot in the peer (Peer::symbol_slot), resolved once at
-  /// the handshake: the send path reads payloads by these, never by id.
+  /// The send/recoding domain after summary filtering, as slots in the
+  /// peer (slot k holds symbol_ids()[k]); empty when the strategy uses the
+  /// whole working set. Filled once at the handshake, straight from the
+  /// Bloom difference's positions (the ART branch maps its ids through
+  /// Peer::symbol_slot): the send path reads payloads by these, never by id.
   std::vector<std::uint32_t> domain_slots_;
   /// Degree distribution over the session's domain; built at the
   /// handshake, the only place its size is known.

@@ -78,9 +78,10 @@ class Peer {
   }
 
   /// Dense slot of a held symbol, fixed when it was acquired: slot k holds
-  /// symbol_ids()[k]. Throws std::logic_error if `id` is not held — a
-  /// sender resolves its session domain through this once, so a domain
-  /// that is not a subset of the working set fails at the handshake.
+  /// symbol_ids()[k]. Throws std::logic_error if `id` is not held. A
+  /// sender on the ART path maps its difference through this once, so a
+  /// domain that is not a subset of the working set fails at the
+  /// handshake; the Bloom path reads slots by position and never calls it.
   std::uint32_t symbol_slot(std::uint64_t id) const;
 
   /// Payload of the symbol in `slot` (< symbol_count()): an array read, no
@@ -136,8 +137,8 @@ class Peer {
   /// In-place variants for the endpoint fast path: `out`'s vectors are
   /// reused (cleared, capacity kept), so a warm sender allocates nothing
   /// per recoded symbol. recode_into samples the whole working set (index
-  /// k is slot k); recode_slots_into samples a domain already resolved to
-  /// slots (symbol_slot), so each symbol costs O(degree) array reads
+  /// k is slot k); recode_slots_into samples a domain already given as
+  /// slots, so each symbol costs O(degree) array reads
   /// whatever the domain size. Same symbol (same rng consumption) as the
   /// returning overloads over the same ids in the same order. A Peer keeps
   /// no mutable send state, so sender halves on different threads may

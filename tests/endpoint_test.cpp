@@ -41,6 +41,21 @@ struct Fixture {
   OriginServer origin;
 };
 
+/// Folds every data frame `transport` sends from now on into `hash`
+/// (FNV-1a): which symbols a sender draws, and in what order, shows up
+/// here even where the byte counts agree.
+void fingerprint_data_frames(wire::Transport& transport, std::uint64_t& hash) {
+  hash = 0xcbf29ce484222325ULL;
+  transport.set_frame_observer(
+      [&hash](const std::vector<std::uint8_t>& frame, bool is_control) {
+        if (is_control) return;
+        for (const std::uint8_t byte : frame) {
+          hash ^= byte;
+          hash *= 0x100000001b3ULL;
+        }
+      });
+}
+
 /// Drives a sender/receiver endpoint pair until the receiver decodes or
 /// `max_rounds` pass; returns the rounds consumed.
 std::size_t drive(SenderEndpoint& sender, ReceiverEndpoint& receiver,
@@ -325,6 +340,8 @@ TEST(Endpoint, ArtSummaryPacketizesOverTheSessionPipe) {
       [&](const std::vector<std::uint8_t>& frame, bool) {
         max_frame = std::max(max_frame, frame.size());
       });
+  std::uint64_t data_hash = 0;
+  fingerprint_data_frames(session.sender_transport(), data_hash);
   session.handshake();
   // Every frame — including the multi-KB ART summary — fit the 1 KB MTU.
   EXPECT_GT(max_frame, 0u);
@@ -332,6 +349,56 @@ TEST(Endpoint, ArtSummaryPacketizesOverTheSessionPipe) {
   session.run(500, 4000);
   EXPECT_TRUE(receiver_peer.has_content());
   EXPECT_EQ(receiver_peer.content(f.content.size()), f.content);
+
+  // The session's exact bytes. No engine trajectory uses an ART summary,
+  // so these pin the ART branch of the sender's handshake. The ART
+  // difference holds 186 of the sender's 220 ids, fewer than the 200
+  // requested, so the domain is the whole difference, in the order its
+  // ids map to slots.
+  const auto& stats = session.stats();
+  EXPECT_EQ(stats.control_bytes, 2405u);
+  EXPECT_EQ(stats.control_packets, 8u);
+  EXPECT_EQ(stats.symbols_sent, 333u);
+  EXPECT_EQ(stats.symbols_useful, 2u);
+  EXPECT_EQ(stats.new_encoded_symbols, 186u);
+  EXPECT_EQ(session.sender_transport().stats().data_bytes_sent, 22372u);
+  EXPECT_EQ(session.receiver_transport().stats().data_bytes_sent, 0u);
+  EXPECT_EQ(data_hash, 0x5d07dc52f1be1e5bULL);
+}
+
+TEST(Endpoint, ArtSummaryRestrictedDomainIsPinned) {
+  // The same session asking for 150 symbols: the Recode/BF restriction
+  // draws 150 of the 186 ids in the ART difference (util::shuffle) and
+  // orders them by id. Another draw changes which symbols arrive (and the
+  // blocks they decode); another order changes which ids each recoded
+  // symbol names. Both change the data frames' bytes.
+  Fixture f;
+  Peer sender_peer = f.make_peer("sender");
+  Peer receiver_peer = f.make_peer("receiver");
+  for (int i = 0; i < 220; ++i) sender_peer.receive_encoded(f.origin.next());
+  for (int i = 0; i < 150; ++i) receiver_peer.receive_encoded(f.origin.next());
+
+  SessionOptions options;
+  options.strategy = overlay::Strategy::kRecodeBloom;
+  options.summary = SummaryKind::kArt;
+  options.requested_symbols = 150;
+  InformedSession session(sender_peer, receiver_peer, options);
+  std::uint64_t data_hash = 0;
+  fingerprint_data_frames(session.sender_transport(), data_hash);
+  session.handshake();
+  session.run(/*target_symbols=*/300, /*max_transmissions=*/4000);
+
+  EXPECT_EQ(receiver_peer.symbol_count(), 300u);
+  EXPECT_EQ(receiver_peer.blocks_recovered(), 43u);
+  const auto& stats = session.stats();
+  EXPECT_EQ(stats.control_bytes, 2405u);
+  EXPECT_EQ(stats.control_packets, 8u);
+  EXPECT_EQ(stats.symbols_sent, 286u);
+  EXPECT_EQ(stats.symbols_useful, 1u);
+  EXPECT_EQ(stats.new_encoded_symbols, 150u);
+  EXPECT_EQ(session.sender_transport().stats().data_bytes_sent, 19809u);
+  EXPECT_EQ(session.receiver_transport().stats().data_bytes_sent, 0u);
+  EXPECT_EQ(data_hash, 0x1bfb63570843a055ULL);
 }
 
 TEST(Endpoint, LossyLinkAccountingMatchesChannelCounters) {

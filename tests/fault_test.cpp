@@ -228,7 +228,9 @@ core::DeliveryOptions fault_options(std::shared_ptr<core::FaultPlan> plan) {
 void add_peers(core::ShardedDelivery& service, std::size_t peers,
                std::size_t fed) {
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < fed);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < fed);
   }
 }
 

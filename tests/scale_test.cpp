@@ -55,8 +55,10 @@ TEST(ScalePlanner, ShardedJumpEqualsLockstepUnderLossTimingAndFaults) {
   options.jump_empty_ticks = true;
   core::ShardedDelivery jumping(content, options, {.shards = 2});
   for (std::size_t p = 0; p < kPeers; ++p) {
-    lockstep.add_peer("p" + std::to_string(p), p == 0);
-    jumping.add_peer("p" + std::to_string(p), p == 0);
+    std::string name = "p";
+    name += std::to_string(p);
+    lockstep.add_peer(name, p == 0);
+    jumping.add_peer(name, p == 0);
   }
   lockstep.run(kTicks);
   jumping.run(kTicks);
@@ -101,7 +103,9 @@ TEST(ScaleAdmission, SampledAdmissionCompletesAndIsDeterministic) {
   auto run = [&] {
     core::ShardedDelivery service(content, options);
     for (std::size_t p = 0; p < kPeers; ++p) {
-      service.add_peer("p" + std::to_string(p), p % 8 == 0);
+      std::string name = "p";
+      name += std::to_string(p);
+      service.add_peer(name, p % 8 == 0);
     }
     service.run(kTicks);
     std::vector<std::size_t> ticks;
@@ -127,7 +131,9 @@ TEST(ScaleMemory, AuditShrinksAfterCompletionAndBoundsBytesPerPeer) {
   options.refresh_interval = 25;
   core::ShardedDelivery service(content, options);
   for (std::size_t p = 0; p < kPeers; ++p) {
-    service.add_peer("p" + std::to_string(p), p == 0);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p == 0);
   }
 
   // Capture the audit mid-download (decoders and handshake caches live).

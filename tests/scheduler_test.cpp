@@ -518,7 +518,9 @@ TEST(SchedulerEngine, RateLimitedAsymmetricSwarmCompletesMultiShard) {
   core::ShardedDelivery service(content, options,
                                 core::ShardOptions{/*shards=*/4});
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 2);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 2);
   }
   ASSERT_TRUE(service.run(20000));
   for (std::size_t p = 0; p < peers; ++p) {
@@ -541,7 +543,9 @@ TEST(SchedulerEngine, FrameHintLargerThanBurstDoesNotStarveDownloads) {
   const std::size_t peers = 3;
   core::ShardedDelivery service(content, options);
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 1);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 1);
   }
   ASSERT_TRUE(service.run(30000));
   for (std::size_t p = 0; p < peers; ++p) {
@@ -584,7 +588,9 @@ void drive_lockstep(core::ShardedDelivery& service, std::size_t max_ticks) {
 
 void add_peers(core::ShardedDelivery& service, std::size_t peers) {
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 2);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 2);
   }
 }
 
@@ -721,8 +727,10 @@ TEST(SchedulerEngine, FlowControlAloneKeepsLegacyTrajectory) {
   options.flow_control = false;
   core::ShardedDelivery without_fc(content, options);
   for (std::size_t p = 0; p < peers; ++p) {
-    with_fc.add_peer("p" + std::to_string(p), p < 2);
-    without_fc.add_peer("p" + std::to_string(p), p < 2);
+    std::string name = "p";
+    name += std::to_string(p);
+    with_fc.add_peer(name, p < 2);
+    without_fc.add_peer(name, p < 2);
   }
   const auto with_completion = drive(with_fc, peers, 8000);
   const auto without_completion = drive(without_fc, peers, 8000);

@@ -1,16 +1,21 @@
 // Sharded delivery engine: determinism contract (every shard count, 1
 // included, gives one identical trajectory), multi-shard swarm correctness
 // (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
-// and the shard-local ownership of link buffer pools.
+// read-only id lookups on a Peer shared across threads, and the
+// shard-local ownership of link buffer pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "codec/degree.hpp"
 #include "core/fault_plan.hpp"
+#include "core/origin.hpp"
+#include "core/peer.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 #include "wire/transport.hpp"
@@ -62,7 +67,9 @@ TEST(ShardedDelivery, FourShardSwarmDeliversEverywhere) {
                                 core::ShardOptions{/*shards=*/4});
   service.add_mirror();
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 3);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 3);
   }
   ASSERT_TRUE(service.run(8000));
   for (std::size_t p = 0; p < peers; ++p) {
@@ -79,7 +86,9 @@ TEST(ShardedDelivery, FourShardRunsAreDeterministic) {
     core::ShardedDelivery service(content, small_options(),
                                   core::ShardOptions{/*shards=*/4});
     for (std::size_t p = 0; p < peers; ++p) {
-      service.add_peer("p" + std::to_string(p), p < 3);
+      std::string name = "p";
+      name += std::to_string(p);
+      service.add_peer(name, p < 3);
     }
     completion = drive(service, peers, 8000);
     totals = service.link_totals();
@@ -102,7 +111,9 @@ TEST(ShardedDelivery, FourShardSwarmSurvivesLossyCrossLinks) {
   core::ShardedDelivery service(content, options,
                                 core::ShardOptions{/*shards=*/4});
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 2);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 2);
   }
   ASSERT_TRUE(service.run(10000));
   for (std::size_t p = 0; p < peers; ++p) {
@@ -127,7 +138,9 @@ Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
   core::ShardedDelivery service(content, options,
                                 core::ShardOptions{shards});
   for (std::size_t p = 0; p < peers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < fed);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < fed);
   }
   service.run(max_ticks);
   Trajectory trajectory;
@@ -203,7 +216,9 @@ TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
   core::ShardedDelivery service(content, small_options(),
                                 core::ShardOptions{/*shards=*/2});
   for (std::size_t p = 0; p < kPeers; ++p) {
-    service.add_peer("p" + std::to_string(p), p < 2);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p < 2);
   }
   std::optional<core::MemoryAudit> mid;
   for (std::size_t t = 0; t < 8000 && !mid; ++t) {
@@ -217,6 +232,54 @@ TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
   ASSERT_TRUE(mid.has_value()) << "swarm never reached a quarter complete";
   ASSERT_GT(mid->link_bytes, 0u);
   EXPECT_LT(mid->link_bytes / mid->peers, 16 * 1024u);
+}
+
+// --- Concurrent reads of one const Peer (TSAN target) ------------------------
+
+TEST(ConstPeerReads, ConcurrentIdLookupsMatchASingleThreadedPass) {
+  // Sender halves on different shards read one const Peer at once
+  // (peer.hpp). Two threads look up every held id, and some absent ones;
+  // TSAN fails if a const lookup ever writes (a lazy rehash, a cached
+  // probe position).
+  const std::size_t blocks = 1000;
+  core::OriginServer origin(random_content(blocks * 16, 41), 16,
+                            codec::DegreeDistribution::robust_soliton(blocks),
+                            /*session_seed=*/5);
+  core::Peer peer("reader", origin.parameters(),
+                  codec::DegreeDistribution::robust_soliton(blocks));
+  for (std::size_t i = 0; i < 1200; ++i) peer.receive_encoded(origin.next());
+  ASSERT_GE(peer.symbol_count(), 1000u);
+
+  struct Reads {
+    std::vector<std::uint32_t> slots;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::size_t held = 0;
+    std::size_t absent_held = 0;
+    bool operator==(const Reads&) const = default;
+  };
+  const core::Peer& shared = peer;
+  const auto read_all = [&shared] {
+    Reads reads;
+    for (const std::uint64_t id : shared.symbol_ids()) {
+      const std::uint32_t slot = shared.symbol_slot(id);
+      reads.slots.push_back(slot);
+      reads.payloads.push_back(shared.slot_payload(slot));
+      reads.held += shared.has_symbol(id) ? 1 : 0;
+      reads.absent_held += shared.has_symbol(~id) ? 1 : 0;
+    }
+    return reads;
+  };
+
+  const Reads single = read_all();
+  ASSERT_EQ(single.held, peer.symbol_count());
+  ASSERT_EQ(single.absent_held, 0u);
+  Reads first, second;
+  std::thread a([&] { first = read_all(); });
+  std::thread b([&] { second = read_all(); });
+  a.join();
+  b.join();
+  EXPECT_TRUE(first == single);
+  EXPECT_TRUE(second == single);
 }
 
 // --- BufferPool shard-local ownership ---------------------------------------

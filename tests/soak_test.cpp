@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/delivery.hpp"
@@ -61,7 +62,9 @@ TEST(Soak, TenThousandPeersChurnAndBurstLossRunToCompletion) {
 
   core::ShardedDelivery service(content, options, {.shards = 4});
   for (std::size_t p = 0; p < kPeers; ++p) {
-    service.add_peer("p" + std::to_string(p), p % 16 == 0);
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p % 16 == 0);
   }
   const bool done = service.run(kMaxTicks);
 
