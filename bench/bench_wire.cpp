@@ -1,6 +1,6 @@
 // Wire and endpoint overhead measurements:
 //   1. frame encode/decode throughput for data and control messages
-//      (in-place view codec vs owning decode),
+//      (symbols encoded from and decoded into views),
 //   2. endpoint-session symbol rate versus the direct-call path (the cost
 //      of running the protocol through typed frames over a transport),
 //   3. steady-state allocations per symbol on the endpoint send path and
@@ -87,10 +87,8 @@ void bench_frame_throughput(icd::bench::JsonReport& report, bool smoke) {
 
   constexpr std::size_t kPayload = 1024;
   const std::size_t rounds = smoke ? 200 : 50000;
-  icd::wire::EncodedSymbolMessage symbol;
-  symbol.symbol.id = 0x1234567890ULL;
-  symbol.symbol.payload.assign(kPayload, 0xab);
-  const icd::codec::EncodedSymbolView view(symbol.symbol);
+  const std::vector<std::uint8_t> payload(kPayload, 0xab);
+  const icd::codec::EncodedSymbolView view(0x1234567890ULL, payload);
 
   // In-place encode into one recycled buffer: the transport fast path.
   icd::util::ByteWriter writer;
@@ -104,36 +102,25 @@ void bench_frame_throughput(icd::bench::JsonReport& report, bool smoke) {
   }
   const double encode_s = seconds_since(start);
 
-  const auto frame = icd::wire::encode_frame(symbol);
+  const auto frame = icd::wire::encode_frame(view);
 
-  // Owning decode (control path).
-  start = Clock::now();
-  std::size_t decoded = 0;
-  for (std::size_t i = 0; i < rounds; ++i) {
-    decoded += std::get<icd::wire::EncodedSymbolMessage>(
-                   icd::wire::decode_frame(frame))
-                   .symbol.payload.size();
-  }
-  const double decode_s = seconds_since(start);
-
-  // In-place view decode (symbol receive path).
+  // In-place view decode (the one receive path).
   std::vector<std::uint64_t> scratch;
   start = Clock::now();
   std::size_t viewed = 0;
   for (std::size_t i = 0; i < rounds; ++i) {
-    viewed += icd::wire::decode_symbol_frame(frame, scratch)
-                  ->encoded->payload.size();
+    viewed += std::get<icd::codec::EncodedSymbolView>(
+                  icd::wire::decode_frame(frame, scratch))
+                  .payload.size();
   }
   const double view_s = seconds_since(start);
 
   const double encode_gbps = static_cast<double>(bytes) / encode_s / 1e9;
-  const double decode_gbps = static_cast<double>(decoded) / decode_s / 1e9;
   const double view_gbps = static_cast<double>(viewed) / view_s / 1e9;
   std::printf("symbol frames (1 KB payload): encode %7.2f GB/s, "
-              "decode %7.2f GB/s, view-decode %7.2f GB/s\n",
-              encode_gbps, decode_gbps, view_gbps);
+              "view-decode %7.2f GB/s\n",
+              encode_gbps, view_gbps);
   report.add("frame_encode_gbps", encode_gbps);
-  report.add("frame_decode_gbps", decode_gbps);
   report.add("frame_view_decode_gbps", view_gbps);
 
   icd::sketch::MinwiseSketch sketch(std::uint64_t{1} << 40, 128);

@@ -83,6 +83,7 @@ struct Swarm {
   /// most-novel admissible neighbour by sketch comparison and pulls one
   /// recoded symbol across the perpendicular connection.
   void collab_round(util::Xoshiro256& rng) {
+    codec::RecodedSymbol recoded;
     for (std::size_t i = 0; i < kPeers; ++i) {
       core::Peer& receiver = peers[i];
       if (receiver.has_content()) continue;
@@ -103,7 +104,8 @@ struct Swarm {
           r, receiver.symbol_count(), sender.symbol_count());
       const auto degree = codec::optimal_recode_degree(
           sender.symbol_count(), c, codec::kDefaultRecodeDegreeLimit);
-      receiver.receive_recoded(sender.recode(degree, rng));
+      sender.recode_into(recoded, degree, rng);
+      receiver.receive_recoded(recoded);
     }
   }
 

@@ -99,6 +99,9 @@ ArtSummary ArtSummary::deserialize(const std::vector<std::uint8_t>& bytes) {
     summary.internal_filter_ =
         filter::BloomFilter::deserialize(reader.raw(reader.varint()));
   }
+  if (!reader.done()) {
+    throw std::invalid_argument("ArtSummary: trailing bytes in blob");
+  }
   return summary;
 }
 

@@ -56,6 +56,8 @@ class ArtSummary {
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
+  /// Rejects truncation and leftover bytes, in the summary or in either
+  /// filter blob, like BloomFilter::deserialize.
   static ArtSummary deserialize(const std::vector<std::uint8_t>& bytes);
 
   static constexpr std::uint64_t kSummarySeed = 0x5a11ad5b100f11ULL;

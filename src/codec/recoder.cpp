@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "util/random.hpp"
 
@@ -34,28 +33,6 @@ std::size_t minwise_recode_degree(std::size_t base_degree, double c,
                                    (1.0 - cc));
   return std::clamp<std::size_t>(
       static_cast<std::size_t>(std::max(1.0, scaled)), 1, cap);
-}
-
-Recoder::Recoder(std::vector<EncodedSymbol> domain)
-    : domain_(std::move(domain)) {}
-
-RecodedSymbol Recoder::generate(std::size_t degree,
-                                util::Xoshiro256& rng) const {
-  if (domain_.empty()) {
-    throw std::logic_error("Recoder::generate: empty domain");
-  }
-  const std::size_t d = std::clamp<std::size_t>(degree, 1, domain_.size());
-  const auto picks =
-      util::sample_without_replacement(domain_.size(), d, rng);
-  RecodedSymbol symbol;
-  symbol.constituents.reserve(d);
-  for (const std::uint64_t p : picks) {
-    const EncodedSymbol& s = domain_[static_cast<std::size_t>(p)];
-    symbol.constituents.push_back(s.id);
-    xor_into(symbol.payload, s.payload);
-  }
-  std::sort(symbol.constituents.begin(), symbol.constituents.end());
-  return symbol;
 }
 
 bool RecodeDecoder::add_held_symbol(const EncodedSymbol& symbol) {

@@ -10,7 +10,10 @@
 
 /// Recoded content (Section 5.4.2): a partial sender — one that cannot yet
 /// decode the file — blends the encoded symbols it *does* hold into recoded
-/// symbols, personalizing the mix to what it knows about the receiver.
+/// symbols, personalizing the mix to what it knows about the receiver. The
+/// degree rules live here, the blend in core::Peer::recode_into and
+/// recode_slots_into (which read the sender's payloads in place), and the
+/// receiver's solver in RecodeDecoder.
 namespace icd::codec {
 
 /// The paper's experimental degree cap for recoding ("a degree limit of
@@ -46,26 +49,6 @@ std::size_t draw_recode_degree(const DegreeDistribution& dist, std::size_t n,
 /// symbol of degree floor(d / (1-c)), subject to the maximum degree."
 std::size_t minwise_recode_degree(std::size_t base_degree, double c,
                                   std::size_t cap = kDefaultRecodeDegreeLimit);
-
-/// Generates recoded symbols over a domain of held encoded symbols.
-///
-/// The domain is the knob the strategies of Section 6.2 turn: plain Recode
-/// uses the sender's whole working set; Recode/BF restricts it to the
-/// symbols that miss the receiver's Bloom filter.
-class Recoder {
- public:
-  /// `domain` is copied; payloads may be empty for count-only simulation.
-  explicit Recoder(std::vector<EncodedSymbol> domain);
-
-  std::size_t domain_size() const { return domain_.size(); }
-
-  /// XOR of `degree` distinct symbols drawn uniformly from the domain
-  /// (degree is clamped to the domain size). Domain must be non-empty.
-  RecodedSymbol generate(std::size_t degree, util::Xoshiro256& rng) const;
-
- private:
-  std::vector<EncodedSymbol> domain_;
-};
 
 /// Receiver side: resolves incoming recoded symbols against the set of
 /// encoded symbols already held, recovering fresh encoded symbols by the

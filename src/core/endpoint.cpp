@@ -85,51 +85,36 @@ std::size_t ReceiverEndpoint::tick() {
   }
   std::size_t gained = 0;
   std::size_t frames_seen = 0;
-  // Zero-copy drain: symbol frames arrive as views into the transport's
-  // receive buffer and are copied exactly once, into the peer's decoder;
-  // only control frames materialize owning Messages.
+  // Zero-copy drain: symbol frames, reassembled ones included, arrive as
+  // views into the transport's receive buffer and are copied exactly once,
+  // into the peer's decoder; only control frames are owning Messages.
   while (auto frame = transport_.receive_frame()) {
     ++frames_seen;
-    std::size_t got = 0;
-    bool was_symbol = true;
-    if (auto* encoded = std::get_if<codec::EncodedSymbolView>(&*frame)) {
-      got = peer_.receive_encoded(*encoded);
-    } else if (auto* recoded =
-                   std::get_if<codec::RecodedSymbolView>(&*frame)) {
-      got = peer_.receive_recoded(*recoded);
-    } else {
-      was_symbol = false;
-      auto& message = std::get<wire::Message>(*frame);
-      if (auto* hello = std::get_if<wire::Hello>(&message)) {
+    if (auto* message = std::get_if<wire::Message>(&*frame)) {
+      if (auto* hello = std::get_if<wire::Hello>(message)) {
         if (hello->block_count != peer_.parameters().block_count ||
             hello->session_seed != peer_.parameters().session_seed) {
           throw std::invalid_argument(
               "ReceiverEndpoint: sender uses a different code");
         }
         sender_hello_ = *hello;
-      } else if (auto* sketch = std::get_if<wire::SketchMessage>(&message)) {
+      } else if (auto* sketch = std::get_if<wire::SketchMessage>(message)) {
         // Buffered: a reordered link can deliver the sketch before the
         // Hello that carries the working-set size the estimate needs.
         sender_sketch_ = std::move(sketch->sketch);
-      } else if (auto* encoded_msg =
-                     std::get_if<wire::EncodedSymbolMessage>(&message)) {
-        // Symbols larger than the link MTU arrive fragment-reassembled as
-        // owning messages instead of views.
-        was_symbol = true;
-        got = peer_.receive_encoded(encoded_msg->symbol);
-      } else if (auto* recoded_msg =
-                     std::get_if<wire::RecodedSymbolMessage>(&message)) {
-        was_symbol = true;
-        got = peer_.receive_recoded(recoded_msg->symbol);
       }
       // Anything else (stray Request/summary echoes) is ignored.
+      continue;
     }
-    if (was_symbol) {
-      ++symbols_received_;
-      if (got > 0) ++symbols_useful_;
-      new_encoded_symbols_ += got;
-      gained += got;
-    }
+    const auto* encoded = std::get_if<codec::EncodedSymbolView>(&*frame);
+    const std::size_t got =
+        encoded ? peer_.receive_encoded(*encoded)
+                : peer_.receive_recoded(
+                      std::get<codec::RecodedSymbolView>(*frame));
+    ++symbols_received_;
+    if (got > 0) ++symbols_useful_;
+    new_encoded_symbols_ += got;
+    gained += got;
   }
 
   if (sender_hello_ && sender_sketch_) {

@@ -13,7 +13,7 @@
 ///
 /// SenderEndpoint and ReceiverEndpoint are the two halves of the paper's
 /// informed-transfer protocol (Sections 3-6) as state machines that
-/// communicate *only* through wire::Message frames over a Transport:
+/// communicate *only* through wire frames over a Transport:
 ///
 ///   handshake  — the receiver ships Hello + its min-wise sketch, the
 ///                fine-grained summary its strategy calls for, and a

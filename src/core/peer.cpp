@@ -104,7 +104,7 @@ void Peer::blend_recode(codec::RecodedSymbol& out, std::size_t domain_size,
                         SlotOf slot_of, std::size_t degree,
                         util::Xoshiro256& rng) const {
   if (domain_size == 0) {
-    throw std::invalid_argument("Peer::recode_from: no held ids in domain");
+    throw std::invalid_argument("Peer: recode over an empty domain");
   }
   const std::size_t d = std::min(std::max<std::size_t>(degree, 1), domain_size);
   // Reserve to the degree cap (not just d): capacities then reach steady
@@ -125,26 +125,6 @@ void Peer::blend_recode(codec::RecodedSymbol& out, std::size_t domain_size,
     codec::xor_into(out.payload, recode_decoder_.slot_payload(slot));
   }
   std::sort(out.constituents.begin(), out.constituents.end());
-}
-
-codec::RecodedSymbol Peer::recode(std::size_t degree,
-                                  util::Xoshiro256& rng) const {
-  codec::RecodedSymbol symbol;
-  recode_into(symbol, degree, rng);
-  return symbol;
-}
-
-codec::RecodedSymbol Peer::recode_from(
-    const std::vector<std::uint64_t>& domain_ids, std::size_t degree,
-    util::Xoshiro256& rng) const {
-  std::vector<std::uint32_t> slots;
-  slots.reserve(domain_ids.size());
-  for (const std::uint64_t id : domain_ids) {
-    if (const auto slot = recode_decoder_.slot(id)) slots.push_back(*slot);
-  }
-  codec::RecodedSymbol symbol;
-  recode_slots_into(symbol, slots, degree, rng);
-  return symbol;
 }
 
 void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,

@@ -124,25 +124,16 @@ class Peer {
   /// content at will."
   codec::EncodedSymbol encode_fresh();
 
-  /// Recoded symbol of the given degree over the whole working set.
-  codec::RecodedSymbol recode(std::size_t degree, util::Xoshiro256& rng) const;
-
-  /// Recoded symbol over a restricted domain of held ids (e.g. the ids that
-  /// missed the receiver's Bloom filter). Unknown ids are ignored; throws
-  /// if none of `domain_ids` are held.
-  codec::RecodedSymbol recode_from(const std::vector<std::uint64_t>& domain_ids,
-                                   std::size_t degree,
-                                   util::Xoshiro256& rng) const;
-
-  /// In-place variants for the endpoint fast path: `out`'s vectors are
+  /// Recoding (Section 5.4.2): XOR of `degree` distinct symbols drawn
+  /// uniformly from a domain (degree clamped to [1, domain size]),
+  /// constituents sorted by id. recode_into samples the whole working set
+  /// (index k is slot k); recode_slots_into samples a domain given as
+  /// slots, e.g. the ids that missed the receiver's Bloom filter, so each
+  /// symbol costs O(degree) array reads whatever the domain size. Both
+  /// throw std::invalid_argument on an empty domain. `out`'s vectors are
   /// reused (cleared, capacity kept), so a warm sender allocates nothing
-  /// per recoded symbol. recode_into samples the whole working set (index
-  /// k is slot k); recode_slots_into samples a domain already given as
-  /// slots, so each symbol costs O(degree) array reads
-  /// whatever the domain size. Same symbol (same rng consumption) as the
-  /// returning overloads over the same ids in the same order. A Peer keeps
-  /// no mutable send state, so sender halves on different threads may
-  /// recode from one const Peer at once.
+  /// per recoded symbol. A Peer keeps no mutable send state, so sender
+  /// halves on different threads may recode from one const Peer at once.
   void recode_into(codec::RecodedSymbol& out, std::size_t degree,
                    util::Xoshiro256& rng) const;
   void recode_slots_into(codec::RecodedSymbol& out,

@@ -10,7 +10,7 @@
 ///
 /// This is a thin compatibility façade over a SenderEndpoint /
 /// ReceiverEndpoint pair wired back-to-back on a perfect in-process Pipe:
-/// the protocol itself runs entirely through wire::Message frames (see
+/// the protocol itself runs entirely through wire frames (see
 /// core/endpoint.hpp and DESIGN.md), so SessionStats reports *exact*
 /// control-plane costs measured from the encoded frames — including the
 /// packetization of summaries that exceed the paper's 1 KB packet MTU.

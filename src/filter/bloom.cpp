@@ -91,6 +91,9 @@ BloomFilter BloomFilter::deserialize(const std::vector<std::uint8_t>& bytes) {
   const std::size_t words = (bits + 63) / 64;
   filter.bits_ = util::BitVector::from_bytes(reader.raw(words * 8), bits);
   filter.inserted_ = inserted;
+  if (!reader.done()) {
+    throw std::invalid_argument("BloomFilter: trailing bytes in blob");
+  }
   return filter;
 }
 

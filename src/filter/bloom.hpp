@@ -70,6 +70,8 @@ class BloomFilter {
   std::vector<std::uint8_t> serialize() const;
   std::size_t serialized_size() const;
   void serialize_into(util::ByteWriter& out) const;
+  /// Throws std::out_of_range on a truncated or oversized geometry and
+  /// std::invalid_argument on bytes left over after the bit array.
   static BloomFilter deserialize(const std::vector<std::uint8_t>& bytes);
 
   static constexpr std::uint64_t kDefaultSeed = 0x1cdb10f11e500d5eULL;

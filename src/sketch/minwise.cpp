@@ -120,6 +120,9 @@ MinwiseSketch MinwiseSketch::deserialize(
   }
   MinwiseSketch sketch(universe, seed, std::move(family));
   reader.u64s(sketch.minima_);
+  if (!reader.done()) {
+    throw std::invalid_argument("MinwiseSketch: trailing bytes in blob");
+  }
   return sketch;
 }
 

@@ -85,7 +85,8 @@ class MinwiseSketch {
   /// new one, so hostile frames cannot grow the process-wide family cache
   /// or cost a family draw each. A sketch of a geometry no local sketch
   /// uses could never pass resemblance's compatibility check anyway: it
-  /// is rejected with std::invalid_argument, as is a count of 0.
+  /// is rejected with std::invalid_argument, as are a count of 0 and
+  /// bytes left over after the minima.
   static MinwiseSketch deserialize(const std::vector<std::uint8_t>& bytes);
 
  private:

@@ -192,7 +192,7 @@ Message LossyChannel::receive_message() {
   }
   auto frame = receive();
   if (frame.empty()) frame = receive();  // first call released the hop
-  return decode_frame(frame);
+  return decode_control_frame(frame);
 }
 
 void LossyChannel::flush() {

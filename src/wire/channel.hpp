@@ -243,7 +243,7 @@ class LossyChannel {
   /// scheduled for arrival delay + jitter ticks after departure.
   bool send(std::vector<std::uint8_t> frame);
 
-  /// Convenience: encode + send a typed message.
+  /// Convenience: encode + send a control message.
   bool send_message(const Message& message) {
     return send(encode_frame(message));
   }
@@ -260,9 +260,10 @@ class LossyChannel {
   /// now() reaches their arrival time (advance_to).
   std::vector<std::uint8_t> receive();
 
-  /// Receives the next pending datagram and decodes it; throws if nothing
-  /// is pending. Waits out the in-flight hop (event clock) or advances
-  /// now() to the next arrival (virtual clock) if needed.
+  /// Receives the next pending datagram and decodes it as a control
+  /// message (decode_control_frame); throws if nothing is pending. Waits
+  /// out the in-flight hop (event clock) or advances now() to the next
+  /// arrival (virtual clock) if needed.
   Message receive_message();
 
   /// Teardown: makes every queued frame deliverable immediately (nothing

@@ -38,28 +38,6 @@ RequestUpdate read_request_update(util::ByteReader& reader) {
   return RequestUpdate{reader.varint()};
 }
 
-EncodedSymbolMessage read_encoded(util::ByteReader& reader) {
-  EncodedSymbolMessage message;
-  message.symbol.id = reader.u64();
-  message.symbol.payload = reader.raw(reader.varint());
-  return message;
-}
-
-RecodedSymbolMessage read_recoded(util::ByteReader& reader) {
-  RecodedSymbolMessage message;
-  const std::size_t degree = reader.varint();
-  // Bound the reserve by what the payload can actually hold (8 bytes per
-  // constituent): a corrupt degree must fail like any truncation, not
-  // attempt a giant allocation first.
-  if (degree > reader.remaining() / 8) {
-    throw std::out_of_range("wire: recoded degree exceeds payload");
-  }
-  message.symbol.constituents.resize(degree);
-  reader.u64s(message.symbol.constituents);
-  message.symbol.payload = reader.raw(reader.varint());
-  return message;
-}
-
 void write_payload(util::ByteWriter& writer, const Fragment& fragment) {
   writer.u32(fragment.sequence);
   writer.u16(fragment.index);
@@ -96,12 +74,6 @@ MessageType message_type(const Message& message) {
       return MessageType::kArtSummary;
     }
     MessageType operator()(const Request&) { return MessageType::kRequest; }
-    MessageType operator()(const EncodedSymbolMessage&) {
-      return MessageType::kEncodedSymbol;
-    }
-    MessageType operator()(const RecodedSymbolMessage&) {
-      return MessageType::kRecodedSymbol;
-    }
     MessageType operator()(const Fragment&) { return MessageType::kFragment; }
     MessageType operator()(const RequestUpdate&) {
       return MessageType::kRequestUpdate;
@@ -129,21 +101,10 @@ void encode_frame_into(util::ByteWriter& out, const Message& message) {
 
 void encode_frame_into(util::ByteWriter& out, const Message& message,
                        util::ByteWriter& payload_scratch) {
-  // The symbol types have computable payload sizes and serialize straight
-  // into `out`; everything else (control plane) stages its payload in the
-  // scratch writer because the length prefix precedes bytes whose size only
-  // serialization reveals. The summaries serialize_into the scratch
-  // directly (size-prefixed like any blob), so nothing here allocates
-  // beyond the two writers' storage.
-  if (const auto* encoded = std::get_if<EncodedSymbolMessage>(&message)) {
-    encode_frame_into(out, codec::EncodedSymbolView(encoded->symbol));
-    return;
-  }
-  if (const auto* recoded = std::get_if<RecodedSymbolMessage>(&message)) {
-    encode_frame_into(out, codec::RecodedSymbolView(recoded->symbol));
-    return;
-  }
-
+  // A control payload is staged in the scratch writer because the length
+  // prefix precedes bytes whose size only serialization reveals. The
+  // summaries serialize_into the scratch directly (size-prefixed like any
+  // blob), so nothing here allocates beyond the two writers' storage.
   util::ByteWriter payload(payload_scratch.take());
   struct Visitor {
     util::ByteWriter& writer;
@@ -161,8 +122,6 @@ void encode_frame_into(util::ByteWriter& out, const Message& message,
       m.summary.serialize_into(writer);
     }
     void operator()(const Request& m) { write_payload(writer, m); }
-    void operator()(const EncodedSymbolMessage&) {}  // handled above
-    void operator()(const RecodedSymbolMessage&) {}  // handled above
     void operator()(const Fragment& m) { write_payload(writer, m); }
     void operator()(const RequestUpdate& m) { write_payload(writer, m); }
   };
@@ -196,13 +155,8 @@ void encode_frame_into(util::ByteWriter& out,
   out.raw(symbol.payload);
 }
 
-std::vector<std::uint8_t> encode_frame(const Message& message) {
-  util::ByteWriter frame;
-  encode_frame_into(frame, message);
-  return frame.take();
-}
-
-Message decode_frame(std::span<const std::uint8_t> frame) {
+DecodedFrame decode_frame(std::span<const std::uint8_t> frame,
+                          std::vector<std::uint64_t>& constituent_scratch) {
   try {
     util::ByteReader reader(frame);
     if (reader.u16() != kMagic) {
@@ -213,42 +167,54 @@ Message decode_frame(std::span<const std::uint8_t> frame) {
     }
     const auto type = static_cast<MessageType>(reader.u8());
     const std::size_t length = reader.varint();
-    const auto payload_bytes = reader.raw(length);
+    util::ByteReader payload(reader.view(length));
     if (!reader.done()) {
       throw std::invalid_argument("wire: trailing bytes after frame");
     }
-    util::ByteReader payload(payload_bytes);
 
-    Message message = [&]() -> Message {
+    DecodedFrame decoded = [&]() -> DecodedFrame {
       switch (type) {
         case MessageType::kHello:
-          return read_hello(payload);
+          return Message{read_hello(payload)};
         case MessageType::kSketch:
-          return SketchMessage{
-              sketch::MinwiseSketch::deserialize(read_blob(payload))};
+          return Message{SketchMessage{
+              sketch::MinwiseSketch::deserialize(read_blob(payload))}};
         case MessageType::kBloomSummary:
-          return BloomSummaryMessage{
-              filter::BloomFilter::deserialize(read_blob(payload))};
+          return Message{BloomSummaryMessage{
+              filter::BloomFilter::deserialize(read_blob(payload))}};
         case MessageType::kArtSummary:
-          return ArtSummaryMessage{
-              art::ArtSummary::deserialize(read_blob(payload))};
+          return Message{ArtSummaryMessage{
+              art::ArtSummary::deserialize(read_blob(payload))}};
         case MessageType::kRequest:
-          return read_request(payload);
-        case MessageType::kEncodedSymbol:
-          return read_encoded(payload);
-        case MessageType::kRecodedSymbol:
-          return read_recoded(payload);
+          return Message{read_request(payload)};
+        case MessageType::kEncodedSymbol: {
+          const std::uint64_t id = payload.u64();
+          return codec::EncodedSymbolView(id, payload.view(payload.varint()));
+        }
+        case MessageType::kRecodedSymbol: {
+          const std::size_t degree = payload.varint();
+          // Bound the resize by what the payload can actually hold (8
+          // bytes per constituent): a corrupt degree must fail like any
+          // truncation, not attempt a giant allocation first.
+          if (degree > payload.remaining() / 8) {
+            throw std::invalid_argument("wire: recoded degree exceeds payload");
+          }
+          constituent_scratch.resize(degree);
+          payload.u64s(constituent_scratch);
+          return codec::RecodedSymbolView(constituent_scratch,
+                                          payload.view(payload.varint()));
+        }
         case MessageType::kFragment:
-          return read_fragment(payload);
+          return Message{read_fragment(payload)};
         case MessageType::kRequestUpdate:
-          return read_request_update(payload);
+          return Message{read_request_update(payload)};
       }
       throw std::invalid_argument("wire: unknown message type");
     }();
     if (!payload.done()) {
       throw std::invalid_argument("wire: trailing bytes in payload");
     }
-    return message;
+    return decoded;
   } catch (const std::out_of_range&) {
     // Buffer underruns from any nested deserializer mean one thing at this
     // layer: a truncated or corrupt frame.
@@ -256,50 +222,14 @@ Message decode_frame(std::span<const std::uint8_t> frame) {
   }
 }
 
-std::optional<SymbolFrameView> decode_symbol_frame(
-    std::span<const std::uint8_t> frame,
-    std::vector<std::uint64_t>& constituent_scratch) {
-  try {
-    util::ByteReader reader(frame);
-    if (reader.u16() != kMagic) {
-      throw std::invalid_argument("wire: bad magic");
-    }
-    if (reader.u8() != kVersion) {
-      throw std::invalid_argument("wire: unsupported version");
-    }
-    const auto type = static_cast<MessageType>(reader.u8());
-    if (type != MessageType::kEncodedSymbol &&
-        type != MessageType::kRecodedSymbol) {
-      return std::nullopt;  // control frame: caller uses decode_frame
-    }
-    const std::size_t length = reader.varint();
-    util::ByteReader payload(reader.view(length));
-    if (!reader.done()) {
-      throw std::invalid_argument("wire: trailing bytes after frame");
-    }
-
-    SymbolFrameView view;
-    if (type == MessageType::kEncodedSymbol) {
-      const std::uint64_t id = payload.u64();
-      view.encoded.emplace(id, payload.view(payload.varint()));
-    } else {
-      const std::size_t degree = payload.varint();
-      // Same corrupt-degree bound as read_recoded: reject before reserving.
-      if (degree > payload.remaining() / 8) {
-        throw std::invalid_argument("wire: recoded degree exceeds payload");
-      }
-      constituent_scratch.resize(degree);
-      payload.u64s(constituent_scratch);
-      view.recoded.emplace(constituent_scratch,
-                           payload.view(payload.varint()));
-    }
-    if (!payload.done()) {
-      throw std::invalid_argument("wire: trailing bytes in payload");
-    }
-    return view;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("wire: truncated frame");
+Message decode_control_frame(std::span<const std::uint8_t> frame) {
+  std::vector<std::uint64_t> constituents;
+  auto decoded = decode_frame(frame, constituents);
+  auto* message = std::get_if<Message>(&decoded);
+  if (message == nullptr) {
+    throw std::invalid_argument("wire: symbol frame where control expected");
   }
+  return std::move(*message);
 }
 
 }  // namespace icd::wire

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -79,18 +78,6 @@ struct ArtSummaryMessage {
   art::ArtSummary summary;
 };
 
-struct EncodedSymbolMessage {
-  codec::EncodedSymbol symbol;
-
-  bool operator==(const EncodedSymbolMessage&) const = default;
-};
-
-struct RecodedSymbolMessage {
-  codec::RecodedSymbol symbol;
-
-  bool operator==(const RecodedSymbolMessage&) const = default;
-};
-
 /// One slice of a frame too large for the link MTU (control summaries can
 /// exceed it). `sequence` identifies the fragmented frame, `index`/`total`
 /// place the slice; the transport layer reassembles and re-decodes.
@@ -103,10 +90,17 @@ struct Fragment {
   bool operator==(const Fragment&) const = default;
 };
 
-using Message =
-    std::variant<Hello, SketchMessage, BloomSummaryMessage, ArtSummaryMessage,
-                 Request, EncodedSymbolMessage, RecodedSymbolMessage,
-                 Fragment, RequestUpdate>;
+/// The control plane. Symbols (types 6 and 7) are not Messages: they are
+/// encoded from and decoded into the non-owning views of codec/symbol.hpp.
+using Message = std::variant<Hello, SketchMessage, BloomSummaryMessage,
+                             ArtSummaryMessage, Request, Fragment,
+                             RequestUpdate>;
+
+/// One decoded frame: a control Message, or a symbol view whose spans
+/// borrow the decoded bytes (and, for a recoded symbol, the constituent
+/// scratch handed to decode_frame).
+using DecodedFrame = std::variant<Message, codec::EncodedSymbolView,
+                                  codec::RecodedSymbolView>;
 
 /// The wire type tag of a message.
 MessageType message_type(const Message& message);
@@ -122,34 +116,35 @@ void encode_frame_into(util::ByteWriter& out, const Message& message);
 void encode_frame_into(util::ByteWriter& out, const Message& message,
                        util::ByteWriter& payload_scratch);
 
-/// Symbol fast path: serializes a frame straight from non-owning views, so
-/// a sender can put a held payload on the wire without materializing an
-/// EncodedSymbolMessage/RecodedSymbolMessage first. Byte-identical to the
-/// Message overload for the equivalent owning symbol.
+/// Symbol frames, serialized straight from non-owning views, so a sender
+/// puts a held payload on the wire without copying it first.
 void encode_frame_into(util::ByteWriter& out,
                        const codec::EncodedSymbolView& symbol);
 void encode_frame_into(util::ByteWriter& out,
                        const codec::RecodedSymbolView& symbol);
 
-/// Serializes a message into one self-describing frame.
-std::vector<std::uint8_t> encode_frame(const Message& message);
+/// Serializes a control message or a symbol view into one self-describing
+/// frame.
+template <typename Item>
+std::vector<std::uint8_t> encode_frame(const Item& item) {
+  util::ByteWriter frame;
+  encode_frame_into(frame, item);
+  return frame.take();
+}
 
-/// Parses one frame. Throws std::invalid_argument on malformed input
-/// (bad magic, unknown version/type, truncation, trailing bytes).
-Message decode_frame(std::span<const std::uint8_t> frame);
+/// Parses one frame, the header once for every type. A symbol frame comes
+/// back as a view: its payload span borrows `frame` (valid only while the
+/// frame bytes live), and recoded constituent ids are decoded into
+/// `constituent_scratch`, which the view then borrows. Throws
+/// std::invalid_argument on malformed input (bad magic, unknown
+/// version/type, truncation, trailing bytes after the frame or inside a
+/// summary blob).
+DecodedFrame decode_frame(std::span<const std::uint8_t> frame,
+                          std::vector<std::uint64_t>& constituent_scratch);
 
-/// In-place decode of a symbol frame. Exactly one of the views is engaged;
-/// its payload span borrows `frame` (valid only while the frame bytes
-/// live), and recoded constituent ids are decoded into
-/// `constituent_scratch`, which the view then borrows. Returns nullopt for
-/// well-formed non-symbol frames (callers fall back to decode_frame);
-/// throws std::invalid_argument on malformed input like decode_frame.
-struct SymbolFrameView {
-  std::optional<codec::EncodedSymbolView> encoded;
-  std::optional<codec::RecodedSymbolView> recoded;
-};
-std::optional<SymbolFrameView> decode_symbol_frame(
-    std::span<const std::uint8_t> frame,
-    std::vector<std::uint64_t>& constituent_scratch);
+/// decode_frame for a frame that must hold a control Message (scripted
+/// control exchanges, LossyChannel::receive_message): a symbol frame
+/// throws std::invalid_argument like any other unexpected input.
+Message decode_control_frame(std::span<const std::uint8_t> frame);
 
 }  // namespace icd::wire

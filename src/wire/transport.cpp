@@ -10,42 +10,31 @@
 namespace icd::wire {
 
 bool Transport::send(const Message& message) {
-  // Symbol messages take the view fast path (byte-identical frames, same
-  // accounting) — it needs no payload scratch.
-  if (const auto* encoded = std::get_if<EncodedSymbolMessage>(&message)) {
-    return send(codec::EncodedSymbolView(encoded->symbol));
-  }
-  if (const auto* recoded = std::get_if<RecodedSymbolMessage>(&message)) {
-    return send(codec::RecodedSymbolView(recoded->symbol));
-  }
   util::ByteWriter writer(acquire_buffer());
   util::ByteWriter payload_scratch(acquire_buffer());
   encode_frame_into(writer, message, payload_scratch);
   release_buffer(payload_scratch.take());
-  auto frame = writer.take();
-  const bool control = !is_data_type(message_type(message));
-  if (frame.size() > mtu_) return send_oversized(std::move(frame), control);
-  if (!send_frame(std::move(frame), control)) return false;
-  ++stats_.messages_sent;
-  return true;
+  return send_whole(writer.take(), /*control=*/true);
+}
+
+template <typename View>
+bool Transport::send_symbol(const View& symbol) {
+  util::ByteWriter writer(acquire_buffer());
+  encode_frame_into(writer, symbol);
+  return send_whole(writer.take(), /*control=*/false);
 }
 
 bool Transport::send(const codec::EncodedSymbolView& symbol) {
-  util::ByteWriter writer(acquire_buffer());
-  encode_frame_into(writer, symbol);
-  auto frame = writer.take();
-  if (frame.size() > mtu_) return send_oversized(std::move(frame), false);
-  if (!send_frame(std::move(frame), false)) return false;
-  ++stats_.messages_sent;
-  return true;
+  return send_symbol(symbol);
 }
 
 bool Transport::send(const codec::RecodedSymbolView& symbol) {
-  util::ByteWriter writer(acquire_buffer());
-  encode_frame_into(writer, symbol);
-  auto frame = writer.take();
-  if (frame.size() > mtu_) return send_oversized(std::move(frame), false);
-  if (!send_frame(std::move(frame), false)) return false;
+  return send_symbol(symbol);
+}
+
+bool Transport::send_whole(std::vector<std::uint8_t> frame, bool control) {
+  if (frame.size() > mtu_) return send_oversized(std::move(frame), control);
+  if (!send_frame(std::move(frame), control)) return false;
   ++stats_.messages_sent;
   return true;
 }
@@ -107,78 +96,58 @@ bool Transport::send_frame(std::vector<std::uint8_t> frame, bool control) {
 }
 
 bool Transport::take_datagram() {
-  // Views handed out by the previous receive die here: the frame they
-  // borrow goes back to the pool for the sender to recycle.
-  if (rx_frame_live_) {
-    release_buffer(std::move(rx_frame_));
-    rx_frame_ = {};
-    rx_frame_live_ = false;
-  }
+  // Views handed out by the previous receive die here: a datagram goes back
+  // to the pool for the sender to recycle, and a reassembled frame, larger
+  // than any datagram, is freed so pooled buffers stay datagram-sized.
+  auto finished = std::exchange(rx_frame_, {});
+  if (rx_frame_pooled_) release_buffer(std::move(finished));
+  rx_frame_pooled_ = false;
   auto datagram = next_datagram();
   if (!datagram) return false;
   rx_frame_ = std::move(*datagram);
-  rx_frame_live_ = true;
+  rx_frame_pooled_ = true;
   ++stats_.frames_received;
   stats_.bytes_received += rx_frame_.size();
   return true;
 }
 
-std::optional<Transport::ReceivedFrame> Transport::receive_frame() {
+std::optional<DecodedFrame> Transport::receive_frame() {
   while (take_datagram()) {
-    // Symbol frames (the overwhelming majority in transfer) decode in
-    // place; only control frames take the owning decode_frame path. Both
-    // decoders reject a datagram that is not exactly one frame.
-    try {
-      if (auto symbol = decode_symbol_frame(rx_frame_, rx_constituents_)) {
-        ++stats_.messages_received;
-        if (symbol->encoded) return ReceivedFrame{*symbol->encoded};
-        return ReceivedFrame{*symbol->recoded};
-      }
-    } catch (const std::invalid_argument&) {
-      ++stats_.malformed_frames;
-      continue;
+    if (auto frame = decode_datagram()) {
+      ++stats_.messages_received;
+      return frame;
     }
-    Message message;
-    try {
-      message = decode_frame(rx_frame_);
-    } catch (const std::invalid_argument&) {
-      ++stats_.malformed_frames;
-      continue;
-    }
-    if (auto* fragment = std::get_if<Fragment>(&message)) {
-      if (auto whole = absorb_fragment(std::move(*fragment))) {
-        ++stats_.messages_received;
-        return ReceivedFrame{std::move(*whole)};
-      }
-      continue;
-    }
-    ++stats_.messages_received;
-    return ReceivedFrame{std::move(message)};
   }
   return std::nullopt;
 }
 
-std::optional<Message> Transport::receive() {
-  auto frame = receive_frame();
-  if (!frame) return std::nullopt;
-  if (auto* message = std::get_if<Message>(&*frame)) {
-    return std::move(*message);
+std::optional<DecodedFrame> Transport::decode_datagram() {
+  // One decoder for every frame. A Fragment that completes its frame swaps
+  // the reassembled bytes into rx_frame_, which then decodes once more, so
+  // an oversized symbol also arrives as a view. Fragments do not nest.
+  for (bool reassembled = false;; reassembled = true) {
+    std::optional<DecodedFrame> frame;
+    try {
+      frame = decode_frame(rx_frame_, rx_constituents_);
+    } catch (const std::invalid_argument&) {
+      ++stats_.malformed_frames;
+      return std::nullopt;
+    }
+    auto* message = std::get_if<Message>(&*frame);
+    auto* fragment = message ? std::get_if<Fragment>(message) : nullptr;
+    if (fragment == nullptr) return frame;
+    if (reassembled) {
+      ++stats_.malformed_frames;
+      return std::nullopt;
+    }
+    if (!absorb_fragment(std::move(*fragment))) return std::nullopt;
   }
-  if (auto* encoded = std::get_if<codec::EncodedSymbolView>(&*frame)) {
-    return EncodedSymbolMessage{codec::EncodedSymbol{
-        encoded->id,
-        {encoded->payload.begin(), encoded->payload.end()}}};
-  }
-  const auto& recoded = std::get<codec::RecodedSymbolView>(*frame);
-  return RecodedSymbolMessage{codec::RecodedSymbol{
-      {recoded.constituents.begin(), recoded.constituents.end()},
-      {recoded.payload.begin(), recoded.payload.end()}}};
 }
 
-std::optional<Message> Transport::absorb_fragment(Fragment fragment) {
+bool Transport::absorb_fragment(Fragment fragment) {
   if (fragment.total == 0 || fragment.index >= fragment.total) {
     ++stats_.malformed_frames;
-    return std::nullopt;
+    return false;
   }
   // Bound reassembly memory before inserting a new sequence: evict the
   // oldest partial (its siblings were lost or hopelessly delayed; the
@@ -187,39 +156,38 @@ std::optional<Message> Transport::absorb_fragment(Fragment fragment) {
   if (partials_.size() >= kMaxPartialReassemblies &&
       !partials_.contains(fragment.sequence)) {
     auto oldest = partials_.begin();
-    stats_.stale_fragments += oldest->second.received;
+    stats_.stale_fragments += oldest->second.slices.size();
     partials_.erase(oldest);
   }
   auto [it, inserted] = partials_.try_emplace(fragment.sequence);
   Partial& partial = it->second;
   if (inserted) {
-    partial.parts.resize(fragment.total);
-  } else if (partial.parts.size() != fragment.total) {
+    partial.total = fragment.total;
+  } else if (partial.total != fragment.total) {
     ++stats_.malformed_frames;
-    return std::nullopt;
+    return false;
   }
-  auto& slot = partial.parts[fragment.index];
-  if (!slot.empty()) return std::nullopt;  // duplicate
-  slot = std::move(fragment.data);
-  if (slot.empty()) {
+  if (partial.slices.contains(fragment.index)) return false;  // duplicate
+  if (fragment.data.empty()) {
     // An empty slice can never complete; treat as malformed.
     ++stats_.malformed_frames;
     partials_.erase(it);
-    return std::nullopt;
+    return false;
   }
-  if (++partial.received < partial.parts.size()) return std::nullopt;
+  partial.slices.emplace(fragment.index, std::move(fragment.data));
+  if (partial.slices.size() < partial.total) return false;
 
+  std::size_t size = 0;
+  for (const auto& [index, slice] : partial.slices) size += slice.size();
   std::vector<std::uint8_t> whole;
-  for (const auto& part : partial.parts) {
-    whole.insert(whole.end(), part.begin(), part.end());
+  whole.reserve(size);
+  for (const auto& [index, slice] : partial.slices) {
+    whole.insert(whole.end(), slice.begin(), slice.end());
   }
   partials_.erase(it);
-  try {
-    return decode_frame(whole);
-  } catch (const std::invalid_argument&) {
-    ++stats_.malformed_frames;
-    return std::nullopt;
-  }
+  release_buffer(std::exchange(rx_frame_, std::move(whole)));
+  rx_frame_pooled_ = false;
+  return true;
 }
 
 Pipe::Pipe(std::size_t mtu)

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <variant>
 #include <vector>
 
 #include "util/ring.hpp"
@@ -15,35 +14,29 @@
 
 /// Message transports: the seam between protocol endpoints and the network.
 ///
-/// A Transport carries typed wire::Message frames in one direction pair of a
-/// point-to-point link, one frame per datagram. It owns the two substrate
-/// concerns the endpoints must not care about:
+/// A Transport carries frames in one direction pair of a point-to-point
+/// link, one frame per datagram: control Messages, and symbols encoded from
+/// non-owning views. It owns the two substrate concerns the endpoints must
+/// not care about:
 ///
 ///   * Packetization — frames larger than the link MTU (Bloom/ART control
-///     summaries, big sketches) are split into Fragment messages and
-///     reassembled on the far side; a lost fragment loses the whole message,
-///     which the endpoints' retry path absorbs.
+///     summaries, big sketches, oversized symbols) are split into Fragment
+///     messages and reassembled on the far side; a lost fragment loses the
+///     whole frame, which the endpoints' retry path absorbs.
 ///   * Accounting — every frame that hits the wire is classified as control
 ///     or data and counted in bytes and frames, so sessions can report
 ///     *exact* (not estimated) control-plane costs.
 ///
 /// Frames are plain byte vectors recycled through a BufferPool shared by the
-/// two ends of a link, and symbol frames are encoded from / decoded into
-/// non-owning views, so the steady-state symbol path allocates nothing (see
+/// two ends of a link, and every received frame, reassembled or not, goes
+/// through the one decoder, which hands symbols out as views into the
+/// receive buffer, so the steady-state symbol path allocates nothing (see
 /// DESIGN.md, "Buffer ownership and lifetimes").
 ///
 /// Two implementations: an in-process perfect Pipe (lossless, in-order) and
 /// an adapter over the simulated LossyChannel (loss, reordering, MTU). See
 /// DESIGN.md for the layering.
 namespace icd::wire {
-
-/// Data plane = symbols; everything else (hello, sketch, summaries,
-/// requests) is the control plane. Fragments inherit the class of the frame
-/// they slice.
-constexpr bool is_data_type(MessageType type) {
-  return type == MessageType::kEncodedSymbol ||
-         type == MessageType::kRecodedSymbol;
-}
 
 struct TransportStats {
   /// Frames / bytes actually handed to the link (including ones the network
@@ -55,7 +48,7 @@ struct TransportStats {
   std::size_t bytes_sent = 0;
   std::size_t control_bytes_sent = 0;
   std::size_t data_bytes_sent = 0;
-  /// Whole messages accepted for sending / delivered after reassembly.
+  /// Whole frames accepted for sending / delivered after reassembly.
   std::size_t messages_sent = 0;
   std::size_t messages_received = 0;
   /// Frames / bytes that arrived from the link.
@@ -63,7 +56,7 @@ struct TransportStats {
   std::size_t bytes_received = 0;
   /// Received frames that failed to decode (corruption) — dropped.
   std::size_t malformed_frames = 0;
-  /// Fragments evicted before their message completed (a sibling was lost).
+  /// Fragments evicted before their frame completed (a sibling was lost).
   std::size_t stale_fragments = 0;
   /// Frames the backend refused to carry (MTU too small to fit even one
   /// fragment) — never transmitted, never byte-counted. Nonzero while a
@@ -86,41 +79,30 @@ class Transport {
       std::function<void(const std::vector<std::uint8_t>& frame,
                          bool is_control)>;
 
-  /// One received item: an owning control Message, or a symbol decoded in
-  /// place. The views' spans borrow transport-owned storage (the receive
-  /// buffer and the constituent scratch) and are invalidated by the next
-  /// receive()/receive_frame() call on this transport.
-  using ReceivedFrame = std::variant<Message, codec::EncodedSymbolView,
-                                     codec::RecodedSymbolView>;
-
   virtual ~Transport() = default;
 
-  /// Sends one message, fragmenting if its frame exceeds the MTU. Returns
-  /// false when the message was not fully handed to the link: an MTU too
-  /// small to carry even one fragment payload byte, or a backend refusing
-  /// a datagram. A refusal mid-fragment-train leaves the earlier fragments
-  /// transmitted and byte-counted — to the peer that is indistinguishable
-  /// from fragment loss (the partial reassembly is evicted, the message
-  /// retried by the protocol); messages_sent counts only complete sends.
+  /// Sends one control message, or one symbol encoded straight from its
+  /// view into a pooled buffer (the zero-allocation symbol path),
+  /// fragmenting any frame that exceeds the MTU. Returns false when the
+  /// frame was not fully handed to the link: an MTU too small to carry even
+  /// one fragment payload byte, or a backend refusing a datagram. A refusal
+  /// mid-fragment-train leaves the earlier fragments transmitted and
+  /// byte-counted — to the peer that is indistinguishable from fragment
+  /// loss (the partial reassembly is evicted, the frame retried by the
+  /// protocol); messages_sent counts only complete sends.
   bool send(const Message& message);
-
-  /// Zero-allocation sends for the symbol fast path: the frame is encoded
-  /// straight from the view into a pooled buffer. Wire bytes are identical
-  /// to send(EncodedSymbolMessage{...}) / send(RecodedSymbolMessage{...}).
   bool send(const codec::EncodedSymbolView& symbol);
   bool send(const codec::RecodedSymbolView& symbol);
 
-  /// Delivers the next fully reassembled message, if any, decoding symbol
-  /// frames in place (payload spans borrow the transport's receive buffer
-  /// until the next receive call — the single-copy receive rule). A
-  /// datagram must hold exactly one frame: anything else (garbage, a
-  /// truncated frame, trailing bytes, two frames back to back) counts once
-  /// in malformed_frames and is skipped, never thrown.
-  std::optional<ReceivedFrame> receive_frame();
-
-  /// Owning variant of receive_frame(): symbol views are materialized into
-  /// EncodedSymbolMessage/RecodedSymbolMessage. Control paths and tests.
-  std::optional<Message> receive();
+  /// Delivers the next whole frame, if any: a control Message, or a symbol
+  /// view whose spans borrow the transport's receive buffer and constituent
+  /// scratch until the next receive_frame() call (the single-copy receive
+  /// rule). A frame reassembled from fragments becomes the receive buffer
+  /// and decodes like any datagram. A datagram must hold exactly one frame:
+  /// anything else (garbage, a truncated frame, trailing bytes, two frames
+  /// back to back, a reassembled frame that is itself a Fragment) counts
+  /// once in malformed_frames and is skipped, never thrown.
+  std::optional<DecodedFrame> receive_frame();
 
   std::size_t mtu() const { return mtu_; }
   const TransportStats& stats() const { return stats_; }
@@ -135,8 +117,10 @@ class Transport {
                         rx_constituents_.capacity() * sizeof(std::uint64_t);
     for (const auto& [sequence, partial] : partials_) {
       bytes += sizeof(Partial) + 4 * sizeof(void*);
-      for (const auto& part : partial.parts) bytes += part.capacity();
-      bytes += partial.parts.capacity() * sizeof(std::vector<std::uint8_t>);
+      for (const auto& [index, slice] : partial.slices) {
+        bytes += sizeof(decltype(partial.slices)::value_type) +
+                 4 * sizeof(void*) + slice.capacity();
+      }
     }
     return bytes;
   }
@@ -166,14 +150,21 @@ class Transport {
   }
 
  private:
-  bool send_frame(std::vector<std::uint8_t> frame, bool control);
+  template <typename View>
+  bool send_symbol(const View& symbol);
+  bool send_whole(std::vector<std::uint8_t> frame, bool control);
   bool send_oversized(std::vector<std::uint8_t> frame, bool control);
+  bool send_frame(std::vector<std::uint8_t> frame, bool control);
   bool take_datagram();
-  std::optional<Message> absorb_fragment(Fragment fragment);
+  std::optional<DecodedFrame> decode_datagram();
+  bool absorb_fragment(Fragment fragment);
 
+  /// A partial reassembly holds only the slices that arrived, by index, so
+  /// its cost follows the bytes received, never the untrusted `total` a
+  /// fragment claims.
   struct Partial {
-    std::vector<std::vector<std::uint8_t>> parts;
-    std::size_t received = 0;
+    std::uint16_t total = 0;
+    std::map<std::uint16_t, std::vector<std::uint8_t>> slices;
   };
 
   std::size_t mtu_;
@@ -182,11 +173,13 @@ class Transport {
   FrameObserver observer_;
   std::uint32_t next_sequence_ = 1;
   std::map<std::uint32_t, Partial> partials_;
-  /// The last datagram taken from the link (one datagram, one frame):
-  /// views handed out by receive_frame() borrow it; released to the pool
-  /// on the next take.
+  /// The frame being decoded: the last datagram taken from the link (one
+  /// datagram, one frame), or the frame its fragment just completed. Views
+  /// handed out by receive_frame() borrow it until the next take, which
+  /// returns a datagram to the pool and frees a reassembled frame, so
+  /// pooled buffers stay datagram-sized.
   std::vector<std::uint8_t> rx_frame_;
-  bool rx_frame_live_ = false;
+  bool rx_frame_pooled_ = false;
   /// Decoded recoded-symbol ids; RecodedSymbolView borrows this.
   std::vector<std::uint64_t> rx_constituents_;
 };

@@ -3,8 +3,10 @@
 // and 5.4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "codec/block_source.hpp"
@@ -421,40 +423,6 @@ TEST(RecodeDegree, DrawRespectsLowerLimitAndCap) {
   }
 }
 
-TEST(Recoder, GeneratesDistinctConstituentsWithXorPayload) {
-  const auto content = random_content(64 * 50, 14);
-  const BlockSource source(content, 64);
-  const auto dist = DegreeDistribution::robust_soliton(50);
-  Encoder encoder(source, dist, 99);
-  std::vector<EncodedSymbol> held;
-  for (int i = 0; i < 30; ++i) held.push_back(encoder.next());
-
-  Recoder recoder(held);
-  util::Xoshiro256 rng(15);
-  const auto recoded = recoder.generate(5, rng);
-  EXPECT_EQ(recoded.degree(), 5u);
-  const std::set<std::uint64_t> unique(recoded.constituents.begin(),
-                                       recoded.constituents.end());
-  EXPECT_EQ(unique.size(), 5u);
-  // Payload = XOR of the constituent payloads.
-  std::vector<std::uint8_t> expected;
-  for (const auto id : recoded.constituents) {
-    for (const auto& s : held) {
-      if (s.id == id) xor_into(expected, s.payload);
-    }
-  }
-  EXPECT_EQ(recoded.payload, expected);
-}
-
-TEST(Recoder, DegreeClampedToDomain) {
-  std::vector<EncodedSymbol> held{{1, {}}, {2, {}}, {3, {}}};
-  Recoder recoder(held);
-  util::Xoshiro256 rng(16);
-  EXPECT_EQ(recoder.generate(50, rng).degree(), 3u);
-  Recoder empty({});
-  EXPECT_THROW(empty.generate(1, rng), std::logic_error);
-}
-
 TEST(RecodeDecoder, PaperSubstitutionExample) {
   // Section 5.4.2's worked example: z1 = y13, z2 = y5 ^ y8, z3 = y5 ^ y13.
   // "A peer that receives z1, z2 and z3 can immediately recover y13. Then
@@ -495,16 +463,27 @@ TEST(RecodeDecoder, EndToEndRecodedTransferDecodesFile) {
   for (std::size_t i = 0; i < receiver_count; ++i) {
     receiver.add_held_symbol(pool[i]);
   }
-  std::vector<EncodedSymbol> sender_set(pool.begin() + receiver_count,
-                                        pool.end());
-  Recoder recoder(sender_set);
+  const std::span<const EncodedSymbol> sender_set(
+      pool.begin() + static_cast<std::ptrdiff_t>(receiver_count), pool.end());
+  // The sender's blend: XOR of `degree` distinct held symbols.
+  const auto recode = [&sender_set](std::size_t degree,
+                                    util::Xoshiro256& rng) {
+    RecodedSymbol symbol;
+    for (const std::uint64_t pick :
+         util::sample_without_replacement(sender_set.size(), degree, rng)) {
+      symbol.constituents.push_back(sender_set[pick].id);
+      xor_into(symbol.payload, sender_set[pick].payload);
+    }
+    std::sort(symbol.constituents.begin(), symbol.constituents.end());
+    return symbol;
+  };
 
   const auto recode_dist =
       DegreeDistribution::robust_soliton(sender_set.size()).truncated(50);
   util::Xoshiro256 rng(18);
   std::size_t sent = 0;
   while (!block_decoder.complete() && sent < 20 * blocks) {
-    receiver.add_recoded(recoder.generate(recode_dist.sample(rng), rng));
+    receiver.add_recoded(recode(recode_dist.sample(rng), rng));
     ++sent;
     const auto& log = receiver.acquisition_log();
     while (processed < log.size() && !block_decoder.complete()) {

@@ -110,8 +110,10 @@ TEST(Peer, RecodedSymbolsCascadeThroughBothDecoders) {
   const auto dist =
       codec::DegreeDistribution::robust_soliton(150).truncated(50);
   std::size_t gained = 0;
+  codec::RecodedSymbol symbol;
   for (int i = 0; i < 400; ++i) {
-    gained += receiver.receive_recoded(sender.recode(dist.sample(rng), rng));
+    sender.recode_into(symbol, dist.sample(rng), rng);
+    gained += receiver.receive_recoded(symbol);
   }
   EXPECT_GT(gained, 0u);
   EXPECT_GE(receiver.blocks_recovered(), before_blocks);
@@ -128,6 +130,21 @@ codec::RecodedSymbol blend(const Peer& holder,
   }
   symbol.constituents = std::move(ids);
   return symbol;
+}
+
+/// Reference recoder by ids: the draw recode_slots_into makes over
+/// `domain` (util::sample_without_replacement, degree clamped to the
+/// domain), resolved through the hashed payload lookup instead of slots.
+codec::RecodedSymbol recode_by_ids(const Peer& holder,
+                                   const std::vector<std::uint64_t>& domain,
+                                   std::size_t degree, util::Xoshiro256& rng) {
+  const std::size_t d = std::clamp<std::size_t>(degree, 1, domain.size());
+  std::vector<std::uint64_t> ids;
+  for (const std::uint64_t pick :
+       util::sample_without_replacement(domain.size(), d, rng)) {
+    ids.push_back(domain[pick]);
+  }
+  return blend(holder, std::move(ids));
 }
 
 void expect_slots_follow_ids(const Peer& peer) {
@@ -197,7 +214,7 @@ TEST(Peer, RecodeBySlotsMatchesRecodeByIds) {
 
     util::Xoshiro256 rng_ids(trial);
     util::Xoshiro256 rng_slots(trial);
-    const auto by_ids = peer.recode_from(domain, degree, rng_ids);
+    const auto by_ids = recode_by_ids(peer, domain, degree, rng_ids);
     peer.recode_slots_into(by_slots, slots, degree, rng_slots);
     EXPECT_EQ(by_slots.constituents, by_ids.constituents);
     EXPECT_EQ(by_slots.payload, by_ids.payload);
@@ -215,44 +232,60 @@ TEST(Peer, RecodeBySlotsMatchesRecodeByIds) {
     util::Xoshiro256 rng_whole(trial);
     util::Xoshiro256 rng_all_ids(trial);
     peer.recode_into(by_slots, degree, rng_whole);
-    const auto all = peer.recode_from(peer.symbol_ids(), degree, rng_all_ids);
+    const auto all =
+        recode_by_ids(peer, peer.symbol_ids(), degree, rng_all_ids);
     EXPECT_EQ(by_slots.constituents, all.constituents);
     EXPECT_EQ(by_slots.payload, all.payload);
     EXPECT_EQ(rng_whole(), rng_all_ids());
   }
 }
 
-TEST(Peer, RecodeFromIgnoresUnheldIds) {
+TEST(Peer, RecodeDrawsDistinctConstituentsWithXorPayload) {
   Fixture f;
   Peer peer = f.make_peer("sender");
   for (int i = 0; i < 30; ++i) peer.receive_encoded(f.origin.next());
-  std::vector<std::uint64_t> unheld;
-  for (int i = 0; i < 30; ++i) unheld.push_back(f.origin.next().id);
+  util::Xoshiro256 rng(15);
+  codec::RecodedSymbol recoded;
+  const std::vector<std::uint32_t> slots{3, 7, 11, 19, 23, 29};
+  for (int trial = 0; trial < 20; ++trial) {
+    peer.recode_slots_into(recoded, slots, 5, rng);
+    EXPECT_EQ(recoded.degree(), 5u);
+    EXPECT_TRUE(std::is_sorted(recoded.constituents.begin(),
+                               recoded.constituents.end()));
+    EXPECT_EQ(std::adjacent_find(recoded.constituents.begin(),
+                                 recoded.constituents.end()),
+              recoded.constituents.end());
+    // Payload = XOR of the constituent payloads, all drawn from the domain.
+    std::vector<std::uint8_t> expected;
+    for (const std::uint64_t id : recoded.constituents) {
+      const std::uint32_t slot = peer.symbol_slot(id);
+      EXPECT_NE(std::find(slots.begin(), slots.end(), slot), slots.end());
+      codec::xor_into(expected, peer.symbol_payload(id));
+    }
+    EXPECT_EQ(recoded.payload, expected);
+  }
+}
 
-  // Unknown ids are dropped before sampling: the symbol (and the rng
-  // draws) are those of the held subset alone.
-  const std::vector<std::uint64_t> held(peer.symbol_ids().begin(),
-                                        peer.symbol_ids().begin() + 12);
-  std::vector<std::uint64_t> mixed = held;
-  mixed.insert(mixed.end(), unheld.begin(), unheld.end());
-  std::sort(mixed.begin(), mixed.end());
-  std::vector<std::uint64_t> held_sorted = held;
-  std::sort(held_sorted.begin(), held_sorted.end());
-  util::Xoshiro256 rng_mixed(5);
-  util::Xoshiro256 rng_held(5);
-  const auto from_mixed = peer.recode_from(mixed, 8, rng_mixed);
-  const auto from_held = peer.recode_from(held_sorted, 8, rng_held);
-  EXPECT_EQ(from_mixed.constituents, from_held.constituents);
-  EXPECT_EQ(from_mixed.payload, from_held.payload);
-  EXPECT_EQ(rng_mixed(), rng_held());
-
-  util::Xoshiro256 rng(6);
-  EXPECT_THROW(peer.recode_from(unheld, 4, rng), std::invalid_argument);
-  EXPECT_THROW(peer.recode_from({}, 4, rng), std::invalid_argument);
+TEST(Peer, RecodeClampsDegreeAndRejectsEmptyDomains) {
+  Fixture f;
+  Peer peer = f.make_peer("sender");
+  util::Xoshiro256 rng(16);
+  codec::RecodedSymbol recoded;
+  EXPECT_THROW(peer.recode_into(recoded, 1, rng), std::invalid_argument);
+  for (int i = 0; i < 3; ++i) peer.receive_encoded(f.origin.next());
+  peer.recode_into(recoded, 50, rng);
+  EXPECT_EQ(recoded.degree(), 3u);
+  const std::vector<std::uint32_t> two{0, 2};
+  peer.recode_slots_into(recoded, two, 50, rng);
+  EXPECT_EQ(recoded.degree(), 2u);
+  peer.recode_slots_into(recoded, two, 0, rng);
+  EXPECT_EQ(recoded.degree(), 1u);
+  EXPECT_THROW(peer.recode_slots_into(recoded, {}, 4, rng),
+               std::invalid_argument);
   // The slot resolution a sender runs once per session does not ignore:
   // an id outside the working set is a logic error.
-  for (const std::uint64_t id : unheld) {
-    EXPECT_THROW(peer.symbol_slot(id), std::logic_error);
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_THROW(peer.symbol_slot(f.origin.next().id), std::logic_error);
   }
 }
 

@@ -107,12 +107,14 @@ TEST(Transport, FragmentsOversizedFramesAndReassembles) {
   EXPECT_GT(stats.frames_sent, 8u);  // ~1 KB over a 128-byte MTU
   EXPECT_LE(max_frame, 128u);
 
-  const auto received = pipe.b().receive();
+  const auto received = pipe.b().receive_frame();
   ASSERT_TRUE(received.has_value());
-  ASSERT_TRUE(std::holds_alternative<wire::SketchMessage>(*received));
-  EXPECT_EQ(std::get<wire::SketchMessage>(*received).sketch.minima(),
+  const auto* message = std::get_if<wire::Message>(&*received);
+  ASSERT_NE(message, nullptr);
+  ASSERT_TRUE(std::holds_alternative<wire::SketchMessage>(*message));
+  EXPECT_EQ(std::get<wire::SketchMessage>(*message).sketch.minima(),
             sketch.minima());
-  EXPECT_FALSE(pipe.b().receive().has_value());
+  EXPECT_FALSE(pipe.b().receive_frame().has_value());
   EXPECT_EQ(pipe.b().stats().messages_received, 1u);
 }
 
@@ -127,10 +129,13 @@ TEST(Transport, FragmentsSurviveReordering) {
   for (std::uint64_t i = 0; i < 100; ++i) sketch.update(i * 13);
   ASSERT_TRUE(link.a().send(wire::SketchMessage{sketch}));
 
-  std::optional<wire::Message> received;
-  for (int i = 0; i < 100 && !received; ++i) received = link.b().receive();
+  std::optional<wire::DecodedFrame> received;
+  for (int i = 0; i < 100 && !received; ++i) {
+    received = link.b().receive_frame();
+  }
   ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(std::get<wire::SketchMessage>(*received).sketch.minima(),
+  EXPECT_EQ(std::get<wire::SketchMessage>(std::get<wire::Message>(*received))
+                .sketch.minima(),
             sketch.minima());
 }
 
@@ -156,7 +161,9 @@ TEST(Transport, LostFragmentLosesMessageWithoutCrash) {
   bool delivered = false;
   for (int attempt = 0; attempt < 500 && !delivered; ++attempt) {
     ASSERT_TRUE(link.a().send(wire::SketchMessage{sketch}));
-    while (auto message = link.b().receive()) {
+    while (auto frame = link.b().receive_frame()) {
+      const auto* message = std::get_if<wire::Message>(&*frame);
+      ASSERT_NE(message, nullptr);
       if (std::holds_alternative<wire::SketchMessage>(*message)) {
         EXPECT_EQ(std::get<wire::SketchMessage>(*message).sketch.minima(),
                   sketch.minima());

@@ -1,8 +1,9 @@
 // Tests for the zero-allocation symbol fast path: every XOR kernel variant
 // and its run-time dispatch against a scalar reference, BufferPool
 // recycling and hygiene, pooled transport buffers (aliasing /
-// reuse-after-release), the channel's one-hop queue residency, and the
-// steady-state allocation guarantee of the endpoint send path.
+// reuse-after-release), reassembly cost under a hostile fragment, the
+// channel's one-hop queue residency, and the steady-state allocation
+// guarantee of the endpoint send path.
 //
 // This binary replaces global operator new/delete with counting versions;
 // keep it free of death tests and threads.
@@ -28,6 +29,8 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+// Bytes requested, so tests can bound what one input costs.
+std::atomic<std::size_t> g_allocated_bytes{0};
 // Payload-copy accounting: allocations at least g_large_threshold bytes
 // count separately, so tests can budget "one payload-sized copy per
 // symbol" without noise from small container nodes.
@@ -36,6 +39,7 @@ std::atomic<std::size_t> g_large_threshold{SIZE_MAX};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= g_large_threshold.load(std::memory_order_relaxed)) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -45,6 +49,7 @@ void* counted_alloc(std::size_t size) {
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= g_large_threshold.load(std::memory_order_relaxed)) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -280,30 +285,10 @@ TEST(Transport, RecodedViewRoundTripsThroughPool) {
   }
 }
 
-TEST(Transport, ViewSendMatchesMessageSendByteForByte) {
-  // The fast-path encoders must be wire-identical to the Message path.
-  wire::Pipe view_pipe(2048);
-  wire::Pipe message_pipe(2048);
-  std::vector<std::uint8_t> view_frame, message_frame;
-  view_pipe.a().set_frame_observer(
-      [&](const std::vector<std::uint8_t>& f, bool) { view_frame = f; });
-  message_pipe.a().set_frame_observer(
-      [&](const std::vector<std::uint8_t>& f, bool) { message_frame = f; });
-
-  const codec::EncodedSymbol encoded{42, {9, 8, 7}};
-  view_pipe.a().send(codec::EncodedSymbolView(encoded));
-  message_pipe.a().send(wire::EncodedSymbolMessage{encoded});
-  EXPECT_EQ(view_frame, message_frame);
-
-  const codec::RecodedSymbol recoded{{1, 2, 3}, {6, 6, 6, 6}};
-  view_pipe.a().send(codec::RecodedSymbolView(recoded));
-  message_pipe.a().send(wire::RecodedSymbolMessage{recoded});
-  EXPECT_EQ(view_frame, message_frame);
-}
-
 TEST(Transport, FragmentedSymbolsStillReachTheReceiver) {
-  // Symbols larger than the link MTU arrive fragment-reassembled as owning
-  // messages, not views; the receiver must feed them to the decoder too.
+  // Symbols larger than the link MTU cross it as Fragment trains; the
+  // reassembled frame decodes like a datagram, so each reaches the
+  // receiver's decoder as a view into it.
   constexpr std::size_t kBlocks = 40;
   constexpr std::size_t kBlockSize = 256;  // frame > MTU below
   util::Xoshiro256 content_rng(11);
@@ -316,6 +301,16 @@ TEST(Transport, FragmentedSymbolsStillReachTheReceiver) {
   for (int i = 0; i < 120; ++i) sender_peer.receive_encoded(origin.next());
 
   wire::Pipe pipe(/*mtu=*/128);
+  // Every data frame the sender hands the link must be a Fragment.
+  std::size_t data_frames = 0;
+  std::size_t data_fragments = 0;
+  pipe.a().set_frame_observer(
+      [&](const std::vector<std::uint8_t>& frame, bool is_control) {
+        if (is_control) return;
+        ++data_frames;
+        data_fragments +=
+            frame[3] == static_cast<std::uint8_t>(wire::MessageType::kFragment);
+      });
   core::SessionOptions options;
   options.strategy = overlay::Strategy::kRecode;
   core::SenderEndpoint sender(sender_peer, options, pipe.a());
@@ -332,8 +327,34 @@ TEST(Transport, FragmentedSymbolsStillReachTheReceiver) {
     receiver.tick();
   }
   EXPECT_GT(receiver.symbols_received(), 0u);
+  EXPECT_EQ(receiver.symbols_received(), sender.symbols_sent());
+  EXPECT_EQ(data_fragments, data_frames);
+  EXPECT_GE(data_frames, 2 * sender.symbols_sent());
+  EXPECT_EQ(pipe.b().stats().malformed_frames, 0u);
   EXPECT_TRUE(receiver.complete());
   EXPECT_EQ(receiver_peer.content(content.size()), content);
+}
+
+TEST(Transport, FragmentClaimingAHugeTotalCostsWhatArrived) {
+  // `total` is an untrusted 16-bit field: an 18-byte datagram claiming
+  // 65535 slices must cost the bytes that arrived, not 65535 slots.
+  wire::Pipe pipe;
+  const wire::Fragment claim{1, 0, 65535, {1, 2, 3, 4}};
+  ASSERT_EQ(wire::encode_frame(claim).size(), 18u);
+  ASSERT_TRUE(pipe.a().send(claim));
+  const std::size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  EXPECT_FALSE(pipe.b().receive_frame().has_value());
+  const std::size_t allocated =
+      g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(allocated, 4096u);
+  EXPECT_LT(pipe.b().memory_bytes(), 4096u);
+
+  // At the partial cap, every partial is such a claim: still bounded.
+  for (std::uint32_t s = 2; s <= wire::kMaxPartialReassemblies; ++s) {
+    ASSERT_TRUE(pipe.a().send(wire::Fragment{s, 0, 65535, {1, 2, 3, 4}}));
+  }
+  EXPECT_FALSE(pipe.b().receive_frame().has_value());
+  EXPECT_LT(pipe.b().memory_bytes(), 4096u * wire::kMaxPartialReassemblies);
 }
 
 // --- One-hop queue residency ------------------------------------------------
@@ -356,8 +377,9 @@ TEST(LossyChannel, FlushReleasesInFlightFrame) {
   channel.flush();
   const auto frame = channel.receive();
   ASSERT_FALSE(frame.empty());
-  EXPECT_EQ(std::get<wire::Request>(wire::decode_frame(frame)).symbols_desired,
-            7u);
+  EXPECT_EQ(
+      std::get<wire::Request>(wire::decode_control_frame(frame)).symbols_desired,
+      7u);
 }
 
 TEST(LossyChannel, ReorderBitesForDrainEveryTickDrivers) {
@@ -376,8 +398,9 @@ TEST(LossyChannel, ReorderBitesForDrainEveryTickDrivers) {
     while (true) {  // drain everything deliverable, every tick
       const auto frame = channel.receive();
       if (frame.empty()) break;
-      delivered.push_back(
-          std::get<wire::Request>(wire::decode_frame(frame)).symbols_desired);
+      delivered.push_back(std::get<wire::Request>(
+                              wire::decode_control_frame(frame))
+                              .symbols_desired);
     }
   }
   channel.flush();
@@ -385,7 +408,8 @@ TEST(LossyChannel, ReorderBitesForDrainEveryTickDrivers) {
     const auto frame = channel.receive();
     if (frame.empty()) continue;
     delivered.push_back(
-        std::get<wire::Request>(wire::decode_frame(frame)).symbols_desired);
+        std::get<wire::Request>(wire::decode_control_frame(frame))
+            .symbols_desired);
   }
 
   ASSERT_EQ(delivered.size(), kFrames);  // reordered, never lost

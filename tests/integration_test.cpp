@@ -3,9 +3,10 @@
 // gets to the paper's prototype deployment.
 //
 // Receiver and sender are full-fidelity Peers. All control and data
-// traffic is serialized into wire::Message frames and carried by
-// wire::LossyChannel; the sender side drives itself purely from what
-// arrives on its control channel (Hello, sketch, Bloom summary, request).
+// traffic is serialized into wire frames (control Messages, recoded symbol
+// views) and carried by wire::LossyChannel; the sender side drives itself
+// purely from what arrives on its control channel (Hello, sketch, Bloom
+// summary, request).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -88,14 +89,19 @@ std::size_t run_protocol(ProtocolWorld& world, double data_loss) {
       sketch::MinwiseSketch::resemblance(world.sender.sketch(), peer_sketch);
   EXPECT_GE(resemblance, 0.0);
 
-  // Filter the sender's working set by the receiver's Bloom summary and
-  // restrict the recoding domain to the requested size.
+  // Filter the sender's working set by the receiver's Bloom summary,
+  // restrict the recoding domain to the requested size, and resolve it to
+  // the sender's slots once.
   auto domain =
       reconcile::bloom_set_difference(world.sender.symbol_ids(), peer_bloom);
   util::Xoshiro256 rng(31337);
   if (domain.size() > request.symbols_desired) {
     util::shuffle(domain, rng);
     domain.resize(request.symbols_desired);
+  }
+  std::vector<std::uint32_t> slots;
+  for (const std::uint64_t id : domain) {
+    slots.push_back(world.sender.symbol_slot(id));
   }
   const auto dist =
       codec::DegreeDistribution::robust_soliton(
@@ -105,15 +111,19 @@ std::size_t run_protocol(ProtocolWorld& world, double data_loss) {
   // --- Data plane: recoded symbols as frames through the lossy channel --
   std::size_t frames_sent = 0;
   const std::size_t frame_cap = 6000;
+  codec::RecodedSymbol symbol;
+  std::vector<std::uint64_t> constituents;
   while (!world.receiver.has_content() && frames_sent < frame_cap) {
-    const auto symbol =
-        world.sender.recode_from(domain, dist.sample(rng), rng);
-    EXPECT_TRUE(data.send_message(wire::RecodedSymbolMessage{symbol}));
+    world.sender.recode_slots_into(symbol, slots, dist.sample(rng), rng);
+    EXPECT_TRUE(data.send(wire::encode_frame(codec::RecodedSymbolView(symbol))));
     ++frames_sent;
     while (data.pending()) {
-      const auto message = data.receive_message();
-      world.receiver.receive_recoded(
-          std::get<wire::RecodedSymbolMessage>(message).symbol);
+      // An empty receive is the channel's clock releasing the frame in
+      // flight; the next receive delivers it.
+      const auto frame = data.receive();
+      if (frame.empty()) continue;
+      world.receiver.receive_recoded(std::get<codec::RecodedSymbolView>(
+          wire::decode_frame(frame, constituents)));
     }
   }
   return frames_sent;
@@ -142,10 +152,11 @@ TEST(ProtocolIntegration, SymbolFramesFitTheMtu) {
   ProtocolWorld world;
   for (int i = 0; i < 100; ++i) world.sender.receive_encoded(world.origin.next());
   util::Xoshiro256 rng(1);
+  codec::RecodedSymbol symbol;
   for (int i = 0; i < 100; ++i) {
-    const auto symbol = world.sender.recode(50, rng);
-    const auto frame =
-        wire::encode_frame(wire::RecodedSymbolMessage{symbol});
+    world.sender.recode_into(symbol, 50, rng);
+    ASSERT_EQ(symbol.degree(), 50u);
+    const auto frame = wire::encode_frame(codec::RecodedSymbolView(symbol));
     EXPECT_LE(frame.size(), 1500u);
   }
 }
@@ -170,7 +181,7 @@ TEST(ProtocolIntegration, ControlHandshakeFitsFourPackets) {
     const auto frame = wire::encode_frame(message);
     bytes += frame.size();
     // And each frame parses back intact.
-    EXPECT_EQ(wire::message_type(wire::decode_frame(frame)),
+    EXPECT_EQ(wire::message_type(wire::decode_control_frame(frame)),
               wire::message_type(message));
   }
   EXPECT_LE(bytes, 4 * 1024u);

@@ -146,19 +146,18 @@ TEST(PeelingVsReference, InactivationMatchesReferenceSolvability) {
 
 TEST(WireFuzz, MutatedFramesNeverCrashOrMisparse) {
   // Random single-byte mutations of valid frames must either decode to
-  // SOME message (benign mutation) or throw invalid_argument — never
-  // crash, never throw anything else.
+  // SOME frame (benign mutation) or throw invalid_argument — never crash,
+  // never throw anything else.
   util::Xoshiro256 rng(303);
-  wire::EncodedSymbolMessage symbol;
-  symbol.symbol.id = 77;
-  symbol.symbol.payload = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto frame = wire::encode_frame(symbol);
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 6, 7, 8};
+  const auto frame = wire::encode_frame(codec::EncodedSymbolView(77, payload));
+  std::vector<std::uint64_t> constituents;
   for (int trial = 0; trial < 2000; ++trial) {
     auto mutated = frame;
     const std::size_t pos = rng.next_below(mutated.size());
     mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
     try {
-      (void)wire::decode_frame(mutated);
+      (void)wire::decode_frame(mutated, constituents);
     } catch (const std::invalid_argument&) {
       // expected for most mutations
     }
@@ -167,25 +166,26 @@ TEST(WireFuzz, MutatedFramesNeverCrashOrMisparse) {
 
 TEST(WireFuzz, RandomBytesNeverCrash) {
   util::Xoshiro256 rng(404);
+  std::vector<std::uint64_t> constituents;
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> junk(rng.next_below(64));
     for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng());
     try {
-      (void)wire::decode_frame(junk);
+      (void)wire::decode_frame(junk, constituents);
     } catch (const std::invalid_argument&) {
     }
   }
 }
 
 TEST(WireFuzz, TruncationsAlwaysRejected) {
-  wire::RecodedSymbolMessage message;
-  message.symbol.constituents = {1, 2, 3};
-  message.symbol.payload = {9, 9, 9};
-  const auto frame = wire::encode_frame(message);
+  const codec::RecodedSymbol symbol{{1, 2, 3}, {9, 9, 9}};
+  const auto frame = wire::encode_frame(codec::RecodedSymbolView(symbol));
+  std::vector<std::uint64_t> constituents;
   for (std::size_t len = 0; len < frame.size(); ++len) {
     std::vector<std::uint8_t> prefix(frame.begin(),
                                      frame.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW((void)wire::decode_frame(prefix), std::invalid_argument)
+    EXPECT_THROW((void)wire::decode_frame(prefix, constituents),
+                 std::invalid_argument)
         << "prefix length " << len;
   }
 }

@@ -41,31 +41,37 @@ make_loopback_pair(std::size_t mtu) {
 }
 
 /// Loopback delivery is effectively synchronous, but give the kernel a few
-/// retries before declaring a datagram lost.
-std::optional<Message> receive_within(Transport& transport,
-                                      int attempts = 2000) {
+/// retries before declaring a datagram lost. Views in the result borrow
+/// the transport until its next receive.
+std::optional<DecodedFrame> frame_within(Transport& transport,
+                                         int attempts = 2000) {
   for (int i = 0; i < attempts; ++i) {
-    if (auto message = transport.receive()) return message;
+    if (auto frame = transport.receive_frame()) return frame;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   return std::nullopt;
 }
 
-/// Every wire frame type that user code sends whole (Fragment is produced
-/// only by the transport itself during fragmentation).
+/// frame_within for a control message; a symbol frame fails the test.
+std::optional<Message> receive_within(Transport& transport,
+                                      int attempts = 2000) {
+  auto frame = frame_within(transport, attempts);
+  if (!frame) return std::nullopt;
+  auto* message = std::get_if<Message>(&*frame);
+  if (message == nullptr) {
+    ADD_FAILURE() << "symbol frame where a control message was expected";
+    return std::nullopt;
+  }
+  return std::move(*message);
+}
+
+/// Every control message type that user code sends whole (Fragment is
+/// produced only by the transport itself during fragmentation).
 std::vector<Message> sample_messages() {
   std::vector<Message> messages;
   messages.emplace_back(Hello{1234, 0xdeadbeefULL, 567});
   messages.emplace_back(Request{987654});
   messages.emplace_back(RequestUpdate{12});
-  EncodedSymbolMessage encoded;
-  encoded.symbol.id = 42;
-  encoded.symbol.payload = {1, 2, 3, 4, 5, 6, 7};
-  messages.emplace_back(encoded);
-  RecodedSymbolMessage recoded;
-  recoded.symbol.constituents = {10, 20, 30, 40};
-  recoded.symbol.payload = {9, 8, 7};
-  messages.emplace_back(recoded);
   sketch::MinwiseSketch sketch(1 << 20, 16);
   sketch.update_all({1, 2, 3, 99});
   messages.emplace_back(SketchMessage{sketch});
@@ -93,19 +99,32 @@ TEST(UdpTransport, RoundTripsEveryFrameType) {
     if (const auto* request = std::get_if<Request>(&message)) {
       EXPECT_EQ(std::get<Request>(*received), *request);
     }
-    if (const auto* symbol = std::get_if<EncodedSymbolMessage>(&message)) {
-      EXPECT_EQ(std::get<EncodedSymbolMessage>(*received), *symbol);
-    }
-    if (const auto* symbol = std::get_if<RecodedSymbolMessage>(&message)) {
-      EXPECT_EQ(std::get<RecodedSymbolMessage>(*received), *symbol);
-    }
     if (const auto* sketch = std::get_if<SketchMessage>(&message)) {
       EXPECT_EQ(std::get<SketchMessage>(*received).sketch.minima(),
                 sketch->sketch.minima());
     }
   }
-  EXPECT_EQ(a.stats().messages_sent, sample_messages().size());
-  EXPECT_EQ(b.stats().messages_received, sample_messages().size());
+  // The two symbol frames, sent from and received as views.
+  const codec::EncodedSymbol encoded{42, {1, 2, 3, 4, 5, 6, 7}};
+  ASSERT_TRUE(a.send(codec::EncodedSymbolView(encoded)));
+  auto frame = frame_within(b);
+  ASSERT_TRUE(frame.has_value());
+  const auto* encoded_view = std::get_if<codec::EncodedSymbolView>(&*frame);
+  ASSERT_NE(encoded_view, nullptr);
+  EXPECT_EQ(encoded_view->id, encoded.id);
+  EXPECT_TRUE(std::ranges::equal(encoded_view->payload, encoded.payload));
+  const codec::RecodedSymbol recoded{{10, 20, 30, 40}, {9, 8, 7}};
+  ASSERT_TRUE(a.send(codec::RecodedSymbolView(recoded)));
+  frame = frame_within(b);
+  ASSERT_TRUE(frame.has_value());
+  const auto* recoded_view = std::get_if<codec::RecodedSymbolView>(&*frame);
+  ASSERT_NE(recoded_view, nullptr);
+  EXPECT_TRUE(
+      std::ranges::equal(recoded_view->constituents, recoded.constituents));
+  EXPECT_TRUE(std::ranges::equal(recoded_view->payload, recoded.payload));
+
+  EXPECT_EQ(a.stats().messages_sent, sample_messages().size() + 2);
+  EXPECT_EQ(b.stats().messages_received, sample_messages().size() + 2);
   EXPECT_EQ(b.stats().malformed_frames, 0u);
   EXPECT_EQ(b.udp_stats().truncated_datagrams, 0u);
 }
@@ -151,7 +170,7 @@ TEST(UdpTransport, RejectsGarbageAndTruncatedDatagrams) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   for (int i = 0; i < 10; ++i) {
     b.drain();
-    EXPECT_FALSE(b.receive().has_value());
+    EXPECT_FALSE(b.receive_frame().has_value());
   }
   EXPECT_EQ(b.stats().messages_received, 0u);
   EXPECT_EQ(b.stats().malformed_frames, 2u);
@@ -197,7 +216,7 @@ TEST(UdpTransport, EagainBacklogQueuesThenPumpDrainsInOrder) {
   // Nothing arrived while the seam was armed.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   b.drain();
-  EXPECT_FALSE(b.receive().has_value());
+  EXPECT_FALSE(b.receive_frame().has_value());
 
   // Recovery: the kernel "unclogs" and one pump flushes the whole backlog
   // in original send order.
@@ -255,7 +274,7 @@ TEST(UdpTransport, BacklogCapDropsOldestAndKeepsNewest) {
     ASSERT_TRUE(received.has_value()) << "frame " << i;
     EXPECT_EQ(std::get<Request>(*received), Request{i});
   }
-  EXPECT_FALSE(b.receive().has_value());
+  EXPECT_FALSE(b.receive_frame().has_value());
 }
 
 TEST(UdpTransport, ZeroBacklogCapClampsToOne) {
@@ -278,7 +297,7 @@ TEST(UdpTransport, DelayShapingHoldsDatagramsForTheConfiguredTime) {
   bool early = false;
   while (std::chrono::steady_clock::now() - start <
          std::chrono::milliseconds(10)) {
-    if (b.receive().has_value()) {
+    if (b.receive_frame().has_value()) {
       early = true;
       break;
     }
@@ -357,18 +376,15 @@ TransportStats run_script(Transport& tx, Transport& rx) {
   EXPECT_TRUE(tx.send(SketchMessage{sketch}));
   EXPECT_TRUE(tx.send(Request{40}));
   for (std::uint64_t i = 0; i < 25; ++i) {
-    EncodedSymbolMessage symbol;
-    symbol.symbol.id = i;
-    symbol.symbol.payload.assign(64, static_cast<std::uint8_t>(i));
-    EXPECT_TRUE(tx.send(symbol));
+    const std::vector<std::uint8_t> payload(64, static_cast<std::uint8_t>(i));
+    EXPECT_TRUE(tx.send(codec::EncodedSymbolView(i, payload)));
   }
   auto filter = filter::BloomFilter::with_bits_per_element(2048, 8.0);
   for (std::uint64_t i = 0; i < 2048; ++i) filter.insert(i);
   EXPECT_TRUE(tx.send(BloomSummaryMessage{filter}));  // > MTU: fragments
   std::size_t delivered = 0;
   while (delivered < 29) {
-    const auto message = receive_within(rx);
-    if (!message) break;
+    if (!frame_within(rx)) break;
     ++delivered;
   }
   EXPECT_EQ(delivered, 29u);
