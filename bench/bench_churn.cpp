@@ -44,7 +44,6 @@ core::DeliveryOptions churn_options() {
   options.block_size = 64;
   options.session_seed = 71;
   options.refresh_interval = 50;
-  options.flow_control = true;
   options.handshake_retry_ticks = 24;
   options.link.mtu = 600;
   options.link.delay_ticks = 2;

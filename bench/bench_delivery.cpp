@@ -113,7 +113,6 @@ TimedRun run_timed_swarm(const std::vector<std::uint8_t>& content,
                          std::size_t peers, std::size_t max_ticks,
                          bool jump) {
   core::DeliveryOptions options = delivery_options();
-  options.flow_control = true;
   options.jump_empty_ticks = jump;
   options.link.loss_rate = 0.05;
   options.link.delay_ticks = 8;

@@ -85,7 +85,7 @@ void ArtSummary::serialize_into(util::ByteWriter& out) const {
   }
 }
 
-ArtSummary ArtSummary::deserialize(const std::vector<std::uint8_t>& bytes) {
+ArtSummary ArtSummary::deserialize(std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
   ArtSummary summary;
   summary.element_count_ = reader.varint();
@@ -93,11 +93,11 @@ ArtSummary ArtSummary::deserialize(const std::vector<std::uint8_t>& bytes) {
   const bool has_internal = reader.u8() != 0;
   if (has_leaf) {
     summary.leaf_filter_ =
-        filter::BloomFilter::deserialize(reader.raw(reader.varint()));
+        filter::BloomFilter::deserialize(reader.view(reader.varint()));
   }
   if (has_internal) {
     summary.internal_filter_ =
-        filter::BloomFilter::deserialize(reader.raw(reader.varint()));
+        filter::BloomFilter::deserialize(reader.view(reader.varint()));
   }
   if (!reader.done()) {
     throw std::invalid_argument("ArtSummary: trailing bytes in blob");

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "art/reconciliation_tree.hpp"
@@ -58,7 +59,7 @@ class ArtSummary {
   void serialize_into(util::ByteWriter& out) const;
   /// Rejects truncation and leftover bytes, in the summary or in either
   /// filter blob, like BloomFilter::deserialize.
-  static ArtSummary deserialize(const std::vector<std::uint8_t>& bytes);
+  static ArtSummary deserialize(std::span<const std::uint8_t> bytes);
 
   static constexpr std::uint64_t kSummarySeed = 0x5a11ad5b100f11ULL;
 

@@ -53,9 +53,11 @@ struct DeliveryOptions {
   /// Closed-loop flow control (SessionOptions::flow_control) on every
   /// download session: receivers re-issue their request with decremented
   /// counts as symbols land, and senders stop at satisfaction instead of
-  /// streaming until the next refresh. Off by default (extra control
-  /// frames; historical byte accounting stays bit-for-bit).
-  bool flow_control = false;
+  /// streaming until the next refresh (paper §6.1: the receiver states how
+  /// many symbols it wants from each sender). The RequestUpdate frames
+  /// cost far fewer bytes than the symbols they stop. Turn it off only to
+  /// measure the open loop.
+  bool flow_control = true;
   /// Handshake retry cadence for every download session
   /// (SessionOptions::handshake_retry_ticks). On timed links set this
   /// above the worst round-trip delay, or every in-flight reply triggers

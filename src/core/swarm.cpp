@@ -295,8 +295,9 @@ SessionOptions swarm_session_options(const SwarmSpec& spec,
   options.requested_symbols = swarm_edge_quota(spec, world, edge_index);
   options.handshake_retry_ticks = spec.handshake_retry_ticks;
   options.max_handshake_retries = spec.max_handshake_retries;
-  // Off: quota-bound serving is what makes real totals predictable; a
-  // timing-dependent stop would make them a race.
+  // Off, unlike DeliveryOptions' default: quota-bound serving is what
+  // makes real totals predictable; a timing-dependent stop would make
+  // them a race.
   options.flow_control = false;
   options.seed = util::mix64(spec.seed ^ (0xab5 + 7 * edge_index));
   return options;

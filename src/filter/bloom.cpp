@@ -69,7 +69,7 @@ void BloomFilter::serialize_into(util::ByteWriter& out) const {
   for (const std::uint64_t word : bits_.words()) out.u64(word);
 }
 
-BloomFilter BloomFilter::deserialize(const std::vector<std::uint8_t>& bytes) {
+BloomFilter BloomFilter::deserialize(std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
   const std::size_t bits = reader.varint();
   const std::size_t hashes = reader.varint();
@@ -89,7 +89,7 @@ BloomFilter BloomFilter::deserialize(const std::vector<std::uint8_t>& bytes) {
   }
   BloomFilter filter(bits, hashes, seed);
   const std::size_t words = (bits + 63) / 64;
-  filter.bits_ = util::BitVector::from_bytes(reader.raw(words * 8), bits);
+  filter.bits_ = util::BitVector::from_bytes(reader.view(words * 8), bits);
   filter.inserted_ = inserted;
   if (!reader.done()) {
     throw std::invalid_argument("BloomFilter: trailing bytes in blob");

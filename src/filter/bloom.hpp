@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bitvector.hpp"
@@ -72,7 +73,7 @@ class BloomFilter {
   void serialize_into(util::ByteWriter& out) const;
   /// Throws std::out_of_range on a truncated or oversized geometry and
   /// std::invalid_argument on bytes left over after the bit array.
-  static BloomFilter deserialize(const std::vector<std::uint8_t>& bytes);
+  static BloomFilter deserialize(std::span<const std::uint8_t> bytes);
 
   static constexpr std::uint64_t kDefaultSeed = 0x1cdb10f11e500d5eULL;
 

@@ -46,8 +46,14 @@ MinwiseSketch::MinwiseSketch(
 
 void MinwiseSketch::update(std::uint64_t key) {
   const auto& family = *permutations_;
-  for (std::size_t j = 0; j < family.size(); ++j) {
-    minima_[j] = std::min(minima_[j], family[j](key));
+  // The family shares one modulus: reduce the key once, and hold the
+  // reducer in locals that the stores to minima_ cannot alias.
+  const util::ModularReducer modulus = family.front().reducer();
+  const std::uint64_t x = modulus.reduce(key);
+  const std::size_t n = family.size();
+  std::uint64_t* minima = minima_.data();
+  for (std::size_t j = 0; j < n; ++j) {
+    minima[j] = std::min(minima[j], family[j].apply(modulus, x));
   }
 }
 
@@ -102,7 +108,7 @@ void MinwiseSketch::serialize_into(util::ByteWriter& out) const {
 }
 
 MinwiseSketch MinwiseSketch::deserialize(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
   const std::uint64_t universe = reader.u64();
   const std::uint64_t seed = reader.u64();

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/permutation.hpp"
@@ -87,7 +88,7 @@ class MinwiseSketch {
   /// uses could never pass resemblance's compatibility check anyway: it
   /// is rejected with std::invalid_argument, as are a count of 0 and
   /// bytes left over after the minima.
-  static MinwiseSketch deserialize(const std::vector<std::uint8_t>& bytes);
+  static MinwiseSketch deserialize(std::span<const std::uint8_t> bytes);
 
  private:
   MinwiseSketch(std::uint64_t universe_size, std::uint64_t seed,

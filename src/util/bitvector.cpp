@@ -4,7 +4,7 @@
 
 namespace icd::util {
 
-BitVector BitVector::from_bytes(const std::vector<std::uint8_t>& bytes,
+BitVector BitVector::from_bytes(std::span<const std::uint8_t> bytes,
                                 std::size_t bits) {
   BitVector result(bits);
   if (bytes.size() < result.words_.size() * 8) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 /// Compact bit array backing the Bloom filter.
@@ -27,7 +28,7 @@ class BitVector {
 
   /// Rebuilds a `bits`-bit vector from its words, 8 little-endian bytes
   /// each (callers strip their own headers first).
-  static BitVector from_bytes(const std::vector<std::uint8_t>& bytes,
+  static BitVector from_bytes(std::span<const std::uint8_t> bytes,
                               std::size_t bits);
 
  private:

@@ -1,5 +1,6 @@
 #include "util/permutation.hpp"
 
+#include <bit>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -9,17 +10,35 @@
 
 namespace icd::util {
 
+ModularReducer::ModularReducer(std::uint64_t modulus) : modulus_(modulus) {
+  if (modulus == 0) {
+    throw std::invalid_argument("ModularReducer: modulus must be >= 1");
+  }
+  shift_ = static_cast<unsigned>(std::countl_zero(modulus));
+  divisor_ = modulus << shift_;
+  // floor((2^128 - 1) / d) - 2^64 = (~d * 2^64 + 2^64 - 1) / d, which fits
+  // 64 bits because ~d < d.
+  reciprocal_ = static_cast<std::uint64_t>(
+      ((static_cast<unsigned __int128>(~divisor_) << 64) | ~std::uint64_t{0}) /
+      divisor_);
+}
+
 LinearPermutation::LinearPermutation(std::uint64_t a, std::uint64_t b,
                                      std::uint64_t modulus)
+    : LinearPermutation(a, b, ModularReducer(modulus)) {}
+
+LinearPermutation::LinearPermutation(std::uint64_t a, std::uint64_t b,
+                                     const ModularReducer& modulus)
     : a_(a), b_(b), modulus_(modulus) {
-  if (!is_prime(modulus)) {
+  const std::uint64_t p = modulus.modulus();
+  if (!is_prime(p)) {
     throw std::invalid_argument("LinearPermutation: modulus must be prime");
   }
-  if (a == 0 || a >= modulus || b >= modulus) {
+  if (a == 0 || a >= p || b >= p) {
     throw std::invalid_argument(
         "LinearPermutation: require 1 <= a < p and 0 <= b < p");
   }
-  a_inverse_ = inverse_mod(a_, modulus_);
+  a_inverse_ = inverse_mod(a_, p);
 }
 
 LinearPermutation LinearPermutation::random(std::uint64_t universe_size,
@@ -34,9 +53,10 @@ LinearPermutation LinearPermutation::random(std::uint64_t universe_size,
 }
 
 std::uint64_t LinearPermutation::inverse(std::uint64_t y) const {
-  const std::uint64_t shifted = (y + modulus_ - b_ % modulus_) % modulus_;
+  const std::uint64_t p = modulus();
+  const std::uint64_t shifted = (y + p - b_ % p) % p;
   return static_cast<std::uint64_t>(
-      static_cast<unsigned __int128>(shifted) * a_inverse_ % modulus_);
+      static_cast<unsigned __int128>(shifted) * a_inverse_ % p);
 }
 
 std::vector<LinearPermutation> make_permutation_family(
@@ -45,15 +65,17 @@ std::vector<LinearPermutation> make_permutation_family(
     throw std::invalid_argument("make_permutation_family: universe too small");
   }
   Xoshiro256 rng(seed);
-  // Hoisted out of the loop: the modulus is shared by the whole family, and
-  // next_prime near 2^63 costs ~10^4 modular multiplications per call.
+  // Hoisted out of the loop: the modulus is shared by the whole family,
+  // next_prime near 2^63 costs ~10^4 modular multiplications per call, and
+  // the reducer's reciprocal is computed once for all members.
   const std::uint64_t p = next_prime(universe_size);
+  const ModularReducer modulus(p);
   std::vector<LinearPermutation> family;
   family.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t a = 1 + rng.next_below(p - 1);
     const std::uint64_t b = rng.next_below(p);
-    family.emplace_back(a, b, p);
+    family.emplace_back(a, b, modulus);
   }
   return family;
 }

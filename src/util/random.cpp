@@ -1,7 +1,7 @@
 #include "util/random.hpp"
 
+#include <bit>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace icd::util {
 
@@ -40,22 +40,8 @@ void Xoshiro256::jump() {
 std::vector<std::uint64_t> sample_without_replacement(std::uint64_t n,
                                                       std::size_t k,
                                                       Xoshiro256& rng) {
-  if (k > n) {
-    throw std::invalid_argument("sample_without_replacement: k > n");
-  }
   std::vector<std::uint64_t> result;
-  result.reserve(k);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(k * 2);
-  for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t t = rng.next_below(j + 1);
-    if (chosen.insert(t).second) {
-      result.push_back(t);
-    } else {
-      chosen.insert(j);
-      result.push_back(j);
-    }
-  }
+  sample_without_replacement_into(result, n, k, rng);
   return result;
 }
 
@@ -66,36 +52,53 @@ void sample_without_replacement_into(std::vector<std::uint64_t>& out,
     throw std::invalid_argument("sample_without_replacement: k > n");
   }
   out.clear();
-  // Both branches run Robert Floyd's algorithm with identical rng draws,
-  // so this yields the same sample as the vector version for the same
-  // arguments — required: encoder and decoder derive neighbor sets from
-  // whichever variant their call site uses.
-  if (k > 64) {
-    // Rare large draw (the soliton tail): the O(k^2) scan would dominate,
-    // so fall back to a hash set and accept the allocation.
-    std::unordered_set<std::uint64_t> chosen;
-    chosen.reserve(k * 2);
+  // Robert Floyd's algorithm: draw j in [n - k, n) takes t = below(j + 1),
+  // or j itself when t is already taken (j never is).
+  if (k <= 64) {
+    // The recode degree cap and most of the soliton mass: a linear scan
+    // of the picks so far beats any set.
+    const auto contains = [&out](std::uint64_t v) {
+      for (const std::uint64_t x : out) {
+        if (x == v) return true;
+      }
+      return false;
+    };
     for (std::uint64_t j = n - k; j < n; ++j) {
       const std::uint64_t t = rng.next_below(j + 1);
-      if (chosen.insert(t).second) {
-        out.push_back(t);
-      } else {
-        chosen.insert(j);
-        out.push_back(j);
-      }
+      out.push_back(contains(t) ? j : t);
     }
     return;
   }
-  const auto contains = [&out](std::uint64_t v) {
-    for (const std::uint64_t x : out) {
-      if (x == v) return true;
+  // The rare large draw (the soliton tail) keeps its membership set in an
+  // open-addressing table laid out in out's storage after the k picks, so
+  // a warm `out` allocates nothing. Picks are below n, so ~0 marks a free
+  // cell.
+  constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  const std::size_t cells = std::bit_ceil(2 * k);
+  const int shift = 64 - std::countr_zero(cells);
+  out.assign(k + cells, kFree);
+  std::uint64_t* const picks = out.data();
+  std::uint64_t* const table = picks + k;
+  // Inserts v; false if it was there already.
+  const auto insert = [&](std::uint64_t v) {
+    std::size_t cell = (v * 0x9e3779b97f4a7c15ULL) >> shift;
+    while (table[cell] != kFree) {
+      if (table[cell] == v) return false;
+      cell = (cell + 1) & (cells - 1);
     }
-    return false;
+    table[cell] = v;
+    return true;
   };
+  std::size_t i = 0;
   for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t t = rng.next_below(j + 1);
-    out.push_back(contains(t) ? j : t);
+    std::uint64_t t = rng.next_below(j + 1);
+    if (!insert(t)) {
+      t = j;
+      insert(j);
+    }
+    picks[i++] = t;
   }
+  out.resize(k);
 }
 
 }  // namespace icd::util

@@ -94,11 +94,11 @@ std::vector<std::uint64_t> sample_without_replacement(std::uint64_t n,
                                                       std::size_t k,
                                                       Xoshiro256& rng);
 
-/// In-place variant: reuses `out`'s capacity, and for small k (<= 64, which
-/// covers the recode degree cap and the bulk of the soliton mass) tests
-/// membership by linear scan so it allocates nothing. Larger draws fall
-/// back to a hash set. Produces the same sample as the vector version for
-/// the same arguments.
+/// In-place variant, the one implementation: reuses `out`'s capacity, so a
+/// warm `out` allocates nothing. A draw of k <= 64 (the recode degree cap
+/// and most of the soliton mass) tests membership by linear scan; a larger
+/// one keeps a hash table in `out`'s storage past the k picks, whose
+/// capacity therefore reaches k plus the power of two at or above 2k.
 void sample_without_replacement_into(std::vector<std::uint64_t>& out,
                                      std::uint64_t n, std::size_t k,
                                      Xoshiro256& rng);

@@ -1,5 +1,6 @@
 #include "wire/message.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "util/buffer.hpp"
@@ -55,8 +56,10 @@ Fragment read_fragment(util::ByteReader& reader) {
   return fragment;
 }
 
-std::vector<std::uint8_t> read_blob(util::ByteReader& reader) {
-  return reader.raw(reader.varint());
+/// A size-prefixed summary blob, borrowed from the frame: the summary
+/// decoders read it in place.
+std::span<const std::uint8_t> read_blob(util::ByteReader& reader) {
+  return reader.view(reader.varint());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // delivery with origin mirrors, admission-controlled peer sessions, and
 // verification of reconstructed content. Every DeliveryService test runs
 // on the inline schedule (shards = 1) and on the two-phase multi-shard
-// schedule (shards = 2). The AdaptiveOverlay suite gates the Section 2.1
-// claims (admission, loss, adaptation, reordering) on the engine.
+// schedule (shards = 2). FlowControlDefault pins the engine's default of
+// closed-loop flow control. The AdaptiveOverlay suite gates the Section
+// 2.1 claims (admission, loss, adaptation, reordering) on the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "core/admission.hpp"
 #include "core/fault_plan.hpp"
 #include "core/sharded_delivery.hpp"
+#include "core/swarm.hpp"
 #include "util/random.hpp"
 
 namespace icd::core {
@@ -295,6 +297,50 @@ TEST_P(DeliveryService, TicksAreCountedAndContentIsStable) {
   const auto first = service.peer_content(id);
   service.tick();  // extra ticks change nothing for completed peers
   EXPECT_EQ(service.peer_content(id), first);
+}
+
+// --- Flow control by default ------------------------------------------------
+
+TEST(FlowControlDefault, OnForTheEngineOffForTheSwarmHarness) {
+  // Paper §6.1: each receiver states how many symbols it wants, and its
+  // senders stop there. The real-UDP swarm's sessions keep the loop open,
+  // because quota-bound serving is what makes its byte prediction exact.
+  EXPECT_TRUE(DeliveryOptions{}.flow_control);
+  SwarmSpec spec;
+  spec.nodes = 3;
+  spec.n = 40;
+  spec.build_full_mesh(0);  // ports unused
+  const SwarmWorld world = build_swarm_world(spec);
+  ASSERT_EQ(spec.edges.size(), 6u);
+  for (std::size_t e = 0; e < spec.edges.size(); ++e) {
+    EXPECT_FALSE(swarm_session_options(spec, world, e).flow_control)
+        << "edge " << e;
+  }
+}
+
+TEST(FlowControlDefault, DefaultSwarmCompletesOnFewerDataFrames) {
+  // An untimed swarm at the default options against the same swarm and
+  // seed with the loop open: every peer completes, and senders that stop
+  // at the receiver's request send strictly fewer data frames.
+  const auto content = random_content(64 * 60, 24);
+  const auto data_frames = [&content](const DeliveryOptions& options) {
+    ShardedDelivery engine(content, options);
+    engine.add_mirror();
+    for (std::size_t p = 0; p < 5; ++p) {
+      std::string name = "p";
+      name += std::to_string(p);
+      engine.add_peer(name, p < 2);
+    }
+    EXPECT_TRUE(engine.run(5000));
+    for (std::size_t p = 0; p < engine.peer_count(); ++p) {
+      EXPECT_EQ(engine.peer_content(p), content) << "peer " << p;
+    }
+    return engine.link_totals().data_frames;
+  };
+  const DeliveryOptions defaults = small_options();
+  DeliveryOptions open_loop = small_options();
+  open_loop.flow_control = false;
+  EXPECT_LT(data_frames(defaults), data_frames(open_loop));
 }
 
 // --- The Section 2.1 environment ---------------------------------------------

@@ -15,6 +15,9 @@
 // shards = 1 run of the shared two-phase tick reproduces every one. The
 // sampled-admission line was recorded before ShardedDelivery took the
 // refresh loop over from session_plan's callbacks; its four runs agreed.
+// The four cases that run at DeliveryOptions' default flow control
+// (mirrored-swarm, loss-reorder, sampled-admission, untimed-churn) were
+// re-recorded when that default turned on; all four runs of each agreed.
 //
 // The cases: the configurations of the former shards=1-vs-legacy equality
 // tests, a sampled-admission swarm, two fault_test swarms whose receivers
@@ -82,7 +85,6 @@ core::DeliveryOptions timed_options() {
   options.block_size = 64;
   options.session_seed = 29;
   options.refresh_interval = 40;
-  options.flow_control = true;
   options.link.loss_rate = 0.06;
   options.link.reorder_rate = 0.05;
   options.link.mtu = 600;
@@ -97,7 +99,6 @@ core::DeliveryOptions jumpy_options(overlay::Strategy strategy) {
   options.block_size = 64;
   options.session_seed = 41;
   options.refresh_interval = 60;
-  options.flow_control = true;
   options.strategy = strategy;
   options.handshake_retry_ticks = 24;
   options.link.loss_rate = 0.06;

@@ -2,8 +2,9 @@
 // and its run-time dispatch against a scalar reference, BufferPool
 // recycling and hygiene, pooled transport buffers (aliasing /
 // reuse-after-release), reassembly cost under a hostile fragment, the
-// channel's one-hop queue residency, and the steady-state allocation
-// guarantee of the endpoint send path.
+// channel's one-hop queue residency, the steady-state allocation
+// guarantee of the endpoint send path, neighbor-set derivation at large
+// degrees and the control-frame decode of a sketch.
 //
 // This binary replaces global operator new/delete with counting versions;
 // keep it free of death tests and threads.
@@ -16,15 +17,19 @@
 #include <vector>
 
 #include "codec/block_source.hpp"
+#include "codec/degree.hpp"
+#include "codec/encoder.hpp"
 #include "codec/inactivation.hpp"
 #include "codec/symbol.hpp"
 #include "core/endpoint.hpp"
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "core/session.hpp"
+#include "sketch/minwise.hpp"
 #include "util/random.hpp"
 #include "wire/buffer_pool.hpp"
 #include "wire/channel.hpp"
+#include "wire/message.hpp"
 #include "wire/transport.hpp"
 
 namespace {
@@ -524,6 +529,49 @@ TEST(DecoderAllocations, InactivationAddSymbolCopiesPayloadOnce) {
   EXPECT_LE(g_large_allocations.load(std::memory_order_relaxed),
             kMeasured + 2)
       << "payload copied more than once per add_symbol";
+}
+
+TEST(DecoderAllocations, WarmLargeDegreeNeighborSetsAllocateNothing) {
+  // robust_soliton(512) draws a degree above 64 a few percent of the
+  // time, and such a draw once took a hash set per call. Block decoders
+  // and origin encoders derive every neighbor set this way.
+  const codec::CodeParameters params{512, 0x5eed};
+  const auto dist = codec::DegreeDistribution::robust_soliton(512);
+  std::vector<std::uint32_t> neighbors;
+  std::vector<std::uint64_t> picks;
+  std::vector<std::uint64_t> large_ids;
+  // The search also warms both vectors up to the largest degree drawn.
+  for (std::uint64_t id = 0; large_ids.size() < 16; ++id) {
+    codec::symbol_neighbors_into(neighbors, picks, params, dist, id);
+    if (neighbors.size() > 64) large_ids.push_back(id);
+  }
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const std::uint64_t id : large_ids) {
+    codec::symbol_neighbors_into(neighbors, picks, params, dist, id);
+    ASSERT_GT(neighbors.size(), 64u);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+}
+
+// --- Control-frame decode ---------------------------------------------------
+
+TEST(ControlDecode, SketchFrameCostsOnlyTheDecodedMinima) {
+  // The summary decoders read their blob in place in the frame: a default
+  // sketch frame costs the decoded sketch's minima and nothing else.
+  sketch::MinwiseSketch sketch(core::kSymbolIdUniverse);
+  util::Xoshiro256 rng(0x5c);
+  for (int i = 0; i < 300; ++i) sketch.update(rng() >> 1);
+  const auto frame = wire::encode_frame(wire::SketchMessage{sketch});
+  ASSERT_EQ(frame.size(), 1050u);
+  const std::size_t allocations =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::size_t bytes = g_allocated_bytes.load(std::memory_order_relaxed);
+  const wire::Message decoded = wire::decode_control_frame(frame);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - allocations, 1u);
+  EXPECT_EQ(g_allocated_bytes.load(std::memory_order_relaxed) - bytes,
+            sketch.permutation_count() * sizeof(std::uint64_t));
+  EXPECT_EQ(std::get<wire::SketchMessage>(decoded).sketch.minima(),
+            sketch.minima());
 }
 
 }  // namespace

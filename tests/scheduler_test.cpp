@@ -471,7 +471,6 @@ core::DeliveryOptions timed_options() {
   options.block_size = 64;
   options.session_seed = 29;
   options.refresh_interval = 40;
-  options.flow_control = true;
   options.link.loss_rate = 0.06;
   options.link.reorder_rate = 0.05;
   options.link.mtu = 600;
@@ -500,7 +499,6 @@ std::vector<std::size_t> drive(core::ShardedDelivery& service,
 
 TEST(SchedulerEngine, RateLimitedAsymmetricSwarmCompletesMultiShard) {
   auto options = timed_options();
-  options.flow_control = true;
   // Asymmetric per-edge shaping: odd edges are slow, high-RTT paths.
   options.link_config = [](std::size_t sender,
                            std::size_t receiver) -> wire::ChannelConfig {
@@ -562,7 +560,6 @@ core::DeliveryOptions jumpy_options(overlay::Strategy strategy) {
   options.block_size = 64;
   options.session_seed = 41;
   options.refresh_interval = 60;
-  options.flow_control = true;
   options.strategy = strategy;
   options.handshake_retry_ticks = 24;
   options.link.loss_rate = 0.06;

@@ -2,6 +2,7 @@
 // Section 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "util/buffer.hpp"
 #include "util/packet.hpp"
 #include "util/permutation.hpp"
+#include "util/prime.hpp"
 #include "util/random.hpp"
 
 namespace icd::sketch {
@@ -262,6 +264,60 @@ TEST(MinwiseSketch, EveryResemblanceVariantMatchesThePositionLoop) {
                                            sketch_with_minima(b)),
                 loop_resemblance(a, b))
           << "n " << n;
+    }
+  }
+}
+
+/// The `%` formula the sketch's permutations evaluate without dividing,
+/// the uint64 wrap of the inner sum included.
+std::uint64_t permute_by_division(std::uint64_t a, std::uint64_t b,
+                                  std::uint64_t p, std::uint64_t x) {
+  const auto product = static_cast<std::uint64_t>(
+      static_cast<unsigned __int128>(a) * (x % p) % p);
+  return (product + b) % p;
+}
+
+TEST(MinwiseSketch, DivisionFreePermutationMatchesTheRemainderFormula) {
+  // Moduli from 2 (normalized by a 62-bit shift) through the engine's
+  // next_prime(2^63) to the largest 64-bit prime, where a*x mod p + b
+  // wraps at 2^64. Keys 0, p-1, p and p+1 sit on the one-subtraction
+  // boundary of a modulus of 2^63 or more.
+  util::Xoshiro256 rng(0xd1f5);
+  for (const std::uint64_t p :
+       {util::next_prime(2), util::next_prime(std::uint64_t{1} << 32),
+        util::next_prime(std::uint64_t{1} << 62),
+        util::next_prime(std::uint64_t{1} << 63),
+        ~std::uint64_t{0} - 58}) {
+    const util::ModularReducer reducer(p);
+    std::vector<std::uint64_t> keys{0, p - 1, p, p + 1, ~std::uint64_t{0}};
+    for (int i = 0; i < 500; ++i) keys.push_back(rng());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> coefficients{
+        {1, 0}, {p - 1, p - 1}, {1, p - 1}, {p - 1, 0}};
+    for (int i = 0; i < 40; ++i) {
+      coefficients.emplace_back(1 + rng.next_below(p - 1), rng.next_below(p));
+    }
+    for (const auto& [a, b] : coefficients) {
+      const util::LinearPermutation permutation(a, b, reducer);
+      for (const std::uint64_t x : keys) {
+        ASSERT_EQ(permutation(x), permute_by_division(a, b, p, x))
+            << "p " << p << ", a " << a << ", b " << b << ", x " << x;
+      }
+    }
+    // The 2-by-1 remainder over its whole contract, high words up to
+    // p - 1. High words near p - 1 exercise the second correction (the
+    // quotient estimate one low), which the permutation's own inputs did
+    // not reach in random trials.
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t hi =
+          i % 2 == 0
+              ? p - 1 - rng.next_below(std::min<std::uint64_t>(p, 1024))
+              : rng.next_below(p);
+      const std::uint64_t lo = i % 3 == 0 ? ~std::uint64_t{0} : rng();
+      const auto dividend =
+          (static_cast<unsigned __int128>(hi) << 64) | lo;
+      ASSERT_EQ(reducer.reduce(hi, lo),
+                static_cast<std::uint64_t>(dividend % p))
+          << "p " << p << ", hi " << hi << ", lo " << lo;
     }
   }
 }

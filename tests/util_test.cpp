@@ -109,6 +109,59 @@ TEST(SampleWithoutReplacement, RejectsOversizedRequest) {
   EXPECT_THROW(sample_without_replacement(10, 11, rng), std::invalid_argument);
 }
 
+/// Robert Floyd's algorithm over a std::unordered_set, as the library drew
+/// it before its large draws moved to a table in the output's storage:
+/// the draws and the output order that implementation must keep.
+std::vector<std::uint64_t> floyd_over_hash_set(std::uint64_t n, std::size_t k,
+                                               Xoshiro256& rng) {
+  std::vector<std::uint64_t> result;
+  std::unordered_set<std::uint64_t> chosen;
+  for (std::uint64_t j = n - k; j < n; ++j) {
+    const std::uint64_t t = rng.next_below(j + 1);
+    if (chosen.insert(t).second) {
+      result.push_back(t);
+    } else {
+      chosen.insert(j);
+      result.push_back(j);
+    }
+  }
+  return result;
+}
+
+TEST(SampleWithoutReplacement, MatchesFloydOverAHashSetAtEverySize) {
+  // Every (n, k) with n <= 130 crosses the k = 64 switch to the table;
+  // the larger n take k up to 130, plus n / 2, n - 1 and n. One `out` is
+  // reused throughout, as callers reuse theirs, so a stale table cell
+  // from an earlier draw would show.
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t n = 1; n <= 130; ++n) sizes.push_back(n);
+  for (const std::uint64_t n : {255u, 256u, 257u, 511u, 512u, 1000u, 1024u,
+                                2048u, 4095u, 4096u}) {
+    sizes.push_back(n);
+  }
+  std::vector<std::uint64_t> out;
+  for (const std::uint64_t n : sizes) {
+    std::vector<std::uint64_t> ks;
+    for (std::uint64_t k = 1; k <= std::min<std::uint64_t>(n, 130); ++k) {
+      ks.push_back(k);
+    }
+    for (const std::uint64_t k : {n / 2, n - 1, n}) {
+      if (k > 130) ks.push_back(k);
+    }
+    for (const std::uint64_t k : ks) {
+      Xoshiro256 rng(n * 7919 + k);
+      Xoshiro256 reference_rng(n * 7919 + k);
+      Xoshiro256 wrapper_rng(n * 7919 + k);
+      sample_without_replacement_into(out, n, k, rng);
+      ASSERT_EQ(out, floyd_over_hash_set(n, k, reference_rng))
+          << "n " << n << ", k " << k;
+      ASSERT_EQ(rng(), reference_rng()) << "n " << n << ", k " << k;
+      ASSERT_EQ(sample_without_replacement(n, k, wrapper_rng), out)
+          << "n " << n << ", k " << k;
+    }
+  }
+}
+
 TEST(SampleWithoutReplacement, UniformCoverage) {
   // Every element should be picked with probability k/n.
   Xoshiro256 rng(6);
