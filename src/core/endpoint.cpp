@@ -232,12 +232,13 @@ void SenderEndpoint::tick() {
       }
       receiver_hello_ = *hello;
     } else if (auto* sketch = std::get_if<wire::SketchMessage>(&*message)) {
-      receiver_sketch_ = sketch->sketch;
+      // The decoded summaries are this frame's own: take them, no copy.
+      receiver_sketch_ = std::move(sketch->sketch);
     } else if (auto* bloom =
                    std::get_if<wire::BloomSummaryMessage>(&*message)) {
-      receiver_bloom_ = bloom->filter;
+      receiver_bloom_ = std::move(bloom->filter);
     } else if (auto* art = std::get_if<wire::ArtSummaryMessage>(&*message)) {
-      receiver_art_ = art->summary;
+      receiver_art_ = std::move(art->summary);
     } else if (auto* request = std::get_if<wire::Request>(&*message)) {
       symbols_desired_ = request->symbols_desired;
       request_seen_ = true;
@@ -399,8 +400,9 @@ bool SenderEndpoint::send_symbol() {
 
 DownloadLink::DownloadLink(const Peer& sender, Peer& receiver,
                            const SessionOptions& options,
-                           wire::ChannelConfig config, std::size_t block_size)
-    : link(config), sender(sender, options, link.a()),
+                           wire::ChannelConfig config, std::size_t block_size,
+                           std::shared_ptr<wire::BufferPool> pool)
+    : link(config, std::move(pool)), sender(sender, options, link.a()),
       receiver(receiver, options, link.b()), probe_bytes_(block_size + 64) {}
 
 DownloadLink::DownloadLink(const Peer& sender, Peer& receiver,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -397,9 +398,12 @@ class SenderEndpoint {
 class DownloadLink {
  public:
   /// Same shaping both ways. `block_size` fixes the send-credit probe.
+  /// The link draws frames from `pool` (a null pool: its own; see
+  /// wire::ChannelLink).
   DownloadLink(const Peer& sender, Peer& receiver,
                const SessionOptions& options, wire::ChannelConfig config,
-               std::size_t block_size);
+               std::size_t block_size,
+               std::shared_ptr<wire::BufferPool> pool = nullptr);
   /// `forward` shapes the data path (a -> b), `reverse` the control path.
   DownloadLink(const Peer& sender, Peer& receiver,
                const SessionOptions& options, wire::ChannelConfig forward,

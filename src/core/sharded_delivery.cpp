@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "codec/decoder.hpp"
 #include "core/session_plan.hpp"
@@ -16,16 +17,22 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
       shards_(std::max<std::size_t>(1, shard_options.shards)),
       shard_peers_(shards_),
       next_session_seed_(util::mix64(options.session_seed ^ 0x5e551075ULL)),
-      faults_(options.faults) {
+      retired_link_totals_(shards_),
+      faults_(options.faults),
+      send_fn_([this](std::size_t shard) { phase_send(shard); }),
+      receive_fn_([this](std::size_t shard) { phase_receive(shard); }),
+      retire_fn_([this](std::size_t shard) { phase_retire(shard); }),
+      build_fn_([this](std::size_t shard) { phase_build(shard); }) {
   origins_.push_back(std::make_unique<OriginServer>(
       content_, options_.block_size,
       delivery_distribution(content_.size(), options_.block_size),
       options_.session_seed, /*stream_index=*/0));
-  if (shards_ > 1) {
-    pool_.emplace(shards_);
-    send_fn_ = [this](std::size_t shard) { phase_send(shard); };
-    receive_fn_ = [this](std::size_t shard) { phase_receive(shard); };
+  shard_pools_.reserve(shards_);
+  for (std::size_t s = 0; s < shards_; ++s) {
+    shard_pools_.push_back(
+        std::make_shared<wire::BufferPool>(kShardPoolBuffers));
   }
+  if (shards_ > 1) pool_.emplace(shards_);
 }
 
 void ShardedDelivery::add_mirror() {
@@ -50,25 +57,35 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
 }
 
 void ShardedDelivery::release_pool_owners() {
-  // The coordinator is about to stand in for the shard threads (teardown
-  // ticks, handshake starts) or has just done so: unbind every link pool
-  // (one per link, shared by its two ends) so the next user — worker or
-  // coordinator — rebinds. Workers are parked at a barrier, which orders
-  // the handoff.
-  for (PeerEntry& entry : peers_) {
-    for (auto& [sender_id, download] : entry.downloads) {
-      download->link.a().pool_mutable().debug_release_owner();
-    }
+  // The coordinator is about to stand in for the shard threads (a crash
+  // or failure-sweep teardown, full-pool admission's serial teardown) or
+  // has just done so: unbind every shard's pool so the next user — worker
+  // or coordinator — rebinds. Workers are parked at a barrier, which
+  // orders the handoff.
+  for (const auto& pool : shard_pools_) pool->debug_release_owner();
+}
+
+void ShardedDelivery::run_phase(
+    const std::function<void(std::size_t)>& phase) {
+  if (!pool_) {
+    phase(0);
+    return;
   }
+  const auto start = std::chrono::steady_clock::now();
+  pool_->run(phase);
+  parallel_wall_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 void ShardedDelivery::refresh_sessions() {
-  release_pool_owners();
   // Give every incomplete peer up to max_peer_sessions downloads from
   // admission-ranked senders (ranking, fallback, sampling and seed chain:
   // session_plan). Sampled admission retires every download before any
-  // receiver plans; full-pool admission retires each receiver's just
-  // before it plans. The golden trajectories pin both orders.
+  // receiver plans, each shard its own receivers'; full-pool admission
+  // retires each receiver's on the coordinator just before it plans. The
+  // golden trajectories pin both orders.
   // The planning target rounds kDecodeOverhead * blocks down, where every
   // completion rule (codec::decoding_target) rounds up: rounding it up too
   // would change the request shares, and with them the golden trajectories.
@@ -77,7 +94,9 @@ void ShardedDelivery::refresh_sessions() {
   const std::size_t n = peers_.size();
   const bool sampled = options_.admission_sample > 0;
   if (sampled) {
-    for (std::size_t me = 0; me < n; ++me) retire_downloads(me);
+    run_phase(retire_fn_);
+  } else {
+    release_pool_owners();
   }
   // One snapshot per refresh. Fault and suspect state cannot change inside
   // a refresh, and retiring a receiver's downloads changes only its own
@@ -117,26 +136,48 @@ void ShardedDelivery::refresh_sessions() {
             CandidateSender{j, view[j].sketch, view[j].symbol_count});
       }
     }
-    for (PlannedDownload& planned :
-         plan_downloads(me, view[me], candidates, options_, target,
-                        next_session_seed_)) {
+    peers_[me].planned = plan_downloads(me, view[me], candidates, options_,
+                                        target, next_session_seed_);
+  }
+  // Hand the pools back to the shards, which build what was planned.
+  if (!sampled) release_pool_owners();
+  run_phase(build_fn_);
+}
+
+void ShardedDelivery::phase_retire(std::size_t shard) {
+  for (const std::size_t id : shard_peers_[shard]) retire_downloads(id);
+}
+
+void ShardedDelivery::phase_build(std::size_t shard) {
+  // A download reads its receiver's Peer when it starts, and that Peer is
+  // as it was at its plan: retiring other receivers' downloads changed
+  // only theirs. Sender Peers are only referenced here.
+  bool serving = false;
+  for (const std::size_t id : shard_peers_[shard]) {
+    PeerEntry& entry = peers_[id];
+    for (const PlannedDownload& planned : std::exchange(entry.planned, {})) {
       auto download = std::make_unique<DownloadLink>(
-          *peers_[planned.sender_id].peer, *peers_[me].peer,
-          planned.session, planned.link, options_.block_size);
+          *peers_[planned.sender_id].peer, *entry.peer, planned.session,
+          planned.link, options_.block_size, shard_pools_[shard]);
       // The handshake itself flows over the link and completes across
       // subsequent ticks.
       download->receiver.start();
-      peers_[me].downloads.emplace(planned.sender_id, std::move(download));
+      entry.downloads.emplace_back(planned.sender_id, std::move(download));
     }
+    // Receivers drain their downloads in ascending sender order.
+    std::sort(entry.downloads.begin(), entry.downloads.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    serving = serving || !entry.downloads.empty();
   }
-  // Hand the pools back to whichever thread uses them next.
-  release_pool_owners();
+  // A shard left without downloads draws no frame before the next
+  // refresh: its pool need not pin their buffers meanwhile.
+  if (!serving) shard_pools_[shard]->trim();
 }
 
 void ShardedDelivery::retire_downloads(std::size_t id) {
   PeerEntry& entry = peers_[id];
   for (auto& [sender_id, download] : entry.downloads) {
-    teardown_download(*download);
+    teardown_download(id, *download);
   }
   entry.downloads.clear();
   // Sessions are fully retired: a peer that finished since the last
@@ -146,11 +187,12 @@ void ShardedDelivery::retire_downloads(std::size_t id) {
   if (entry.peer->has_content()) entry.peer->compact_on_complete();
 }
 
-void ShardedDelivery::teardown_download(DownloadLink& download) {
+void ShardedDelivery::teardown_download(std::size_t receiver,
+                                        DownloadLink& download) {
   // Deliver frames still in flight, then bank the link's costs.
   download.link.flush();
   download.receiver.tick();
-  accumulate_link(download, retired_link_totals_);
+  accumulate_link(download, retired_link_totals_[shard_of(receiver)]);
 }
 
 void ShardedDelivery::apply_faults(std::uint64_t now) {
@@ -190,7 +232,7 @@ void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
       const auto reason = receiver.failed()
                               ? FailedPeer::Reason::kHandshakeExhausted
                               : FailedPeer::Reason::kLivenessTimeout;
-      teardown_download(*it->second);
+      teardown_download(i, *it->second);
       entry.failed_peers.push_back(FailedPeer{it->first, now, reason});
       faults_.mark_suspect(it->first, now + suspect_ttl());
       it = entry.downloads.erase(it);
@@ -285,18 +327,8 @@ std::size_t ShardedDelivery::tick() {
 
   // Every sender half, barrier, every receiver half: one schedule at every
   // shard count, so shards = 1 simply runs both phases on this thread.
-  if (!pool_) {
-    phase_send(0);
-    phase_receive(0);
-  } else {
-    const auto start = std::chrono::steady_clock::now();
-    pool_->run(send_fn_);
-    pool_->run(receive_fn_);
-    parallel_wall_ns_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  run_phase(send_fn_);
+  run_phase(receive_fn_);
 
   // Failure sweep before the completion stamps, so sessions whose
   // receivers flagged a dead sender are retired at the tick they failed;
@@ -410,8 +442,8 @@ ShardedDelivery::LinkTotals ShardedDelivery::active_link_totals() const {
 }
 
 ShardedDelivery::LinkTotals ShardedDelivery::link_totals() const {
-  LinkTotals totals = retired_link_totals_;
-  totals += active_link_totals();
+  LinkTotals totals = active_link_totals();
+  for (const LinkTotals& retired : retired_link_totals_) totals += retired;
   return totals;
 }
 
@@ -428,10 +460,14 @@ MemoryAudit ShardedDelivery::memory_audit() const {
     for (const auto& [sender_id, download] : entry.downloads) {
       audit.endpoint_bytes += download->sender.memory_bytes() +
                               download->receiver.memory_bytes();
-      // Each link counts its shared pool exactly once; the transports
-      // exclude it (see Transport::memory_bytes).
+      // Engine links exclude the shard pool they share (see
+      // ChannelLink::memory_bytes).
       audit.link_bytes += download->link.memory_bytes();
     }
+  }
+  // Each shard's pool, shared by all its links, counts exactly once.
+  for (const auto& pool : shard_pools_) {
+    audit.link_bytes += pool->memory_bytes();
   }
   return audit;
 }

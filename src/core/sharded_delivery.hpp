@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/delivery.hpp"
@@ -14,7 +14,9 @@
 #include "core/fault_plan.hpp"
 #include "core/origin.hpp"
 #include "core/peer.hpp"
+#include "core/session_plan.hpp"
 #include "util/shard_pool.hpp"
+#include "wire/buffer_pool.hpp"
 #include "wire/transport.hpp"
 
 /// ShardedDelivery: the delivery engine — the application-level entry
@@ -31,8 +33,9 @@
 /// peers' decoders and, for every download a peer receives, the whole
 /// download — link and both endpoints — so the per-tick hot work
 /// (recoding, XOR-heavy decoding, frame encode/decode) runs on all shards
-/// concurrently. A download lives wholly on its receiver's shard; shards
-/// share no links, no buffers and no frames.
+/// concurrently. A download lives wholly on its receiver's shard, and
+/// every link on a shard draws its frames from that shard's one
+/// BufferPool; shards share no links, no buffers and no frames.
 ///
 /// Every tick is two phases with a barrier between them (see DESIGN.md,
 /// "Threading model"):
@@ -43,16 +46,28 @@
 ///   receive phase  — each shard applies its peers' origin symbols and
 ///                    runs the receiver halves, mutating only its own
 ///                    peers.
-/// shards = 1 runs both phases on the caller's thread, with no worker
-/// threads; shards >= 2 run them on a ShardPool. Admission/refresh and
-/// origin symbol draws stay single-threaded on the coordinator outside the
-/// phases, where they may touch any shard's state.
+/// A session refresh is a serial plan between two more shard phases: the
+/// shards retire their receivers' downloads, the coordinator ranks
+/// candidates and plans, and the shards build the planned downloads.
+/// shards = 1 runs every phase on the caller's thread, with no worker
+/// threads; shards >= 2 run them on a ShardPool. Planning, fault
+/// application and origin symbol draws stay single-threaded on the
+/// coordinator outside the phases, where they may touch any shard's
+/// state.
 ///
 /// Determinism: a tick is a function of the state at its start, so a run
 /// is a function of the plan alone — the shard count (1 included), and
 /// with it the placement of peers, cannot change it. The trajectories are
 /// pinned by tests/golden/engine_trajectories.txt.
 namespace icd::core {
+
+/// Frame buffers each shard's pool retains (BufferPool's retention
+/// bound). All of a shard's links share the pool, and a refresh's
+/// handshake burst puts a few frames per download in flight at once, so
+/// the bound carries most of one burst's buffers into the next instead of
+/// freeing and reallocating them: about 12 MB per shard on perfbench's
+/// swarm (see DESIGN.md, "Buffer ownership and lifetimes").
+inline constexpr std::size_t kShardPoolBuffers = 16384;
 
 struct ShardOptions {
   /// Worker shards. 1 = run the two phases on the caller's thread (no
@@ -141,8 +156,13 @@ class ShardedDelivery {
   LinkTotals link_totals() const;
 
   /// Per-peer memory audit across decoders, endpoints and links (scale
-  /// budget). Coordinator-only, between ticks.
+  /// budget); each shard's frame pool counts once. Coordinator-only,
+  /// between ticks.
   MemoryAudit memory_audit() const;
+  /// The frame pool every link on `shard` draws from. Between ticks only.
+  const wire::BufferPool& shard_pool(std::size_t shard) const {
+    return *shard_pools_.at(shard);
+  }
   /// Jump-planner counters. The names exist for perfbench, which reads
   /// them (as with events_processed()): `pushes` counts the peers holding
   /// a planned tick after each executed tick. Per-peer plans are never
@@ -165,9 +185,13 @@ class ShardedDelivery {
     std::unique_ptr<Peer> peer;
     bool origin_fed = false;
     std::size_t origin_index = 0;
-    /// Active downloads, keyed by the serving peer id. Both halves run on
-    /// this peer's shard.
-    std::map<std::size_t, std::unique_ptr<DownloadLink>> downloads;
+    /// Active downloads with their serving peer ids, sorted by sender id
+    /// (the receive order). Both halves run on this peer's shard.
+    std::vector<std::pair<std::size_t, std::unique_ptr<DownloadLink>>>
+        downloads;
+    /// Downloads the refresh planned for this receiver; its shard's build
+    /// phase turns them into `downloads`.
+    std::vector<PlannedDownload> planned;
     /// Origin symbol id reserved by the coordinator this tick; the owning
     /// shard runs the (pure, const) encode, so the XOR-heavy origin
     /// encoding parallelizes across the pool while the id sequence — and
@@ -190,7 +214,13 @@ class ShardedDelivery {
     std::vector<FailedPeer> failed_peers;
   };
 
+  /// A serial plan between two shard phases: retire (sampled admission;
+  /// full-pool admission retires serially inside the plan, the order the
+  /// golden trajectories pin), then the coordinator's snapshot, candidate
+  /// ranking and seed chain, then build.
   void refresh_sessions();
+  /// Unbinds every shard pool from its thread around the coordinator's
+  /// stand-in teardowns (BufferPool::debug_release_owner).
   void release_pool_owners();
   /// Coordinator-side, top-of-tick fault application: due crashes tear the
   /// crashed peer's own downloads down (banking wire costs; its decoded
@@ -210,8 +240,8 @@ class ShardedDelivery {
   void retire_downloads(std::size_t id);
   /// Graceful single-download teardown shared by refresh, crash, and the
   /// failure sweep: flush in-flight frames, final receiver drain, bank
-  /// wire costs.
-  void teardown_download(DownloadLink& download);
+  /// wire costs with the receiver's shard.
+  void teardown_download(std::size_t receiver, DownloadLink& download);
   bool failure_detection_enabled() const {
     return options_.liveness_timeout_ticks > 0 ||
            options_.max_handshake_retries > 0;
@@ -235,6 +265,16 @@ class ShardedDelivery {
   /// serviced or not (PeerEntry::next_due).
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
+  /// The refresh's shard phases: retire every download the shard's peers
+  /// receive (sampled admission), and build the downloads the plan gave
+  /// them. Each touches only its own receivers' state: a teardown changes
+  /// only its receiver, and a build reads only its receiver's Peer, which
+  /// nothing changed since its plan.
+  void phase_retire(std::size_t shard);
+  void phase_build(std::size_t shard);
+  /// Runs `phase` for every shard: on the pool, timed into
+  /// parallel_wall_ns_, or on this thread at shards = 1.
+  void run_phase(const std::function<void(std::size_t)>& phase);
   /// The earliest tick >= `now` at which peer i has work: `now` for an
   /// origin-fed peer (the fountain streams every tick), else the earliest
   /// DownloadLink::due_at over its downloads. nullopt for complete, down, or
@@ -263,7 +303,10 @@ class ShardedDelivery {
   /// phases on every shard; written only between pool runs.
   std::uint64_t tick_now_ = 0;
   std::uint64_t next_session_seed_;
-  LinkTotals retired_link_totals_;
+  /// Per shard: the frame pool its links share, and the wire costs of the
+  /// downloads its receivers retired.
+  std::vector<std::shared_ptr<wire::BufferPool>> shard_pools_;
+  std::vector<LinkTotals> retired_link_totals_;
   /// Fault bookkeeping (inert when options_.faults is null). Mutated on
   /// the coordinator only; the phases read per-tick snapshots and, while
   /// planning, the immutable plan (down()).
@@ -278,6 +321,8 @@ class ShardedDelivery {
   std::optional<util::ShardPool> pool_;
   std::function<void(std::size_t)> send_fn_;
   std::function<void(std::size_t)> receive_fn_;
+  std::function<void(std::size_t)> retire_fn_;
+  std::function<void(std::size_t)> build_fn_;
   std::uint64_t parallel_wall_ns_ = 0;
 };
 

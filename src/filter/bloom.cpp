@@ -65,7 +65,7 @@ void BloomFilter::serialize_into(util::ByteWriter& out) const {
   out.varint(hashes_);
   out.u64(seed_);
   out.varint(inserted_);
-  // Each word little-endian, the layout BitVector::from_bytes reads back.
+  // Each word little-endian, the layout BitVector::load_words reads back.
   for (const std::uint64_t word : bits_.words()) out.u64(word);
 }
 
@@ -89,7 +89,7 @@ BloomFilter BloomFilter::deserialize(std::span<const std::uint8_t> bytes) {
   }
   BloomFilter filter(bits, hashes, seed);
   const std::size_t words = (bits + 63) / 64;
-  filter.bits_ = util::BitVector::from_bytes(reader.view(words * 8), bits);
+  filter.bits_.load_words(reader.view(words * 8));
   filter.inserted_ = inserted;
   if (!reader.done()) {
     throw std::invalid_argument("BloomFilter: trailing bytes in blob");

@@ -26,10 +26,11 @@ class BitVector {
   /// Raw 64-bit words, little-endian bit order within each word.
   const std::vector<std::uint64_t>& words() const { return words_; }
 
-  /// Rebuilds a `bits`-bit vector from its words, 8 little-endian bytes
-  /// each (callers strip their own headers first).
-  static BitVector from_bytes(std::span<const std::uint8_t> bytes,
-                              std::size_t bits);
+  /// Overwrites every word from `bytes`, 8 little-endian bytes each
+  /// (callers strip their own headers first), in place: a decoder that
+  /// constructs the vector at its size pays for one array, not two.
+  /// Throws std::invalid_argument when `bytes` holds fewer words.
+  void load_words(std::span<const std::uint8_t> bytes);
 
  private:
   std::size_t bits_ = 0;

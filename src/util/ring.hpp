@@ -4,14 +4,18 @@
 #include <utility>
 #include <vector>
 
-/// A FIFO over a circular slot array that never releases its slots.
+/// A double-ended queue over a circular slot array that never releases
+/// its slots.
 ///
-/// std::deque allocates and frees node blocks as the head crosses chunk
-/// boundaries, which shows up as steady-state allocation churn on the
-/// zero-allocation symbol path (wire::Pipe and wire::LossyChannel queues).
-/// RingBuffer grows by doubling and then reuses the same slots forever:
-/// push/pop move values in and out, so a popped std::vector's heap storage
-/// travels with it and the vacated slot costs nothing to refill.
+/// std::deque allocates a map and a 512-byte node on construction and
+/// then frees and allocates node blocks as the head crosses chunk
+/// boundaries, which shows up as allocation churn on the zero-allocation
+/// symbol path (wire::Pipe and wire::LossyChannel queues, the timed delay
+/// line) and as four allocations per constructed link. RingBuffer
+/// allocates nothing until its first push, grows by doubling and then
+/// reuses the same slots forever: push/pop move values in and out, so a
+/// popped std::vector's heap storage travels with it and the vacated slot
+/// costs nothing to refill.
 namespace icd::util {
 
 template <typename T>
@@ -39,6 +43,11 @@ class RingBuffer {
     head_ = (head_ + 1) % slots_.size();
     --count_;
     return value;
+  }
+
+  T pop_back() {
+    --count_;
+    return std::move(slots_[index(count_)]);
   }
 
  private:

@@ -26,22 +26,28 @@
 ///
 /// A BufferPool is deliberately NOT thread-safe: the shard-local ownership
 /// rule (DESIGN.md, "Threading model") says every pool belongs to exactly
-/// one shard at a time — a download's link, and so its pool, lives wholly
-/// on the receiver's shard. Builds with owner checks enabled (debug
-/// builds, or any build defining ICD_POOL_OWNER_CHECKS) enforce the rule:
-/// the first acquire/release binds the pool to the calling thread and any
-/// call from a different thread aborts loudly, so a cross-shard buffer
-/// leak fails at the offending call site instead of corrupting a
-/// freelist. Coordinators that legitimately hand a pool between phases
-/// (session refresh runs single-threaded while workers are parked) call
-/// debug_release_owner() so the next user rebinds.
+/// one shard at a time — a download's link lives wholly on the receiver's
+/// shard and draws from that shard's pool. Builds with owner checks
+/// enabled (debug builds, or any build defining ICD_POOL_OWNER_CHECKS)
+/// enforce the rule: the first acquire/release binds the pool to the
+/// calling thread and any call from a different thread aborts loudly, so a
+/// cross-shard buffer leak fails at the offending call site instead of
+/// corrupting a freelist. Coordinators that legitimately hand a pool between phases
+/// (a crash or failure-sweep teardown runs single-threaded while workers
+/// are parked) call debug_release_owner() so the next user rebinds.
 namespace icd::wire {
 
 class BufferPool {
  public:
-  /// Buffers retained beyond this are freed on release() — bounds the
-  /// memory a bursty phase (handshake fragment trains) can pin forever.
+  /// Default retention bound: buffers retained beyond it are freed on
+  /// release() — bounds the memory a bursty phase (handshake fragment
+  /// trains) can pin forever. Enough for one link's private pool; a pool
+  /// shared by many links (the delivery engine's one pool per shard)
+  /// passes its own bound.
   static constexpr std::size_t kMaxPooled = 64;
+
+  explicit BufferPool(std::size_t max_pooled = kMaxPooled)
+      : max_pooled_(max_pooled) {}
 
   struct Stats {
     std::size_t acquires = 0;  // total acquire() calls
@@ -71,7 +77,7 @@ class BufferPool {
   void release(std::vector<std::uint8_t> buffer) {
     check_owner("release");
     ++stats_.releases;
-    if (free_.size() >= kMaxPooled) return;  // freed by destruction
+    if (free_.size() >= max_pooled_) return;  // freed by destruction
     buffer.clear();
     free_.push_back(std::move(buffer));
   }
@@ -87,10 +93,17 @@ class BufferPool {
 #endif
   }
 
+  /// Frees every pooled buffer (the stats stay): for an owner that knows
+  /// no frame will be drawn for a while.
+  void trim() {
+    check_owner("trim");
+    decltype(free_)().swap(free_);
+  }
+
   std::size_t pooled() const { return free_.size(); }
   const Stats& stats() const { return stats_; }
 
-  /// Heap bytes the freelist pins (scale audit; counted once per link).
+  /// Heap bytes the freelist pins (scale audit; counted once per pool).
   std::size_t memory_bytes() const {
     std::size_t bytes = free_.capacity() * sizeof(std::vector<std::uint8_t>);
     for (const auto& buffer : free_) bytes += buffer.capacity();
@@ -118,6 +131,7 @@ class BufferPool {
 #endif
   }
 
+  std::size_t max_pooled_;
   std::vector<std::vector<std::uint8_t>> free_;
   Stats stats_;
 #if defined(ICD_POOL_OWNER_CHECKS)

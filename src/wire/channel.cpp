@@ -9,16 +9,18 @@ namespace icd::wire {
 // --- TimedFrameQueue --------------------------------------------------------
 
 void TimedFrameQueue::place(TimedFrame frame) {
-  auto at = queue_.end();
-  while (at != queue_.begin()) {
-    auto prev = std::prev(at);
-    if (prev->arrival < frame.arrival ||
-        (prev->arrival == frame.arrival && prev->seq < frame.seq)) {
+  // Append, then swap the frame forward past every later (arrival, seq):
+  // one step of insertion sort, usually zero swaps.
+  queue_.push_back(std::move(frame));
+  for (std::size_t i = queue_.size() - 1; i > 0; --i) {
+    TimedFrame& prev = queue_[i - 1];
+    TimedFrame& next = queue_[i];
+    if (prev.arrival < next.arrival ||
+        (prev.arrival == next.arrival && prev.seq < next.seq)) {
       break;
     }
-    at = prev;
+    std::swap(prev, next);
   }
-  queue_.insert(at, std::move(frame));
 }
 
 void TimedFrameQueue::insert(TimedFrame frame, bool swap_with_last) {
@@ -26,8 +28,7 @@ void TimedFrameQueue::insert(TimedFrame frame, bool swap_with_last) {
     // Adjacent reorder: the new frame and the latest-scheduled queued one
     // exchange arrival times; both are re-placed so the (arrival, seq)
     // sort — and next_arrival() — stay correct.
-    TimedFrame last = std::move(queue_.back());
-    queue_.pop_back();
+    TimedFrame last = queue_.pop_back();
     std::swap(last.arrival, frame.arrival);
     place(std::move(last));
   }
@@ -37,14 +38,12 @@ void TimedFrameQueue::insert(TimedFrame frame, bool swap_with_last) {
 std::optional<std::vector<std::uint8_t>> TimedFrameQueue::pop_due(
     std::uint64_t now) {
   if (queue_.empty() || queue_.front().arrival > now) return std::nullopt;
-  auto frame = std::move(queue_.front().frame);
-  queue_.pop_front();
-  return frame;
+  return queue_.pop_front().frame;
 }
 
 void TimedFrameQueue::collapse_to(std::uint64_t now) {
-  for (TimedFrame& timed_frame : queue_) {
-    timed_frame.arrival = std::min(timed_frame.arrival, now);
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    queue_[i].arrival = std::min(queue_[i].arrival, now);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -159,7 +158,8 @@ struct TimedFrame {
 /// The (arrival, seq)-sorted delay line of a timed LossyChannel: earliest
 /// arrival at the front, near-sorted insertion scanned from the back
 /// (frames are scheduled in roughly increasing arrival order, so the scan
-/// is short).
+/// is short). Kept in a RingBuffer, which allocates nothing until the
+/// first frame and reuses its slots after that.
 class TimedFrameQueue {
  public:
   bool empty() const { return queue_.empty(); }
@@ -185,14 +185,16 @@ class TimedFrameQueue {
   /// Heap bytes the delay line pins (frames + per-entry bookkeeping).
   std::size_t memory_bytes() const {
     std::size_t bytes = queue_.size() * sizeof(TimedFrame);
-    for (const TimedFrame& entry : queue_) bytes += entry.frame.capacity();
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      bytes += queue_[i].frame.capacity();
+    }
     return bytes;
   }
 
  private:
   void place(TimedFrame frame);
 
-  std::deque<TimedFrame> queue_;
+  util::RingBuffer<TimedFrame> queue_;
 };
 
 /// Sender-side simulated-time shaping of a timed LossyChannel: a virtual

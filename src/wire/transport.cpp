@@ -230,11 +230,14 @@ ChannelConfig decorrelated(ChannelConfig config) {
 
 }  // namespace
 
-ChannelLink::ChannelLink(ChannelConfig both_ways)
-    : ChannelLink(both_ways, decorrelated(both_ways)) {}
+ChannelLink::ChannelLink(ChannelConfig both_ways,
+                         std::shared_ptr<BufferPool> pool)
+    : ChannelLink(both_ways, decorrelated(both_ways), std::move(pool)) {}
 
-ChannelLink::ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a)
-    : a_to_b_(a_to_b), b_to_a_(b_to_a), pool_(std::make_shared<BufferPool>()),
+ChannelLink::ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a,
+                         std::shared_ptr<BufferPool> pool)
+    : a_to_b_(a_to_b), b_to_a_(b_to_a), owns_pool_(pool == nullptr),
+      pool_(pool ? std::move(pool) : std::make_shared<BufferPool>()),
       a_(a_to_b_, b_to_a_, pool_), b_(b_to_a_, a_to_b_, pool_) {}
 
 }  // namespace icd::wire

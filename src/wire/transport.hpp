@@ -109,8 +109,8 @@ class Transport {
   const BufferPool& pool() const { return *pool_; }
   /// Heap bytes this transport pins: reassembly partials, the live
   /// receive frame, and decode scratch. The shared BufferPool is
-  /// deliberately EXCLUDED — both ends of a link share one pool, so the
-  /// owning link counts it exactly once (see ChannelLink::memory_bytes /
+  /// deliberately EXCLUDED — both ends of a link share one pool, so its
+  /// owner counts it exactly once (see ChannelLink::memory_bytes /
   /// MemoryAudit).
   std::size_t memory_bytes() const {
     std::size_t bytes = rx_frame_.capacity() +
@@ -143,7 +143,7 @@ class Transport {
   virtual bool send_datagram(std::vector<std::uint8_t> frame) = 0;
   virtual std::optional<std::vector<std::uint8_t>> next_datagram() = 0;
 
-  /// Frame buffers cycle through the link-shared pool.
+  /// Frame buffers cycle through the shared pool.
   std::vector<std::uint8_t> acquire_buffer() { return pool_->acquire(); }
   void release_buffer(std::vector<std::uint8_t> buffer) {
     pool_->release(std::move(buffer));
@@ -247,12 +247,19 @@ class ChannelTransport : public Transport {
 /// A bidirectional lossy link: two LossyChannels plus the two endpoint
 /// transports over them, bundled so callers can stand up a per-edge link
 /// from a pair of ChannelConfigs in one line.
+///
+/// Both transports draw frames from one BufferPool: the link's own when
+/// `pool` is null, else `pool`, which the caller owns and may share with
+/// other links used on the same thread (the delivery engine's one pool
+/// per shard).
 class ChannelLink {
  public:
   /// Same shaping in both directions; the reverse channel gets a
   /// decorrelated seed.
-  explicit ChannelLink(ChannelConfig both_ways);
-  ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a);
+  explicit ChannelLink(ChannelConfig both_ways,
+                       std::shared_ptr<BufferPool> pool = nullptr);
+  ChannelLink(ChannelConfig a_to_b, ChannelConfig b_to_a,
+              std::shared_ptr<BufferPool> pool = nullptr);
 
   /// The transports hold references into this object's channels: copying
   /// or moving would silently alias (then dangle) them.
@@ -309,18 +316,22 @@ class ChannelLink {
   }
 
   /// Heap bytes the whole edge pins: both channels' queued frames, both
-  /// transports' reassembly/scratch state, and the shared BufferPool
+  /// transports' reassembly/scratch state, and the link's own BufferPool
   /// charged exactly once (the transports exclude it; see
-  /// Transport::memory_bytes).
+  /// Transport::memory_bytes). A caller-owned pool is the caller's to
+  /// count, once, however many links share it.
   std::size_t memory_bytes() const {
     return a_to_b_.memory_bytes() + b_to_a_.memory_bytes() +
-           pool_->memory_bytes() + a_.memory_bytes() + b_.memory_bytes();
+           (owns_pool_ ? pool_->memory_bytes() : 0) + a_.memory_bytes() +
+           b_.memory_bytes();
   }
 
  private:
   LossyChannel a_to_b_;
   LossyChannel b_to_a_;
-  /// Shared pool, as in Pipe; frames the channels drop are simply freed.
+  /// Shared by both ends, as in Pipe; frames the channels drop are simply
+  /// freed.
+  bool owns_pool_;
   std::shared_ptr<BufferPool> pool_;
   ChannelTransport a_;
   ChannelTransport b_;

@@ -4,7 +4,7 @@
 // reuse-after-release), reassembly cost under a hostile fragment, the
 // channel's one-hop queue residency, the steady-state allocation
 // guarantee of the endpoint send path, neighbor-set derivation at large
-// degrees and the control-frame decode of a sketch.
+// degrees and the control-frame decode of a sketch and a Bloom summary.
 //
 // This binary replaces global operator new/delete with counting versions;
 // keep it free of death tests and threads.
@@ -25,6 +25,7 @@
 #include "core/origin.hpp"
 #include "core/peer.hpp"
 #include "core/session.hpp"
+#include "filter/bloom.hpp"
 #include "sketch/minwise.hpp"
 #include "util/random.hpp"
 #include "wire/buffer_pool.hpp"
@@ -572,6 +573,29 @@ TEST(ControlDecode, SketchFrameCostsOnlyTheDecodedMinima) {
             sketch.permutation_count() * sizeof(std::uint64_t));
   EXPECT_EQ(std::get<wire::SketchMessage>(decoded).sketch.minima(),
             sketch.minima());
+}
+
+TEST(ControlDecode, BloomFrameCostsOneBitArray) {
+  // The bit array is decoded straight into the filter the decoder
+  // constructs: one allocation of the array's words, no second array to
+  // replace it with.
+  auto filter = filter::BloomFilter::with_bits_per_element(
+      1000, filter::kSummaryBitsPerElement);
+  util::Xoshiro256 rng(0xb1);
+  for (int i = 0; i < 1000; ++i) filter.insert(rng() >> 1);
+  const auto frame = wire::encode_frame(wire::BloomSummaryMessage{filter});
+  const std::size_t words = (filter.bit_count() + 63) / 64;
+  ASSERT_EQ(words, 125u);
+  const std::size_t allocations =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::size_t bytes = g_allocated_bytes.load(std::memory_order_relaxed);
+  const wire::Message decoded = wire::decode_control_frame(frame);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - allocations, 1u);
+  EXPECT_EQ(g_allocated_bytes.load(std::memory_order_relaxed) - bytes,
+            words * sizeof(std::uint64_t));
+  const auto& restored = std::get<wire::BloomSummaryMessage>(decoded).filter;
+  EXPECT_EQ(restored.bit_count(), filter.bit_count());
+  EXPECT_EQ(restored.serialize(), filter.serialize());
 }
 
 }  // namespace

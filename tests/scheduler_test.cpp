@@ -66,6 +66,81 @@ TEST(TimedFrameQueue, ReorderSwapKeepsQueueSortedAndNextArrivalTrue) {
   EXPECT_TRUE(queue.empty());
 }
 
+TEST(TimedFrameQueue, RandomizedOperationsMatchASortedInsertReference) {
+  // The delay line against a plain vector kept sorted by (arrival, seq)
+  // with upper_bound inserts: arrivals near-sorted and scattered, reorder
+  // swaps with the latest-scheduled frame, pops as the clock advances,
+  // and a final collapse that clamps every arrival in place.
+  struct Entry {
+    std::uint64_t arrival;
+    std::uint64_t seq;
+    std::uint16_t tag;
+  };
+  const auto before = [](const Entry& a, const Entry& b) {
+    return a.arrival < b.arrival || (a.arrival == b.arrival && a.seq < b.seq);
+  };
+  std::vector<Entry> reference;
+  const auto reference_insert = [&](Entry entry) {
+    reference.insert(
+        std::upper_bound(reference.begin(), reference.end(), entry, before),
+        entry);
+  };
+  util::Xoshiro256 rng(0x71);
+  wire::TimedFrameQueue queue;
+  std::uint64_t now = 0;
+  std::uint64_t seq = 0;
+  std::uint16_t tag = 0;
+  std::size_t swaps = 0;
+  std::size_t pops = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.next_below(3) != 0) {
+      const std::uint64_t arrival = rng.next_below(4) == 0
+                                        ? now + rng.next_below(40)
+                                        : now + 3 + rng.next_below(3);
+      const bool swap = rng.next_below(5) == 0;
+      Entry entry{arrival, seq++, tag++};
+      if (swap && !reference.empty()) {
+        Entry last = reference.back();
+        reference.pop_back();
+        std::swap(last.arrival, entry.arrival);
+        reference_insert(last);
+        ++swaps;
+      }
+      reference_insert(entry);
+      queue.insert({arrival, entry.seq, tagged_frame(entry.tag)}, swap);
+    } else {
+      now += rng.next_below(3);
+      const auto popped = queue.pop_due(now);
+      if (!reference.empty() && reference.front().arrival <= now) {
+        ASSERT_TRUE(popped.has_value()) << "step " << step;
+        EXPECT_EQ(frame_tag(*popped), reference.front().tag) << step;
+        reference.erase(reference.begin());
+        ++pops;
+      } else {
+        ASSERT_FALSE(popped.has_value()) << "step " << step;
+      }
+    }
+    ASSERT_EQ(queue.empty(), reference.empty());
+    ASSERT_EQ(queue.next_arrival(),
+              reference.empty()
+                  ? std::nullopt
+                  : std::optional<std::uint64_t>{reference.front().arrival});
+  }
+  ASSERT_GT(swaps, 100u);
+  ASSERT_GT(pops, 100u);
+  ASSERT_FALSE(reference.empty());
+  queue.collapse_to(now);
+  for (Entry& entry : reference) entry.arrival = std::min(entry.arrival, now);
+  for (const Entry& entry : reference) {
+    ASSERT_EQ(queue.next_arrival(),
+              std::optional<std::uint64_t>{entry.arrival});
+    const auto popped = queue.pop_due(now);
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(frame_tag(*popped), entry.tag);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
 // --- Virtual clock: propagation delay, jitter -------------------------------
 
 TEST(TimedChannel, PropagationDelayHoldsFramesUntilDue) {

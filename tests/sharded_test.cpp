@@ -1,8 +1,9 @@
 // Sharded delivery engine: determinism contract (every shard count, 1
-// included, gives one identical trajectory), multi-shard swarm correctness
+// included, gives one identical trajectory, also across refreshes whose
+// teardown and build run on the shards), multi-shard swarm correctness
 // (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
-// read-only id lookups on a Peer shared across threads, and the
-// shard-local ownership of link buffer pools.
+// the reuse of each shard's frame pool, read-only id lookups on a Peer
+// shared across threads, and the shard-local ownership of buffer pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,6 +130,7 @@ struct Trajectory {
   std::vector<std::size_t> completion;
   std::vector<std::vector<std::uint8_t>> content;
   core::ShardedDelivery::LinkTotals totals;
+  std::size_t ticks = 0;
 };
 
 Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
@@ -151,21 +153,22 @@ Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
                                      : std::vector<std::uint8_t>{});
   }
   trajectory.totals = service.link_totals();
+  trajectory.ticks = service.ticks();
   return trajectory;
 }
 
 /// Every download runs wholly on its receiver's shard in the same two
 /// phases — on the caller's thread at shards = 1 — so the run is a
 /// function of the plan alone: 1, 2, 3 and 4 shards must agree bit for
-/// bit.
-void expect_shard_count_invariant(const std::vector<std::uint8_t>& content,
-                                  const core::DeliveryOptions& options,
-                                  std::size_t peers, std::size_t fed,
-                                  std::size_t max_ticks) {
-  const Trajectory two =
+/// bit. Returns the 2-shard trajectory.
+Trajectory expect_shard_count_invariant(
+    const std::vector<std::uint8_t>& content,
+    const core::DeliveryOptions& options, std::size_t peers, std::size_t fed,
+    std::size_t max_ticks) {
+  Trajectory two =
       run_with_shards(content, options, 2, peers, fed, max_ticks);
   for (std::size_t p = 0; p < two.completion.size(); ++p) {
-    ASSERT_NE(two.completion[p], 0u) << "peer " << p << " stuck";
+    EXPECT_NE(two.completion[p], 0u) << "peer " << p << " stuck";
     EXPECT_EQ(two.content[p], content) << "peer " << p;
   }
   for (const std::size_t shards : {1u, 3u, 4u}) {
@@ -175,7 +178,9 @@ void expect_shard_count_invariant(const std::vector<std::uint8_t>& content,
     EXPECT_EQ(other.completion, two.completion);
     EXPECT_EQ(other.content, two.content);
     EXPECT_EQ(other.totals, two.totals);
+    EXPECT_EQ(other.ticks, two.ticks);
   }
+  return two;
 }
 
 TEST(ShardCountInvariance, UntimedLossAndReorderSwarm) {
@@ -205,12 +210,36 @@ TEST(ShardCountInvariance, TimedSwarmUnderCrashRestartJoinAndBlackout) {
                                /*peers=*/8, /*fed=*/2, 10000);
 }
 
+TEST(ShardCountInvariance, SampledAdmissionRefreshesAcrossCrashAndRestart) {
+  // Sampled admission retires every download on its receiver's shard and
+  // builds the planned ones there too; a crash between refreshes retires
+  // the crashed peer's downloads on the coordinator instead. Neither may
+  // leak the shard count into the run.
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({30, 4});
+  plan->restarts.push_back({60, 4});
+  auto options = small_options();
+  options.faults = plan;
+  options.admission_sample = 3;
+  options.refresh_interval = 20;
+  options.link.loss_rate = 0.05;
+  options.link.delay_ticks = 1;
+  const Trajectory two = expect_shard_count_invariant(
+      random_content(64 * 50, 32), options, /*peers=*/14, /*fed=*/2, 10000);
+  // Refreshes at 0, 20, 40 and 60 at least: the crash and the restart
+  // both fall between refreshes of the run.
+  EXPECT_GT(two.ticks, 3 * options.refresh_interval);
+  EXPECT_GT(*std::max_element(two.completion.begin(), two.completion.end()),
+            3 * options.refresh_interval);
+}
+
 // --- Link memory ------------------------------------------------------------
 
 TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
   // A mid-download audit of a 2-shard swarm: every live link is a plain
-  // ChannelLink (queued frames, transport scratch, one shared pool), so
-  // the per-peer link share stays a few KiB wherever the two ends live.
+  // ChannelLink (queued frames, transport scratch) drawing from its
+  // shard's pool, which the audit counts once, so the per-peer link share
+  // stays a few KiB wherever the two ends live.
   const auto content = random_content(64 * 60, 30);
   constexpr std::size_t kPeers = 16;
   core::ShardedDelivery service(content, small_options(),
@@ -232,6 +261,50 @@ TEST(ShardedDelivery, MultiShardLinkBytesPerPeerStayBounded) {
   ASSERT_TRUE(mid.has_value()) << "swarm never reached a quarter complete";
   ASSERT_GT(mid->link_bytes, 0u);
   EXPECT_LT(mid->link_bytes / mid->peers, 16 * 1024u);
+}
+
+// --- Shard frame pools -------------------------------------------------------
+
+TEST(ShardedDelivery, ShardPoolsServeRefreshesFromRecycledFrames) {
+  // Every link on a shard draws frames from the shard's one pool, so once
+  // the first refresh has filled the pools, later refreshes' handshake
+  // bursts reuse the buffers earlier frames returned instead of
+  // allocating.
+  auto options = small_options();
+  options.admission_sample = 4;
+  options.refresh_interval = 20;
+  options.link.delay_ticks = 1;
+  const auto content = random_content(64 * 60, 33);
+  constexpr std::size_t kPeers = 40;
+  constexpr std::size_t kShards = 2;
+  core::ShardedDelivery service(content, options,
+                                core::ShardOptions{kShards});
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p % 8 == 0);
+  }
+  // No peer holds a symbol at the refresh of tick 0, so the one at tick
+  // 20 is the first to build downloads, from cold pools.
+  while (service.ticks() < 2 * options.refresh_interval) service.tick();
+  std::vector<wire::BufferPool::Stats> first(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    first[s] = service.shard_pool(s).stats();
+    ASSERT_GT(first[s].acquires, 0u) << "shard " << s;
+  }
+  ASSERT_TRUE(service.run(8000));
+  ASSERT_GT(service.ticks(), 4 * options.refresh_interval);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const auto& stats = service.shard_pool(s).stats();
+    const std::size_t acquires = stats.acquires - first[s].acquires;
+    const std::size_t hits = stats.hits - first[s].hits;
+    ASSERT_GT(acquires, 0u) << "shard " << s;
+    EXPECT_GE(static_cast<double>(hits), 0.9 * static_cast<double>(acquires))
+        << "shard " << s << ": " << hits << " of " << acquires;
+  }
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    EXPECT_EQ(service.peer_content(p), content) << p;
+  }
 }
 
 // --- Concurrent reads of one const Peer (TSAN target) ------------------------

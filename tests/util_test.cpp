@@ -347,15 +347,18 @@ TEST(BitVector, SetGet) {
 }
 
 TEST(BitVector, SerializationRoundTrip) {
-  // from_bytes reads the words as BloomFilter::serialize_into writes them.
+  // load_words reads the words as BloomFilter::serialize_into writes them.
   BitVector bits(100);
   bits.set(5);
   bits.set(63);
   bits.set(99);
   ByteWriter writer;
   for (const std::uint64_t word : bits.words()) writer.u64(word);
-  const auto restored = BitVector::from_bytes(writer.bytes(), 100);
+  BitVector restored(100);
+  restored.load_words(writer.bytes());
   EXPECT_EQ(bits, restored);
+  EXPECT_THROW(restored.load_words(std::span(writer.bytes()).first(8)),
+               std::invalid_argument);
 }
 
 TEST(ByteBuffer, RoundTripsAllWidths) {
