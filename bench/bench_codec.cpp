@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "codec/decoder.hpp"
 #include "codec/degree.hpp"
 #include "codec/encoder.hpp"
-#include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "codec/recoder.hpp"
 #include "codec/solver_reference.hpp"
@@ -101,29 +99,6 @@ void print_overhead_table(bench::JsonReport& report, bool smoke) {
                 100.0 * (overhead - 1.0),
                 blocks == 23968u ? "deg 11, 6.8%" : "");
     report.add("decode_overhead_" + std::to_string(blocks), overhead - 1.0);
-  }
-  std::printf("\n");
-}
-
-void print_inactivation_table(bool smoke) {
-  std::printf("=== Extension: peeling vs inactivation decoding overhead "
-              "===\n");
-  std::printf("%10s %14s %16s\n", "blocks", "peeling", "inactivation");
-  std::vector<std::size_t> sweep = {500u, 1000u, 2000u};
-  if (smoke) sweep = {500u};
-  for (const std::size_t blocks : sweep) {
-    const auto dist = codec::DegreeDistribution::robust_soliton(blocks);
-    double peel = 0, inact = 0;
-    const int trials = smoke ? 1 : 3;
-    for (int t = 0; t < trials; ++t) {
-      peel += codec::measure_decode_overhead(
-          static_cast<std::uint32_t>(blocks), 4, dist, 0xabc + t);
-      inact += codec::measure_inactivation_overhead(
-          static_cast<std::uint32_t>(blocks), 4, dist, 0xabc + t);
-    }
-    std::printf("%10zu %13.1f%% %15.2f%%\n", blocks,
-                100.0 * (peel / trials - 1.0),
-                100.0 * (inact / trials - 1.0));
   }
   std::printf("\n");
 }
@@ -271,69 +246,6 @@ void print_substitution_throughput(bench::JsonReport& report, bool smoke) {
   report.add("substitution_speedup_vs_reference", reference_s / solver_s);
 }
 
-/// Inactivation solve phase at a forced residual of u unknowns: constant
-/// degree 3 never peels from cold (every recovery comes out of the GF(2)
-/// elimination), and try_solve runs after every arrival past l — the
-/// endpoint-driven pattern. Only the try_solve calls are timed, isolating
-/// incremental elimination-state maintenance vs the reference's
-/// from-scratch rebuild. CI gates solve_incremental_speedup.
-void print_solve_lanes(bench::JsonReport& report, bool smoke) {
-  std::printf("=== inactivation solve phase: incremental vs scratch "
-              "elimination (constant degree 3) ===\n");
-  std::printf("%8s %16s %14s %10s\n", "u", "incremental ms", "scratch ms",
-              "speedup");
-  std::vector<std::size_t> sweep = {64u, 256u, 1024u};
-  if (smoke) sweep = {64u};
-  double gated_speedup = 0;
-  for (const std::size_t u : sweep) {
-    const int trials = u >= 1024 ? 1 : 3;
-    double incremental_s = 0, scratch_s = 0;
-    for (int trial = 0; trial < trials; ++trial) {
-      const auto dist = codec::DegreeDistribution::constant(3);
-      util::Xoshiro256 rng(0x501 + 131 * static_cast<std::uint64_t>(trial));
-      std::vector<std::uint8_t> content(u * 8);
-      for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
-      const codec::BlockSource source(content, 8);
-      codec::Encoder encoder(source, dist,
-                             0xE11 + static_cast<std::uint64_t>(trial));
-      codec::InactivationDecoder incremental(encoder.parameters(), dist);
-      codec::ReferenceInactivationDecoder scratch(encoder.parameters(), dist);
-      const std::size_t max_symbols = 40 * u + 1000;
-      while (!incremental.complete() &&
-             incremental.received_count() < max_symbols) {
-        const auto symbol = encoder.next();
-        incremental.add_symbol(symbol);
-        scratch.add_symbol(symbol);
-        if (incremental.received_count() < u) continue;
-        auto start = Clock::now();
-        incremental.try_solve();
-        incremental_s += seconds_since(start);
-        start = Clock::now();
-        scratch.try_solve();
-        scratch_s += seconds_since(start);
-      }
-      if (!incremental.complete() || !scratch.complete()) {
-        std::fprintf(stderr, "solve lane u=%zu trial %d did not converge\n",
-                     u, trial);
-        std::exit(1);
-      }
-    }
-    const double speedup = scratch_s / incremental_s;
-    std::printf("%8zu %16.3f %14.3f %9.1fx\n", u,
-                incremental_s * 1e3 / trials, scratch_s * 1e3 / trials,
-                speedup);
-    report.add("solve_incremental_ms_u" + std::to_string(u),
-               incremental_s * 1e3 / trials);
-    report.add("solve_scratch_ms_u" + std::to_string(u),
-               scratch_s * 1e3 / trials);
-    report.add("solve_speedup_u" + std::to_string(u), speedup);
-    if (u == sweep.front()) gated_speedup = speedup;
-  }
-  // The CI-gated lane: measured at the u every mode sweeps.
-  report.add("solve_incremental_speedup", gated_speedup);
-  std::printf("\n");
-}
-
 void BM_Encode(benchmark::State& state) {
   const auto blocks = static_cast<std::size_t>(state.range(0));
   const auto source = make_source(blocks, 1400);
@@ -415,11 +327,9 @@ int main(int argc, char** argv) {
   report.add_string("mode", smoke ? "smoke" : "full");
   print_xor_throughput(report, smoke);
   print_overhead_table(report, smoke);
-  print_inactivation_table(smoke);
   print_decode_rate(report, smoke);
   print_sketch_decode(report, smoke);
   print_substitution_throughput(report, smoke);
-  print_solve_lanes(report, smoke);
   report.write("BENCH_codec.json");
 
   if (!smoke) {

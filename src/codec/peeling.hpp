@@ -24,11 +24,10 @@
 /// names it, which may cascade.
 ///
 /// Layout (see DESIGN.md "Solver internals"): equations live in
-/// structure-of-arrays form. The initial unknown keys of every buffered
-/// equation are appended to one flat CSR arena (`arena_` + `eq_begin_`
-/// offsets) that is never edited afterwards; the *live* unknown set of an
-/// equation is tracked only as a count (`eq_unknowns_`) plus the XOR of its
-/// unknown keys (`eq_acc_`). Substituting a recovered key is then O(1) per
+/// structure-of-arrays form, and an equation is its counter, accumulator,
+/// payload and incidences: its live unknown set is tracked only as a count
+/// (`eq_unknowns_`) plus the XOR of its unknown keys (`eq_acc_`), and no
+/// key row is stored. Substituting a recovered key is then O(1) per
 /// (key, equation) incidence — decrement the counter, XOR the key out of
 /// the accumulator, fold the value into the payload — and when the counter
 /// hits 1 the surviving key *is* the accumulator: no scans, no erases. The
@@ -415,47 +414,14 @@ class PeelingDecoder {
   /// release_solver_state().
   const DecoderStats& stats() const { return stats_; }
 
-  // --- Equation plane -----------------------------------------------------
-  // Read-only access to the buffered-equation arrays, consumed by the
-  // incremental inactivation solver (which folds live residual equations
-  // into its GF(2) elimination state without re-storing them) and by
-  // white-box tests. Equation ids are dense and stable until
-  // release_solver_state().
-
-  /// Number of equations ever buffered (live + retired).
-  std::size_t equation_count() const { return eq_unknowns_.size(); }
-
-  /// True while the equation still has >= 2 unknowns.
-  bool equation_live(std::size_t eq) const { return eq_unknowns_[eq] != 0; }
-
-  std::uint32_t equation_unknown_count(std::size_t eq) const {
-    return eq_unknowns_[eq];
-  }
-
-  /// The equation's unknown keys *at buffering time* (its CSR arena row).
-  /// Keys recovered since then are identified via is_known(); their values
-  /// are already folded into equation_payload().
-  std::span<const Key> equation_keys(std::size_t eq) const {
-    return std::span<const Key>(arena_.data() + eq_begin_[eq],
-                                eq_begin_[eq + 1] - eq_begin_[eq]);
-  }
-
-  /// Current payload: original XOR values of all since-recovered keys.
-  /// Meaningful only while equation_live(eq).
-  const std::vector<std::uint8_t>& equation_payload(std::size_t eq) const {
-    return eq_payload_[eq];
-  }
-
   /// Heap bytes this decoder pins: recovered values (incl. the dense
-  /// bitmap/table, or the slab and its slot table), the key arena and
-  /// per-equation arrays, buffered payloads, the incidence pool + waiting
-  /// index, the pending queue, the recovery log, and the payload freelist.
-  /// Exact: every structure, the probe tables' cell arrays included, is
-  /// vector storage counted at capacity.
+  /// bitmap/table, or the slab and its slot table), the per-equation
+  /// arrays, buffered payloads, the incidence pool + waiting index, the
+  /// pending queue, the recovery log, the payload freelist, and the dedup
+  /// and staging scratch. Exact: every structure, the probe tables' cell
+  /// arrays included, is vector storage counted at capacity.
   std::size_t memory_bytes() const {
     std::size_t bytes = known_.memory_bytes();
-    bytes += arena_.capacity() * sizeof(Key);
-    bytes += eq_begin_.capacity() * sizeof(std::uint32_t);
     bytes += eq_unknowns_.capacity() * sizeof(std::uint32_t);
     bytes += eq_acc_.capacity() * sizeof(Key);
     bytes += eq_payload_.capacity() * sizeof(std::vector<std::uint8_t>);
@@ -466,20 +432,18 @@ class PeelingDecoder {
     bytes += log_.capacity() * sizeof(Key);
     bytes += payload_pool_.capacity() * sizeof(std::vector<std::uint8_t>);
     for (const auto& payload : payload_pool_) bytes += payload.capacity();
+    bytes += (dedup_scratch_.capacity() + unknown_scratch_.capacity()) *
+             sizeof(Key);
     return bytes;
   }
 
-  /// Releases solver-only storage — the key arena, per-equation arrays,
-  /// the waiting index, the substitution queue, the payload freelist —
+  /// Releases solver-only storage — the per-equation arrays, the waiting
+  /// index, the substitution queue, the payload freelist, the scratch —
   /// once no further equations will ever arrive (session completion).
   /// Recovered values (`known_`), the recovery log, the redundancy counter
   /// and op stats survive: serving recoded symbols and content reassembly
-  /// read them. Idempotent. Equation ids are invalidated.
+  /// read them. Idempotent.
   void release_solver_state() {
-    arena_.clear();
-    arena_.shrink_to_fit();
-    eq_begin_.assign(1, 0);
-    eq_begin_.shrink_to_fit();
     eq_unknowns_.clear();
     eq_unknowns_.shrink_to_fit();
     eq_acc_.clear();
@@ -496,6 +460,8 @@ class PeelingDecoder {
     payload_pool_.shrink_to_fit();
     dedup_scratch_.clear();
     dedup_scratch_.shrink_to_fit();
+    unknown_scratch_.clear();
+    unknown_scratch_.shrink_to_fit();
     live_equations_ = 0;
   }
 
@@ -568,21 +534,20 @@ class PeelingDecoder {
       effective = dedup_scratch_;
     }
 
-    // Substitute already-known variables; stage the unknowns in the arena.
-    const std::size_t arena_mark = arena_.size();
+    // Substitute already-known variables; stage the unknowns in scratch.
+    unknown_scratch_.clear();
     Key acc{};
-    std::uint32_t unknowns = 0;
     for (const Key& k : effective) {
       if (const auto* value = known_.find(k)) {
         ++stats_.substitutions;
         xor_into(payload, *value);
       } else {
-        arena_.push_back(k);
+        unknown_scratch_.push_back(k);
         acc ^= k;
-        ++unknowns;
       }
     }
 
+    const auto unknowns = static_cast<std::uint32_t>(unknown_scratch_.size());
     if (unknowns == 0) {
       ++redundant_;
       ++stats_.redundant;
@@ -590,19 +555,14 @@ class PeelingDecoder {
       return false;
     }
     if (unknowns == 1) {
-      const Key last = arena_.back();
-      arena_.pop_back();
-      recover(last, std::move(payload));
+      recover(acc, std::move(payload));  // a lone unknown is the accumulator
       drain();
       return true;
     }
 
     const std::uint32_t eq_id =
         static_cast<std::uint32_t>(eq_unknowns_.size());
-    for (std::size_t i = arena_mark; i < arena_.size(); ++i) {
-      link(arena_[i], eq_id);
-    }
-    eq_begin_.push_back(static_cast<std::uint32_t>(arena_.size()));
+    for (const Key& k : unknown_scratch_) link(k, eq_id);
     eq_unknowns_.push_back(unknowns);
     eq_acc_.push_back(acc);
     eq_payload_.push_back(std::move(payload));
@@ -648,11 +608,8 @@ class PeelingDecoder {
   }
 
   detail::KnownStore<Key> known_;
-  // Buffered equations, structure-of-arrays. arena_ holds every buffered
-  // equation's initial unknown keys back to back; eq_begin_ is the CSR
-  // offset array (size equation_count()+1).
-  std::vector<Key> arena_;
-  std::vector<std::uint32_t> eq_begin_{0};
+  // Buffered equations, structure-of-arrays, indexed by a dense equation
+  // id; the waiting index's incidences name the keys.
   std::vector<std::uint32_t> eq_unknowns_;  // live unknown count; 0 = retired
   std::vector<Key> eq_acc_;                 // XOR of live unknown keys
   std::vector<std::vector<std::uint8_t>> eq_payload_;
@@ -663,6 +620,7 @@ class PeelingDecoder {
   std::vector<Key> log_;
   std::vector<std::vector<std::uint8_t>> payload_pool_;  // recycled buffers
   std::vector<Key> dedup_scratch_;
+  std::vector<Key> unknown_scratch_;  // one arriving equation's unknowns
   std::size_t live_equations_ = 0;
   std::size_t redundant_ = 0;
   DecoderStats stats_;

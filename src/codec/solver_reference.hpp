@@ -7,28 +7,19 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codec/degree.hpp"
-#include "codec/encoder.hpp"
 #include "codec/symbol.hpp"
 
-/// The list-based solvers the flat-arena data plane replaced, kept
-/// verbatim as the semantic ground truth:
+/// `ReferencePeelingDecoder`, the list-based solver the flat-arena data
+/// plane replaced, kept verbatim as the semantic ground truth: per-equation
+/// heap vectors of unknown keys, `std::find`+`erase` substitution, an
+/// `unordered_map<Key, vector<eq_id>>` waiting index. The randomized solver
+/// property test (tests/solver_property_test.cpp) runs every scripted add /
+/// mark_known / release sequence through this and the production
+/// `PeelingDecoder`, asserting identical recovery logs, counters, and
+/// values; the BENCH_codec substitution lane times the two.
 ///
-///   * `ReferencePeelingDecoder` — per-equation heap vectors of unknown
-///     keys, `std::find`+`erase` substitution, an `unordered_map<Key,
-///     vector<eq_id>>` waiting index. The randomized solver property test
-///     (tests/solver_property_test.cpp) runs every scripted add /
-///     mark_known / release sequence through this and the production
-///     `PeelingDecoder`, asserting identical recovery logs, counters, and
-///     values.
-///   * `ReferenceInactivationDecoder` — stores its own copy of every
-///     equation and payload and re-runs Gaussian elimination from scratch
-///     on every try_solve call. The BENCH_codec solve lanes time it
-///     against the incremental production solver
-///     (`solve_incremental_speedup`, CI-gated).
-///
-/// Nothing on the delivery path instantiates these; they exist so the
-/// optimized solvers stay pinned bit-for-bit to known-good behavior.
+/// Nothing on the delivery path instantiates it; it exists so the
+/// optimized solver stays pinned bit-for-bit to known-good behavior.
 namespace icd::codec {
 
 template <typename Key>
@@ -67,6 +58,8 @@ class ReferencePeelingDecoder {
   std::size_t buffered_count() const { return live_equations_; }
   std::size_t redundant_count() const { return redundant_; }
   const std::vector<Key>& recovery_log() const { return log_; }
+  /// Distinct unknown keys some buffered equation waits on.
+  std::size_t waiting_count() const { return waiting_.size(); }
 
   void release_solver_state() {
     equations_.clear();
@@ -176,129 +169,6 @@ class ReferencePeelingDecoder {
   std::vector<Key> log_;
   std::size_t live_equations_ = 0;
   std::size_t redundant_ = 0;
-};
-
-/// Scratch-elimination inactivation decoder: keeps duplicate copies of
-/// every equation and payload next to the peeler's own storage and
-/// rebuilds + re-reduces the whole residual system on each try_solve.
-class ReferenceInactivationDecoder {
- public:
-  ReferenceInactivationDecoder(CodeParameters params, DegreeDistribution dist)
-      : params_(params), dist_(std::move(dist)) {
-    if (params_.block_count == 0) {
-      throw std::invalid_argument(
-          "ReferenceInactivationDecoder: block_count must be > 0");
-    }
-  }
-
-  bool add_symbol(const EncodedSymbol& symbol) {
-    ++received_count_;
-    auto keys = symbol_neighbors(params_, dist_, symbol.id);
-    equations_.push_back(keys);
-    payloads_.push_back(symbol.payload);
-    return peeler_.add_equation(std::move(keys), symbol.payload);
-  }
-
-  bool try_solve() {
-    if (complete()) return true;
-    if (received_count_ < params_.block_count) return false;
-
-    // Residual unknowns -> dense column indices.
-    std::unordered_map<std::uint32_t, std::size_t> column_of;
-    std::vector<std::uint32_t> unknown_ids;
-    for (std::uint32_t b = 0; b < params_.block_count; ++b) {
-      if (!peeler_.is_known(b)) {
-        column_of.emplace(b, unknown_ids.size());
-        unknown_ids.push_back(b);
-      }
-    }
-    const std::size_t u = unknown_ids.size();
-    const std::size_t words = (u + 63) / 64;
-
-    // Reduce every stored equation by the known values; keep the nonzero
-    // residual rows as (bitmask over unknowns, payload).
-    struct Row {
-      std::vector<std::uint64_t> bits;
-      std::vector<std::uint8_t> payload;
-    };
-    std::vector<Row> rows;
-    rows.reserve(equations_.size());
-    for (std::size_t e = 0; e < equations_.size(); ++e) {
-      Row row{std::vector<std::uint64_t>(words, 0), payloads_[e]};
-      bool nonzero = false;
-      for (const std::uint32_t b : equations_[e]) {
-        const auto it = column_of.find(b);
-        if (it == column_of.end()) {
-          xor_into(row.payload, peeler_.value(b));
-        } else {
-          row.bits[it->second >> 6] ^= std::uint64_t{1} << (it->second & 63);
-          nonzero = true;
-        }
-      }
-      if (nonzero) rows.push_back(std::move(row));
-    }
-    if (rows.size() < u) return false;  // rank can't reach u yet
-
-    // Forward elimination with partial pivoting by column.
-    std::vector<std::size_t> pivot_row_of(u, SIZE_MAX);
-    std::size_t next_row = 0;
-    for (std::size_t col = 0; col < u && next_row < rows.size(); ++col) {
-      const std::size_t word = col >> 6;
-      const std::uint64_t mask = std::uint64_t{1} << (col & 63);
-      std::size_t pivot = next_row;
-      while (pivot < rows.size() && !(rows[pivot].bits[word] & mask)) ++pivot;
-      if (pivot == rows.size()) continue;  // rank-deficient in this column
-      std::swap(rows[pivot], rows[next_row]);
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        if (r != next_row && (rows[r].bits[word] & mask)) {
-          for (std::size_t w = 0; w < words; ++w) {
-            rows[r].bits[w] ^= rows[next_row].bits[w];
-          }
-          xor_into(rows[r].payload, rows[next_row].payload);
-        }
-      }
-      pivot_row_of[col] = next_row;
-      ++next_row;
-    }
-    for (std::size_t col = 0; col < u; ++col) {
-      if (pivot_row_of[col] == SIZE_MAX) return false;  // underdetermined
-    }
-
-    // Full elimination above leaves each pivot row with a single set bit:
-    // its payload is the unknown's value.
-    for (std::size_t col = 0; col < u; ++col) {
-      peeler_.mark_known(unknown_ids[col],
-                         std::move(rows[pivot_row_of[col]].payload));
-    }
-    return complete();
-  }
-
-  std::size_t recovered_count() const { return peeler_.known_count(); }
-  std::size_t received_count() const { return received_count_; }
-  bool complete() const { return recovered_count() == params_.block_count; }
-
-  std::vector<std::vector<std::uint8_t>> blocks() const {
-    if (!complete()) {
-      throw std::logic_error("ReferenceInactivationDecoder::blocks: incomplete");
-    }
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(params_.block_count);
-    for (std::uint32_t b = 0; b < params_.block_count; ++b) {
-      out.push_back(peeler_.value(b));
-    }
-    return out;
-  }
-
-  const CodeParameters& parameters() const { return params_; }
-
- private:
-  CodeParameters params_;
-  DegreeDistribution dist_;
-  ReferencePeelingDecoder<std::uint32_t> peeler_;
-  /// Raw equations kept for the elimination phase.
-  std::vector<std::vector<std::uint32_t>> equations_;
-  std::vector<std::vector<std::uint8_t>> payloads_;
-  std::size_t received_count_ = 0;
 };
 
 }  // namespace icd::codec

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 
-/// Operation counters for the decoding solvers (peeling substitution +
-/// GF(2) inactivation), aggregated per decoder and surfaced through
-/// core::SessionResult so the delivery engines and the BENCH_codec solve
-/// lanes can report solver work without instrumenting hot loops twice.
+/// Operation counters for the peeling solvers, aggregated per decoder and
+/// surfaced through core::SessionResult so the delivery engines and the
+/// BENCH_codec substitution lane can report solver work without
+/// instrumenting hot loops twice.
 namespace icd::codec {
 
 struct DecoderStats {
@@ -19,23 +19,12 @@ struct DecoderStats {
   std::uint64_t recovered = 0;
   /// Equations that arrived fully redundant.
   std::uint64_t redundant = 0;
-  /// Inactivation only: residual rows folded into the incremental
-  /// elimination state (each row is folded exactly once).
-  std::uint64_t rows_folded = 0;
-  /// Inactivation only: row-XOR reductions performed while maintaining
-  /// the reduced elimination state.
-  std::uint64_t row_reductions = 0;
-  /// Inactivation only: try_solve invocations.
-  std::uint64_t solve_calls = 0;
 
   DecoderStats& operator+=(const DecoderStats& other) {
     equations_added += other.equations_added;
     substitutions += other.substitutions;
     recovered += other.recovered;
     redundant += other.redundant;
-    rows_folded += other.rows_folded;
-    row_reductions += other.row_reductions;
-    solve_calls += other.solve_calls;
     return *this;
   }
 

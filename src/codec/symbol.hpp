@@ -69,9 +69,9 @@ struct RecodedSymbolView {
 };
 
 /// Wide XOR kernel: dst[i] ^= src[i] for `n` bytes. This is the one XOR
-/// inner loop shared by the encoder, recoder, peeling decoders and
-/// inactivation solver (all through xor_into), so it is explicitly widened
-/// rather than left to auto-vectorization. The variant is chosen once, on
+/// inner loop shared by the encoder, recoder and peeling decoders (all
+/// through xor_into), so it is explicitly widened rather than left to
+/// auto-vectorization. The variant is chosen once, on
 /// first use, from the CPU's features, never from build flags: every
 /// build carries every variant its architecture has, and the default
 /// build runs AVX2 on a machine that has it. All variants are

@@ -39,14 +39,6 @@ RequestUpdate read_request_update(util::ByteReader& reader) {
   return RequestUpdate{reader.varint()};
 }
 
-void write_payload(util::ByteWriter& writer, const Fragment& fragment) {
-  writer.u32(fragment.sequence);
-  writer.u16(fragment.index);
-  writer.u16(fragment.total);
-  writer.varint(fragment.data.size());
-  writer.raw(fragment.data);
-}
-
 Fragment read_fragment(util::ByteReader& reader) {
   Fragment fragment;
   fragment.sequence = reader.u32();
@@ -104,10 +96,16 @@ void encode_frame_into(util::ByteWriter& out, const Message& message) {
 
 void encode_frame_into(util::ByteWriter& out, const Message& message,
                        util::ByteWriter& payload_scratch) {
-  // A control payload is staged in the scratch writer because the length
-  // prefix precedes bytes whose size only serialization reveals. The
-  // summaries serialize_into the scratch directly (size-prefixed like any
-  // blob), so nothing here allocates beyond the two writers' storage.
+  // A fragment's size is known up front, so it is written in place.
+  if (const auto* fragment = std::get_if<Fragment>(&message)) {
+    encode_fragment_into(out, fragment->sequence, fragment->index,
+                         fragment->total, fragment->data);
+    return;
+  }
+  // Any other control payload is staged in the scratch writer because the
+  // length prefix precedes bytes whose size only serialization reveals.
+  // The summaries serialize_into the scratch directly (size-prefixed like
+  // any blob), so nothing here allocates beyond the two writers' storage.
   util::ByteWriter payload(payload_scratch.take());
   struct Visitor {
     util::ByteWriter& writer;
@@ -125,7 +123,7 @@ void encode_frame_into(util::ByteWriter& out, const Message& message,
       m.summary.serialize_into(writer);
     }
     void operator()(const Request& m) { write_payload(writer, m); }
-    void operator()(const Fragment& m) { write_payload(writer, m); }
+    void operator()(const Fragment&) {}  // written in place above
     void operator()(const RequestUpdate& m) { write_payload(writer, m); }
   };
   std::visit(Visitor{payload}, message);
@@ -133,6 +131,19 @@ void encode_frame_into(util::ByteWriter& out, const Message& message,
   write_frame_header(out, message_type(message), payload.size());
   out.raw(payload.bytes());
   payload_scratch = util::ByteWriter(payload.take());
+}
+
+void encode_fragment_into(util::ByteWriter& out, std::uint32_t sequence,
+                          std::uint16_t index, std::uint16_t total,
+                          std::span<const std::uint8_t> slice) {
+  // sequence (u32), index and total (u16 each), then the sized slice.
+  write_frame_header(out, MessageType::kFragment,
+                     8 + util::varint_size(slice.size()) + slice.size());
+  out.u32(sequence);
+  out.u16(index);
+  out.u16(total);
+  out.varint(slice.size());
+  out.raw(slice);
 }
 
 void encode_frame_into(util::ByteWriter& out,

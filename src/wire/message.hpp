@@ -116,6 +116,14 @@ void encode_frame_into(util::ByteWriter& out, const Message& message);
 void encode_frame_into(util::ByteWriter& out, const Message& message,
                        util::ByteWriter& payload_scratch);
 
+/// The one Fragment layout: appends the frame for slice `index` of `total`
+/// of frame `sequence`, written straight from `slice`, so the transport's
+/// packetizer cuts a pooled frame into pooled fragments without copying
+/// each slice first. encode_frame_into writes a Fragment message with it.
+void encode_fragment_into(util::ByteWriter& out, std::uint32_t sequence,
+                          std::uint16_t index, std::uint16_t total,
+                          std::span<const std::uint8_t> slice);
+
 /// Symbol frames, serialized straight from non-owning views, so a sender
 /// puts a held payload on the wire without copying it first.
 void encode_frame_into(util::ByteWriter& out,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -40,7 +41,7 @@ bool Transport::send_whole(std::vector<std::uint8_t> frame, bool control) {
 }
 
 bool Transport::send_oversized(std::vector<std::uint8_t> frame, bool control) {
-  // Packetize: slice the oversized frame into Fragment messages, each of
+  // Packetize: slice the oversized frame into Fragment frames, each of
   // which fits the MTU with room for its own header.
   if (mtu_ <= kFragmentOverhead) {
     ++stats_.frames_refused;
@@ -55,17 +56,15 @@ bool Transport::send_oversized(std::vector<std::uint8_t> frame, bool control) {
     return false;
   }
   const std::uint32_t sequence = next_sequence_++;
+  const std::span<const std::uint8_t> bytes(frame);
   for (std::size_t i = 0; i < count; ++i) {
-    Fragment fragment;
-    fragment.sequence = sequence;
-    fragment.index = static_cast<std::uint16_t>(i);
-    fragment.total = static_cast<std::uint16_t>(count);
+    // Each fragment's header and slice go straight into a pooled buffer.
     const std::size_t begin = i * chunk;
-    const std::size_t end = std::min(frame.size(), begin + chunk);
-    fragment.data.assign(frame.begin() + static_cast<std::ptrdiff_t>(begin),
-                         frame.begin() + static_cast<std::ptrdiff_t>(end));
+    const auto slice =
+        bytes.subspan(begin, std::min(chunk, bytes.size() - begin));
     util::ByteWriter writer(acquire_buffer());
-    encode_frame_into(writer, Message{std::move(fragment)});
+    encode_fragment_into(writer, sequence, static_cast<std::uint16_t>(i),
+                         static_cast<std::uint16_t>(count), slice);
     if (!send_frame(writer.take(), control)) {
       release_buffer(std::move(frame));
       return false;

@@ -13,7 +13,6 @@
 #include "codec/decoder.hpp"
 #include "codec/degree.hpp"
 #include "codec/encoder.hpp"
-#include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "codec/recoder.hpp"
 #include "util/random.hpp"
@@ -228,79 +227,6 @@ TEST(PeelingDecoder, RecoveryLogOrdersAcquisitions) {
 TEST(PeelingDecoder, ValueOfUnknownThrows) {
   PeelingDecoder<int> peeler;
   EXPECT_THROW(peeler.value(1), std::out_of_range);
-}
-
-TEST(InactivationDecoder, RankGapExitFoldsNothingBeforeEnoughSymbols) {
-  const std::uint32_t blocks = 32;
-  const auto dist = DegreeDistribution::constant(3);
-  const auto content = random_content(blocks * 4, 11);
-  const BlockSource source(content, 4);
-  Encoder encoder(source, dist, 77);
-  InactivationDecoder decoder(encoder.parameters(), dist);
-  // Below block_count the rank gap is certain: try_solve must bail before
-  // touching the elimination state (no rows folded, no reductions).
-  for (std::uint32_t i = 0; i + 1 < blocks; ++i) {
-    decoder.add_symbol(encoder.next());
-    EXPECT_FALSE(decoder.try_solve());
-  }
-  EXPECT_EQ(decoder.stats().rows_folded, 0u);
-  EXPECT_EQ(decoder.stats().row_reductions, 0u);
-  EXPECT_EQ(decoder.stats().solve_calls, blocks - 1);
-}
-
-TEST(InactivationDecoder, IncrementalSolveCompletesWhenRankArrivesLate) {
-  // Constant degree 3 never peels from cold, so every try_solve call runs
-  // against a rank-deficient residual system until the very last arrival
-  // closes the rank gap inside the *persistent* elimination state. A
-  // second call with no new arrivals must be a pure no-op: same answer,
-  // zero additional rows folded.
-  const std::uint32_t blocks = 48;
-  const auto dist = DegreeDistribution::constant(3);
-  const auto content = random_content(blocks * 4, 5);
-  const BlockSource source(content, 4);
-  Encoder encoder(source, dist, 321);
-  InactivationDecoder decoder(encoder.parameters(), dist);
-  bool completed = false;
-  while (!completed) {
-    ASSERT_LT(decoder.received_count(), 4000u) << "did not converge";
-    decoder.add_symbol(encoder.next());
-    EXPECT_EQ(decoder.recovered_count(), 0u)
-        << "degree-3 equations must not peel before the solve";
-    const bool first = decoder.try_solve();
-    const std::uint64_t folded = decoder.stats().rows_folded;
-    const bool second = decoder.try_solve();
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(decoder.stats().rows_folded, folded)
-        << "idle try_solve re-folded equations";
-    completed = second;
-    if (!completed) {
-      EXPECT_FALSE(decoder.complete());
-    }
-  }
-  ASSERT_TRUE(decoder.complete());
-  EXPECT_GT(decoder.received_count(), std::size_t{blocks})
-      << "constant(3) at exactly l symbols full-rank would be miraculous";
-  EXPECT_EQ(BlockSource::restore(decoder.blocks(), content.size()), content);
-  EXPECT_GT(decoder.stats().rows_folded, 0u);
-  EXPECT_GT(decoder.stats().row_reductions, 0u);
-}
-
-TEST(InactivationDecoder, SurvivesPeelingBetweenSolveAttempts) {
-  // Robust soliton interleaves peeling recoveries with solve attempts:
-  // stored elimination rows must be swept as blocks peel (pivot columns
-  // re-pivoted or rows dropped) and stay consistent to completion.
-  const std::uint32_t blocks = 200;
-  const auto dist = DegreeDistribution::robust_soliton(blocks);
-  const auto content = random_content(blocks * 8, 17);
-  const BlockSource source(content, 8);
-  Encoder encoder(source, dist, 999);
-  InactivationDecoder decoder(encoder.parameters(), dist);
-  while (!decoder.complete()) {
-    ASSERT_LT(decoder.received_count(), 40ULL * blocks);
-    decoder.add_symbol(encoder.next());
-    if (decoder.received_count() >= blocks) decoder.try_solve();
-  }
-  EXPECT_EQ(BlockSource::restore(decoder.blocks(), content.size()), content);
 }
 
 class DecoderRoundTrip : public ::testing::TestWithParam<std::uint32_t> {};

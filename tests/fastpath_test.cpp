@@ -1,10 +1,12 @@
 // Tests for the zero-allocation symbol fast path: every XOR kernel variant
 // and its run-time dispatch against a scalar reference, BufferPool
 // recycling and hygiene, pooled transport buffers (aliasing /
-// reuse-after-release), reassembly cost under a hostile fragment, the
-// channel's one-hop queue residency, the steady-state allocation
-// guarantee of the endpoint send path, neighbor-set derivation at large
-// degrees and the control-frame decode of a sketch and a Bloom summary.
+// reuse-after-release), the send cost of fragment trains and the
+// reassembly cost of a hostile fragment, the channel's one-hop queue
+// residency, the steady-state allocation guarantee of the endpoint send
+// path, the decoders' one payload copy per symbol and their exact
+// memory_bytes(), neighbor-set derivation at large degrees and the
+// control-frame decode of a sketch and a Bloom summary.
 //
 // This binary replaces global operator new/delete with counting versions;
 // keep it free of death tests and threads.
@@ -17,9 +19,11 @@
 #include <vector>
 
 #include "codec/block_source.hpp"
+#include "codec/decoder.hpp"
 #include "codec/degree.hpp"
 #include "codec/encoder.hpp"
-#include "codec/inactivation.hpp"
+#include "codec/peeling.hpp"
+#include "codec/recoder.hpp"
 #include "codec/symbol.hpp"
 #include "core/endpoint.hpp"
 #include "core/origin.hpp"
@@ -42,10 +46,15 @@ std::atomic<std::size_t> g_allocated_bytes{0};
 // symbol" without noise from small container nodes.
 std::atomic<std::size_t> g_large_allocations{0};
 std::atomic<std::size_t> g_large_threshold{SIZE_MAX};
+// Heap bytes held: allocations add their size and sized frees subtract
+// it (an unsized free cannot), so a test can compare what an object holds
+// with what it reports.
+std::atomic<std::size_t> g_live_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= g_large_threshold.load(std::memory_order_relaxed)) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -56,6 +65,7 @@ void* counted_alloc(std::size_t size) {
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= g_large_threshold.load(std::memory_order_relaxed)) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -65,6 +75,11 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
                               alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, rounded)) return p;
   throw std::bad_alloc();
+}
+
+void counted_sized_free(void* p, std::size_t size) {
+  g_live_bytes.fetch_sub(size, std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
@@ -78,10 +93,20 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t size) noexcept {
+  counted_sized_free(p, size);
+}
+void operator delete[](void* p, std::size_t size) noexcept {
+  counted_sized_free(p, size);
+}
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t size, std::align_val_t) noexcept {
+  counted_sized_free(p, size);
+}
+void operator delete[](void* p, std::size_t size, std::align_val_t) noexcept {
+  counted_sized_free(p, size);
+}
 
 namespace icd {
 namespace {
@@ -363,6 +388,43 @@ TEST(Transport, FragmentClaimingAHugeTotalCostsWhatArrived) {
   EXPECT_LT(pipe.b().memory_bytes(), 4096u * wire::kMaxPartialReassemblies);
 }
 
+TEST(Transport, WarmFragmentTrainsAllocateAtMostOncePerFragment) {
+  // A 1,050-byte sketch frame crosses a 600-byte link as two fragments.
+  // Each fragment's header and slice are written straight into a pooled
+  // buffer, so once the pool's buffers have grown to frame size a send
+  // allocates nothing of its own (the budget allows one per fragment).
+  sketch::MinwiseSketch sketch(core::kSymbolIdUniverse);
+  util::Xoshiro256 rng(0xf4a9);
+  for (int i = 0; i < 300; ++i) sketch.update(rng() >> 1);
+  const wire::Message message = wire::SketchMessage{sketch};
+  ASSERT_EQ(wire::encode_frame(message).size(), 1050u);
+
+  wire::Pipe pipe(/*mtu=*/600);
+  const auto round_trip = [&] {
+    ASSERT_TRUE(pipe.a().send(message));
+    const auto received = pipe.b().receive_frame();
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(std::get<wire::SketchMessage>(std::get<wire::Message>(*received))
+                  .sketch.minima(),
+              sketch.minima());
+  };
+  for (int i = 0; i < 8; ++i) round_trip();  // warm the pool
+
+  const std::size_t frames_before = pipe.a().stats().frames_sent;
+  std::size_t send_allocations = 0;
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    ASSERT_TRUE(pipe.a().send(message));
+    send_allocations += g_allocations.load(std::memory_order_relaxed) - before;
+    const auto received = pipe.b().receive_frame();
+    ASSERT_TRUE(received.has_value());
+  }
+  const std::size_t fragments = pipe.a().stats().frames_sent - frames_before;
+  EXPECT_EQ(fragments, 200u);
+  EXPECT_LE(send_allocations, fragments);
+  EXPECT_EQ(pipe.b().stats().malformed_frames, 0u);
+}
+
 // --- One-hop queue residency ------------------------------------------------
 
 TEST(LossyChannel, OneHopMinimumResidency) {
@@ -493,43 +555,135 @@ TEST_P(SendPathAllocations, SteadyStateSendsAreAllocationFree) {
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SendPathAllocations,
                          ::testing::ValuesIn(overlay::kAllStrategies));
 
-// --- Inactivation decoder payload copies ------------------------------------
+// --- Decoder payload copies and memory audit ------------------------------
 
-TEST(DecoderAllocations, InactivationAddSymbolCopiesPayloadOnce) {
-  // The residual elimination state reads the peeler's own equation plane,
-  // so add_symbol must copy the payload exactly once (into the peeler's
-  // pooled storage) — not a second time into solver-private equation
-  // copies. Budget: at most one payload-sized allocation per symbol, plus
-  // tiny slack for geometric container growth crossing the threshold; the
-  // old duplicate-storage path needed two per symbol.
+/// Random content of `blocks` blocks of `block_size` bytes and an encoder
+/// over it.
+struct EncodedContent {
+  EncodedContent(std::uint32_t blocks, std::size_t block_size)
+      : source(random_content(blocks * block_size, 0x51), block_size),
+        dist(codec::DegreeDistribution::robust_soliton(blocks)),
+        encoder(source, dist, 0x52) {}
+
+  codec::BlockSource source;
+  codec::DegreeDistribution dist;
+  codec::Encoder encoder;
+};
+
+// Budget for both decoders the engine runs: at most one payload-sized
+// allocation per symbol (its copy into the solver's pooled storage), plus
+// tiny slack for geometric container growth crossing the threshold.
+constexpr std::size_t kPayloadBytes = 4096;
+constexpr std::size_t kMeasuredSymbols = 24;
+constexpr std::size_t kGrowthSlack = 2;
+
+TEST(DecoderAllocations, AddSymbolCopiesPayloadOnce) {
   const std::uint32_t kBlocks = 32;
-  const std::size_t kBlockSize = 4096;
-  util::Xoshiro256 rng(0x51);
-  std::vector<std::uint8_t> content(kBlocks * kBlockSize);
-  for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
-  const codec::BlockSource source(content, kBlockSize);
-  const auto dist = codec::DegreeDistribution::robust_soliton(kBlocks);
-  codec::Encoder encoder(source, dist, 0x52);
-  codec::InactivationDecoder decoder(encoder.parameters(), dist);
+  EncodedContent content(kBlocks, kPayloadBytes);
+  codec::Decoder decoder(content.encoder.parameters(), content.dist);
 
   // Warm the decoder and pre-generate the measured symbols so encoder
   // allocations don't pollute the budget.
   for (std::uint32_t i = 0; i < kBlocks / 2; ++i) {
-    decoder.add_symbol(encoder.next());
+    const auto symbol = content.encoder.next();
+    decoder.add_symbol(symbol.id, symbol.payload);
   }
-  constexpr std::size_t kMeasured = 24;
   std::vector<codec::EncodedSymbol> symbols;
-  symbols.reserve(kMeasured);
-  for (std::size_t i = 0; i < kMeasured; ++i) symbols.push_back(encoder.next());
+  for (std::size_t i = 0; i < kMeasuredSymbols; ++i) {
+    symbols.push_back(content.encoder.next());
+  }
 
   g_large_allocations.store(0, std::memory_order_relaxed);
-  g_large_threshold.store(kBlockSize, std::memory_order_relaxed);
-  for (const auto& symbol : symbols) decoder.add_symbol(symbol);
+  g_large_threshold.store(kPayloadBytes, std::memory_order_relaxed);
+  for (const auto& symbol : symbols) {
+    decoder.add_symbol(symbol.id, symbol.payload);
+  }
   g_large_threshold.store(SIZE_MAX, std::memory_order_relaxed);
 
   EXPECT_LE(g_large_allocations.load(std::memory_order_relaxed),
-            kMeasured + 2)
+            kMeasuredSymbols + kGrowthSlack)
       << "payload copied more than once per add_symbol";
+}
+
+TEST(DecoderAllocations, AddRecodedCopiesPayloadOnce) {
+  const std::uint32_t kBlocks = 32;
+  EncodedContent content(kBlocks, kPayloadBytes);
+  std::vector<codec::EncodedSymbol> encoded;
+  for (std::uint32_t i = 0; i < 2 * kBlocks; ++i) {
+    encoded.push_back(content.encoder.next());
+  }
+  // The receiver holds the first half; each measured recoded symbol blends
+  // a held symbol with one unheld symbol (recovered at once) or, on odd
+  // turns but the last, two (buffered until the next turn recovers one).
+  constexpr std::size_t kHeld = kBlocks / 2;
+  codec::RecodeDecoder decoder;
+  for (std::size_t i = 0; i < kHeld; ++i) decoder.add_held_symbol(encoded[i]);
+  std::vector<codec::RecodedSymbol> symbols;
+  for (std::size_t j = 0; j < kMeasuredSymbols; ++j) {
+    std::vector<std::size_t> picks{j % kHeld, kHeld + j};
+    if (j % 2 == 1 && j + 1 < kMeasuredSymbols) picks.push_back(kHeld + j + 1);
+    codec::RecodedSymbol symbol;
+    for (const std::size_t pick : picks) {
+      symbol.constituents.push_back(encoded[pick].id);
+      codec::xor_into(symbol.payload, encoded[pick].payload);
+    }
+    std::sort(symbol.constituents.begin(), symbol.constituents.end());
+    symbols.push_back(std::move(symbol));
+  }
+
+  g_large_allocations.store(0, std::memory_order_relaxed);
+  g_large_threshold.store(kPayloadBytes, std::memory_order_relaxed);
+  for (const auto& symbol : symbols) {
+    decoder.add_recoded(codec::RecodedSymbolView(symbol));
+  }
+  g_large_threshold.store(SIZE_MAX, std::memory_order_relaxed);
+
+  EXPECT_EQ(decoder.symbol_count(), kHeld + kMeasuredSymbols);
+  EXPECT_LE(g_large_allocations.load(std::memory_order_relaxed),
+            kMeasuredSymbols + kGrowthSlack)
+      << "payload copied more than once per add_recoded";
+}
+
+template <typename Key>
+class PeelingMemoryBytes : public ::testing::Test {};
+using PeelingKeys = ::testing::Types<std::uint32_t, std::uint64_t>;
+TYPED_TEST_SUITE(PeelingMemoryBytes, PeelingKeys);
+
+TYPED_TEST(PeelingMemoryBytes, EqualsTheHeapBytesTheDecoderHolds) {
+  // Every input exists before the baseline and reaches the decoder through
+  // the span overloads, which copy into the decoder's own storage, so the
+  // live heap bytes since the baseline are the decoder's alone.
+  using Key = TypeParam;
+  constexpr Key kChain = 20;
+  const std::vector<std::uint8_t> payload(32, 0xa5);
+  std::vector<std::vector<Key>> chain;  // {k, k + 1}: one seed peels all
+  for (Key k = 0; k < kChain; ++k) chain.push_back({k, Key(k + 1)});
+  // Unsorted, with repeats: cancels to {27, 30} through the dedup scratch.
+  const std::vector<Key> unsorted{31, 25, 31, 27, 25, 30};
+
+  const std::size_t baseline = g_live_bytes.load(std::memory_order_relaxed);
+  codec::PeelingDecoder<Key> decoder;
+  const auto held = [&] {
+    return g_live_bytes.load(std::memory_order_relaxed) - baseline;
+  };
+
+  for (const auto& keys : chain) {
+    decoder.add_equation(std::span<const Key>(keys), payload);
+  }
+  ASSERT_EQ(decoder.buffered_count(), std::size_t{kChain});
+  EXPECT_EQ(held(), decoder.memory_bytes()) << "after buffering";
+
+  decoder.add_equation(std::span<const Key>(unsorted), payload);
+  ASSERT_EQ(decoder.buffered_count(), std::size_t{kChain} + 1);
+  EXPECT_EQ(held(), decoder.memory_bytes()) << "after unsorted repeats";
+
+  ASSERT_TRUE(
+      decoder.mark_known(Key{0}, std::span<const std::uint8_t>(payload)));
+  ASSERT_EQ(decoder.known_count(), std::size_t{kChain} + 1);
+  EXPECT_EQ(held(), decoder.memory_bytes()) << "after a recovery cascade";
+
+  decoder.release_solver_state();
+  EXPECT_EQ(held(), decoder.memory_bytes()) << "after release";
 }
 
 TEST(DecoderAllocations, WarmLargeDegreeNeighborSetsAllocateNothing) {

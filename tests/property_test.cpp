@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "codec/decoder.hpp"
-#include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "filter/bloom.hpp"
 #include "reconcile/cpi.hpp"
@@ -119,29 +118,6 @@ TEST(PeelingVsReference, PeelingNeverContradictsGaussianElimination) {
   }
 }
 
-TEST(PeelingVsReference, InactivationMatchesReferenceSolvability) {
-  // If GE on the received equations uniquely determines every block, the
-  // inactivation decoder must also finish — and agree with the truth.
-  util::Xoshiro256 rng(202);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::uint32_t blocks = 16 + static_cast<std::uint32_t>(
-        rng.next_below(32));
-    std::vector<std::uint8_t> content(blocks * 2);
-    for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
-    const codec::BlockSource source(content, 2);
-    const auto dist = codec::DegreeDistribution::robust_soliton(blocks);
-    codec::Encoder encoder(source, dist, 300 + static_cast<std::uint64_t>(trial));
-    codec::InactivationDecoder decoder(encoder.parameters(), dist);
-    for (std::uint32_t i = 0; i < 2 * blocks; ++i) {
-      decoder.add_symbol(encoder.next());
-    }
-    // 2l robust-soliton symbols are full-rank with overwhelming probability.
-    ASSERT_TRUE(decoder.try_solve());
-    EXPECT_EQ(codec::BlockSource::restore(decoder.blocks(), content.size()),
-              content);
-  }
-}
-
 // --- Wire protocol fuzz ------------------------------------------------------
 
 TEST(WireFuzz, MutatedFramesNeverCrashOrMisparse) {
@@ -229,19 +205,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 class OverheadSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(OverheadSweep, OverheadBoundedAndInactivationDominates) {
+TEST_P(OverheadSweep, PeelingOverheadBounded) {
   const std::uint32_t blocks = GetParam();
   const auto dist = codec::DegreeDistribution::robust_soliton(blocks);
   const double peel = codec::measure_decode_overhead(blocks, 4, dist, 606);
-  const double inact =
-      codec::measure_inactivation_overhead(blocks, 4, dist, 606);
   EXPECT_GE(peel, 1.0);
-  EXPECT_GE(inact, 1.0);
-  EXPECT_LE(inact, peel);       // GE can only help
   // Single-trial peeling overhead has high variance at small l; 1.5 is a
   // loose sanity bound, the tight averaged bounds live in bench_codec.
   EXPECT_LT(peel, 1.5);
-  EXPECT_LT(inact, 1.10);
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockCounts, OverheadSweep,

@@ -1,11 +1,9 @@
 // Equivalence pin for the flat-arena solver rewrite: the production
-// PeelingDecoder (CSR key arena, degree-counter + XOR-accumulator
-// substitution, dense/hash known stores) must match the retained
-// list-based ReferencePeelingDecoder bit-for-bit on every observable —
-// return values, recovery-log order, recovered values, buffered and
-// redundant counters — across randomized scripted op sequences, and the
-// incremental-elimination InactivationDecoder must match the
-// scratch-elimination reference step for step.
+// PeelingDecoder (degree-counter + XOR-accumulator substitution,
+// dense/hash known stores) must match the retained list-based
+// ReferencePeelingDecoder bit-for-bit on every observable — return
+// values, recovery-log order, recovered values, buffered and redundant
+// counters — across randomized scripted op sequences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codec/degree.hpp"
-#include "codec/encoder.hpp"
-#include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "codec/solver_reference.hpp"
 #include "util/hash.hpp"
@@ -62,21 +57,6 @@ void expect_same_state(const codec::PeelingDecoder<Key>& solver,
   }
 }
 
-/// Distinct keys the waiting index holds: every key an equation buffered
-/// as unknown since the last release and that is still unknown.
-template <typename Key>
-std::size_t waiting_keys(const codec::PeelingDecoder<Key>& solver) {
-  std::vector<Key> keys;
-  for (std::size_t eq = 0; eq < solver.equation_count(); ++eq) {
-    for (const Key& key : solver.equation_keys(eq)) {
-      if (!solver.is_known(key)) keys.push_back(key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return static_cast<std::size_t>(
-      std::unique(keys.begin(), keys.end()) - keys.begin());
-}
-
 /// How run_scripted_trials scripts a trial: the trial count, the op count
 /// (min_ops plus a draw below extra_ops), the percentage of ops that
 /// release solver state, and how often the whole state is compared (every
@@ -117,7 +97,7 @@ void run_scripted_trials(const std::vector<Key>& universe, std::uint64_t seed,
     const auto check = [&](std::size_t op) {
       expect_same_state(solver, reference, universe, trial, op);
       peaks.known = std::max(peaks.known, solver.known_count());
-      peaks.waiting = std::max(peaks.waiting, waiting_keys(solver));
+      peaks.waiting = std::max(peaks.waiting, reference.waiting_count());
     };
     const std::size_t ops = shape.min_ops + rng.next_below(shape.extra_ops);
     for (std::size_t op = 0; op < ops; ++op) {
@@ -281,78 +261,18 @@ TEST(SolverProperty, SignedTestKeysMatchReference) {
   run_scripted_trials(universe, 0xCAFE);
 }
 
-TEST(SolverProperty, EquationPlaneExposesLiveResidualSystem) {
-  // White-box: the CSR equation plane the inactivation solver folds from.
+TEST(SolverProperty, SubstitutionRetiresAnEquationIntoItsLastKey) {
   codec::PeelingDecoder<std::uint32_t> solver;
-  ASSERT_EQ(solver.equation_count(), 0u);
   solver.add_equation(std::vector<std::uint32_t>{1, 2, 3},
                       std::vector<std::uint8_t>{7});
   solver.add_equation(std::vector<std::uint32_t>{2, 4},
                       std::vector<std::uint8_t>{9});
-  ASSERT_EQ(solver.equation_count(), 2u);
-  EXPECT_TRUE(solver.equation_live(0));
-  EXPECT_EQ(solver.equation_unknown_count(0), 3u);
-  const auto keys0 = solver.equation_keys(0);
-  EXPECT_EQ(std::vector<std::uint32_t>(keys0.begin(), keys0.end()),
-            (std::vector<std::uint32_t>{1, 2, 3}));
-  // Recover 2: both equations substitute; eq 1 retires by recovering 4.
+  ASSERT_EQ(solver.buffered_count(), 2u);
+  // Recover 2: both equations substitute; {2, 4} retires by recovering 4.
   solver.mark_known(2u, std::vector<std::uint8_t>{1});
-  EXPECT_TRUE(solver.equation_live(0));
-  EXPECT_EQ(solver.equation_unknown_count(0), 2u);
-  EXPECT_FALSE(solver.equation_live(1));
+  EXPECT_EQ(solver.buffered_count(), 1u);
   EXPECT_TRUE(solver.is_known(4u));
   EXPECT_EQ(solver.value(4u), (std::vector<std::uint8_t>{8}));
-  // The arena row still lists the *initial* unknowns.
-  const auto keys0_after = solver.equation_keys(0);
-  EXPECT_EQ(std::vector<std::uint32_t>(keys0_after.begin(), keys0_after.end()),
-            (std::vector<std::uint32_t>{1, 2, 3}));
-}
-
-/// Runs the incremental and scratch inactivation decoders in lockstep:
-/// same symbols, try_solve after every arrival past the first, equal
-/// returns and recovered counts at every step, equal blocks at the end.
-void run_inactivation_lockstep(std::uint32_t blocks,
-                               const codec::DegreeDistribution& dist,
-                               std::uint64_t seed, std::size_t max_symbols) {
-  util::Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> content(blocks * 4);
-  for (auto& byte : content) byte = static_cast<std::uint8_t>(rng());
-  const codec::BlockSource source(content, 4);
-  codec::Encoder encoder(source, dist, seed);
-  codec::InactivationDecoder solver(encoder.parameters(), dist);
-  codec::ReferenceInactivationDecoder reference(encoder.parameters(), dist);
-  while (!solver.complete() && solver.received_count() < max_symbols) {
-    const auto symbol = encoder.next();
-    ASSERT_EQ(solver.add_symbol(symbol), reference.add_symbol(symbol));
-    ASSERT_EQ(solver.try_solve(), reference.try_solve())
-        << "at symbol " << solver.received_count();
-    ASSERT_EQ(solver.recovered_count(), reference.recovered_count())
-        << "at symbol " << solver.received_count();
-    ASSERT_EQ(solver.complete(), reference.complete());
-  }
-  ASSERT_TRUE(solver.complete()) << "decode did not converge";
-  EXPECT_EQ(solver.blocks(), reference.blocks());
-  EXPECT_EQ(codec::BlockSource::restore(solver.blocks(), content.size()),
-            content);
-}
-
-TEST(SolverProperty, IncrementalInactivationMatchesScratchReference) {
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::uint32_t blocks = 40 + 17 * static_cast<std::uint32_t>(trial);
-    run_inactivation_lockstep(
-        blocks, codec::DegreeDistribution::robust_soliton(blocks),
-        900 + static_cast<std::uint64_t>(trial), 40ULL * blocks);
-  }
-}
-
-TEST(SolverProperty, IncrementalInactivationMatchesReferenceWhenPeelingStalls) {
-  // Constant degree 3 never peels from cold: every recovery comes out of
-  // the elimination state, maximizing residual-row traffic (fold, sweep,
-  // re-pivot) against the reference's scratch rebuild.
-  for (int trial = 0; trial < 4; ++trial) {
-    run_inactivation_lockstep(64, codec::DegreeDistribution::constant(3),
-                              700 + static_cast<std::uint64_t>(trial), 4000);
-  }
 }
 
 }  // namespace

@@ -186,6 +186,38 @@ TEST(WireMessage, EncodedSymbolFrameBytesArePinned) {
   EXPECT_EQ(encode_frame(codec::EncodedSymbolView(large)), expected_large);
 }
 
+TEST(WireMessage, FragmentFrameBytesArePinned) {
+  // The 47-byte sketch frame pinned above, over a 32-byte MTU, leaves 8
+  // bytes per slice, so the transport sends it as six fragments; the
+  // second one is pinned.
+  sketch::MinwiseSketch sketch(1 << 20, 3);
+  sketch.update_all({1, 2, 3, 99});
+  const std::vector<std::uint8_t> expected{
+      0xd0, 0x1c, 0x01, 0x08, 0x11,                    // header, length 17
+      0x01, 0x00, 0x00, 0x00,                          // sequence 1
+      0x01, 0x00, 0x06, 0x00,                          // slice 1 of 6
+      0x08,                                            // 8 slice bytes
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe5, 0xfe,  // sketch bytes 8-15
+  };
+  Pipe pipe(kFragmentOverhead + 8);
+  std::vector<std::vector<std::uint8_t>> sent;
+  pipe.a().set_frame_observer(
+      [&sent](const std::vector<std::uint8_t>& frame, bool) {
+        sent.push_back(frame);
+      });
+  ASSERT_TRUE(pipe.a().send(SketchMessage{sketch}));
+  ASSERT_EQ(sent.size(), 6u);
+  EXPECT_EQ(sent[1], expected);
+  // A Fragment message encodes to the same bytes as the packetizer's.
+  const std::vector<std::uint8_t> slice(expected.end() - 8, expected.end());
+  EXPECT_EQ(encode_frame(Fragment{1, 1, 6, slice}), expected);
+  const auto received = pipe.b().receive_frame();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(std::get<SketchMessage>(std::get<Message>(*received))
+                .sketch.minima(),
+            sketch.minima());
+}
+
 TEST(ByteReader, U64ArrayReadsAreBoundsChecked) {
   util::ByteWriter out;
   const std::vector<std::uint64_t> values{1, 0x8000000000000001ULL, 3};
