@@ -35,9 +35,9 @@ struct DeliveryOptions {
   AdmissionPolicy admission;
   /// Massive-swarm admission: when nonzero, each refresh plans every
   /// receiver against a deterministic sample of this many candidate
-  /// senders (seeded rejection draws off the session seed chain) instead
-  /// of ranking the entire swarm — O(n·k²) per refresh instead of O(n²).
-  /// 0 (default) keeps the historical full-pool plan bit-for-bit.
+  /// senders (seeded rejection draws from the receiver's own seed, see
+  /// core::receiver_seed) instead of ranking the entire swarm — O(n·k²)
+  /// per refresh instead of O(n²). 0 (default) ranks the full pool.
   std::size_t admission_sample = 0;
   /// Channel shaping (loss, reorder, MTU) applied to every peer-to-peer
   /// link. Perfect by default. An unset seed is replaced with a fresh
@@ -48,7 +48,9 @@ struct DeliveryOptions {
   /// set it replaces `link` for that edge; the unset-seed rule above
   /// applies to the returned config too. Timing knobs (delay_ticks,
   /// jitter_ticks, rate_bytes_per_tick) switch the edge to the virtual
-  /// clock and the engine to scheduler-driven servicing.
+  /// clock and the engine to scheduler-driven servicing. Every shard calls
+  /// it at once for its own receivers' downloads: it must be safe to call
+  /// concurrently, and depend on the edge alone.
   std::function<wire::ChannelConfig(std::size_t, std::size_t)> link_config;
   /// Closed-loop flow control (SessionOptions::flow_control) on every
   /// download session: receivers re-issue their request with decremented

@@ -25,7 +25,6 @@ ReceiverEndpoint::ReceiverEndpoint(Peer& peer, SessionOptions options,
 
 void ReceiverEndpoint::start() {
   started_ = true;
-  phase_ = EndpointPhase::kEstimate;
   send_bundle();
 }
 
@@ -125,7 +124,7 @@ std::size_t ReceiverEndpoint::tick() {
           resemblance, peer_.symbol_count(), sender_hello_->working_set_size);
       containment_estimated_ = true;
     }
-    phase_ = EndpointPhase::kTransfer;
+    in_transfer_ = true;
     // Transfer reached: the buffered sender sketch and the cached
     // handshake bundle (summary + sketch scratch) are never sent or read
     // again — retries only run pre-transfer. Freeing them here is what
@@ -139,12 +138,12 @@ std::size_t ReceiverEndpoint::tick() {
   // Request/retry path: until the sender's reply lands, re-send the whole
   // bundle periodically — any piece of it may have been lost. The clock
   // deliberately ignores arriving traffic: symbols can already be
-  // streaming while the (lost) reply is what keeps us out of kTransfer.
+  // streaming while the (lost) reply is what keeps us out of transfer.
   // A service with a stale clock (teardown ticks) counts as one quiet
   // tick, as it always has. Each retry stretches the cadence by the
   // backoff factor (capped); an exhausted retry budget fails the session
   // instead of retrying forever against a permanently dead sender.
-  if (phase_ != EndpointPhase::kTransfer && !failed_) {
+  if (!in_transfer_ && !failed_) {
     quiet_ticks_ += elapsed;
     if (quiet_ticks_ >= retry_interval()) {
       if (options_.max_handshake_retries > 0 &&
@@ -161,7 +160,7 @@ std::size_t ReceiverEndpoint::tick() {
   // sender suspect. Any arriving frame — data or control — is evidence of
   // life; a satisfied receiver expects silence and never suspects.
   if (options_.liveness_timeout_ticks > 0 &&
-      phase_ == EndpointPhase::kTransfer && !satisfied()) {
+      in_transfer_ && !satisfied()) {
     if (frames_seen > 0) {
       quiet_transfer_ticks_ = 0;
     } else {
@@ -171,7 +170,7 @@ std::size_t ReceiverEndpoint::tick() {
       }
     }
   }
-  if (options_.flow_control && phase_ == EndpointPhase::kTransfer) {
+  if (options_.flow_control && in_transfer_) {
     maybe_send_flow_update();
   }
   return gained;
@@ -254,20 +253,13 @@ void SenderEndpoint::tick() {
   // — but in transfer the only work left is answering re-sent bundles.
   // Pre-release this ordering is equivalent to checking bundle_complete()
   // first, because the buffered pieces were sticky once transfer began.
-  if (phase_ == EndpointPhase::kTransfer) {
+  if (in_transfer_) {
     if (reply_due_) send_reply();
     reply_due_ = false;
     release_handshake_summaries();  // drop any re-buffered duplicates
     return;
   }
-  if (!bundle_complete()) {
-    if (receiver_hello_ || receiver_sketch_) {
-      phase_ = strategy_uses_bloom(options_.strategy)
-                   ? EndpointPhase::kSummarize
-                   : EndpointPhase::kEstimate;
-    }
-    return;
-  }
+  if (!bundle_complete()) return;
   finish_handshake();
   reply_due_ = false;
 }
@@ -322,7 +314,7 @@ void SenderEndpoint::finish_handshake() {
     recode_distribution_ = make_recode_distribution(peer_.symbol_count());
   }
 
-  phase_ = EndpointPhase::kTransfer;
+  in_transfer_ = true;
   send_reply();
   // The sketch and summary are fully digested into estimated_containment_
   // and domain_slots_; free the per-session copies (the dominant
@@ -340,7 +332,7 @@ void SenderEndpoint::send_reply() {
 
 bool SenderEndpoint::send_symbol() {
   using overlay::Strategy;
-  if (phase_ != EndpointPhase::kTransfer) return false;
+  if (!in_transfer_) return false;
   // Flow control: a satisfied receiver has said stop; serve nothing more.
   if (satisfied_) return false;
   // An empty working set has nothing to serve — every strategy below

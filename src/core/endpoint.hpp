@@ -114,14 +114,6 @@ inline std::size_t cached_message_bytes(
   return 0;
 }
 
-/// Protocol progress of one endpoint.
-enum class EndpointPhase : std::uint8_t {
-  kHandshake,  // nothing exchanged yet
-  kEstimate,   // sketches in flight / being compared
-  kSummarize,  // sender: waiting for or digesting the summary
-  kTransfer,   // symbols flowing
-};
-
 /// The downloading half. Drives the handshake (it speaks first) and feeds
 /// arriving symbols into its Peer's stacked decoders.
 class ReceiverEndpoint {
@@ -157,7 +149,7 @@ class ReceiverEndpoint {
   /// further retries ever), before the first virtual-clock service
   /// (no baseline yet — treat as due now), or on the call-counting clock.
   std::optional<std::uint64_t> retry_due_at() const {
-    if (phase_ == EndpointPhase::kTransfer || failed_ || !serviced_at_) {
+    if (in_transfer_ || failed_ || !serviced_at_) {
       return std::nullopt;
     }
     const std::size_t interval = retry_interval();
@@ -171,7 +163,7 @@ class ReceiverEndpoint {
   /// flagged, or on the call-counting clock (no virtual baseline).
   std::optional<std::uint64_t> liveness_due_at() const {
     if (options_.liveness_timeout_ticks == 0 ||
-        phase_ != EndpointPhase::kTransfer || sender_suspect_ ||
+        !in_transfer_ || sender_suspect_ ||
         satisfied() || !serviced_at_) {
       return std::nullopt;
     }
@@ -188,8 +180,8 @@ class ReceiverEndpoint {
   /// session can never establish and should be failed with a diagnostic.
   bool failed() const { return failed_; }
 
-  EndpointPhase phase() const { return phase_; }
-  bool transfer_started() const { return phase_ == EndpointPhase::kTransfer; }
+  /// The sender's reply landed: symbols flow and handshake retries stop.
+  bool transfer_started() const { return in_transfer_; }
   bool complete() const { return peer_.has_content(); }
 
   /// Containment estimated from the sketch exchange (0 until estimated).
@@ -248,8 +240,8 @@ class ReceiverEndpoint {
   Peer& peer_;
   SessionOptions options_;
   wire::Transport& transport_;
-  EndpointPhase phase_ = EndpointPhase::kHandshake;
   bool started_ = false;
+  bool in_transfer_ = false;
   std::optional<wire::Hello> sender_hello_;
   std::optional<sketch::MinwiseSketch> sender_sketch_;
   /// Summary built on the first send_bundle(); handshake retries re-send
@@ -312,8 +304,8 @@ class SenderEndpoint {
   /// Returns false (and sends nothing) before that.
   bool send_symbol();
 
-  EndpointPhase phase() const { return phase_; }
-  bool transfer_active() const { return phase_ == EndpointPhase::kTransfer; }
+  /// The handshake is digested: send_symbol() serves.
+  bool transfer_active() const { return in_transfer_; }
 
   /// Flow control: the receiver declared itself satisfied (RequestUpdate
   /// with zero remaining) — send_symbol() serves nothing further.
@@ -361,7 +353,7 @@ class SenderEndpoint {
   SessionOptions options_;
   wire::Transport& transport_;
   util::Xoshiro256 rng_;
-  EndpointPhase phase_ = EndpointPhase::kHandshake;
+  bool in_transfer_ = false;
   std::optional<wire::Hello> receiver_hello_;
   std::optional<sketch::MinwiseSketch> receiver_sketch_;
   std::optional<filter::BloomFilter> receiver_bloom_;

@@ -140,7 +140,6 @@ class FaultTracker {
   }
 
   bool active() const { return plan_ && !plan_->empty(); }
-  const FaultPlan* plan() const { return plan_.get(); }
 
   /// Crashed or stalled at `tick` (false without a plan).
   bool down(std::size_t peer, std::uint64_t tick) const {

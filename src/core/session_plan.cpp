@@ -7,16 +7,22 @@
 
 namespace icd::core {
 
+std::uint64_t receiver_seed(std::uint64_t session_seed,
+                            std::uint64_t refresh_tick, std::size_t receiver) {
+  return util::hash64(receiver,
+                      util::hash64(refresh_tick, session_seed ^ 0x5e551075ULL));
+}
+
 std::vector<PlannedDownload> plan_downloads(
-    std::size_t me, const PlanPeer& self,
+    std::size_t me, const CandidateSender& self,
     const std::vector<CandidateSender>& candidates,
     const DeliveryOptions& options, std::size_t target_symbols,
-    std::uint64_t& session_seed_chain) {
-  const std::size_t have = self.symbol_count;
+    std::uint64_t seed) {
+  const std::size_t have = self.working_set_size;
   const std::size_t needed =
       target_symbols > have ? target_symbols - have : 1;
   auto selected =
-      select_senders(*self.sketch, self.symbol_count, candidates,
+      select_senders(*self.sketch, self.working_set_size, candidates,
                      options.admission, options.max_peer_sessions);
   // Starvation relaxation: admission exists to skip identical-content
   // senders, but near the end of a download every candidate looks
@@ -33,7 +39,7 @@ std::vector<PlannedDownload> plan_downloads(
   if (selected.empty() && !candidates.empty() &&
       options.max_peer_sessions > 0) {
     selected = select_senders(
-        *self.sketch, self.symbol_count, candidates,
+        *self.sketch, self.working_set_size, candidates,
         relax_policy_for_need(options.admission, needed, target_symbols),
         options.max_peer_sessions);
   }
@@ -62,35 +68,36 @@ std::vector<PlannedDownload> plan_downloads(
     download.session.liveness_timeout_ticks = options.liveness_timeout_ticks;
     download.session.requested_symbols = std::max<std::size_t>(
         1, (needed * 5 / 4) / std::max<std::size_t>(1, selected.size()));
-    download.session.seed = session_seed_chain =
-        util::mix64(session_seed_chain);
+    download.session.seed = seed = util::mix64(seed);
     download.link = wire::resolve_edge_config(
         options.link_config, options.link, j, me,
-        util::mix64(session_seed_chain ^ 0x11aacULL));
+        util::mix64(seed ^ 0x11aacULL));
     plan.push_back(std::move(download));
   }
   return plan;
 }
 
-void sample_candidates(std::size_t me, const std::vector<PlanPeer>& peers,
+void sample_candidates(std::size_t me, const std::vector<CandidateSender>& view,
                        const std::vector<std::size_t>& eligible,
-                       std::size_t sample, std::uint64_t session_seed_chain,
+                       std::size_t sample, std::uint64_t seed,
                        std::vector<CandidateSender>& out) {
+  out.clear();
+  if (sample == 0) {
+    for (const std::size_t j : eligible) {
+      if (j != me) out.push_back(view[j]);
+    }
+    return;
+  }
   // Ranking a bounded random sample instead of the full pool makes one
   // refresh cost O(n * sample) sketch comparisons instead of O(n^2) (and
-  // O(n * sample^2) duplicate checks). The draws fork off the seed chain
-  // without advancing it, so the chain still evolves only per planned
-  // download and the refresh stays a deterministic function of (swarm
-  // state, chain value).
-  out.clear();
+  // O(n * sample^2) duplicate checks).
   const bool self_eligible =
       std::binary_search(eligible.begin(), eligible.end(), me);
   const std::size_t pool =
       eligible.size() - static_cast<std::size_t>(self_eligible);
   if (pool == 0) return;
   const std::size_t want = std::min(sample, pool);
-  std::uint64_t draw = util::mix64(
-      session_seed_chain ^ (0x5ca1ab1eULL + me * 0x9e3779b97f4a7c15ULL));
+  std::uint64_t draw = util::mix64(seed ^ 0x5ca1ab1eULL);
   // Rejection-sample `want` distinct candidates; the attempt cap only
   // matters when want is close to the pool size, where a rare undershoot
   // just means a slightly smaller (still ranked) pool.
@@ -106,7 +113,7 @@ void sample_candidates(std::size_t me, const std::vector<PlanPeer>& peers,
                                })) {
       continue;
     }
-    out.push_back(CandidateSender{j, peers[j].sketch, peers[j].symbol_count});
+    out.push_back(view[j]);
   }
 }
 

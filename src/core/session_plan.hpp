@@ -10,24 +10,14 @@
 /// Session planning for the delivery engine.
 ///
 /// Every refresh must form the same sessions from the same peer state at
-/// any shard count, so the admission ranking, starvation fallback, request
-/// sizing, candidate sampling and the seed-chain evolution live here, as
-/// functions of (peer view, options, chain value). The engine's refresh
-/// (ShardedDelivery::refresh_sessions) calls them on the coordinator, one
-/// receiver at a time in ascending id order.
+/// any shard count, so admission ranking, the starvation fallback, request
+/// sizing, candidate sampling and seeding live here, as functions of (peer
+/// view, options, receiver seed). A receiver's seed depends only on the
+/// session seed, the refresh tick and its id (receiver_seed), so each shard
+/// plans its own receivers (ShardedDelivery::refresh_sessions) in any order.
 namespace icd::core {
 
 struct DeliveryOptions;
-
-/// One peer as a refresh sees it: its sketch and working-set size.
-struct PlanPeer {
-  const sketch::MinwiseSketch* sketch = nullptr;
-  std::size_t symbol_count = 0;
-  /// False when the peer may not serve right now — crashed, stalled, or
-  /// under liveness suspicion (see core::FaultTracker). Unavailable peers
-  /// are skipped as candidates but still plan their own downloads.
-  bool available = true;
-};
 
 /// One download the plan tells the engine to create.
 struct PlannedDownload {
@@ -36,28 +26,31 @@ struct PlannedDownload {
   wire::ChannelConfig link;
 };
 
-/// Plans receiver `me`'s downloads from its view `self` and the candidate
-/// senders it ranks this refresh: admission-ranked senders (relaxed for a
-/// near-complete receiver, with the largest-candidate starvation
+/// The seed receiver `receiver` plans from at the refresh of tick
+/// `refresh_tick`, derived from DeliveryOptions::session_seed.
+std::uint64_t receiver_seed(std::uint64_t session_seed,
+                            std::uint64_t refresh_tick, std::size_t receiver);
+
+/// Plans receiver `me`'s downloads from its own entry `self` and the
+/// candidates it ranks this refresh: admission-ranked senders (relaxed for
+/// a near-complete receiver, with the largest-candidate starvation
 /// fallback), per-sender requested-symbol shares toward `target_symbols`,
-/// and one session seed plus link config per download drawn from
-/// `session_seed_chain`. The call advances the chain once per planned
-/// download, so a refresh that plans receivers in ascending order
-/// reproduces the historical seed sequence (pinned by the golden
-/// trajectories).
+/// and one session seed plus link config per download, chained locally off
+/// the receiver's `seed`.
 std::vector<PlannedDownload> plan_downloads(
-    std::size_t me, const PlanPeer& self,
+    std::size_t me, const CandidateSender& self,
     const std::vector<CandidateSender>& candidates,
     const DeliveryOptions& options, std::size_t target_symbols,
-    std::uint64_t& session_seed_chain);
+    std::uint64_t seed);
 
-/// Sampled admission (DeliveryOptions::admission_sample): fills `out` with
-/// up to `sample` distinct candidates for receiver `me`, drawn from
-/// `eligible` (ascending ids of peers that may serve and hold symbols) by
-/// a stream forked off `session_seed_chain` without advancing it.
-void sample_candidates(std::size_t me, const std::vector<PlanPeer>& peers,
+/// Fills `out` with receiver `me`'s candidates from `view`, drawn from
+/// `eligible` (ascending ids of the peers that hold symbols and are
+/// neither down nor suspect): all but `me` when `sample` is 0 (full-pool
+/// admission), else up to `sample` distinct ones
+/// (DeliveryOptions::admission_sample) drawn by a stream seeded from `seed`.
+void sample_candidates(std::size_t me, const std::vector<CandidateSender>& view,
                        const std::vector<std::size_t>& eligible,
-                       std::size_t sample, std::uint64_t session_seed_chain,
+                       std::size_t sample, std::uint64_t seed,
                        std::vector<CandidateSender>& out);
 
 /// The degree distribution the delivery engine gives its origins and

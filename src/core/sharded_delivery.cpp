@@ -6,7 +6,6 @@
 
 #include "codec/decoder.hpp"
 #include "core/session_plan.hpp"
-#include "util/hash.hpp"
 
 namespace icd::core {
 
@@ -15,9 +14,7 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
                                  ShardOptions shard_options)
     : content_(std::move(content)), options_(options),
       shards_(std::max<std::size_t>(1, shard_options.shards)),
-      shard_peers_(shards_),
-      next_session_seed_(util::mix64(options.session_seed ^ 0x5e551075ULL)),
-      retired_link_totals_(shards_),
+      shard_peers_(shards_), retired_link_totals_(shards_),
       faults_(options.faults),
       send_fn_([this](std::size_t shard) { phase_send(shard); }),
       receive_fn_([this](std::size_t shard) { phase_receive(shard); }),
@@ -58,10 +55,9 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
 
 void ShardedDelivery::release_pool_owners() {
   // The coordinator is about to stand in for the shard threads (a crash
-  // or failure-sweep teardown, full-pool admission's serial teardown) or
-  // has just done so: unbind every shard's pool so the next user — worker
-  // or coordinator — rebinds. Workers are parked at a barrier, which
-  // orders the handoff.
+  // or failure-sweep teardown) or has just done so: unbind every shard's
+  // pool so the next user — worker or coordinator — rebinds. Workers are
+  // parked at a barrier, which orders the handoff.
   for (const auto& pool : shard_pools_) pool->debug_release_owner();
 }
 
@@ -81,66 +77,22 @@ void ShardedDelivery::run_phase(
 
 void ShardedDelivery::refresh_sessions() {
   // Give every incomplete peer up to max_peer_sessions downloads from
-  // admission-ranked senders (ranking, fallback, sampling and seed chain:
-  // session_plan). Sampled admission retires every download before any
-  // receiver plans, each shard its own receivers'; full-pool admission
-  // retires each receiver's on the coordinator just before it plans. The
-  // golden trajectories pin both orders.
-  // The planning target rounds kDecodeOverhead * blocks down, where every
-  // completion rule (codec::decoding_target) rounds up: rounding it up too
-  // would change the request shares, and with them the golden trajectories.
-  const std::size_t target = static_cast<std::size_t>(
-      codec::kDecodeOverhead * static_cast<double>(parameters().block_count));
-  const std::size_t n = peers_.size();
-  const bool sampled = options_.admission_sample > 0;
-  if (sampled) {
-    run_phase(retire_fn_);
-  } else {
-    release_pool_owners();
-  }
-  // One snapshot per refresh. Fault and suspect state cannot change inside
-  // a refresh, and retiring a receiver's downloads changes only its own
-  // working set, so the full-pool loop re-reads only that receiver's size.
-  std::vector<PlanPeer> view(n);
-  std::vector<char> down(n);
-  std::vector<std::size_t> eligible;
-  for (std::size_t j = 0; j < n; ++j) {
-    down[j] = faults_.down(j, ticks_);
-    view[j] = PlanPeer{&peers_[j].peer->sketch(),
-                       peers_[j].peer->symbol_count(),
-                       !down[j] && !faults_.suspect(j, ticks_)};
-    if (sampled && view[j].symbol_count > 0 && view[j].available) {
-      eligible.push_back(j);
+  // admission-ranked senders (ranking, fallback, sampling and seeds:
+  // session_plan). Every shard retires its receivers' downloads first, so
+  // every candidate is seen after teardown.
+  run_phase(retire_fn_);
+  // One snapshot per refresh; fault and suspect state cannot change
+  // inside a refresh.
+  plan_view_.resize(peers_.size());
+  plan_eligible_.clear();
+  for (std::size_t j = 0; j < peers_.size(); ++j) {
+    const Peer& peer = *peers_[j].peer;
+    plan_view_[j] = CandidateSender{j, &peer.sketch(), peer.symbol_count()};
+    if (peer.symbol_count() > 0 && !faults_.down(j, tick_now_) &&
+        !faults_.suspect(j, tick_now_)) {
+      plan_eligible_.push_back(j);
     }
   }
-  std::vector<CandidateSender> candidates;
-  for (std::size_t me = 0; me < n; ++me) {
-    if (!sampled) {
-      retire_downloads(me);
-      view[me].symbol_count = peers_[me].peer->symbol_count();
-    }
-    // A down peer plans nothing this refresh — it rejoins (session
-    // resumption with its surviving working set) at the first refresh
-    // after its restart.
-    if (peers_[me].peer->has_content() || down[me]) continue;
-    if (sampled) {
-      sample_candidates(me, view, eligible, options_.admission_sample,
-                        next_session_seed_, candidates);
-    } else {
-      candidates.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == me || view[j].symbol_count == 0 || !view[j].available) {
-          continue;
-        }
-        candidates.push_back(
-            CandidateSender{j, view[j].sketch, view[j].symbol_count});
-      }
-    }
-    peers_[me].planned = plan_downloads(me, view[me], candidates, options_,
-                                        target, next_session_seed_);
-  }
-  // Hand the pools back to the shards, which build what was planned.
-  if (!sampled) release_pool_owners();
   run_phase(build_fn_);
 }
 
@@ -149,24 +101,41 @@ void ShardedDelivery::phase_retire(std::size_t shard) {
 }
 
 void ShardedDelivery::phase_build(std::size_t shard) {
-  // A download reads its receiver's Peer when it starts, and that Peer is
-  // as it was at its plan: retiring other receivers' downloads changed
-  // only theirs. Sender Peers are only referenced here.
+  // The planning target rounds kDecodeOverhead * blocks down, where every
+  // completion rule (codec::decoding_target) rounds up: rounding it up too
+  // would change the request shares.
+  const std::size_t target = static_cast<std::size_t>(
+      codec::kDecodeOverhead * static_cast<double>(parameters().block_count));
+  std::vector<CandidateSender> candidates;
   bool serving = false;
   for (const std::size_t id : shard_peers_[shard]) {
     PeerEntry& entry = peers_[id];
-    for (const PlannedDownload& planned : std::exchange(entry.planned, {})) {
-      auto download = std::make_unique<DownloadLink>(
-          *peers_[planned.sender_id].peer, *entry.peer, planned.session,
-          planned.link, options_.block_size, shard_pools_[shard]);
-      // The handshake itself flows over the link and completes across
-      // subsequent ticks.
-      download->receiver.start();
-      entry.downloads.emplace_back(planned.sender_id, std::move(download));
+    // A down peer plans nothing this refresh — it rejoins (session
+    // resumption with its surviving working set) at the first refresh
+    // after its restart. The fault plan is immutable: any shard may read
+    // it.
+    if (!entry.peer->has_content() && !faults_.down(id, tick_now_)) {
+      // A plan reads only the snapshot; a download reads its receiver's
+      // Peer when it starts, and only references its sender's.
+      const std::uint64_t seed =
+          receiver_seed(options_.session_seed, tick_now_, id);
+      sample_candidates(id, plan_view_, plan_eligible_,
+                        options_.admission_sample, seed, candidates);
+      for (const PlannedDownload& planned : plan_downloads(
+               id, plan_view_[id], candidates, options_, target, seed)) {
+        auto download = std::make_unique<DownloadLink>(
+            *peers_[planned.sender_id].peer, *entry.peer, planned.session,
+            planned.link, options_.block_size, shard_pools_[shard]);
+        // The handshake itself flows over the link and completes across
+        // subsequent ticks.
+        download->receiver.start();
+        entry.downloads.emplace_back(planned.sender_id, std::move(download));
+      }
+      // Receivers drain their downloads in ascending sender order.
+      std::sort(
+          entry.downloads.begin(), entry.downloads.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
     }
-    // Receivers drain their downloads in ascending sender order.
-    std::sort(entry.downloads.begin(), entry.downloads.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     serving = serving || !entry.downloads.empty();
   }
   // A shard left without downloads draws no frame before the next
@@ -288,15 +257,15 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
 }
 
 std::size_t ShardedDelivery::tick() {
+  // Virtual time of this tick (= its index): a refresh due now seeds its
+  // plans with it, and every timed link advances to it.
+  tick_now_ = ticks_;
   // Fault application precedes the refresh so crashed peers are excluded
   // from (and flash-crowd joiners included in) a refresh due this tick.
   if (faults_.active()) apply_faults(ticks_);
   if (ticks_ % std::max<std::size_t>(1, options_.refresh_interval) == 0) {
     refresh_sessions();
   }
-  // Virtual time of this tick (= its index); every timed link advances
-  // to it.
-  tick_now_ = ticks_;
   ++ticks_;
 
   // Coordinator prologue: completion and fault snapshots (the phases read

@@ -46,11 +46,12 @@
 ///   receive phase  — each shard applies its peers' origin symbols and
 ///                    runs the receiver halves, mutating only its own
 ///                    peers.
-/// A session refresh is a serial plan between two more shard phases: the
-/// shards retire their receivers' downloads, the coordinator ranks
-/// candidates and plans, and the shards build the planned downloads.
+/// A session refresh is two more shard phases around one O(peers)
+/// snapshot: the shards retire their receivers' downloads, the coordinator
+/// records what every plan reads, and each shard then ranks, plans and
+/// builds its own receivers' downloads, each receiver from its own seed.
 /// shards = 1 runs every phase on the caller's thread, with no worker
-/// threads; shards >= 2 run them on a ShardPool. Planning, fault
+/// threads; shards >= 2 run them on a ShardPool. The snapshot, fault
 /// application and origin symbol draws stay single-threaded on the
 /// coordinator outside the phases, where they may touch any shard's
 /// state.
@@ -189,9 +190,6 @@ class ShardedDelivery {
     /// (the receive order). Both halves run on this peer's shard.
     std::vector<std::pair<std::size_t, std::unique_ptr<DownloadLink>>>
         downloads;
-    /// Downloads the refresh planned for this receiver; its shard's build
-    /// phase turns them into `downloads`.
-    std::vector<PlannedDownload> planned;
     /// Origin symbol id reserved by the coordinator this tick; the owning
     /// shard runs the (pure, const) encode, so the XOR-heavy origin
     /// encoding parallelizes across the pool while the id sequence — and
@@ -214,13 +212,12 @@ class ShardedDelivery {
     std::vector<FailedPeer> failed_peers;
   };
 
-  /// A serial plan between two shard phases: retire (sampled admission;
-  /// full-pool admission retires serially inside the plan, the order the
-  /// golden trajectories pin), then the coordinator's snapshot, candidate
-  /// ranking and seed chain, then build.
+  /// Retire phase, the snapshot every plan reads (plan_view_), build
+  /// phase.
   void refresh_sessions();
   /// Unbinds every shard pool from its thread around the coordinator's
-  /// stand-in teardowns (BufferPool::debug_release_owner).
+  /// crash and failure-sweep teardowns, which stand in for the shard
+  /// threads (BufferPool::debug_release_owner).
   void release_pool_owners();
   /// Coordinator-side, top-of-tick fault application: due crashes tear the
   /// crashed peer's own downloads down (banking wire costs; its decoded
@@ -266,10 +263,10 @@ class ShardedDelivery {
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
   /// The refresh's shard phases: retire every download the shard's peers
-  /// receive (sampled admission), and build the downloads the plan gave
-  /// them. Each touches only its own receivers' state: a teardown changes
-  /// only its receiver, and a build reads only its receiver's Peer, which
-  /// nothing changed since its plan.
+  /// receive, then plan each of them from the snapshot and its own seed
+  /// and build what was planned. Each touches only its own receivers'
+  /// state: a teardown changes only its receiver, a plan reads only the
+  /// snapshot, and a build reads only its receiver's Peer.
   void phase_retire(std::size_t shard);
   void phase_build(std::size_t shard);
   /// Runs `phase` for every shard: on the pool, timed into
@@ -302,7 +299,11 @@ class ShardedDelivery {
   /// Virtual time of the tick in progress (= its tick index), read by the
   /// phases on every shard; written only between pool runs.
   std::uint64_t tick_now_ = 0;
-  std::uint64_t next_session_seed_;
+  /// The refresh snapshot, taken after every teardown and read-only in the
+  /// build phase: every peer's sketch and working-set size, and the
+  /// ascending ids of those that may serve (see sample_candidates).
+  std::vector<CandidateSender> plan_view_;
+  std::vector<std::size_t> plan_eligible_;
   /// Per shard: the frame pool its links share, and the wire costs of the
   /// downloads its receivers retired.
   std::vector<std::shared_ptr<wire::BufferPool>> shard_pools_;

@@ -42,8 +42,6 @@ class DoubleHashFamily {
   /// `range` must be nonzero. `seed` selects the family member.
   DoubleHashFamily(std::size_t range, std::uint64_t seed);
 
-  std::size_t range() const { return range_; }
-
   /// Value of the i-th hash function applied to `key`.
   std::size_t at(std::uint64_t key, std::size_t i) const {
     const std::uint64_t h1 = hash64(key, seed1_);

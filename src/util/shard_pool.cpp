@@ -20,7 +20,6 @@ ShardPool::~ShardPool() {
 }
 
 void ShardPool::run(const std::function<void(std::size_t)>& fn) {
-  ++runs_;
   fn_ = &fn;
   gate_.arrive_and_wait();  // entry: workers see fn_ and start
   gate_.arrive_and_wait();  // exit: all workers finished the callback

@@ -45,10 +45,6 @@ class ShardPool {
   /// Cumulative per-worker thread-CPU nanoseconds spent inside callbacks.
   const std::vector<std::uint64_t>& busy_ns() const { return busy_ns_; }
 
-  /// Phase callbacks dispatched so far — the denominator for turning
-  /// busy_ns into a per-phase cost (bench/scale instrumentation).
-  std::uint64_t runs() const { return runs_; }
-
  private:
   void worker(std::size_t shard);
   static std::uint64_t thread_cpu_ns();
@@ -59,7 +55,6 @@ class ShardPool {
   std::barrier<> gate_;
   const std::function<void(std::size_t)>* fn_ = nullptr;
   bool stop_ = false;
-  std::uint64_t runs_ = 0;
   std::vector<std::uint64_t> busy_ns_;
   std::vector<std::jthread> workers_;
 };

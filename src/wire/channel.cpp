@@ -115,14 +115,12 @@ bool LossyChannel::send(std::vector<std::uint8_t> frame) {
     ++oversized_;
     return false;
   }
-  ++sent_;
   sent_bytes_ += frame.size();
   // Blackout windows eat the frame before any RNG draw: the loss/reorder
   // stream is untouched, so trajectories outside the window are identical
   // to a run without the blackout.
   if (blackout_) {
     ++dropped_;
-    ++blackout_drops_;
     return true;
   }
   if (!timed()) {
@@ -168,7 +166,6 @@ std::vector<std::uint8_t> LossyChannel::receive() {
   if (timed()) {
     auto frame = timed_queue_.pop_due(now());
     if (!frame) return {};
-    delivered_bytes_ += frame->size();
     return std::move(*frame);
   }
   if (queue_.empty()) {
@@ -177,9 +174,7 @@ std::vector<std::uint8_t> LossyChannel::receive() {
     flush();
     return {};
   }
-  auto frame = queue_.pop_front();
-  delivered_bytes_ += frame.size();
-  return frame;
+  return queue_.pop_front();
 }
 
 Message LossyChannel::receive_message() {

@@ -312,16 +312,11 @@ class LossyChannel {
   /// identical frame set. Frames already in flight still arrive
   /// (the partition cuts the wire, not the queue).
   void set_blackout(bool active) { blackout_ = active; }
-  bool blackout() const { return blackout_; }
-  /// Frames eaten by blackout windows (also counted in dropped()).
-  std::size_t blackout_drops() const { return blackout_drops_; }
 
   /// Statistics.
-  std::size_t sent() const { return sent_; }
   std::size_t dropped() const { return dropped_; }
   std::size_t oversized() const { return oversized_; }
   std::size_t sent_bytes() const { return sent_bytes_; }
-  std::size_t delivered_bytes() const { return delivered_bytes_; }
   /// Frames whose departure the token bucket pushed past their send tick.
   std::size_t throttled() const { return shaper_.throttled(); }
 
@@ -346,18 +341,15 @@ class LossyChannel {
   /// loss draw (the RNG stream is shared, consumed two draws per frame).
   std::optional<GilbertElliott> ge_;
   bool blackout_ = false;
-  std::size_t blackout_drops_ = 0;
   util::RingBuffer<std::vector<std::uint8_t>> queue_;
   /// Event clock: the most recently sent frame, one hop from deliverable.
   std::optional<std::vector<std::uint8_t>> in_flight_;
   /// Virtual clock: frames ordered by (arrival, seq).
   TimedFrameQueue timed_queue_;
   std::uint64_t next_seq_ = 0;
-  std::size_t sent_ = 0;
   std::size_t dropped_ = 0;
   std::size_t oversized_ = 0;
   std::size_t sent_bytes_ = 0;
-  std::size_t delivered_bytes_ = 0;
 };
 
 }  // namespace icd::wire

@@ -10,14 +10,16 @@
 // pins the single-threaded run to the pooled one. The two shard counts
 // must also end on the same tick with the same ticks skipped.
 //
-// The lines were recorded from the 2-shard engine (lockstep and jumped
-// agreed) while shards = 1 still ran a separate inline schedule; the
-// shards = 1 run of the shared two-phase tick reproduces every one. The
-// sampled-admission line was recorded before ShardedDelivery took the
-// refresh loop over from session_plan's callbacks; its four runs agreed.
-// The four cases that run at DeliveryOptions' default flow control
-// (mirrored-swarm, loss-reorder, sampled-admission, untimed-churn) were
-// re-recorded when that default turned on; all four runs of each agreed.
+// Every line was re-recorded, from this test's own output, when each
+// receiver began planning its refresh on its own shard from a seed derived
+// from (session seed, refresh tick, receiver id) instead of one seed chain
+// that every earlier receiver's plan advanced: every case's session and
+// link seeds changed. The full-pool cases (every case but
+// sharded:sampled-admission) also moved because every receiver's downloads
+// are now retired before any receiver plans, so each candidate's
+// working-set size is read after its own teardown. All four runs of every
+// case printed the same line, and both shard counts ended on the same tick
+// with the same ticks skipped.
 //
 // The cases: the configurations of the former shards=1-vs-legacy equality
 // tests, a sampled-admission swarm, two fault_test swarms whose receivers

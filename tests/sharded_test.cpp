@@ -1,6 +1,8 @@
 // Sharded delivery engine: determinism contract (every shard count, 1
-// included, gives one identical trajectory, also across refreshes whose
-// teardown and build run on the shards), multi-shard swarm correctness
+// included, gives one identical trajectory, also across refreshes that
+// retire, plan and build on the shards, and with a per-edge link_config
+// those shards call at once), per-receiver refresh plans (no receiver's
+// plan depends on another's), multi-shard swarm correctness
 // (run under TSAN in CI), the per-peer link memory of multi-shard swarms,
 // the reuse of each shard's frame pool, read-only id lookups on a Peer
 // shared across threads, and the shard-local ownership of buffer pools.
@@ -231,6 +233,81 @@ TEST(ShardCountInvariance, SampledAdmissionRefreshesAcrossCrashAndRestart) {
   EXPECT_GT(two.ticks, 3 * options.refresh_interval);
   EXPECT_GT(*std::max_element(two.completion.begin(), two.completion.end()),
             3 * options.refresh_interval);
+}
+
+TEST(ShardCountInvariance, PerEdgeLinkConfigAcrossCrashAndRestart) {
+  // Every shard's build phase calls link_config for its own receivers'
+  // downloads, all shards at once; a closure that is a pure function of
+  // the edge, as the option asks, cannot leak the shard count into the run.
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({35, 4});
+  plan->restarts.push_back({70, 4});
+  auto options = small_options();
+  options.faults = plan;
+  options.link_config = [](std::size_t sender, std::size_t receiver) {
+    wire::ChannelConfig config;
+    config.loss_rate = 0.03 * static_cast<double>((sender + receiver) % 3);
+    config.reorder_rate = receiver % 2 == 0 ? 0.1 : 0.0;
+    config.mtu = sender % 2 == 0 ? 600 : 1500;
+    return config;
+  };
+  expect_shard_count_invariant(random_content(64 * 50, 35), options,
+                               /*peers=*/10, /*fed=*/2, 10000);
+}
+
+// --- Per-receiver refresh plans ---------------------------------------------
+
+/// Every peer's working-set size just before the refresh of tick 60, in a
+/// 16-peer swarm where peers 1-3 are origin-fed and peer 0 starts empty and
+/// is never fed; `crash_peer_0` crashes it at tick 0.
+std::vector<std::size_t> sizes_before_third_refresh(std::size_t sample,
+                                                    std::size_t shards,
+                                                    bool crash_peer_0) {
+  auto options = small_options();
+  options.refresh_interval = 30;
+  options.admission_sample = sample;
+  options.link.loss_rate = 0.1;
+  if (crash_peer_0) {
+    auto plan = std::make_shared<core::FaultPlan>();
+    plan->crashes.push_back({0, 0});
+    options.faults = plan;
+  }
+  core::ShardedDelivery service(random_content(64 * 60, 34), options,
+                                core::ShardOptions{shards});
+  for (std::size_t p = 0; p < 16; ++p) {
+    std::string name = "p";
+    name += std::to_string(p);
+    service.add_peer(name, p >= 1 && p <= 3);
+  }
+  while (service.ticks() < 2 * options.refresh_interval) service.tick();
+  std::vector<std::size_t> sizes;
+  for (std::size_t p = 0; p < service.peer_count(); ++p) {
+    sizes.push_back(service.peer(p).symbol_count());
+  }
+  return sizes;
+}
+
+TEST(RefreshPlan, ReceiverPlansIgnoreOtherReceivers) {
+  // Each receiver plans from its own seed, a function of the session seed,
+  // the refresh tick and its id. Peer 0 holds nothing and so never serves:
+  // whether it plans downloads at the refresh of tick 30 (up) or not
+  // (crashed) must not move any other peer's downloads, under either
+  // admission mode and at any shard count.
+  for (const std::size_t sample : {0u, 3u}) {
+    for (const std::size_t shards : {1u, 2u}) {
+      SCOPED_TRACE("admission_sample " + std::to_string(sample) +
+                   ", shards " + std::to_string(shards));
+      const auto up = sizes_before_third_refresh(sample, shards, false);
+      const auto crashed = sizes_before_third_refresh(sample, shards, true);
+      // Peer 0 did download while up, and the unfed peers 4-15 did
+      // receive, so the comparison is not vacuous.
+      EXPECT_GT(up[0], 0u);
+      EXPECT_EQ(crashed[0], 0u);
+      EXPECT_GT(*std::max_element(up.begin() + 4, up.end()), 0u);
+      EXPECT_EQ(std::vector(up.begin() + 1, up.end()),
+                std::vector(crashed.begin() + 1, crashed.end()));
+    }
+  }
 }
 
 // --- Link memory ------------------------------------------------------------
