@@ -39,12 +39,12 @@ RequestUpdate read_request_update(util::ByteReader& reader) {
   return RequestUpdate{reader.varint()};
 }
 
-FragmentView read_fragment(util::ByteReader& reader) {
-  FragmentView fragment;
+Fragment read_fragment(util::ByteReader& reader) {
+  Fragment fragment;
   fragment.sequence = reader.u32();
   fragment.index = reader.u16();
   fragment.total = reader.u16();
-  fragment.data = reader.view(reader.varint());
+  fragment.data = reader.raw(reader.varint());
   return fragment;
 }
 
@@ -219,7 +219,7 @@ DecodedFrame decode_frame(std::span<const std::uint8_t> frame,
                                           payload.view(payload.varint()));
         }
         case MessageType::kFragment:
-          return read_fragment(payload);
+          return Message{read_fragment(payload)};
         case MessageType::kRequestUpdate:
           return Message{read_request_update(payload)};
       }
@@ -241,7 +241,7 @@ Message decode_control_frame(std::span<const std::uint8_t> frame) {
   auto decoded = decode_frame(frame, constituents);
   auto* message = std::get_if<Message>(&decoded);
   if (message == nullptr) {
-    throw std::invalid_argument("wire: not a control frame");
+    throw std::invalid_argument("wire: symbol frame where control expected");
   }
   return std::move(*message);
 }

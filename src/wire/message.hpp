@@ -88,26 +88,17 @@ struct Fragment {
   std::vector<std::uint8_t> data;
 };
 
-/// A Fragment as decode_frame hands it out: its slice borrows the decoded
-/// bytes, as a symbol view's payload does.
-struct FragmentView {
-  std::uint32_t sequence = 0;
-  std::uint16_t index = 0;
-  std::uint16_t total = 0;
-  std::span<const std::uint8_t> data;
-};
-
 /// The control plane. Symbols (types 6 and 7) are not Messages: they are
 /// encoded from and decoded into the non-owning views of codec/symbol.hpp.
 using Message = std::variant<Hello, SketchMessage, BloomSummaryMessage,
                              ArtSummaryMessage, Request, Fragment,
                              RequestUpdate>;
 
-/// One decoded frame: a control Message, or a symbol or fragment view whose
-/// spans borrow the decoded bytes (and, for a recoded symbol, the
-/// constituent scratch handed to decode_frame).
+/// One decoded frame: a control Message, or a symbol view whose spans
+/// borrow the decoded bytes (and, for a recoded symbol, the constituent
+/// scratch handed to decode_frame).
 using DecodedFrame = std::variant<Message, codec::EncodedSymbolView,
-                                  codec::RecodedSymbolView, FragmentView>;
+                                  codec::RecodedSymbolView>;
 
 /// The wire type tag of a message.
 MessageType message_type(const Message& message);
@@ -147,10 +138,10 @@ std::vector<std::uint8_t> encode_frame(const Item& item) {
   return frame.take();
 }
 
-/// Parses one frame, the header once for every type. A symbol or fragment
-/// frame comes back as a view: its payload span borrows `frame` (valid
-/// only while the frame bytes live), and recoded constituent ids are
-/// decoded into `constituent_scratch`, which the view then borrows. Throws
+/// Parses one frame, the header once for every type. A symbol frame comes
+/// back as a view: its payload span borrows `frame` (valid only while the
+/// frame bytes live), and recoded constituent ids are decoded into
+/// `constituent_scratch`, which the view then borrows. Throws
 /// std::invalid_argument on malformed input (bad magic, unknown
 /// version/type, truncation, trailing bytes after the frame or inside a
 /// summary blob).
@@ -158,8 +149,8 @@ DecodedFrame decode_frame(std::span<const std::uint8_t> frame,
                           std::vector<std::uint64_t>& constituent_scratch);
 
 /// decode_frame for a frame that must hold a control Message (scripted
-/// control exchanges, LossyChannel::receive_message): a symbol or fragment
-/// frame throws std::invalid_argument like any other unexpected input.
+/// control exchanges, LossyChannel::receive_message): a symbol frame
+/// throws std::invalid_argument like any other unexpected input.
 Message decode_control_frame(std::span<const std::uint8_t> frame);
 
 }  // namespace icd::wire

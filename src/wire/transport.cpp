@@ -1,7 +1,6 @@
 #include "wire/transport.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -96,12 +95,16 @@ bool Transport::send_frame(std::vector<std::uint8_t> frame, bool control) {
 }
 
 bool Transport::take_datagram() {
-  // Views handed out by the previous receive die here: the frame they
-  // borrowed goes back to the pool for the sender to recycle.
-  if (rx_frame_.capacity() > 0) release_buffer(std::exchange(rx_frame_, {}));
+  // Views handed out by the previous receive die here: a datagram goes back
+  // to the pool for the sender to recycle, and a reassembled frame, larger
+  // than any datagram, is freed so pooled buffers stay datagram-sized.
+  auto finished = std::exchange(rx_frame_, {});
+  if (rx_frame_pooled_) release_buffer(std::move(finished));
+  rx_frame_pooled_ = false;
   auto datagram = next_datagram();
   if (!datagram) return false;
   rx_frame_ = std::move(*datagram);
+  rx_frame_pooled_ = true;
   ++stats_.frames_received;
   stats_.bytes_received += rx_frame_.size();
   return true;
@@ -129,110 +132,60 @@ std::optional<DecodedFrame> Transport::decode_datagram() {
       ++stats_.malformed_frames;
       return std::nullopt;
     }
-    const auto* fragment = std::get_if<FragmentView>(&*frame);
+    auto* message = std::get_if<Message>(&*frame);
+    auto* fragment = message ? std::get_if<Fragment>(message) : nullptr;
     if (fragment == nullptr) return frame;
     if (reassembled) {
       ++stats_.malformed_frames;
       return std::nullopt;
     }
-    if (!absorb_fragment(*fragment)) return std::nullopt;
+    if (!absorb_fragment(std::move(*fragment))) return std::nullopt;
   }
 }
 
-bool Transport::Partial::arrive(std::uint16_t index) {
-  if (2 * (slices.size() + 1) > seen.size()) {
-    // Double the set (a reused partial starts again at 8 cells) and
-    // re-insert the indices that arrived, which now fit.
-    seen.assign(std::max<std::size_t>(8, 2 * seen.size()), 0);
-    for (const Slice& slice : slices) arrive(slice.index);
-  }
-  // Linear probing from a Fibonacci hash of the index.
-  const int shift = 64 - std::countr_zero(seen.size());
-  for (std::size_t cell = (index * 0x9e3779b97f4a7c15ULL) >> shift;;
-       cell = (cell + 1) & (seen.size() - 1)) {
-    if (seen[cell] == index + 1u) return false;
-    if (seen[cell] == 0) {
-      seen[cell] = index + 1u;
-      return true;
-    }
-  }
-}
-
-void Transport::close_partial(std::size_t k) {
-  Partial& partial = partials_[k];
-  if (partial.bytes.capacity() > 0) {
-    release_buffer(std::exchange(partial.bytes, {}));
-  }
-  partial.slices.clear();
-  partial.seen.clear();
-  if (k != --open_partials_) std::swap(partial, partials_[open_partials_]);
-}
-
-bool Transport::absorb_fragment(const FragmentView& fragment) {
+bool Transport::absorb_fragment(Fragment fragment) {
   if (fragment.total == 0 || fragment.index >= fragment.total) {
     ++stats_.malformed_frames;
     return false;
   }
-  const auto open = partials_.begin() + open_partials_;
-  auto it = std::find_if(partials_.begin(), open, [&](const Partial& p) {
-    return p.sequence == fragment.sequence;
-  });
-  if (it == open) {
-    // Bound reassembly memory before opening a new sequence: evict the
-    // oldest partial (its siblings were lost or hopelessly delayed; the
-    // endpoints' retry path re-sends).
-    if (open_partials_ >= kMaxPartialReassemblies) {
-      const auto oldest = std::min_element(
-          partials_.begin(), open, [](const Partial& a, const Partial& b) {
-            return a.sequence < b.sequence;
-          });
-      stats_.stale_fragments += oldest->slices.size();
-      close_partial(static_cast<std::size_t>(oldest - partials_.begin()));
-    }
-    if (open_partials_ == partials_.size()) partials_.emplace_back();
-    it = partials_.begin() + open_partials_++;
-    it->sequence = fragment.sequence;
-    it->total = fragment.total;
-    it->bytes = acquire_buffer();
-  } else if (it->total != fragment.total) {
+  // Bound reassembly memory before inserting a new sequence: evict the
+  // oldest partial (its siblings were lost or hopelessly delayed; the
+  // endpoints' retry path re-sends). Evicting first guarantees the entry
+  // we are about to use is never the one destroyed.
+  if (partials_.size() >= kMaxPartialReassemblies &&
+      !partials_.contains(fragment.sequence)) {
+    auto oldest = partials_.begin();
+    stats_.stale_fragments += oldest->second.slices.size();
+    partials_.erase(oldest);
+  }
+  auto [it, inserted] = partials_.try_emplace(fragment.sequence);
+  Partial& partial = it->second;
+  if (inserted) {
+    partial.total = fragment.total;
+  } else if (partial.total != fragment.total) {
     ++stats_.malformed_frames;
     return false;
   }
-  Partial& partial = *it;
-  const auto k = static_cast<std::size_t>(it - partials_.begin());
-  if (!partial.arrive(fragment.index)) return false;  // duplicate
+  if (partial.slices.contains(fragment.index)) return false;  // duplicate
   if (fragment.data.empty()) {
     // An empty slice can never complete; treat as malformed.
     ++stats_.malformed_frames;
-    close_partial(k);
+    partials_.erase(it);
     return false;
   }
-  partial.slices.push_back(Partial::Slice{
-      fragment.index, partial.bytes.size(), fragment.data.size()});
-  partial.bytes.insert(partial.bytes.end(), fragment.data.begin(),
-                       fragment.data.end());
+  partial.slices.emplace(fragment.index, std::move(fragment.data));
   if (partial.slices.size() < partial.total) return false;
 
-  const auto by_index = [](const Partial::Slice& a, const Partial::Slice& b) {
-    return a.index < b.index;
-  };
+  std::size_t size = 0;
+  for (const auto& [index, slice] : partial.slices) size += slice.size();
   std::vector<std::uint8_t> whole;
-  if (std::is_sorted(partial.slices.begin(), partial.slices.end(),
-                     by_index)) {
-    // Arrival order was index order: the slices already are the frame.
-    whole = std::exchange(partial.bytes, {});
-  } else {
-    std::sort(partial.slices.begin(), partial.slices.end(), by_index);
-    whole = acquire_buffer();
-    for (const Partial::Slice& slice : partial.slices) {
-      const auto begin =
-          partial.bytes.begin() + static_cast<std::ptrdiff_t>(slice.begin);
-      whole.insert(whole.end(), begin,
-                   begin + static_cast<std::ptrdiff_t>(slice.size));
-    }
+  whole.reserve(size);
+  for (const auto& [index, slice] : partial.slices) {
+    whole.insert(whole.end(), slice.begin(), slice.end());
   }
-  close_partial(k);
+  partials_.erase(it);
   release_buffer(std::exchange(rx_frame_, std::move(whole)));
+  rx_frame_pooled_ = false;
   return true;
 }
 

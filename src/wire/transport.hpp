@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -93,11 +94,11 @@ class Transport {
   bool send(const codec::EncodedSymbolView& symbol);
   bool send(const codec::RecodedSymbolView& symbol);
 
-  /// Delivers the next whole frame, if any (never a FragmentView): a control
-  /// Message, or a symbol view whose spans borrow the transport's receive
-  /// buffer and constituent scratch until the next receive_frame() call
-  /// (the single-copy receive rule). A reassembled frame becomes the receive
-  /// buffer and decodes like any datagram. A datagram must hold one frame:
+  /// Delivers the next whole frame, if any: a control Message, or a symbol
+  /// view whose spans borrow the transport's receive buffer and constituent
+  /// scratch until the next receive_frame() call (the single-copy receive
+  /// rule). A frame reassembled from fragments becomes the receive buffer
+  /// and decodes like any datagram. A datagram must hold exactly one frame:
   /// anything else (garbage, a truncated frame, trailing bytes, two frames
   /// back to back, a reassembled frame that is itself a Fragment) counts
   /// once in malformed_frames and is skipped, never thrown.
@@ -106,19 +107,20 @@ class Transport {
   std::size_t mtu() const { return mtu_; }
   const TransportStats& stats() const { return stats_; }
   const BufferPool& pool() const { return *pool_; }
-  /// Heap bytes this transport pins: the reassembly state (open partials'
-  /// slices, and the tables closed ones keep for reuse), the live receive
-  /// frame, and decode scratch. The shared BufferPool is deliberately
-  /// EXCLUDED — both ends of a link share one pool, so its owner counts it
-  /// exactly once (see ChannelLink::memory_bytes / MemoryAudit).
+  /// Heap bytes this transport pins: reassembly partials, the live
+  /// receive frame, and decode scratch. The shared BufferPool is
+  /// deliberately EXCLUDED — both ends of a link share one pool, so its
+  /// owner counts it exactly once (see ChannelLink::memory_bytes /
+  /// MemoryAudit).
   std::size_t memory_bytes() const {
     std::size_t bytes = rx_frame_.capacity() +
-                        rx_constituents_.capacity() * sizeof(std::uint64_t) +
-                        partials_.capacity() * sizeof(Partial);
-    for (const Partial& partial : partials_) {
-      bytes += partial.slices.capacity() * sizeof(Partial::Slice) +
-               partial.seen.capacity() * sizeof(std::uint32_t) +
-               partial.bytes.capacity();
+                        rx_constituents_.capacity() * sizeof(std::uint64_t);
+    for (const auto& [sequence, partial] : partials_) {
+      bytes += sizeof(Partial) + 4 * sizeof(void*);
+      for (const auto& [index, slice] : partial.slices) {
+        bytes += sizeof(decltype(partial.slices)::value_type) +
+                 4 * sizeof(void*) + slice.capacity();
+      }
     }
     return bytes;
   }
@@ -152,45 +154,29 @@ class Transport {
   bool send_frame(std::vector<std::uint8_t> frame, bool control);
   bool take_datagram();
   std::optional<DecodedFrame> decode_datagram();
-  bool absorb_fragment(const FragmentView& fragment);
+  bool absorb_fragment(Fragment fragment);
 
-  /// A frame being reassembled: each slice is copied once, in arrival
-  /// order, into the pooled `bytes`, and `seen` is an open-addressing set
-  /// of index + 1 (0 marks an empty cell), at most half full. Its cost
-  /// follows the slices that arrived, never the untrusted `total` a
-  /// fragment claims, and a closed partial keeps its tables for reuse.
+  /// A partial reassembly holds only the slices that arrived, by index, so
+  /// its cost follows the bytes received, never the untrusted `total` a
+  /// fragment claims.
   struct Partial {
-    struct Slice {
-      std::uint16_t index = 0;
-      std::size_t begin = 0;
-      std::size_t size = 0;
-    };
-    std::uint32_t sequence = 0;
     std::uint16_t total = 0;
-    std::vector<Slice> slices;
-    std::vector<std::uint32_t> seen;
-    std::vector<std::uint8_t> bytes;
-
-    /// Records `index` as arrived; false if it already had.
-    bool arrive(std::uint16_t index);
+    std::map<std::uint16_t, std::vector<std::uint8_t>> slices;
   };
-  /// Returns open partial `k`'s buffer to the pool and keeps it, emptied.
-  void close_partial(std::size_t k);
 
   std::size_t mtu_;
   std::shared_ptr<BufferPool> pool_;
   TransportStats stats_;
   FrameObserver observer_;
   std::uint32_t next_sequence_ = 1;
-  /// The first open_partials_ entries are open; the rest are closed ones
-  /// kept for reuse. At most kMaxPartialReassemblies are open.
-  std::vector<Partial> partials_;
-  std::size_t open_partials_ = 0;
-  /// The frame being decoded, a pooled buffer: the last datagram taken
-  /// from the link (one datagram, one frame), or the frame its fragment
-  /// just completed. Views handed out by receive_frame() borrow it until
-  /// the next take, which returns it to the pool.
+  std::map<std::uint32_t, Partial> partials_;
+  /// The frame being decoded: the last datagram taken from the link (one
+  /// datagram, one frame), or the frame its fragment just completed. Views
+  /// handed out by receive_frame() borrow it until the next take, which
+  /// returns a datagram to the pool and frees a reassembled frame, so
+  /// pooled buffers stay datagram-sized.
   std::vector<std::uint8_t> rx_frame_;
+  bool rx_frame_pooled_ = false;
   /// Decoded recoded-symbol ids; RecodedSymbolView borrows this.
   std::vector<std::uint64_t> rx_constituents_;
 };
