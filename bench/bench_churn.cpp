@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
 
   // --- Crash-detection latency -------------------------------------------
   const StallProbe probe = probe_crash_stall(content, max_ticks);
-  // Liveness timeout plus sweep/scheduling slack: detection must not slip
+  // Liveness timeout plus teardown/scheduling slack: detection must not slip
   // into "wait for the next refresh epoch" territory.
   const std::uint64_t stall_bound = 25 + 15;
   std::printf("crash detection: stall=%llu ticks (bound %llu), "

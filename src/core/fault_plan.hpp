@@ -15,10 +15,11 @@
 /// windows — expressed in virtual ticks. Every driver (lockstep, jumped,
 /// any shard count) honors one plan identically: run_until folds the next
 /// fault boundary into its jump target (so the jump stops on it), fault
-/// *application* happens at the top of the tick on
-/// the coordinator in ascending peer order, and all fault machinery is
-/// strictly inert when no plan is set — every historical trajectory is
-/// bit-for-bit unchanged.
+/// *application* happens at the top of the tick (the coordinator fires
+/// membership events in plan order, and a crash phase retires the crashed
+/// peers' downloads on their shards), and all fault machinery is strictly
+/// inert when no plan is set — every historical trajectory is bit-for-bit
+/// unchanged.
 ///
 /// Semantics (see DESIGN.md, "Failure model"):
 ///   * crash    — the peer is down from `at` until its next restart: it is
@@ -125,9 +126,8 @@ struct SessionResult {
 /// top of the first executed tick at or past its time) and the suspect
 /// set fed by liveness expiries and handshake exhaustion. Every mutating
 /// call (apply_until, mark_suspect) is coordinator-side, between pool
-/// runs. The phase workers read only the immutable plan: down() and
-/// active() while they plan their peers, besides the per-tick snapshots
-/// the engine takes.
+/// runs. The phase workers read only the immutable plan: down(),
+/// blackout() and any_blackouts().
 class FaultTracker {
  public:
   FaultTracker() = default;

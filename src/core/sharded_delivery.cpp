@@ -14,22 +14,15 @@ ShardedDelivery::ShardedDelivery(std::vector<std::uint8_t> content,
                                  ShardOptions shard_options)
     : content_(std::move(content)), options_(options),
       shards_(std::max<std::size_t>(1, shard_options.shards)),
-      shard_peers_(shards_), retired_link_totals_(shards_),
-      faults_(options.faults),
-      send_fn_([this](std::size_t shard) { phase_send(shard); }),
-      receive_fn_([this](std::size_t shard) { phase_receive(shard); }),
-      retire_fn_([this](std::size_t shard) { phase_retire(shard); }),
-      build_fn_([this](std::size_t shard) { phase_build(shard); }) {
+      faults_(options.faults) {
   origins_.push_back(std::make_unique<OriginServer>(
       content_, options_.block_size,
       delivery_distribution(content_.size(), options_.block_size),
       options_.session_seed, /*stream_index=*/0));
-  shard_pools_.reserve(shards_);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    shard_pools_.push_back(
-        std::make_shared<wire::BufferPool>(kShardPoolBuffers));
+  for (Shard& shard : shards_) {
+    shard.pool = std::make_shared<wire::BufferPool>(kShardPoolBuffers);
   }
-  if (shards_ > 1) pool_.emplace(shards_);
+  if (shards_.size() > 1) pool_.emplace(shards_.size());
 }
 
 void ShardedDelivery::add_mirror() {
@@ -49,16 +42,9 @@ std::size_t ShardedDelivery::add_peer(const std::string& name,
   entry.origin_index = peers_.size() % origins_.size();
   peers_.push_back(std::move(entry));
   const std::size_t id = peers_.size() - 1;
-  shard_peers_[shard_of(id)].push_back(id);
+  if (subscribe_origin) origin_fed_.push_back(id);
+  shards_[shard_of(id)].peers.push_back(id);
   return id;
-}
-
-void ShardedDelivery::release_pool_owners() {
-  // The coordinator is about to stand in for the shard threads (a crash
-  // or failure-sweep teardown) or has just done so: unbind every shard's
-  // pool so the next user — worker or coordinator — rebinds. Workers are
-  // parked at a barrier, which orders the handoff.
-  for (const auto& pool : shard_pools_) pool->debug_release_owner();
 }
 
 void ShardedDelivery::run_phase(
@@ -80,7 +66,7 @@ void ShardedDelivery::refresh_sessions() {
   // admission-ranked senders (ranking, fallback, sampling and seeds:
   // session_plan). Every shard retires its receivers' downloads first, so
   // every candidate is seen after teardown.
-  run_phase(retire_fn_);
+  run_phase([this](std::size_t shard) { phase_retire(shard); });
   // One snapshot per refresh; fault and suspect state cannot change
   // inside a refresh.
   plan_view_.resize(peers_.size());
@@ -93,11 +79,11 @@ void ShardedDelivery::refresh_sessions() {
       plan_eligible_.push_back(j);
     }
   }
-  run_phase(build_fn_);
+  run_phase([this](std::size_t shard) { phase_build(shard); });
 }
 
 void ShardedDelivery::phase_retire(std::size_t shard) {
-  for (const std::size_t id : shard_peers_[shard]) retire_downloads(id);
+  for (const std::size_t id : shards_[shard].peers) retire_downloads(id);
 }
 
 void ShardedDelivery::phase_build(std::size_t shard) {
@@ -106,9 +92,10 @@ void ShardedDelivery::phase_build(std::size_t shard) {
   // would change the request shares.
   const std::size_t target = static_cast<std::size_t>(
       codec::kDecodeOverhead * static_cast<double>(parameters().block_count));
+  Shard& own = shards_[shard];
   std::vector<CandidateSender> candidates;
   bool serving = false;
-  for (const std::size_t id : shard_peers_[shard]) {
+  for (const std::size_t id : own.peers) {
     PeerEntry& entry = peers_[id];
     // A down peer plans nothing this refresh — it rejoins (session
     // resumption with its surviving working set) at the first refresh
@@ -125,7 +112,7 @@ void ShardedDelivery::phase_build(std::size_t shard) {
                id, plan_view_[id], candidates, options_, target, seed)) {
         auto download = std::make_unique<DownloadLink>(
             *peers_[planned.sender_id].peer, *entry.peer, planned.session,
-            planned.link, options_.block_size, shard_pools_[shard]);
+            planned.link, options_.block_size, own.pool);
         // The handshake itself flows over the link and completes across
         // subsequent ticks.
         download->receiver.start();
@@ -140,7 +127,7 @@ void ShardedDelivery::phase_build(std::size_t shard) {
   }
   // A shard left without downloads draws no frame before the next
   // refresh: its pool need not pin their buffers meanwhile.
-  if (!serving) shard_pools_[shard]->trim();
+  if (!serving) own.pool->trim();
 }
 
 void ShardedDelivery::retire_downloads(std::size_t id) {
@@ -161,20 +148,18 @@ void ShardedDelivery::teardown_download(std::size_t receiver,
   // Deliver frames still in flight, then bank the link's costs.
   download.link.flush();
   download.receiver.tick();
-  accumulate_link(download, retired_link_totals_[shard_of(receiver)]);
+  accumulate_link(download, shards_[shard_of(receiver)].retired);
 }
 
 void ShardedDelivery::apply_faults(std::uint64_t now) {
+  bool crashed = false;
   faults_.apply_until(
       now,
       /*on_crash=*/
-      [this](std::size_t peer) {
+      [this, &crashed](std::size_t peer) {
         if (peer >= peers_.size()) return;
-        // Coordinator stands in for the shard threads during the
-        // teardown ticks; the workers are parked between pool runs.
-        release_pool_owners();
-        retire_downloads(peer);
-        release_pool_owners();
+        shards_[shard_of(peer)].crashed.push_back(peer);
+        crashed = true;
       },
       /*on_join=*/
       [this](std::size_t count, bool origin_fed) {
@@ -182,35 +167,36 @@ void ShardedDelivery::apply_faults(std::uint64_t now) {
           add_peer("join" + std::to_string(peers_.size()), origin_fed);
         }
       });
+  // Before the refresh and the send phase: a crash restarted on this same
+  // tick leaves the peer up for the send phase, where other shards' sender
+  // halves read it.
+  if (crashed) run_phase([this](std::size_t shard) { phase_crash(shard); });
 }
 
-void ShardedDelivery::sweep_failed_downloads(std::uint64_t now) {
-  bool any_erased = false;
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    PeerEntry& entry = peers_[i];
-    bool erased_here = false;
-    for (auto it = entry.downloads.begin(); it != entry.downloads.end();) {
-      const ReceiverEndpoint& receiver = it->second->receiver;
-      if (!receiver.failed() && !receiver.sender_suspect()) {
-        ++it;
-        continue;
-      }
-      if (!any_erased) release_pool_owners();
-      any_erased = true;
-      erased_here = true;
-      const auto reason = receiver.failed()
-                              ? FailedPeer::Reason::kHandshakeExhausted
-                              : FailedPeer::Reason::kLivenessTimeout;
-      teardown_download(i, *it->second);
-      entry.failed_peers.push_back(FailedPeer{it->first, now, reason});
-      faults_.mark_suspect(it->first, now + suspect_ttl());
-      it = entry.downloads.erase(it);
+void ShardedDelivery::phase_crash(std::size_t shard) {
+  Shard& own = shards_[shard];
+  for (const std::size_t id : own.crashed) retire_downloads(id);
+  own.crashed.clear();
+}
+
+void ShardedDelivery::retire_failed_downloads(
+    std::size_t id, std::uint64_t now,
+    std::vector<std::pair<std::size_t, std::uint64_t>>& suspects) {
+  PeerEntry& entry = peers_[id];
+  for (auto it = entry.downloads.begin(); it != entry.downloads.end();) {
+    const ReceiverEndpoint& receiver = it->second->receiver;
+    if (!receiver.failed() && !receiver.sender_suspect()) {
+      ++it;
+      continue;
     }
-    // The teardown drain may have completed the receiver, and its plan
-    // must no longer count the erased downloads.
-    if (erased_here) entry.next_due = plan_peer(i, now);
+    const auto reason = receiver.failed()
+                            ? FailedPeer::Reason::kHandshakeExhausted
+                            : FailedPeer::Reason::kLivenessTimeout;
+    teardown_download(id, *it->second);
+    entry.failed_peers.push_back(FailedPeer{it->first, now, reason});
+    suspects.emplace_back(it->first, now + suspect_ttl());
+    it = entry.downloads.erase(it);
   }
-  if (any_erased) release_pool_owners();
 }
 
 void ShardedDelivery::phase_send(std::size_t shard) {
@@ -219,12 +205,17 @@ void ShardedDelivery::phase_send(std::size_t shard) {
   // live in phase_receive). Every scratch buffer a sender writes is its
   // endpoint's own, so the sender halves of one Peer may run on several
   // shards at once, and neither iteration order nor placement can leak
-  // into results.
-  for (const std::size_t id : shard_peers_[shard]) {
+  // into results. A peer's completion changes only in its own receive
+  // turn, so the send phase reads the value the tick started with.
+  const bool blackouts = faults_.any_blackouts();
+  for (const std::size_t id : shards_[shard].peers) {
     PeerEntry& entry = peers_[id];
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) continue;
+    if (entry.peer->has_content() || faults_.down(id, tick_now_)) continue;
     for (auto& [sender_id, download] : entry.downloads) {
-      download->send_phase(tick_now_, peers_[sender_id].faulted_at_tick_start);
+      if (blackouts) {
+        download->link.set_blackout(faults_.blackout(sender_id, id, tick_now_));
+      }
+      download->send_phase(tick_now_, faults_.down(sender_id, tick_now_));
     }
   }
 }
@@ -234,10 +225,15 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
   // iterated peer's own state: the origin apply the coordinator reserved
   // the id for (stream order is fixed at reservation, so where the
   // XOR-heavy encode runs is immaterial), then the receiver halves in
-  // ascending sender order.
-  for (const std::size_t id : shard_peers_[shard]) {
+  // ascending sender order, then the teardowns of its failed downloads.
+  Shard& own = shards_[shard];
+  const std::uint64_t next = tick_now_ + 1;
+  std::optional<std::uint64_t> earliest;
+  std::size_t planned = 0;
+  std::size_t complete = 0;
+  for (const std::size_t id : own.peers) {
     PeerEntry& entry = peers_[id];
-    if (!entry.complete_at_tick_start && !entry.faulted_at_tick_start) {
+    if (!entry.peer->has_content() && !faults_.down(id, tick_now_)) {
       if (entry.pending_origin_id) {
         entry.peer->receive_encoded(
             origins_[entry.origin_index]->encode(*entry.pending_origin_id));
@@ -248,15 +244,30 @@ void ShardedDelivery::phase_receive(std::size_t shard) {
         download->receive_phase(tick_now_);
       }
     }
-    // Plan every peer, serviced or not, where its state now sits. Before
-    // run_until folds the plans only the failure sweep touches a plan's
-    // inputs, and it re-plans; later faults and refreshes fall on ticks
-    // the fold stops at, which plan again.
-    entry.next_due = plan_peer(id, tick_now_ + 1);
+    // Sessions whose receiver flagged a dead sender retire at the tick
+    // they failed; the teardown drain may complete the receiver.
+    if (failure_detection_enabled()) {
+      retire_failed_downloads(id, next, own.suspects);
+    }
+    // Stamp and plan every peer, serviced or not, where its state now
+    // sits. Nothing touches a plan's inputs before run_until folds the
+    // shards' minima; later faults and refreshes fall on ticks the fold
+    // stops at, which plan again.
+    if (entry.peer->has_content()) {
+      ++complete;
+      if (entry.completed_tick == 0) entry.completed_tick = next;
+    }
+    if (const auto due = plan_peer(id, next)) {
+      ++planned;
+      if (!earliest || *due < *earliest) earliest = due;
+    }
   }
+  own.earliest_due = earliest;
+  own.planned = planned;
+  own.complete = complete;
 }
 
-std::size_t ShardedDelivery::tick() {
+void ShardedDelivery::tick() {
   // Virtual time of this tick (= its index): a refresh due now seeds its
   // plans with it, and every timed link advances to it.
   tick_now_ = ticks_;
@@ -268,59 +279,31 @@ std::size_t ShardedDelivery::tick() {
   }
   ++ticks_;
 
-  // Coordinator prologue: completion and fault snapshots (the phases read
-  // these instead of cross-shard peer state) and origin draws in peer
-  // order, skipping complete and down peers — the symbol-to-peer
-  // assignment is fixed here whatever the shard count.
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    PeerEntry& entry = peers_[i];
-    entry.complete_at_tick_start = entry.peer->has_content();
-    entry.faulted_at_tick_start =
-        faults_.active() && faults_.down(i, tick_now_);
-    if (entry.complete_at_tick_start || entry.faulted_at_tick_start) {
-      continue;
-    }
-    if (entry.origin_fed) {
-      // Reserve the id only; the owning shard encodes it when it applies
-      // it. next() ≡ encode(take_next_id()), so the symbol each peer
-      // sees is exactly what the serial draw produced.
-      entry.pending_origin_id =
-          origins_[entry.origin_index]->take_next_id();
-    }
-    if (faults_.any_blackouts()) {
-      for (auto& [sender_id, download] : entry.downloads) {
-        download->link.set_blackout(faults_.blackout(sender_id, i, tick_now_));
-      }
-    }
+  // Origin draws in peer order, skipping complete and down peers: the
+  // symbol-to-peer assignment is fixed here whatever the shard count.
+  for (const std::size_t id : origin_fed_) {
+    PeerEntry& entry = peers_[id];
+    if (entry.peer->has_content() || faults_.down(id, tick_now_)) continue;
+    // Reserve the id only; the owning shard encodes it when it applies
+    // it. next() ≡ encode(take_next_id()), so the symbol each peer sees is
+    // exactly what the serial draw produced.
+    entry.pending_origin_id = origins_[entry.origin_index]->take_next_id();
   }
 
   // Every sender half, barrier, every receiver half: one schedule at every
   // shard count, so shards = 1 simply runs both phases on this thread.
-  run_phase(send_fn_);
-  run_phase(receive_fn_);
+  run_phase([this](std::size_t shard) { phase_send(shard); });
+  run_phase([this](std::size_t shard) { phase_receive(shard); });
 
-  // Failure sweep before the completion stamps, so sessions whose
-  // receivers flagged a dead sender are retired at the tick they failed;
-  // the workers are parked again, so the coordinator owns all state.
-  if (failure_detection_enabled()) sweep_failed_downloads(ticks_);
-
-  std::size_t completed_now = 0;
-  earliest_due_.reset();
-  for (PeerEntry& entry : peers_) {
-    if (!entry.complete_at_tick_start && entry.peer->has_content()) {
-      ++completed_now;
+  // Suspicions only feed a later refresh, and mark_suspect keeps the
+  // latest expiry, so their order is immaterial.
+  for (Shard& shard : shards_) {
+    planner_stats_.pushes += shard.planned;
+    for (const auto& [sender, until] : shard.suspects) {
+      faults_.mark_suspect(sender, until);
     }
-    if (entry.completed_tick == 0 && entry.peer->has_content()) {
-      entry.completed_tick = ticks_;
-    }
-    if (entry.next_due) {
-      ++planner_stats_.pushes;
-      if (!earliest_due_ || *entry.next_due < *earliest_due_) {
-        earliest_due_ = entry.next_due;
-      }
-    }
+    shard.suspects.clear();
   }
-  return completed_now;
 }
 
 std::optional<std::uint64_t> ShardedDelivery::plan_peer(
@@ -329,14 +312,13 @@ std::optional<std::uint64_t> ShardedDelivery::plan_peer(
   if (entry.peer->has_content()) return std::nullopt;
   // A down peer is frozen until a fault boundary wakes it; the fold stops
   // at every boundary, never at a per-link time.
-  if (faults_.active() && faults_.down(i, now)) return std::nullopt;
+  if (faults_.down(i, now)) return std::nullopt;
   // The origin fountain streams one symbol per tick to an incomplete
   // subscriber: every tick is an event while one exists.
   if (entry.origin_fed) return now;
   std::optional<std::uint64_t> due;
   for (const auto& [sender_id, download] : entry.downloads) {
-    const auto at = download->due_at(
-        now, faults_.active() && faults_.down(sender_id, now));
+    const auto at = download->due_at(now, faults_.down(sender_id, now));
     if (!at) continue;
     if (*at == now) return now;  // nothing can be earlier
     if (!due || *at < *due) due = at;
@@ -349,7 +331,9 @@ std::uint64_t ShardedDelivery::next_event_time() const {
   const std::size_t interval =
       std::max<std::size_t>(1, options_.refresh_interval);
   std::uint64_t at = ((now + interval - 1) / interval) * interval;
-  if (earliest_due_) at = std::min(at, *earliest_due_);
+  for (const Shard& shard : shards_) {
+    if (shard.earliest_due) at = std::min(at, *shard.earliest_due);
+  }
   // Fault boundaries at or after `now` are planning barriers: the jump
   // never crosses a crash/restart/join tick or a stall/blackout window
   // edge, so jumped and lockstep runs apply those faults at identical
@@ -382,11 +366,13 @@ bool ShardedDelivery::run_until(std::uint64_t deadline) {
 
 bool ShardedDelivery::all_finished() const {
   // "All done" is only final once no flash crowd is still scheduled to
-  // arrive — a pending join re-opens the swarm.
-  return !faults_.pending_joins() &&
-         std::all_of(peers_.begin(), peers_.end(), [](const PeerEntry& e) {
-           return e.peer->has_content();
-         });
+  // arrive — a pending join re-opens the swarm. The last receive phase
+  // counted every peer holding the content, and nothing completes a peer
+  // between ticks.
+  if (faults_.pending_joins()) return false;
+  std::size_t complete = 0;
+  for (const Shard& shard : shards_) complete += shard.complete;
+  return complete == peers_.size();
 }
 
 std::vector<std::uint8_t> ShardedDelivery::peer_content(
@@ -412,7 +398,7 @@ ShardedDelivery::LinkTotals ShardedDelivery::active_link_totals() const {
 
 ShardedDelivery::LinkTotals ShardedDelivery::link_totals() const {
   LinkTotals totals = active_link_totals();
-  for (const LinkTotals& retired : retired_link_totals_) totals += retired;
+  for (const Shard& shard : shards_) totals += shard.retired;
   return totals;
 }
 
@@ -435,8 +421,8 @@ MemoryAudit ShardedDelivery::memory_audit() const {
     }
   }
   // Each shard's pool, shared by all its links, counts exactly once.
-  for (const auto& pool : shard_pools_) {
-    audit.link_bytes += pool->memory_bytes();
+  for (const Shard& shard : shards_) {
+    audit.link_bytes += shard.pool->memory_bytes();
   }
   return audit;
 }

@@ -46,15 +46,20 @@
 ///   receive phase  — each shard applies its peers' origin symbols and
 ///                    runs the receiver halves, mutating only its own
 ///                    peers.
-/// A session refresh is two more shard phases around one O(peers)
-/// snapshot: the shards retire their receivers' downloads, the coordinator
-/// records what every plan reads, and each shard then ranks, plans and
-/// builds its own receivers' downloads, each receiver from its own seed.
-/// shards = 1 runs every phase on the caller's thread, with no worker
-/// threads; shards >= 2 run them on a ShardPool. The snapshot, fault
-/// application and origin symbol draws stay single-threaded on the
-/// coordinator outside the phases, where they may touch any shard's
-/// state.
+/// The receive phase also tears down each of its peers' failed
+/// downloads, stamps and plans every peer, and writes the shard's fold of
+/// those plans once. A session refresh is two more shard phases around
+/// one O(peers) snapshot: the shards retire their receivers' downloads,
+/// the coordinator records what every plan reads, and each shard then
+/// ranks, plans and builds its own receivers' downloads, each receiver
+/// from its own seed. A tick with a crash runs one more phase first, in
+/// which the crashed peers' shards retire their downloads. So a peer's
+/// shard is the only thread that touches its tick state and its
+/// downloads, and no pool is used by two threads. shards = 1 runs every
+/// phase on the caller's thread, with no worker threads; shards >= 2 run
+/// them on a ShardPool. Fault application, joins, the refresh snapshot,
+/// the origin symbol id draws and an O(shards) fold of the receive phase
+/// stay single-threaded on the coordinator.
 ///
 /// Determinism: a tick is a function of the state at its start, so a run
 /// is a function of the plan alone — the shard count (1 included), and
@@ -89,9 +94,8 @@ class ShardedDelivery {
   /// origin feed (one symbol per tick). Returns the peer's id.
   std::size_t add_peer(const std::string& name, bool subscribe_origin);
 
-  /// Advances the whole service by one round. Returns the number of peers
-  /// that completed during this tick.
-  std::size_t tick();
+  /// Advances the whole service by one round.
+  void tick();
   /// Drives the service for up to `max_ticks` virtual ticks (see
   /// run_until). Returns true if everyone finished.
   bool run(std::size_t max_ticks);
@@ -99,8 +103,8 @@ class ShardedDelivery {
   /// the virtual clock reaches `deadline`. With
   /// DeliveryOptions::jump_empty_ticks set it executes only ticks at which
   /// an event (refresh, origin feed, frame arrival, send credit, handshake
-  /// retry, fault boundary) can occur: the minimum of the per-peer plans
-  /// the receive phase stored, the next fault boundary and the next
+  /// retry, fault boundary) can occur: the minimum of the per-shard plan
+  /// minima the receive phase stored, the next fault boundary and the next
   /// refresh, taken on the coordinator between pool runs. Returns true when
   /// everyone finished: every peer holds the content and no scheduled join
   /// is still to come.
@@ -141,10 +145,10 @@ class ShardedDelivery {
   const codec::CodeParameters& parameters() const {
     return origins_.front()->parameters();
   }
-  std::size_t shards() const { return shards_; }
+  std::size_t shards() const { return shards_.size(); }
   /// Shard owning `peer_id`: peers are placed round-robin by id.
   std::size_t shard_of(std::size_t peer_id) const {
-    return peer_id % shards_;
+    return peer_id % shards_.size();
   }
 
   /// Stats over currently active links only; resets to near zero after
@@ -162,7 +166,7 @@ class ShardedDelivery {
   MemoryAudit memory_audit() const;
   /// The frame pool every link on `shard` draws from. Between ticks only.
   const wire::BufferPool& shard_pool(std::size_t shard) const {
-    return *shard_pools_.at(shard);
+    return *shards_.at(shard).pool;
   }
   /// Jump-planner counters. The names exist for perfbench, which reads
   /// them (as with events_processed()): `pushes` counts the peers holding
@@ -196,48 +200,59 @@ class ShardedDelivery {
     /// thus the symbol-to-peer assignment — stays the coordinator's
     /// deterministic draw order.
     std::optional<std::uint64_t> pending_origin_id;
-    /// Snapshot the phases read instead of cross-shard peer state.
-    bool complete_at_tick_start = false;
-    /// Down (crashed or stalled) under the fault plan this tick — written
-    /// by the coordinator prologue, read by the phase workers (the pool
-    /// barrier orders the handoff).
-    bool faulted_at_tick_start = false;
-    /// This peer's plan: the earliest tick >= the next one at which it has
-    /// work (plan_peer). Written by the owning shard at the end of each
-    /// receive phase, and by the failure sweep for receivers it touched.
-    std::optional<std::uint64_t> next_due;
-    /// Virtual tick of first completion (0 = incomplete).
+    /// Virtual tick of first completion (0 = incomplete), stamped by the
+    /// owning shard at the end of the peer's receive turn.
     std::size_t completed_tick = 0;
     /// Download sessions abandoned for this receiver (diagnostics).
     std::vector<FailedPeer> failed_peers;
   };
 
+  /// One shard's state. Only the shard's own phases touch it; the
+  /// coordinator fills the crash queue before the crash phase and reads
+  /// the fold and the suspicions after the receive phase, between pool
+  /// runs.
+  struct Shard {
+    /// Owned peer ids, ascending.
+    std::vector<std::size_t> peers;
+    /// The frame pool every link on this shard draws from.
+    std::shared_ptr<wire::BufferPool> pool;
+    /// Wire costs of the downloads its receivers retired.
+    LinkTotals retired;
+    /// Crashed peers apply_faults queued for the crash phase.
+    std::vector<std::size_t> crashed;
+    /// Senders its receivers gave up on in the last receive phase, each
+    /// with the expiry of its suspicion (FaultTracker::mark_suspect).
+    std::vector<std::pair<std::size_t, std::uint64_t>> suspects;
+    /// The last receive phase's fold over the shard's peers: the earliest
+    /// plan (plan_peer), and how many peers hold a plan and the content.
+    std::optional<std::uint64_t> earliest_due;
+    std::size_t planned = 0;
+    std::size_t complete = 0;
+  };
+
   /// Retire phase, the snapshot every plan reads (plan_view_), build
   /// phase.
   void refresh_sessions();
-  /// Unbinds every shard pool from its thread around the coordinator's
-  /// crash and failure-sweep teardowns, which stand in for the shard
-  /// threads (BufferPool::debug_release_owner).
-  void release_pool_owners();
-  /// Coordinator-side, top-of-tick fault application: due crashes tear the
-  /// crashed peer's own downloads down (banking wire costs; its decoded
-  /// content survives for rejoin), due joins add fresh peers, and blackout
-  /// windows toggle on the affected links.
+  /// Coordinator-side, top-of-tick fault application: due joins add fresh
+  /// peers, and due crashes are queued on the crashed peers' shards, which
+  /// then retire those peers' own downloads in the crash phase (banking
+  /// wire costs; the decoded content survives for rejoin).
   void apply_faults(std::uint64_t now);
-  /// Coordinator-side end-of-tick sweep (callers must have the workers
-  /// parked): downloads whose receiver flagged its sender suspect
-  /// (liveness) or exhausted its retry budget are torn down, recorded in
-  /// failed_peers, and the sender marked suspect for admission. Runs only
-  /// when liveness/retry bounding is enabled. Re-plans every receiver it
-  /// erased a download from.
-  void sweep_failed_downloads(std::uint64_t now);
+  /// Tears down the downloads whose receiver `id` flagged its sender
+  /// suspect (liveness) or exhausted its retry budget, records them in
+  /// failed_peers, and queues each sender's suspicion in `suspects`. Runs
+  /// on the receiver's shard, and only when liveness/retry bounding is
+  /// enabled.
+  void retire_failed_downloads(
+      std::size_t id, std::uint64_t now,
+      std::vector<std::pair<std::size_t, std::uint64_t>>& suspects);
   /// Retires every download peer `id` receives (teardown_download each)
   /// and, once it holds the content, compacts its solver state. Shared by
-  /// the refresh and the crash handler; changes no other peer.
+  /// the refresh and the crash phase; changes no other peer.
   void retire_downloads(std::size_t id);
-  /// Graceful single-download teardown shared by refresh, crash, and the
-  /// failure sweep: flush in-flight frames, final receiver drain, bank
-  /// wire costs with the receiver's shard.
+  /// Graceful single-download teardown shared by refresh, crash, and
+  /// failed sessions, always on the receiver's shard: flush in-flight
+  /// frames, final receiver drain, bank wire costs with that shard.
   void teardown_download(std::size_t receiver, DownloadLink& download);
   bool failure_detection_enabled() const {
     return options_.liveness_timeout_ticks > 0 ||
@@ -248,20 +263,23 @@ class ShardedDelivery {
                ? options_.suspect_ttl_ticks
                : std::max<std::size_t>(1, options_.refresh_interval);
   }
-  /// run_until's completion condition: every peer holds the content and
-  /// no scheduled join is still to come.
+  /// run_until's completion condition: every peer holds the content (the
+  /// shards' complete counts sum to the peer count) and no scheduled join
+  /// is still to come.
   bool all_finished() const;
   /// The two phases of a tick: the send phase only *reads* swarm
   /// state (sender halves draw symbols from working sets nothing mutates
   /// until the barrier); the receive phase mutates only the iterated
-  /// peer's own state (its origin apply, its receiver halves). No
-  /// intra-tick ordering between peers can leak into results, so which
-  /// shard a peer lives on — and hence the shard count — is a planning
-  /// concern, not a semantics one. Each phase runs the matching
-  /// DownloadLink half. The receive phase also plans each of its peers,
-  /// serviced or not (PeerEntry::next_due).
+  /// peer's own state (its origin apply, its receiver halves, its failed
+  /// downloads' teardowns). No intra-tick ordering between peers can leak
+  /// into results, so which shard a peer lives on — and hence the shard
+  /// count — is a planning concern, not a semantics one. Each phase runs
+  /// the matching DownloadLink half. The receive phase also stamps and
+  /// plans each of its peers, serviced or not, into the shard's fold.
   void phase_send(std::size_t shard);
   void phase_receive(std::size_t shard);
+  /// Retires the downloads of the crashed peers queued on the shard.
+  void phase_crash(std::size_t shard);
   /// The refresh's shard phases: retire every download the shard's peers
   /// receive, then plan each of them from the snapshot and its own seed
   /// and build what was planned. Each touches only its own receivers'
@@ -281,20 +299,21 @@ class ShardedDelivery {
   std::optional<std::uint64_t> plan_peer(std::size_t i,
                                          std::uint64_t now) const;
   /// The earliest virtual tick >= ticks_ at which a lockstep tick would
-  /// not be a no-op: the earliest per-peer plan folded by the last tick,
-  /// the next fault boundary, or the next refresh. Called by run_until
-  /// right after a tick, while the workers are parked.
+  /// not be a no-op: the earliest of the shards' plan minima from the last
+  /// receive phase, the next fault boundary, or the next refresh. Called
+  /// by run_until right after a tick, while the workers are parked.
   std::uint64_t next_event_time() const;
   static void accumulate_link(const DownloadLink& download,
                               LinkTotals& totals);
 
   std::vector<std::uint8_t> content_;
   DeliveryOptions options_;
-  std::size_t shards_;
   std::vector<std::unique_ptr<OriginServer>> origins_;
   std::vector<PeerEntry> peers_;
-  /// Per shard: owned peer ids, ascending.
-  std::vector<std::vector<std::size_t>> shard_peers_;
+  /// Origin-fed peer ids, ascending (joiners append): the order of the
+  /// coordinator's origin symbol draws.
+  std::vector<std::size_t> origin_fed_;
+  std::vector<Shard> shards_;
   std::size_t ticks_ = 0;
   /// Virtual time of the tick in progress (= its tick index), read by the
   /// phases on every shard; written only between pool runs.
@@ -304,26 +323,15 @@ class ShardedDelivery {
   /// ascending ids of those that may serve (see sample_candidates).
   std::vector<CandidateSender> plan_view_;
   std::vector<std::size_t> plan_eligible_;
-  /// Per shard: the frame pool its links share, and the wire costs of the
-  /// downloads its receivers retired.
-  std::vector<std::shared_ptr<wire::BufferPool>> shard_pools_;
-  std::vector<LinkTotals> retired_link_totals_;
   /// Fault bookkeeping (inert when options_.faults is null). Mutated on
-  /// the coordinator only; the phases read per-tick snapshots and, while
-  /// planning, the immutable plan (down()).
+  /// the coordinator only; the phases read only the immutable plan
+  /// (down(), blackout()).
   FaultTracker faults_;
   /// Virtual ticks run_until jumped over without executing.
   std::uint64_t ticks_skipped_ = 0;
-  /// The minimum of every peer's next_due, folded by the last tick's
-  /// epilogue (nullopt: no peer has work planned).
-  std::optional<std::uint64_t> earliest_due_;
   PlannerStats planner_stats_;
   /// Present only when shards > 1.
   std::optional<util::ShardPool> pool_;
-  std::function<void(std::size_t)> send_fn_;
-  std::function<void(std::size_t)> receive_fn_;
-  std::function<void(std::size_t)> retire_fn_;
-  std::function<void(std::size_t)> build_fn_;
   std::uint64_t parallel_wall_ns_ = 0;
 };
 

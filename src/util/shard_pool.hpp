@@ -20,8 +20,8 @@
 /// happens-before both ways: state the coordinator wrote before run() is
 /// visible to the workers, and everything the workers wrote is visible to
 /// the coordinator after run() returns. Between run() calls the workers are
-/// parked, so the coordinator may freely touch shard-owned state
-/// (admission, link teardown, stats aggregation) single-threaded.
+/// parked, so the coordinator may touch shard-owned state (queues it hands
+/// a phase, per-shard folds, stats aggregation) single-threaded.
 ///
 /// Each worker also accumulates its own thread-CPU time across callbacks
 /// (busy_ns). On machines with fewer cores than shards wall-clock cannot

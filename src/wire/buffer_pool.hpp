@@ -26,15 +26,14 @@
 ///
 /// A BufferPool is deliberately NOT thread-safe: the shard-local ownership
 /// rule (DESIGN.md, "Threading model") says every pool belongs to exactly
-/// one shard at a time — a download's link lives wholly on the receiver's
-/// shard and draws from that shard's pool. Builds with owner checks
-/// enabled (debug builds, or any build defining ICD_POOL_OWNER_CHECKS)
-/// enforce the rule: the first acquire/release binds the pool to the
-/// calling thread and any call from a different thread aborts loudly, so a
+/// one shard, and only that shard's thread uses it — a download's link
+/// lives wholly on the receiver's shard and draws from that shard's pool,
+/// and every teardown runs there too. Builds with owner checks enabled
+/// (debug builds, or any build defining ICD_POOL_OWNER_CHECKS) enforce the
+/// rule: the first acquire/release binds the pool to the calling thread
+/// for good, and any call from a different thread aborts loudly, so a
 /// cross-shard buffer leak fails at the offending call site instead of
-/// corrupting a freelist. Coordinators that legitimately hand a pool between phases
-/// (a crash or failure-sweep teardown runs single-threaded while workers
-/// are parked) call debug_release_owner() so the next user rebinds.
+/// corrupting a freelist.
 namespace icd::wire {
 
 class BufferPool {
@@ -52,7 +51,6 @@ class BufferPool {
   struct Stats {
     std::size_t acquires = 0;  // total acquire() calls
     std::size_t hits = 0;      // acquires served from the freelist
-    std::size_t releases = 0;  // buffers returned (kept or freed)
 
     double hit_rate() const {
       return acquires == 0
@@ -76,21 +74,9 @@ class BufferPool {
   /// recycled buffer can never leak a previous frame's bytes.
   void release(std::vector<std::uint8_t> buffer) {
     check_owner("release");
-    ++stats_.releases;
     if (free_.size() >= max_pooled_) return;  // freed by destruction
     buffer.clear();
     free_.push_back(std::move(buffer));
-  }
-
-  /// Unbinds the pool from its owning thread (owner-checking builds only;
-  /// a no-op otherwise). The next acquire/release rebinds to its caller.
-  /// Call this only at a synchronization point that orders the old owner's
-  /// accesses before the new owner's — e.g. the coordinator between tick
-  /// phases, while all workers are parked at a barrier.
-  void debug_release_owner() {
-#if defined(ICD_POOL_OWNER_CHECKS)
-    owner_.store(std::thread::id{}, std::memory_order_relaxed);
-#endif
   }
 
   /// Frees every pooled buffer (the stats stay): for an owner that knows
@@ -117,7 +103,7 @@ class BufferPool {
     std::thread::id expected{};
     if (owner_.compare_exchange_strong(expected, self,
                                        std::memory_order_relaxed)) {
-      return;  // first use (or first after debug_release_owner) binds
+      return;  // first use binds
     }
     if (expected != self) {
       std::fprintf(stderr,

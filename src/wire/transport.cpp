@@ -106,7 +106,6 @@ bool Transport::take_datagram() {
   rx_frame_ = std::move(*datagram);
   rx_frame_pooled_ = true;
   ++stats_.frames_received;
-  stats_.bytes_received += rx_frame_.size();
   return true;
 }
 

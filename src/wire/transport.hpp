@@ -51,9 +51,8 @@ struct TransportStats {
   /// Whole frames accepted for sending / delivered after reassembly.
   std::size_t messages_sent = 0;
   std::size_t messages_received = 0;
-  /// Frames / bytes that arrived from the link.
+  /// Frames that arrived from the link.
   std::size_t frames_received = 0;
-  std::size_t bytes_received = 0;
   /// Received frames that failed to decode (corruption) — dropped.
   std::size_t malformed_frames = 0;
   /// Fragments evicted before their frame completed (a sibling was lost).

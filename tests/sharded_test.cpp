@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "codec/degree.hpp"
@@ -126,13 +127,22 @@ TEST(ShardedDelivery, FourShardSwarmSurvivesLossyCrossLinks) {
 
 // --- Shard-count invariance -------------------------------------------------
 
+/// One abandoned download session: (sender, tick, reason).
+using Failure =
+    std::tuple<std::size_t, std::uint64_t, core::FailedPeer::Reason>;
+
 /// Everything a run exposes that could depend on the schedule: per-peer
-/// completion ticks and content, and the cumulative wire totals.
+/// completion ticks, content and failed sessions, the cumulative wire
+/// totals, and the jump counters. `pushes` counts planned peers per
+/// executed tick, so compare two trajectories only within one jump mode.
 struct Trajectory {
   std::vector<std::size_t> completion;
   std::vector<std::vector<std::uint8_t>> content;
+  std::vector<std::vector<Failure>> failures;
   core::ShardedDelivery::LinkTotals totals;
   std::size_t ticks = 0;
+  std::uint64_t ticks_skipped = 0;
+  std::uint64_t pushes = 0;
 };
 
 Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
@@ -153,9 +163,16 @@ Trajectory run_with_shards(const std::vector<std::uint8_t>& content,
     trajectory.content.push_back(service.peer_complete(p)
                                      ? service.peer_content(p)
                                      : std::vector<std::uint8_t>{});
+    std::vector<Failure>& failures = trajectory.failures.emplace_back();
+    for (const core::FailedPeer& failed :
+         service.session_result(p).failed_peers) {
+      failures.emplace_back(failed.peer, failed.tick, failed.reason);
+    }
   }
   trajectory.totals = service.link_totals();
   trajectory.ticks = service.ticks();
+  trajectory.ticks_skipped = service.ticks_skipped();
+  trajectory.pushes = service.planner_stats().pushes;
   return trajectory;
 }
 
@@ -179,8 +196,11 @@ Trajectory expect_shard_count_invariant(
         run_with_shards(content, options, shards, peers, fed, max_ticks);
     EXPECT_EQ(other.completion, two.completion);
     EXPECT_EQ(other.content, two.content);
+    EXPECT_EQ(other.failures, two.failures);
     EXPECT_EQ(other.totals, two.totals);
     EXPECT_EQ(other.ticks, two.ticks);
+    EXPECT_EQ(other.ticks_skipped, two.ticks_skipped);
+    EXPECT_EQ(other.pushes, two.pushes);
   }
   return two;
 }
@@ -212,11 +232,70 @@ TEST(ShardCountInvariance, TimedSwarmUnderCrashRestartJoinAndBlackout) {
                                /*peers=*/8, /*fed=*/2, 10000);
 }
 
+TEST(ShardCountInvariance, FailedSessionsAcrossCrashesStallAndBlackout) {
+  // Every teardown runs on its receiver's shard: the crash phase's (peer 3
+  // crashes on a refresh tick, peer 5 crashes and restarts on one tick),
+  // and the receive phase's teardowns of failed sessions, whose senders'
+  // suspicions the coordinator applies after the phase. Liveness expiries
+  // (receivers of peer 2, which crashes mid-transfer) and exhausted
+  // handshake retries (peer 4's downloads over the blacked-out edge
+  // 0 -> 4, among others) must both occur, and no shard count, in either
+  // jump mode, may move a stamp, a failure record or a plan.
+  auto plan = std::make_shared<core::FaultPlan>();
+  plan->crashes.push_back({20, 3});
+  plan->restarts.push_back({70, 3});
+  plan->crashes.push_back({33, 5});
+  plan->restarts.push_back({33, 5});
+  plan->crashes.push_back({45, 2});
+  plan->restarts.push_back({90, 2});
+  plan->stalls.push_back({50, 95, 6});
+  plan->blackouts.push_back({0, 100000, 0, 4});
+  auto options = small_options();
+  options.faults = plan;
+  options.session_seed = 77;
+  options.refresh_interval = 20;
+  options.link.delay_ticks = 2;
+  options.link.jitter_ticks = 1;
+  options.link.loss_rate = 0.05;
+  options.handshake_retry_ticks = 4;
+  options.max_handshake_retries = 2;
+  options.liveness_timeout_ticks = 12;
+  const auto content = random_content(64 * 40, 5);
+  std::vector<Trajectory> modes;
+  for (const bool jump : {false, true}) {
+    SCOPED_TRACE(jump ? "jumped" : "lockstep");
+    options.jump_empty_ticks = jump;
+    modes.push_back(expect_shard_count_invariant(content, options,
+                                                 /*peers=*/10, /*fed=*/2,
+                                                 10000));
+  }
+  const Trajectory& lockstep = modes[0];
+  const Trajectory& jumped = modes[1];
+  EXPECT_EQ(jumped.completion, lockstep.completion);
+  EXPECT_EQ(jumped.failures, lockstep.failures);
+  EXPECT_EQ(jumped.totals, lockstep.totals);
+  EXPECT_EQ(jumped.ticks, lockstep.ticks);
+  EXPECT_GT(jumped.ticks_skipped, 0u);
+  std::size_t liveness = 0;
+  std::size_t exhausted = 0;
+  for (const std::vector<Failure>& failures : lockstep.failures) {
+    for (const Failure& failure : failures) {
+      if (std::get<2>(failure) == core::FailedPeer::Reason::kLivenessTimeout) {
+        ++liveness;
+      } else {
+        ++exhausted;
+      }
+    }
+  }
+  EXPECT_GT(liveness, 0u);
+  EXPECT_GT(exhausted, 0u);
+}
+
 TEST(ShardCountInvariance, SampledAdmissionRefreshesAcrossCrashAndRestart) {
   // Sampled admission retires every download on its receiver's shard and
   // builds the planned ones there too; a crash between refreshes retires
-  // the crashed peer's downloads on the coordinator instead. Neither may
-  // leak the shard count into the run.
+  // the crashed peer's downloads on its shard as well, in a crash phase of
+  // its own. Neither may leak the shard count into the run.
   auto plan = std::make_shared<core::FaultPlan>();
   plan->crashes.push_back({30, 4});
   plan->restarts.push_back({60, 4});
@@ -442,8 +521,7 @@ TEST(ConstPeerReads, ConcurrentIdLookupsMatchASingleThreadedPass) {
 #endif
 #endif
 
-// Death tests fork, which TSAN dislikes; the abort path is still exercised
-// by the non-death handoff test below.
+// Death tests fork, which TSAN dislikes.
 #if defined(ICD_POOL_OWNER_CHECKS) && !defined(ICD_TSAN)
 TEST(BufferPoolOwnerDeathTest, CrossThreadUseAbortsLoudly) {
   EXPECT_DEATH(
@@ -454,21 +532,6 @@ TEST(BufferPoolOwnerDeathTest, CrossThreadUseAbortsLoudly) {
         offender.join();
       },
       "non-owner thread");
-}
-#endif
-
-#if defined(ICD_POOL_OWNER_CHECKS)
-TEST(BufferPoolOwner, ReleaseOwnerAllowsHandoff) {
-  wire::BufferPool pool;
-  pool.release(pool.acquire());  // bind here
-  pool.debug_release_owner();
-  std::thread other([&pool] {
-    pool.release(pool.acquire());  // rebinds to the worker: must not die
-  });
-  other.join();
-  pool.debug_release_owner();
-  pool.release(pool.acquire());  // and back
-  SUCCEED();
 }
 #endif
 
